@@ -9,11 +9,9 @@ validate every closed form independently.
 __version__ = "0.1.0"
 
 from .errors import (
-    DegenerateError,
     DomainError,
     InsufficientDataError,
     PureStateError,
-    RankError,
     RegionError,
     TrineError,
     UndefinedError,
@@ -56,8 +54,6 @@ from .qubit import (
     INCONCLUSIVE,
     Measurement,
     PovmValidity,
-    born_probability,
-    invert_qubit_density,
     min_eigenvalue,
     pure_state_from_equator_angle,
     validate_povm,
@@ -65,10 +61,8 @@ from .qubit import (
 from .simulate import EmpiricalResult, estimate_confidence, estimate_success
 from .trine import (
     Priors,
-    TrineEnsemble,
     antitrine_measurement,
     canonicalize_priors,
-    make_ensemble,
     priors_from_p_delta,
     random_priors,
     trine_measurement,

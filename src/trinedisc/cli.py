@@ -38,14 +38,14 @@ from .max_confidence import (
     min_error_confidence,
 )
 from .min_error import (
-    boundary_determinant,
+    check_helstrom,
     critical_delta,
+    optimal_branch,
     optimal_measurement,
     p_correct_three_element,
     p_correct_two_element,
 )
 from .oracle import brute_force_max_confidence, brute_force_min_error
-from .qubit import INCONCLUSIVE
 from .simulate import estimate_confidence, estimate_success
 from .trine import (
     Priors,
@@ -54,7 +54,6 @@ from .trine import (
     priors_from_p_delta,
     random_priors,
     trine_measurement,
-    trine_projectors,
 )
 
 EXIT_OK = 0
@@ -160,15 +159,8 @@ def _write_csv(stream, command: str, flags: str, columns, rows):
         writer.writerow([_fmt(v) for v in row])
 
 
-def _dispatched_p_correct(priors: Priors) -> tuple[str, float]:
-    det = boundary_determinant(priors)
-    if det >= -1e-12 or priors.p2 <= 0.0:
-        return "two_element", p_correct_two_element(priors)
-    return "three_element", p_correct_three_element(priors)
-
-
 def _sweep_row(priors: Priors):
-    strategy, p_correct = _dispatched_p_correct(priors)
+    strategy, p_correct, det = optimal_branch(priors)
     cd = critical_delta(min(max(priors.p, 1.0 / 3.0), 0.5))
     conf = []
     for i in range(3):
@@ -184,7 +176,7 @@ def _sweep_row(priors: Priors):
         priors.p2,
         strategy,
         p_correct,
-        boundary_determinant(priors),
+        det,
         conf[0],
         conf[1],
         conf[2],
@@ -289,13 +281,12 @@ CURVE_COLUMNS = [
 
 
 def _curve_row(priors: Priors):
-    det = boundary_determinant(priors)
+    _, p_correct, det = optimal_branch(priors)
     p2el = p_correct_two_element(priors)
     try:
         p3el = p_correct_three_element(priors)
     except ZeroPriorError:
         p3el = None
-    strategy, p_correct = _dispatched_p_correct(priors)
     return [
         priors.p,
         priors.delta,
@@ -407,7 +398,7 @@ def cmd_verify(args) -> int:
     worst = {"kind": None, "priors": None, "difference": 0.0}
     for n in range(args.samples):
         priors = random_priors(rng)
-        _, closed = _dispatched_p_correct(priors)
+        _, closed, _ = optimal_branch(priors)
         result = brute_force_min_error(priors, args.resolution, args.refinements)
         diff = abs(result.best_value - closed)
         if diff > worst["difference"]:
@@ -467,10 +458,7 @@ def cmd_simulate(args) -> int:
         quantity = "confidence"
     else:
         result = estimate_success(priors, m, args.shots, args.seed, args.partitions)
-        analytic = sum(
-            q * float(np.trace(rho @ op).real)
-            for q, rho, op in _success_terms(priors, m)
-        )
+        analytic = check_helstrom(priors.original, m).success_probability
         quantity = "success_probability"
     se = result.standard_error
     payload = {
@@ -489,14 +477,6 @@ def cmd_simulate(args) -> int:
     }
     _emit_json(payload, sys.stdout)
     return EXIT_OK
-
-
-def _success_terms(priors: Priors, m):
-    q = priors.original
-    rhos = trine_projectors()
-    for lab, op in m.elements:
-        if lab != INCONCLUSIVE:
-            yield q[lab], rhos[lab], op
 
 
 def build_parser() -> argparse.ArgumentParser:

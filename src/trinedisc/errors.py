@@ -9,10 +9,6 @@ class DomainError(TrineError, ValueError):
     """Input outside the mathematically admissible domain."""
 
 
-class DegenerateError(TrineError):
-    """Construction requested for a fully degenerate prior configuration."""
-
-
 class PureStateError(TrineError):
     """The ensemble density matrix is pure, so its inverse is undefined."""
 
@@ -23,10 +19,6 @@ class ZeroPriorError(TrineError, ZeroDivisionError):
 
 class RegionError(TrineError):
     """Three-outcome construction requested outside its validity region."""
-
-
-class RankError(TrineError):
-    """An operator expected to be numerically rank-1 is not."""
 
 
 class VerificationError(TrineError):

@@ -7,25 +7,19 @@ chosen maximal subject to the inconclusive completion staying positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import (
+    PureStateError,
     UndefinedError,
     VerificationError,
     ZeroOutcomeError,
 )
-from .qubit import (
-    IDENTITY,
-    INCONCLUSIVE,
-    Measurement,
-    invert_qubit_density,
-    max_eigenvalue,
-)
+from .qubit import INCONCLUSIVE, PSD_TOL, Measurement, born, bloch_decomposition, rank_one
 from .min_error import optimal_measurement
-from .trine import Priors, ensemble_density, transform_to_original, trine_projectors
+from .trine import TRINE_BLOCH, Priors, transform_to_original
 
 __all__ = [
     "ConfidenceReport",
@@ -36,29 +30,54 @@ __all__ = [
     "min_error_confidence",
 ]
 
-_PSD_TOL = 1e-10
 _OUTCOME_TOL = 1e-14
+#: Purity Tr(rho^2) above 1 - PURITY_TOL counts as a pure ensemble.
+_PURITY_TOL = 1e-9
 
 
-def mc_povm(priors: Priors, tol: float = _PSD_TOL) -> Measurement:
+def mc_povm(priors: Priors, tol: float = PSD_TOL) -> Measurement:
     """Maximum-confidence POVM, completed with an inconclusive outcome.
 
-    All three state elements are scaled by the largest common factor that
-    keeps 1 - sum of elements positive; the remainder becomes the
-    inconclusive element when it is nonzero.  Labels are in the caller's
-    original state order.  Requires the ensemble density matrix to be
-    mixed (raises PureStateError otherwise).
+    Element i is proportional to rho^{-1} rho_i rho^{-1}.  For
+    rho = (I + r.sigma)/2 and rho_i = (I + n_i.sigma)/2 that product is a
+    positive multiple of the rank-1 Bloch form
+    (1 + |r|^2 - 2 r.n_i, (1 - |r|^2) n_i - 2 (1 - r.n_i) r).  With the
+    priors summing to 1, 1 - |r|^2 = 3 e2 (e2 = p0 p1 + p0 p2 + p1 p2) and
+    1 - r.n_i = 3 o_i / 2 (o_i the sum of the other two priors), so up to
+    the factor 3 its Bloch vector is e2 n_i - o_i r: no inverse, and
+    nothing that cancels as the ensemble approaches a pure state.
+    Confidence does not depend on scale, so all three are then scaled by
+    the largest common factor that keeps 1 - sum of elements positive; the
+    remainder, also rank-1, becomes the inconclusive element when it is
+    nonzero.  Every element is built exactly rank-1 (see
+    :func:`~trinedisc.qubit.rank_one`), so the Born probabilities of the
+    returned elements keep their relative accuracy where they are small.
+    Labels are in the caller's original state order.  Raises
+    PureStateError when the ensemble density matrix is pure.
     """
-    rho = ensemble_density(priors.canonical)
-    rho_inv = invert_qubit_density(rho)
-    raw = [rho_inv @ r @ rho_inv for r in trine_projectors()]
-    total = sum(raw)
-    scale = 1.0 / max_eigenvalue(total)
-    elements = [(j, scale * e) for j, e in enumerate(raw)]
-    leftover = IDENTITY - scale * total
-    if max_eigenvalue(leftover) > tol:
+    q = priors.canonical
+    e2 = q[0] * q[1] + q[0] * q[2] + q[1] * q[2]
+    if 1.5 * e2 <= _PURITY_TOL:  # purity (1 + |r|^2)/2 = 1 - 3 e2 / 2
+        raise PureStateError(f"ensemble density matrix is pure within tolerance (priors {q})")
+    rx = sum(qj * n[1] for qj, n in zip(q, TRINE_BLOCH))
+    ry = sum(qj * n[2] for qj, n in zip(q, TRINE_BLOCH))
+    raw = []
+    for i, n in enumerate(TRINE_BLOCH):
+        o = q[(i + 1) % 3] + q[(i + 2) % 3]
+        raw.append((e2 * n[1] - o * rx, e2 * n[2] - o * ry))
+    x, y = sum(v[0] for v in raw), sum(v[1] for v in raw)
+    # the sum of the rank-1 forms has largest eigenvalue (sum_i |v_i| + |V|)/2
+    scale = 2.0 / (sum(math.hypot(*v) for v in raw) + math.hypot(x, y))
+    elements = [(i, rank_one(scale * vx, scale * vy)) for i, (vx, vy) in enumerate(raw)]
+    leftover = rank_one(-scale * x, -scale * y)
+    if leftover[0] > tol:
         elements.append((INCONCLUSIVE, leftover))
-    return transform_to_original(Measurement(tuple(elements)), priors.permutation)
+    return transform_to_original(elements, priors.permutation)
+
+
+def _joint(priors: Priors, element) -> list[float]:
+    """p_j Tr(rho_j pi) for each state j, caller's order."""
+    return [qj * born(n, element) for qj, n in zip(priors.original, TRINE_BLOCH)]
 
 
 def confidence(priors: Priors, m: Measurement, outcome_label) -> float:
@@ -66,18 +85,15 @@ def confidence(priors: Priors, m: Measurement, outcome_label) -> float:
 
     p_i Tr(rho_i pi_i) / sum_j p_j Tr(rho_j pi_i), with labels and priors
     in the caller's original state order.  Invariant under positive
-    rescaling of the element.
+    rescaling of the element.  Clamped into [0, 1].
     """
-    element = m.element(outcome_label)
-    q = priors.original
-    rhos = trine_projectors()
-    joint = [q[j] * float(np.trace(rhos[j] @ element).real) for j in range(3)]
+    joint = _joint(priors, bloch_decomposition(m.element(outcome_label)))
     ensemble_prob = sum(joint)
     if ensemble_prob <= _OUTCOME_TOL:
         raise ZeroOutcomeError(
             f"outcome {outcome_label!r} has vanishing ensemble probability"
         )
-    return joint[outcome_label] / ensemble_prob
+    return min(1.0, joint[outcome_label] / ensemble_prob)
 
 
 def mc_confidence_closed_form(priors: Priors, i: int) -> float:
@@ -115,8 +131,6 @@ class ConfidenceReport:
 def confidence_report(priors: Priors) -> ConfidenceReport:
     """Assemble the POVM and evaluate per-state confidence both ways."""
     m = mc_povm(priors)
-    q = priors.original
-    rhos = trine_projectors()
     per_state = []
     for i in range(3):
         bayes = confidence(priors, m, i)
@@ -127,10 +141,7 @@ def confidence_report(priors: Priors) -> ConfidenceReport:
             )
         per_state.append(bayes)
     if INCONCLUSIVE in m.labels:
-        pi_q = m.element(INCONCLUSIVE)
-        inconclusive = sum(
-            q[j] * float(np.trace(rhos[j] @ pi_q).real) for j in range(3)
-        )
+        inconclusive = sum(_joint(priors, bloch_decomposition(m.element(INCONCLUSIVE))))
     else:
         inconclusive = 0.0
     return ConfidenceReport(tuple(per_state), inconclusive, m)

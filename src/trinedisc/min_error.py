@@ -3,10 +3,13 @@
 Two-outcome branch: a projective measurement in the equator plane at an
 angle fixed by the ratio of the two largest priors.  Three-outcome
 branch: the Lagrangian operator Gamma is solved from a 3x3 linear system
-in its inverse-Bloch components, and the POVM elements are extracted from
-the rank-1 structure of Gamma - p_j rho_j.  A quartic determinant in
-(p0, p1) decides which branch is globally optimal, and every dispatched
-measurement is re-verified against the Helstrom optimality conditions.
+in its inverse-Bloch components, and each POVM element points against the
+Bloch vector of the rank-1 operator Gamma - p_j rho_j.  A quartic
+determinant in (p0, p1) decides which branch is globally optimal, and
+every dispatched measurement is re-verified against the Helstrom
+optimality conditions.  Everything runs on real Bloch forms (see
+:mod:`trinedisc.qubit`); each global Helstrom condition
+Gamma - p_j rho_j >= 0 is the scalar test g - p_j >= |c - p_j n_j|.
 """
 
 from __future__ import annotations
@@ -18,27 +21,24 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateError,
     DomainError,
-    RankError,
     RegionError,
     VerificationError,
     ZeroPriorError,
 )
 from .qubit import (
-    IDENTITY,
+    PSD_TOL,
     Measurement,
-    bloch_decomposition,
-    eigenvalues,
-    eigenvector,
+    born,
+    bloch_product,
+    equator_element,
     from_bloch,
-    hermitian_part,
-    min_eigenvalue,
-    projector,
-    pure_state_from_equator_angle,
-    spectral_norm,
+    operator_norm,
+    povm_validity,
+    to_measurement,
+    trace_product,
 )
-from .trine import Priors, transform_to_original, trine_projectors, trine_states
+from .trine import TRINE_BLOCH, Priors, transform_to_original
 
 __all__ = [
     "GammaSolution",
@@ -56,6 +56,7 @@ __all__ = [
     "three_element_measurement",
     "p_correct_three_element",
     "check_helstrom",
+    "optimal_branch",
     "optimal_measurement",
 ]
 
@@ -73,17 +74,17 @@ def theta_two_element(priors: Priors) -> float:
     atan2(-sqrt(3) p1, 2 p0 + p1) fixes the branch: theta in (-pi/2, 0],
     biasing the measurement toward the more likely state.
     """
-    if priors.p0 + priors.p1 <= 0.0:
-        raise DegenerateError("two-element measurement needs p0 + p1 > 0")
     return math.atan2(-math.sqrt(3.0) * priors.p1, 2.0 * priors.p0 + priors.p1)
+
+
+def _two_element(priors: Priors) -> list:
+    theta = theta_two_element(priors)
+    return [(0, equator_element(1.0, theta)), (1, equator_element(1.0, theta + math.pi))]
 
 
 def two_element_measurement(priors: Priors) -> Measurement:
     """Projective measurement identifying states 0 and 1 (canonical frame)."""
-    theta = theta_two_element(priors)
-    ket0 = pure_state_from_equator_angle(theta)
-    ket1 = pure_state_from_equator_angle(theta + math.pi)
-    return Measurement(((0, projector(ket0)), (1, projector(ket1))))
+    return to_measurement(_two_element(priors))
 
 
 def p_correct_two_element(priors: Priors) -> float:
@@ -108,11 +109,8 @@ def boundary_matrix(priors: Priors) -> np.ndarray:
     Positivity of M is the remaining Helstrom condition for the
     two-outcome strategy to stay optimal once state 2 joins the ensemble.
     """
-    m = two_element_measurement(priors)
-    rhos = trine_projectors()
-    gamma = priors.p0 * rhos[0] @ m.element(0) + priors.p1 * rhos[1] @ m.element(1)
-    gamma = hermitian_part(gamma)
-    return gamma - priors.p2 * rhos[2]
+    gamma = _gamma(priors.canonical, _two_element(priors))
+    return from_bloch([g - priors.p2 * n for g, n in zip(gamma, TRINE_BLOCH[2])])
 
 
 def boundary_determinant(priors: Priors) -> float:
@@ -183,50 +181,63 @@ def gamma_three_element(priors: Priors) -> GammaSolution:
     a = (2.0 / 3.0) * (r0 + r1 + r2)
     b_x = (2.0 / 3.0) * (2.0 * r0 - r1 - r2)
     b_y = (2.0 / math.sqrt(3.0)) * (r1 - r2)
-    gamma_inv = from_bloch(a, (b_x, b_y, 0.0))
-    b_sq = b_x * b_x + b_y * b_y
-    # adjugate inverse: (a I + b.sigma)/2 inverts to 2 (a I - b.sigma)/(a^2-|b|^2)
-    gamma = 4.0 * from_bloch(a, (-b_x, -b_y, 0.0)) / (a * a - b_sq)
-    p_corr = 4.0 * a / (a * a - b_sq)
-    if abs(p_corr - float(np.trace(gamma).real)) > 1e-10:
-        raise VerificationError("Tr(Gamma) disagrees with 4a/(a^2-|b|^2)")
-    for psi, qj in zip(trine_states(), q):
-        val = float(np.real(np.vdot(psi, gamma_inv @ psi)))
+    # (a I + b.sigma)/2 inverts to 2 (a I - b.sigma)/(a^2 - |b|^2)
+    p_corr = 4.0 * a / (a * a - b_x * b_x - b_y * b_y)
+    for n, qj in zip(TRINE_BLOCH, q):
+        val = trace_product(n, (a, b_x, b_y, 0.0))
         if abs(val - 1.0 / qj) > 1e-10 * max(1.0, 1.0 / qj):
             raise VerificationError("Gamma^{-1} expectation does not match 1/p_j")
+    gamma = from_bloch((p_corr, -p_corr / a * b_x, -p_corr / a * b_y, 0.0))
     return GammaSolution(a, b_x, b_y, gamma, p_corr)
 
 
-def three_element_weights_raw(
-    priors: Priors,
-) -> tuple[list[np.ndarray], np.ndarray, list[float]]:
+def _outcomes(q: Sequence[float], sol: GammaSolution) -> tuple[list, list[float]]:
+    # Gamma = (p_corr I + c.sigma)/2 with c = -(p_corr / a) b
+    cx, cy = -sol.p_corr / sol.a * sol.b_x, -sol.p_corr / sol.a * sol.b_y
+    directions = []
+    for qj, n in zip(q, TRINE_BLOCH):
+        ux, uy = qj * n[1] - cx, qj * n[2] - cy
+        norm = math.hypot(ux, uy)
+        directions.append((ux / norm, uy / norm))
+    # completeness sum_j k_j (1, d_j) = (2, 0, 0): Cramer's rule gives
+    # k_j proportional to the cross product of the other two directions
+    cross = [
+        directions[(j + 1) % 3][0] * directions[(j + 2) % 3][1]
+        - directions[(j + 1) % 3][1] * directions[(j + 2) % 3][0]
+        for j in range(3)
+    ]
+    total = sum(cross)
+    return directions, [2.0 * c / total for c in cross]
+
+
+def three_element_weights_raw(priors: Priors) -> tuple[list, list[float]]:
     """Outcome directions and weights of the three-outcome construction.
 
-    Returns ``(phis, weights, n_small_eigs)``: for each j the outcome state
-    |phi_j>, the weight k_j solving completeness, and the smaller eigenvalue
-    of N_j = Gamma - p_j rho_j (zero when N_j is exactly rank-1).  No
-    validity checks: outside the three-outcome region some weight goes
-    negative, which is exactly what the region diagnostics look at.
+    Returns ``(directions, weights)``: for each j the unit equator vector
+    of the outcome state, which spans the kernel of the rank-1 operator
+    N_j = Gamma - p_j rho_j and so points against its Bloch vector
+    c - p_j n_j, and the weight k_j solving completeness.  No validity
+    checks: outside the three-outcome region some weight goes negative,
+    which is exactly what the region diagnostics look at.
     """
-    sol = gamma_three_element(priors)
-    rhos = trine_projectors()
-    phis = []
-    small_eigs = []
-    for qj, rho in zip(priors.canonical, rhos):
-        n_j = sol.gamma - qj * rho
-        lo, hi = eigenvalues(n_j)
-        small_eigs.append(lo)
-        phi_perp = eigenvector(n_j, hi)
-        phis.append(np.array([-np.conj(phi_perp[1]), np.conj(phi_perp[0])]))
-    # completeness sum_j k_j |phi_j><phi_j| = I in (trace, sigma_x, sigma_y)
-    # components; all projectors are in-plane so sigma_z is trivially zero.
-    cols = []
-    for phi in phis:
-        t, v = bloch_decomposition(projector(phi))
-        cols.append([t, v[0], v[1]])
-    system = np.array(cols, dtype=float).T
-    weights = np.linalg.solve(system, np.array([2.0, 0.0, 0.0]))
-    return phis, weights, small_eigs
+    return _outcomes(priors.canonical, gamma_three_element(priors))
+
+
+def _three_element(priors: Priors, sol: GammaSolution) -> list:
+    det = boundary_determinant(priors)
+    if det >= 0.0:
+        raise RegionError(
+            f"three-outcome construction is invalid for det(M) = {det!r} >= 0"
+        )
+    directions, weights = _outcomes(priors.canonical, sol)
+    elements = [
+        (j, (k, k * dx, k * dy, 0.0)) for j, (k, (dx, dy)) in enumerate(zip(weights, directions))
+    ]
+    # a negative weight is a negative element eigenvalue
+    validity = povm_validity([b for _, b in elements], PSD_TOL)
+    if not validity.is_valid:
+        raise VerificationError(f"three-outcome POVM inside its region is invalid: {validity}")
+    return elements
 
 
 def three_element_measurement(priors: Priors) -> Measurement:
@@ -236,29 +247,7 @@ def three_element_measurement(priors: Priors) -> Measurement:
     the construction would produce a non-positive element and raises
     RegionError instead.
     """
-    det = boundary_determinant(priors)
-    if det >= 0.0:
-        raise RegionError(
-            f"three-outcome construction is invalid for det(M) = {det!r} >= 0"
-        )
-    phis, weights, small_eigs = three_element_weights_raw(priors)
-    scale = max(1.0, spectral_norm(gamma_three_element(priors).gamma))
-    for lo in small_eigs:
-        if abs(lo) > 1e-9 * scale:
-            raise RankError(
-                f"Gamma - p_j rho_j is not numerically rank-1 (residual {lo!r})"
-            )
-    if min(weights) < -1e-10:
-        raise VerificationError(
-            f"negative weight {min(weights)!r} inside the three-outcome region"
-        )
-    elements = tuple(
-        (j, float(k) * projector(phi)) for j, (phi, k) in enumerate(zip(phis, weights))
-    )
-    total = sum(op for _, op in elements)
-    if spectral_norm(total - IDENTITY) > 1e-10:
-        raise VerificationError("reconstructed three-outcome POVM is not complete")
-    return Measurement(elements)
+    return to_measurement(_three_element(priors, gamma_three_element(priors)))
 
 
 def p_correct_three_element(priors: Priors) -> float:
@@ -300,6 +289,21 @@ class HelstromReport:
     success_probability: float
 
 
+def _gamma(q: Sequence[float], elements) -> list[float]:
+    """Bloch form of Gamma = sum_l q_l rho_l pi_l (its Hermitian part).
+
+    rho pi has Hermitian part ((t + n.v)/2 I + ((v + t n)/2).sigma)/2 for
+    rho = (1, n) and pi = (t, v); the trace is the Born probability.
+    """
+    g = [0.0, 0.0, 0.0, 0.0]
+    for lab, b in elements:
+        n = TRINE_BLOCH[lab]
+        g[0] += q[lab] * born(n, b)
+        for k in (1, 2, 3):
+            g[k] += q[lab] * 0.5 * (b[k] + b[0] * n[k])
+    return g
+
+
 def check_helstrom(
     probabilities: Sequence[float], m: Measurement, tol: float = _HELSTROM_TOL
 ) -> HelstromReport:
@@ -308,28 +312,26 @@ def check_helstrom(
     ``probabilities[i]`` is the prior of trine state i and element labels
     refer to the same indexing.  Reports the largest operator norm of
     pi_i (p_i rho_i - p_j rho_j) pi_j over pairs, the smallest eigenvalue
-    of sum_i p_i rho_i pi_i - p_j rho_j over j, and the success probability.
+    ((g - p_j) - |c - p_j n_j|)/2 of Gamma - p_j rho_j over j, with
+    Gamma = (g I + c.sigma)/2, and the success probability Tr(Gamma).
     """
     q = [float(x) for x in probabilities]
-    rhos = trine_projectors()
-    labeled = [(lab, op) for lab, op in m.elements if isinstance(lab, (int, np.integer))]
+    labeled = [(lab, b) for lab, b in m.bloch() if isinstance(lab, (int, np.integer))]
     offdiag = 0.0
-    for i, (li, pi_i) in enumerate(labeled):
-        for lj, pi_j in labeled[i + 1 :]:
-            diff = q[li] * rhos[li] - q[lj] * rhos[lj]
-            offdiag = max(offdiag, spectral_norm(pi_i @ diff @ pi_j))
-    gamma = hermitian_part(
-        sum(q[lab] * rhos[lab] @ op for lab, op in labeled)
-    )
-    min_eig = min(min_eigenvalue(gamma - q[j] * rhos[j]) for j in range(3))
-    success = sum(
-        q[lab] * float(np.trace(rhos[lab] @ op).real) for lab, op in labeled
+    for i, (li, bi) in enumerate(labeled):
+        for lj, bj in labeled[i + 1 :]:
+            diff = [q[li] * x - q[lj] * y for x, y in zip(TRINE_BLOCH[li], TRINE_BLOCH[lj])]
+            offdiag = max(offdiag, operator_norm(bloch_product(bloch_product(bi, diff), bj)))
+    g, cx, cy, cz = _gamma(q, labeled)
+    min_eig = min(
+        0.5 * (g - qj - math.hypot(cx - qj * n[1], cy - qj * n[2], cz - qj * n[3]))
+        for qj, n in zip(q, TRINE_BLOCH)
     )
     return HelstromReport(
         max_offdiag_residual=offdiag,
         min_global_eigenvalue=min_eig,
         passes=(offdiag <= tol and min_eig >= -tol),
-        success_probability=success,
+        success_probability=g,
     )
 
 
@@ -351,27 +353,35 @@ class OptimalResult:
     gamma: Optional[GammaSolution] = None
 
 
-def optimal_measurement(priors: Priors) -> OptimalResult:
-    """Globally optimal minimum-error measurement for arbitrary priors.
+def optimal_branch(priors: Priors) -> tuple[str, float, float]:
+    """Branch dispatch: (strategy, closed-form success probability, det M).
 
-    Dispatches on the sign of the boundary determinant (ties and any zero
-    prior go to the two-outcome branch), maps labels and operators back to
-    the caller's state ordering, and attaches a Helstrom verification
-    computed on the returned measurement; a failed verification is an
-    internal inconsistency and raises VerificationError.
+    The three-outcome branch is taken only where the boundary determinant
+    is below -1e-12 and every prior is positive; ties go to the two-outcome
+    branch.
     """
     det = boundary_determinant(priors)
     if det >= -_TIE_TOL or priors.p2 <= 0.0:
-        canonical_m = two_element_measurement(priors)
-        strategy = "two_element"
-        p_correct = p_correct_two_element(priors)
+        return "two_element", p_correct_two_element(priors), det
+    return "three_element", p_correct_three_element(priors), det
+
+
+def optimal_measurement(priors: Priors) -> OptimalResult:
+    """Globally optimal minimum-error measurement for arbitrary priors.
+
+    Dispatches with :func:`optimal_branch`, maps labels and operators back
+    to the caller's state ordering, and attaches a Helstrom verification
+    computed on the returned measurement; a failed verification is an
+    internal inconsistency and raises VerificationError.
+    """
+    strategy, p_correct, det = optimal_branch(priors)
+    if strategy == "two_element":
+        canonical = _two_element(priors)
         theta, gamma = theta_two_element(priors), None
     else:
-        canonical_m = three_element_measurement(priors)
-        strategy = "three_element"
-        p_correct = p_correct_three_element(priors)
         theta, gamma = None, gamma_three_element(priors)
-    measurement = transform_to_original(canonical_m, priors.permutation)
+        canonical = _three_element(priors, gamma)
+    measurement = transform_to_original(canonical, priors.permutation)
     report = check_helstrom(priors.original, measurement)
     if not report.passes:
         raise VerificationError(

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, PureStateError
-from .qubit import Measurement, from_bloch, purity
+from .qubit import Measurement, equator_element, to_measurement
 from .trine import TRINE_ANGLES, Priors, ensemble_density
 
 __all__ = [
@@ -203,7 +203,8 @@ def brute_force_max_confidence(
     if resolution < 16:
         raise DomainError(f"resolution must be at least 16, got {resolution}")
     q = np.asarray(priors.original)
-    if purity(ensemble_density(q)) >= 1.0 - 1e-9:
+    rho = ensemble_density(q)
+    if float(np.trace(rho @ rho).real) >= 1.0 - 1e-9:
         raise PureStateError("confidence oracle needs a mixed ensemble density")
 
     def conf_fn(pts):
@@ -230,30 +231,24 @@ def brute_force_max_confidence(
     )
 
 
-def _equator_element(weight: float, angle: float) -> np.ndarray:
-    return weight * from_bloch(1.0, (math.cos(angle), math.sin(angle), 0.0))
-
-
 def measurement_from_parameters(result: OracleResult) -> Measurement:
     """Rebuild the POVM behind an oracle incumbent (for validation)."""
     if result.family == "projective":
         t = result.best_parameters[0]
         a, b = result.labels
-        return Measurement(
-            ((a, _equator_element(1.0, t)), (b, _equator_element(1.0, t + math.pi)))
+        return to_measurement(
+            ((a, equator_element(1.0, t)), (b, equator_element(1.0, t + math.pi)))
         )
     if result.family == "three_outcome":
         t0, t1, t2 = result.best_parameters
         _, k0, k1, k2 = _planar_weights(t0, t1, t2)
-        return Measurement(
-            tuple(
-                (j, _equator_element(float(k), t))
-                for j, (k, t) in enumerate(((k0, t0), (k1, t1), (k2, t2)))
-            )
+        return to_measurement(
+            (j, equator_element(float(k), t))
+            for j, (k, t) in enumerate(((k0, t0), (k1, t1), (k2, t2)))
         )
     if result.family == "single_element":
         t = result.best_parameters[0]
-        return Measurement(((result.labels[0], _equator_element(1.0, t)),))
+        return to_measurement(((result.labels[0], equator_element(1.0, t)),))
     raise DomainError(f"unknown oracle family {result.family!r}")
 
 

@@ -1,59 +1,58 @@
-"""Closed-form 2x2 complex linear algebra for qubit states and POVMs.
+"""Real Bloch algebra for qubit operators, and the Measurement boundary.
 
-All operators are plain (2, 2) complex numpy arrays; pure states are
-length-2 complex amplitude vectors.  Nothing here goes beyond the 2x2
-closed forms (characteristic roots, adjugate inverse), so results stay
-within a few ulp of exact.
+Every Hermitian 2x2 operator is carried as a real 4-tuple b = (t, x, y, z)
+read as (t I + x sigma_x + y sigma_y + z sigma_z)/2: t is the trace and
+v = (x, y, z) the Bloch vector.  The trine states, the POVM elements and
+the Lagrange operator Gamma all lie in the equator plane (z = 0), so the
+closed forms need nothing beyond these tuples:
+
+- Tr(A B) = (a . b)/2 over all four components; for a pure state with
+  Bloch vector n this is the Born probability (t + v . n)/2;
+- the eigenvalues of b are (t - |v|)/2 and (t + |v|)/2;
+- a rotation or reflection of the equator acts on (x, y) alone.
+
+Complex matrices exist only at the boundary: :func:`from_bloch` builds the
+elements a :class:`Measurement` hands to callers, and
+:func:`bloch_decomposition` reads matrices that arrive from outside, which
+is the one place Hermiticity is checked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PureStateError, VerificationError
+from .errors import DomainError
 
 __all__ = [
-    "IDENTITY",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
     "INCONCLUSIVE",
     "Measurement",
     "PovmValidity",
     "pure_state_from_equator_angle",
-    "projector",
-    "orthogonal_state",
-    "hermitian_part",
-    "is_hermitian",
-    "require_hermitian",
-    "eigenvalues",
-    "min_eigenvalue",
-    "max_eigenvalue",
-    "eigenvector",
-    "spectral_norm",
-    "bloch_decomposition",
+    "equator_element",
+    "trace_product",
+    "born",
+    "rank_one",
+    "bloch_product",
+    "operator_norm",
     "from_bloch",
-    "purity",
-    "require_density_matrix",
-    "born_probability",
+    "bloch_decomposition",
+    "to_measurement",
+    "min_eigenvalue",
+    "povm_validity",
     "validate_povm",
-    "invert_qubit_density",
 ]
-
-IDENTITY = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 #: Label for the inconclusive ("?") outcome of an incomplete strategy.
 INCONCLUSIVE = "?"
 
-HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
-PURITY_TOL = 1e-9
+#: Largest anti-Hermitian part, relative to the largest entry, that an
+#: incoming matrix may carry.
+_HERMITICITY_TOL = 1e-12
 
 
 def pure_state_from_equator_angle(phi: float) -> np.ndarray:
@@ -63,147 +62,91 @@ def pure_state_from_equator_angle(phi: float) -> np.ndarray:
     return np.array([1.0, np.exp(1j * phi)], dtype=complex) / np.sqrt(2.0)
 
 
-def projector(psi: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |psi><psi|."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
+def equator_element(weight: float, angle: float) -> tuple:
+    """weight times the projector on the equator state at ``angle``."""
+    return (weight, weight * math.cos(angle), weight * math.sin(angle), 0.0)
 
 
-def orthogonal_state(psi: np.ndarray) -> np.ndarray:
-    """The unique (up to phase) state orthogonal to ``psi``.
+def trace_product(a: Sequence[float], b: Sequence[float]) -> float:
+    """Tr(A B) = (a . b)/2 for two Bloch forms."""
+    return 0.5 * (a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3])
 
-    Phase convention: first component of the result with magnitude above
-    1e-14 is made real and positive.
+
+def born(state: Sequence[float], element: Sequence[float]) -> float:
+    """Born probability Tr(rho pi) of a pure state, clamped into [0, 1].
+
+    For a state with unit Bloch vector n this is (t + v.n)/2, evaluated as
+    (t - |v|)/2 + |v + |v| n|^2 / (4 |v|): the element's smaller eigenvalue
+    plus its rank-1 part.  Nothing cancels when the element is nearly
+    orthogonal to the state, so a small probability keeps its relative
+    accuracy.
     """
-    psi = np.asarray(psi, dtype=complex)
-    perp = np.array([-np.conj(psi[1]), np.conj(psi[0])])
-    return _fix_phase(perp / np.linalg.norm(perp))
+    t, x, y, z = element
+    r = math.hypot(x, y, z)
+    p = 0.5 * t
+    if r > 0.0:
+        _, nx, ny, nz = state
+        p = 0.5 * (t - r) + ((x + r * nx) ** 2 + (y + r * ny) ** 2 + (z + r * nz) ** 2) / (4.0 * r)
+    return min(1.0, max(0.0, p))
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    for c in v:
-        if abs(c) > 1e-14:
-            return v * (np.conj(c) / abs(c))
-    return v
+def rank_one(x: float, y: float) -> tuple:
+    """Equatorial rank-1 Bloch form (|v|, x, y, 0); its smaller eigenvalue is exactly 0."""
+    return (math.hypot(x, y, 0.0), x, y, 0.0)
 
 
-def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+def bloch_product(a: Sequence, b: Sequence) -> tuple:
+    """Bloch form of the matrix product A B; complex, as A B need not be Hermitian.
+
+    (a0 + a.sigma)(b0 + b.sigma) = a0 b0 + a.b + (a0 b + b0 a + i a x b).sigma.
+    """
+    a0, ax, ay, az = a
+    b0, bx, by, bz = b
+    return (
+        0.5 * (a0 * b0 + ax * bx + ay * by + az * bz),
+        0.5 * (a0 * bx + b0 * ax + 1j * (ay * bz - az * by)),
+        0.5 * (a0 * by + b0 * ay + 1j * (az * bx - ax * bz)),
+        0.5 * (a0 * bz + b0 * az + 1j * (ax * by - ay * bx)),
+    )
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+def operator_norm(b: Sequence) -> float:
+    """Largest singular value of a (possibly complex) Bloch form.
+
+    From the Frobenius norm and the determinant of the 2x2 matrix.
+    """
+    frob_sq = 0.5 * sum(abs(c) ** 2 for c in b)
+    det = 0.25 * (b[0] ** 2 - b[1] ** 2 - b[2] ** 2 - b[3] ** 2)
+    gap = math.sqrt(max(0.0, frob_sq * frob_sq - 4.0 * abs(det) ** 2))
+    return math.sqrt(0.5 * (frob_sq + gap))
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def from_bloch(b: Sequence[float]) -> np.ndarray:
+    """The 2x2 complex matrix (t I + v.sigma)/2 of a Bloch form."""
+    t, x, y, z = b
+    return 0.5 * np.array([[t + z, x - 1j * y], [x + 1j * y, t - z]], dtype=complex)
+
+
+def bloch_decomposition(m: np.ndarray) -> tuple:
+    """Bloch form (t, x, y, z) of a Hermitian 2x2 matrix; inverse of from_bloch."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not is_hermitian(m, tol):
+    (a, b), (c, d) = m.tolist()
+    scale = max(1.0, abs(a), abs(b), abs(c), abs(d))
+    skew = max(2.0 * abs(a.imag), 2.0 * abs(d.imag), abs(b - c.conjugate()))
+    if skew > _HERMITICITY_TOL * scale:
         raise DomainError("matrix is not Hermitian within tolerance")
-    return m
+    return (a.real + d.real, 2.0 * c.real, 2.0 * c.imag, a.real - d.real)
 
 
-def eigenvalues(m: np.ndarray) -> tuple[float, float]:
-    """Both eigenvalues of a Hermitian 2x2 matrix, (smaller, larger).
-
-    Closed form from the characteristic polynomial; no iterative solver.
-    """
-    m = require_hermitian(m)
-    mid = 0.5 * (m[0, 0].real + m[1, 1].real)
-    half_gap = 0.5 * (m[0, 0].real - m[1, 1].real)
-    d = np.hypot(half_gap, abs(m[0, 1]))
-    return mid - d, mid + d
+def _smaller_eigenvalue(b: Sequence[float]) -> float:
+    return 0.5 * (b[0] - math.hypot(b[1], b[2], b[3]))
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
-    return eigenvalues(m)[0]
-
-
-def max_eigenvalue(m: np.ndarray) -> float:
-    return eigenvalues(m)[1]
-
-
-def eigenvector(m: np.ndarray, eigval: float) -> np.ndarray:
-    """Normalized eigenvector of a Hermitian 2x2 matrix for ``eigval``.
-
-    Deterministic phase: first component with magnitude above 1e-14 is
-    real positive.  For a (near-)degenerate matrix returns (1, 0).
-    """
-    m = require_hermitian(m)
-    # The two columns of adj(m - eigval*I) both lie in the eigenspace.
-    v1 = np.array([m[0, 1], eigval - m[0, 0]])
-    v2 = np.array([eigval - m[1, 1], m[1, 0]])
-    v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-    n = np.linalg.norm(v)
-    if n < 1e-14 * max(1.0, float(np.max(np.abs(m)))):
-        return np.array([1.0, 0.0], dtype=complex)
-    return _fix_phase(v / n)
-
-
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value (operator norm)."""
-    return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
-
-
-def bloch_decomposition(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Decompose a Hermitian matrix as (t*I + v.sigma)/2.
-
-    Returns ``(t, v)`` with t the trace and v the real Bloch 3-vector.
-    """
-    m = require_hermitian(m)
-    t = float(np.trace(m).real)
-    v = np.array(
-        [
-            2.0 * m[0, 1].real,
-            -2.0 * m[0, 1].imag,
-            float((m[0, 0] - m[1, 1]).real),
-        ]
-    )
-    return t, v
-
-
-def from_bloch(t: float, v: Sequence[float]) -> np.ndarray:
-    """Inverse of :func:`bloch_decomposition`."""
-    v = np.asarray(v, dtype=float)
-    return 0.5 * (t * IDENTITY + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
-
-
-def purity(rho: np.ndarray) -> float:
-    return float(np.trace(rho @ rho).real)
-
-
-def require_density_matrix(rho: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    rho = require_hermitian(rho, tol)
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise DomainError("density matrix must have unit trace")
-    if min_eigenvalue(rho) < -tol:
-        raise DomainError("density matrix must be positive semi-definite")
-    return rho
-
-
-def born_probability(
-    state: np.ndarray,
-    element: np.ndarray,
-    tol: float = PSD_TOL,
-    validate: bool = True,
-) -> float:
-    """Outcome probability Tr(rho pi) for density matrix and POVM element.
-
-    Values within ``tol`` of [0, 1] are clamped to the interval; anything
-    farther out is returned raw so construction bugs stay visible.
-    """
-    if validate:
-        state = require_density_matrix(state, tol)
-        element = require_hermitian(element, tol)
-        if min_eigenvalue(element) < -tol:
-            raise DomainError("POVM element must be positive semi-definite")
-    p = float(np.trace(state @ element).real)
-    if -tol <= p < 0.0:
-        return 0.0
-    if 1.0 < p <= 1.0 + tol:
-        return 1.0
-    return p
+    """Smaller eigenvalue (t - |v|)/2 of a Hermitian 2x2 matrix."""
+    return _smaller_eigenvalue(bloch_decomposition(m))
 
 
 @dataclass(frozen=True)
@@ -238,8 +181,32 @@ class Measurement:
     def operators(self) -> list[np.ndarray]:
         return [op for _, op in self.elements]
 
+    def bloch(self) -> list[tuple[object, tuple]]:
+        """The elements read back as (label, Bloch form) pairs."""
+        return [(lab, bloch_decomposition(op)) for lab, op in self.elements]
+
     def validity(self, tol: float = PSD_TOL) -> PovmValidity:
         return validate_povm(self.operators(), tol)
+
+
+def to_measurement(elements: Iterable[tuple[object, Sequence[float]]]) -> Measurement:
+    """A Measurement from (label, Bloch form) pairs: the output boundary."""
+    return Measurement(tuple((label, from_bloch(b)) for label, b in elements))
+
+
+def povm_validity(forms: Sequence[Sequence[float]], tol: float) -> PovmValidity:
+    """Positivity and completeness of POVM elements given as Bloch forms."""
+    if not forms:
+        raise DomainError("a POVM needs at least one element")
+    min_eig = min(_smaller_eigenvalue(b) for b in forms)
+    # sum - I = ((T - 2) I + V.sigma)/2 has norm (|T - 2| + |V|)/2
+    t, x, y, z = (sum(c) for c in zip(*forms))
+    deviation = 0.5 * (abs(t - 2.0) + math.hypot(x, y, z))
+    return PovmValidity(
+        is_valid=(min_eig >= -tol and deviation <= tol),
+        min_element_eigenvalue=min_eig,
+        completeness_deviation=deviation,
+    )
 
 
 def validate_povm(
@@ -250,38 +217,4 @@ def validate_povm(
     This is a report, not a rejection: invalid sets simply come back with
     ``is_valid`` false.
     """
-    ops = [require_hermitian(e, max(tol, HERMITICITY_TOL)) for e in elements]
-    if not ops:
-        raise DomainError("a POVM needs at least one element")
-    min_eig = min(min_eigenvalue(op) for op in ops)
-    deviation = spectral_norm(sum(ops) - IDENTITY)
-    return PovmValidity(
-        is_valid=(min_eig >= -tol and deviation <= tol),
-        min_element_eigenvalue=min_eig,
-        completeness_deviation=deviation,
-    )
-
-
-def invert_qubit_density(
-    rho: np.ndarray, tol_purity: float = PURITY_TOL
-) -> np.ndarray:
-    """Exact inverse of a mixed qubit density matrix.
-
-    Cross-checks the adjugate inverse against the antipodal Bloch form
-    [1 - Tr(rho^2)]^{-1} (I - b.sigma); a mismatch beyond 1e-10 raises
-    VerificationError.  A (numerically) pure state has no inverse.
-    """
-    rho = require_density_matrix(rho)
-    pur = purity(rho)
-    if pur >= 1.0 - tol_purity:
-        raise PureStateError(
-            f"density matrix is pure within tolerance (purity={pur!r})"
-        )
-    det = float((rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real)
-    adjugate = np.trace(rho) * IDENTITY - rho
-    inv = adjugate / det
-    _, b = bloch_decomposition(rho)
-    antipodal = (IDENTITY - from_bloch(0.0, 2.0 * b)) / (1.0 - pur)
-    if np.max(np.abs(inv - antipodal)) > 1e-10 * max(1.0, spectral_norm(inv)):
-        raise VerificationError("adjugate and antipodal inverses disagree")
-    return inv
+    return povm_validity([bloch_decomposition(e) for e in elements], tol)

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .qubit import Measurement, validate_povm
-from .trine import Priors, trine_projectors
+from .qubit import PSD_TOL, Measurement, born, povm_validity
+from .trine import TRINE_BLOCH, Priors
 
 __all__ = ["RNG_ALGORITHM", "EmpiricalResult", "estimate_success", "estimate_confidence"]
 
@@ -44,17 +44,11 @@ def _outcome_table(priors: Priors, m: Measurement) -> np.ndarray:
     Rejects measurements that are not valid POVMs or whose outcome
     probabilities fail to sum to 1 within 1e-10.
     """
-    validity = validate_povm(m.operators())
+    forms = [b for _, b in m.bloch()]
+    validity = povm_validity(forms, PSD_TOL)
     if not validity.is_valid:
         raise DomainError(f"measurement is not a valid POVM: {validity}")
-    rhos = trine_projectors()
-    table = np.array(
-        [
-            [float(np.trace(rho @ op).real) for _, op in m.elements]
-            for rho in rhos
-        ]
-    )
-    table = np.clip(table, 0.0, None)
+    table = np.array([[born(n, b) for b in forms] for n in TRINE_BLOCH])
     sums = table.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > 1e-10:
         raise DomainError("outcome probabilities do not sum to 1")

@@ -17,21 +17,19 @@ from .errors import DomainError
 from .qubit import (
     INCONCLUSIVE,
     Measurement,
-    bloch_decomposition,
+    equator_element,
     from_bloch,
-    orthogonal_state,
-    projector,
     pure_state_from_equator_angle,
+    to_measurement,
 )
 
 __all__ = [
     "TRINE_ANGLES",
+    "TRINE_BLOCH",
     "Priors",
-    "TrineEnsemble",
     "trine_states",
     "trine_perps",
     "trine_projectors",
-    "perp_projectors",
     "trine_measurement",
     "antitrine_measurement",
     "ensemble_density",
@@ -39,10 +37,11 @@ __all__ = [
     "priors_from_p_delta",
     "random_priors",
     "transform_to_original",
-    "make_ensemble",
 ]
 
 TRINE_ANGLES = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
+#: Bloch forms (1, cos a, sin a, 0) of the three signal states.
+TRINE_BLOCH = tuple(equator_element(1.0, a) for a in TRINE_ANGLES)
 
 _SUM_TOL = 1e-9
 _PARAM_TOL = 1e-12
@@ -53,35 +52,31 @@ def trine_states() -> list[np.ndarray]:
 
 
 def trine_perps() -> list[np.ndarray]:
-    return [orthogonal_state(s) for s in trine_states()]
+    """The states orthogonal to the signals: antipodal on the equator."""
+    return [pure_state_from_equator_angle(a + math.pi) for a in TRINE_ANGLES]
 
 
 def trine_projectors() -> list[np.ndarray]:
-    return [projector(s) for s in trine_states()]
-
-
-def perp_projectors() -> list[np.ndarray]:
-    return [projector(s) for s in trine_perps()]
+    return [from_bloch(n) for n in TRINE_BLOCH]
 
 
 def trine_measurement() -> Measurement:
     """The symmetric measurement along the signal states themselves."""
-    return Measurement(
-        tuple((j, (2.0 / 3.0) * p) for j, p in enumerate(trine_projectors()))
+    return to_measurement(
+        (j, equator_element(2.0 / 3.0, a)) for j, a in enumerate(TRINE_ANGLES)
     )
 
 
 def antitrine_measurement() -> Measurement:
     """Eliminatory measurement: outcome j rules out signal state j."""
-    return Measurement(
-        tuple((j, (2.0 / 3.0) * p) for j, p in enumerate(perp_projectors()))
+    return to_measurement(
+        (j, equator_element(2.0 / 3.0, a + math.pi)) for j, a in enumerate(TRINE_ANGLES)
     )
 
 
 def ensemble_density(probabilities) -> np.ndarray:
     """Average state sum_i q_i |psi_i><psi_i| (state-order probabilities)."""
-    q = np.asarray(probabilities, dtype=float)
-    return sum(qi * p for qi, p in zip(q, trine_projectors()))
+    return from_bloch(np.asarray(probabilities, dtype=float) @ np.array(TRINE_BLOCH))
 
 
 @dataclass(frozen=True)
@@ -168,17 +163,6 @@ def random_priors(rng: np.random.Generator) -> Priors:
     return canonicalize_priors(*q)
 
 
-@dataclass(frozen=True)
-class TrineEnsemble:
-    states: tuple[np.ndarray, np.ndarray, np.ndarray]
-    perps: tuple[np.ndarray, np.ndarray, np.ndarray]
-    priors: Priors
-
-
-def make_ensemble(priors: Priors) -> TrineEnsemble:
-    return TrineEnsemble(tuple(trine_states()), tuple(trine_perps()), priors)
-
-
 def _permutation_map(permutation) -> tuple[int, float]:
     """The equator symmetry phi -> eps*phi + alpha realizing a permutation.
 
@@ -192,21 +176,24 @@ def _permutation_map(permutation) -> tuple[int, float]:
     return eps, alpha
 
 
-def transform_to_original(m: Measurement, permutation) -> Measurement:
-    """Carry a canonical-frame measurement to the caller's state ordering.
+def transform_to_original(elements, permutation) -> Measurement:
+    """Carry canonical-frame (label, Bloch form) elements to the caller's order.
 
-    Element operators are rotated (and reflected, for odd permutations)
-    in the equator plane so that alignment with canonical state c becomes
+    Each Bloch vector is rotated (and reflected, for odd permutations) in
+    the equator plane so that alignment with canonical state c becomes
     alignment with original state permutation[c]; labels map the same way.
+    The map keeps both eigenvalues; the smaller one, (t - |v|)/2, is
+    carried over exactly, so a rank-1 element stays exactly rank-1.
+    Returns the Measurement the caller sees.
     """
     eps, alpha = _permutation_map(permutation)
     cos_a, sin_a = math.cos(alpha), math.sin(alpha)
     out = []
-    for label, op in m.elements:
-        t, v = bloch_decomposition(op)
-        vx, vy = v[0], eps * v[1]
-        v_new = (cos_a * vx - sin_a * vy, sin_a * vx + cos_a * vy, v[2])
+    for label, (t, x, y, z) in elements:
+        gap = t - math.hypot(x, y, z)
+        y = eps * y
+        x, y = cos_a * x - sin_a * y, sin_a * x + cos_a * y
         new_label = label if label == INCONCLUSIVE else permutation[label]
-        out.append((new_label, from_bloch(t, v_new)))
+        out.append((new_label, (gap + math.hypot(x, y, z), x, y, z)))
     out.sort(key=lambda pair: (pair[0] == INCONCLUSIVE, str(pair[0])))
-    return Measurement(tuple(out))
+    return to_measurement(out)

@@ -164,7 +164,7 @@ def test_criterion_05_breakdown_point():
     start = time.perf_counter()
 
     def weight2(p):
-        _, weights, _ = three_element_weights_raw(priors_from_p_delta(p, 0.0))
+        _, weights = three_element_weights_raw(priors_from_p_delta(p, 0.0))
         return float(weights[2])
 
     lo, hi = 0.35, 0.39

@@ -191,7 +191,7 @@ class TestThreeElement:
         # at delta = 0 the state-2 weight is 1 - 3p^2/(4-9p)^2; bisection on
         # the raw weight must reproduce the closed-form breakdown point
         def weight2(p):
-            _, weights, _ = three_element_weights_raw(priors_from_p_delta(p, 0.0))
+            _, weights = three_element_weights_raw(priors_from_p_delta(p, 0.0))
             return float(weights[2])
 
         lo, hi = 0.34, 0.39
@@ -208,7 +208,7 @@ class TestThreeElement:
 
     def test_weight_closed_form_at_zero_delta(self):
         for p in (0.34, 0.35, 0.36, 0.37):
-            _, weights, _ = three_element_weights_raw(priors_from_p_delta(p, 0.0))
+            _, weights = three_element_weights_raw(priors_from_p_delta(p, 0.0))
             a = math.sqrt(3.0) * p / (4.0 - 9.0 * p)
             assert float(weights[2]) == pytest.approx(1.0 - a * a, abs=1e-10)
 
@@ -230,7 +230,7 @@ class TestHelstrom:
         # measure along sigma_z: never optimal for equatorial states
         up = np.array([1.0, 0.0], dtype=complex)
         down = np.array([0.0, 1.0], dtype=complex)
-        m = qubit.Measurement(((0, qubit.projector(up)), (1, qubit.projector(down))))
+        m = qubit.Measurement(((0, np.outer(up, up.conj())), (1, np.outer(down, down.conj()))))
         assert not check_helstrom(pr.original, m).passes
 
 

@@ -112,7 +112,7 @@ class TestOffEquator:
                 trials += 1
                 value = 0.0
                 for lab, (w, v) in enumerate(povm):
-                    op = w * qubit.from_bloch(1.0, v)
+                    op = w * qubit.from_bloch((1.0, *v))
                     # best relabeling of the three outcomes
                     probs = [
                         q[j] * float(np.trace(rhos[j] @ op).real) for j in range(3)

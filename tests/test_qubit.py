@@ -5,7 +5,23 @@ from hypothesis import strategies as st
 
 from trinedisc import qubit
 from trinedisc.errors import DomainError, PureStateError
-from trinedisc.trine import trine_measurement, trine_states
+from trinedisc.max_confidence import mc_povm
+from trinedisc.trine import (
+    TRINE_BLOCH,
+    canonicalize_priors,
+    ensemble_density,
+    random_priors,
+    trine_measurement,
+    trine_perps,
+    trine_projectors,
+    trine_states,
+)
+
+IDENTITY = np.eye(2, dtype=complex)
+
+
+def projector(psi):
+    return np.outer(psi, psi.conj())
 
 
 def random_hermitian(rng):
@@ -18,7 +34,7 @@ def random_mixed_density(rng, min_mixedness=0.05):
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi /= np.linalg.norm(psi)
     w = rng.uniform(min_mixedness, 1.0)
-    return (1.0 - w) * qubit.projector(psi) + w * 0.5 * qubit.IDENTITY
+    return (1.0 - w) * projector(psi) + w * 0.5 * IDENTITY
 
 
 class TestPureStates:
@@ -47,54 +63,56 @@ class TestPureStates:
             qubit.pure_state_from_equator_angle(float("nan"))
 
     def test_orthogonal_state(self):
+        # the state orthogonal to an equator state is its antipode
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-            psi /= np.linalg.norm(psi)
-            perp = qubit.orthogonal_state(psi)
+        for a in rng.uniform(0.0, 2.0 * np.pi, size=50):
+            psi = qubit.pure_state_from_equator_angle(a)
+            perp = qubit.pure_state_from_equator_angle(a + np.pi)
             assert abs(np.vdot(psi, perp)) < 1e-12
             assert abs(np.linalg.norm(perp) - 1.0) < 1e-12
+        for s, perp in zip(trine_states(), trine_perps()):
+            assert abs(np.vdot(s, perp)) < 1e-12
 
 
 class TestBornProbability:
     def test_scaled_projector_on_itself(self):
-        states = trine_states()
-        rho = qubit.projector(states[0])
-        element = (2.0 / 3.0) * qubit.projector(states[0])
-        assert qubit.born_probability(rho, element) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        element = qubit.equator_element(2.0 / 3.0, 0.0)
+        assert qubit.born(TRINE_BLOCH[0], element) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_orthogonal_outcome(self):
-        states = trine_states()
-        rho = qubit.projector(states[0])
-        element = qubit.projector(qubit.orthogonal_state(states[0]))
-        assert qubit.born_probability(rho, element) == pytest.approx(0.0, abs=1e-12)
+        element = qubit.equator_element(1.0, np.pi)
+        assert qubit.born(TRINE_BLOCH[0], element) == pytest.approx(0.0, abs=1e-12)
 
     def test_cross_trine_overlap(self):
         states = trine_states()
         # independent oracle: direct amplitude computation
         expected = abs(np.vdot(states[0], states[1])) ** 2
         assert expected == pytest.approx(0.25, abs=1e-14)
-        got = qubit.born_probability(
-            qubit.projector(states[0]), qubit.projector(states[1])
-        )
+        got = qubit.born(TRINE_BLOCH[0], TRINE_BLOCH[1])
         assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_rejects_bad_trace(self):
-        with pytest.raises(DomainError):
-            qubit.born_probability(2.0 * qubit.IDENTITY, qubit.IDENTITY)
+    def test_clamps_into_unit_interval(self):
+        # rounding never takes a probability outside [0, 1]
+        n = TRINE_BLOCH[0]
+        assert qubit.born(n, (1.0 + 1e-15, 1.0 + 1e-15, 0.0, 0.0)) == 1.0
+        assert qubit.born(n, (1.0, -1.0 - 1e-15, 0.0, 0.0)) == 0.0
 
     def test_rejects_non_hermitian(self):
         bad = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(DomainError):
-            qubit.born_probability(bad, qubit.IDENTITY)
+            qubit.bloch_decomposition(bad)
 
     def test_povm_probabilities_sum_to_one(self):
         rng = np.random.default_rng(11)
         m = trine_measurement()
         for _ in range(100):
-            rho = random_mixed_density(rng)
-            total = sum(qubit.born_probability(rho, op) for op in m.operators())
-            assert total == pytest.approx(1.0, abs=1e-10)
+            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+            rho = projector(psi / np.linalg.norm(psi))
+            probs = [qubit.born(qubit.bloch_decomposition(rho), b) for _, b in m.bloch()]
+            # independent oracle: matrix traces
+            direct = [float(np.trace(rho @ op).real) for op in m.operators()]
+            np.testing.assert_allclose(probs, direct, atol=1e-12)
+            assert sum(probs) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestValidatePovm:
@@ -104,7 +122,7 @@ class TestValidatePovm:
         assert v.completeness_deviation < 1e-12
 
     def test_single_identity_valid(self):
-        v = qubit.validate_povm([qubit.IDENTITY])
+        v = qubit.validate_povm([IDENTITY])
         assert v.is_valid
 
     def test_oversized_sum_invalid(self):
@@ -123,13 +141,13 @@ class TestValidatePovm:
 
 class TestEigenvalues:
     def test_identity(self):
-        assert qubit.min_eigenvalue(qubit.IDENTITY) == pytest.approx(1.0)
+        assert qubit.min_eigenvalue(IDENTITY) == pytest.approx(1.0)
 
     def test_diagonal(self):
         assert qubit.min_eigenvalue(np.diag([3.0, -2.0]).astype(complex)) == pytest.approx(-2.0)
 
     def test_projector(self):
-        rho = qubit.projector(trine_states()[0])
+        rho = projector(trine_states()[0])
         assert qubit.min_eigenvalue(rho) == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_non_hermitian(self):
@@ -140,46 +158,64 @@ class TestEigenvalues:
         rng = np.random.default_rng(5)
         for _ in range(300):
             m = random_hermitian(rng)
-            lo, hi = qubit.eigenvalues(m)
             ref = np.linalg.eigvalsh(m)
-            assert lo == pytest.approx(ref[0], abs=1e-12)
-            assert hi == pytest.approx(ref[1], abs=1e-12)
+            assert qubit.min_eigenvalue(m) == pytest.approx(ref[0], abs=1e-12)
+            assert -qubit.min_eigenvalue(-m) == pytest.approx(ref[1], abs=1e-12)
 
-    def test_eigenvector_residual_and_phase(self):
+    def test_operator_norm_of_products(self):
+        # independent oracle: numpy's SVD of the matrix product
         rng = np.random.default_rng(6)
         for _ in range(200):
-            m = random_hermitian(rng)
-            for ev in qubit.eigenvalues(m):
-                v = qubit.eigenvector(m, ev)
-                assert np.linalg.norm(m @ v - ev * v) < 1e-10
-                first = next(c for c in v if abs(c) > 1e-14)
-                assert abs(first.imag) < 1e-12 and first.real > 0
+            a, b = random_hermitian(rng), random_hermitian(rng)
+            prod = qubit.bloch_product(qubit.bloch_decomposition(a), qubit.bloch_decomposition(b))
+            assert qubit.operator_norm(prod) == pytest.approx(
+                np.linalg.norm(a @ b, 2), rel=1e-12, abs=1e-12
+            )
 
 
 class TestInversion:
+    """rho^-1 rho_i rho^-1 in closed Bloch form, against numpy's inverse."""
+
+    @staticmethod
+    def assert_proportional(op, ref):
+        ratio = np.trace(op).real / np.trace(ref).real
+        assert ratio > 0.0
+        np.testing.assert_allclose(op, ratio * ref, atol=1e-10 * np.max(np.abs(op)))
+
     def test_maximally_mixed(self):
-        np.testing.assert_allclose(
-            qubit.invert_qubit_density(0.5 * qubit.IDENTITY), 2.0 * qubit.IDENTITY, atol=1e-12
-        )
+        # rho = I/2: every element is proportional to its own state
+        m = mc_povm(canonicalize_priors(1 / 3, 1 / 3, 1 / 3))
+        for j, rho_j in enumerate(trine_projectors()):
+            self.assert_proportional(m.element(j), rho_j)
 
     def test_equal_prior_trine_mixture(self):
         # direct summation oracle: the equal-prior mixture is maximally mixed
-        rho = sum(qubit.projector(s) / 3.0 for s in trine_states())
-        np.testing.assert_allclose(rho, 0.5 * qubit.IDENTITY, atol=1e-15)
+        rho = sum(projector(s) / 3.0 for s in trine_states())
+        np.testing.assert_allclose(rho, 0.5 * IDENTITY, atol=1e-15)
         np.testing.assert_allclose(
-            qubit.invert_qubit_density(rho), 2.0 * qubit.IDENTITY, atol=1e-10
+            ensemble_density([1 / 3, 1 / 3, 1 / 3]), rho, atol=1e-15
         )
+        np.testing.assert_allclose(np.linalg.inv(rho), 2.0 * IDENTITY, atol=1e-12)
 
     def test_pure_state_rejected(self):
         with pytest.raises(PureStateError):
-            qubit.invert_qubit_density(qubit.projector(trine_states()[0]))
+            mc_povm(canonicalize_priors(1.0, 0.0, 0.0))
+        with pytest.raises(PureStateError):
+            mc_povm(canonicalize_priors(1.0 - 1e-10, 1e-10, 0.0))
+        # a nearly pure but invertible ensemble is fine
+        assert mc_povm(canonicalize_priors(1.0 - 1e-8, 1e-8, 0.0)).validity().is_valid
 
     def test_inverse_identity_many(self):
         rng = np.random.default_rng(7)
-        for _ in range(1000):
-            rho = random_mixed_density(rng)
-            inv = qubit.invert_qubit_density(rho)
-            np.testing.assert_allclose(inv @ rho, qubit.IDENTITY, atol=1e-10)
+        rhos = trine_projectors()
+        for _ in range(300):
+            pr = random_priors(rng)
+            if pr.p0 > 1.0 - 1e-6:
+                continue
+            inv = np.linalg.inv(ensemble_density(pr.canonical))
+            m = mc_povm(canonicalize_priors(*pr.canonical))
+            for i in range(3):
+                self.assert_proportional(m.element(i), inv @ rhos[i] @ inv)
 
 
 class TestBloch:
@@ -191,14 +227,13 @@ class TestBloch:
     )
     @settings(max_examples=100, deadline=None)
     def test_roundtrip(self, t, x, y, z):
-        m = qubit.from_bloch(t, (x, y, z))
-        t2, v = qubit.bloch_decomposition(m)
-        assert t2 == pytest.approx(t, abs=1e-12)
-        np.testing.assert_allclose(v, [x, y, z], atol=1e-12)
+        m = qubit.from_bloch((t, x, y, z))
+        np.testing.assert_allclose(qubit.bloch_decomposition(m), [t, x, y, z], atol=1e-12)
 
     def test_density_matrix_bloch_length(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             rho = random_mixed_density(rng, min_mixedness=0.0)
-            _, v = qubit.bloch_decomposition(rho)
+            t, *v = qubit.bloch_decomposition(rho)
+            assert t == pytest.approx(1.0, abs=1e-12)
             assert np.dot(v, v) <= 1.0 + 1e-12

@@ -12,6 +12,8 @@ from trinedisc.simulate import (
 )
 from trinedisc.trine import canonicalize_priors, trine_measurement
 
+IDENTITY = np.eye(2, dtype=complex)
+
 
 EQUAL = canonicalize_priors(1 / 3, 1 / 3, 1 / 3)
 
@@ -74,7 +76,7 @@ class TestEstimateSuccess:
         assert res.successes <= labeled
 
     def test_rejects_invalid_measurement(self):
-        bad = qubit.Measurement(((0, 1.5 * qubit.IDENTITY),))
+        bad = qubit.Measurement(((0, 1.5 * IDENTITY),))
         with pytest.raises(DomainError):
             estimate_success(EQUAL, bad, shots=100, seed=1)
 
@@ -104,8 +106,8 @@ class TestEstimateConfidence:
         tiny = 1e-7
         m = qubit.Measurement(
             (
-                (0, tiny * qubit.IDENTITY),
-                (1, (1.0 - tiny) * qubit.IDENTITY),
+                (0, tiny * IDENTITY),
+                (1, (1.0 - tiny) * IDENTITY),
             )
         )
         with pytest.raises(InsufficientDataError):

@@ -9,11 +9,11 @@ from trinedisc import qubit
 from trinedisc.errors import DomainError
 from trinedisc.trine import (
     TRINE_ANGLES,
+    TRINE_BLOCH,
     Priors,
     antitrine_measurement,
     canonicalize_priors,
     ensemble_density,
-    make_ensemble,
     priors_from_p_delta,
     random_priors,
     transform_to_original,
@@ -22,6 +22,12 @@ from trinedisc.trine import (
     trine_projectors,
     trine_states,
 )
+
+IDENTITY = np.eye(2, dtype=complex)
+
+
+def ket_projector(psi):
+    return np.outer(psi, psi.conj())
 
 
 class TestStates:
@@ -44,6 +50,10 @@ class TestStates:
                     expected, abs=1e-12
                 )
 
+    def test_bloch_forms_match_projectors(self):
+        for n, psi in zip(TRINE_BLOCH, trine_states()):
+            np.testing.assert_allclose(qubit.from_bloch(n), ket_projector(psi), atol=1e-15)
+
     def test_symmetric_measurements_are_povms(self):
         for m in (trine_measurement(), antitrine_measurement()):
             v = m.validity()
@@ -52,7 +62,7 @@ class TestStates:
 
     def test_equal_mixture_is_maximally_mixed(self):
         rho = ensemble_density([1 / 3, 1 / 3, 1 / 3])
-        np.testing.assert_allclose(rho, 0.5 * qubit.IDENTITY, atol=1e-15)
+        np.testing.assert_allclose(rho, 0.5 * IDENTITY, atol=1e-15)
 
     def test_ensemble_density_general(self):
         q = (0.5, 0.3, 0.2)
@@ -160,7 +170,7 @@ class TestRandomPriors:
 class TestFrameTransform:
     def test_identity_permutation_is_noop(self):
         m = trine_measurement()
-        out = transform_to_original(m, (0, 1, 2))
+        out = transform_to_original(m.bloch(), (0, 1, 2))
         for (la, a), (lb, b) in zip(m.elements, out.elements):
             assert la == lb
             np.testing.assert_allclose(a, b, atol=1e-12)
@@ -174,8 +184,7 @@ class TestFrameTransform:
         # with original state perm[c]
         projs = trine_projectors()
         for c in range(3):
-            m = qubit.Measurement(((c, projs[c]),))
-            out = transform_to_original(m, perm)
+            out = transform_to_original([(c, qubit.bloch_decomposition(projs[c]))], perm)
             (label, op), = out.elements
             assert label == perm[c]
             np.testing.assert_allclose(op, projs[perm[c]], atol=1e-12)
@@ -189,12 +198,12 @@ class TestFrameTransform:
         angles = rng.uniform(0, 2 * math.pi, size=3)
         weights = np.array([0.7, 0.7, 0.6])
         elements = tuple(
-            (j, w * qubit.projector(qubit.pure_state_from_equator_angle(a)))
+            (j, w * ket_projector(qubit.pure_state_from_equator_angle(a)))
             for j, (w, a) in enumerate(zip(weights, angles))
         )
         # not complete, but spectra and hermiticity must survive the map
         m = qubit.Measurement(elements)
-        out = transform_to_original(m, perm)
+        out = transform_to_original(m.bloch(), perm)
         for c in range(3):
             a = m.element(c)
             b = out.element(perm[c])
@@ -205,17 +214,18 @@ class TestFrameTransform:
 
     def test_inconclusive_label_survives_and_sorts_last(self):
         m = qubit.Measurement(
-            ((qubit.INCONCLUSIVE, 0.4 * qubit.IDENTITY), (0, 0.6 * qubit.IDENTITY))
+            ((qubit.INCONCLUSIVE, 0.4 * IDENTITY), (0, 0.6 * IDENTITY))
         )
-        out = transform_to_original(m, (2, 1, 0))
+        out = transform_to_original(m.bloch(), (2, 1, 0))
         assert out.labels == (2, qubit.INCONCLUSIVE)
 
 
 class TestEnsemble:
-    def test_make_ensemble(self):
+    def test_priors_with_states_and_perps(self):
+        # the ensemble is the priors plus the fixed state sets
         pr = canonicalize_priors(0.2, 0.5, 0.3)
-        ens = make_ensemble(pr)
-        assert ens.priors is pr
-        assert len(ens.states) == 3 and len(ens.perps) == 3
-        for s, perp in zip(ens.states, ens.perps):
+        assert pr.original == pytest.approx((0.2, 0.5, 0.3), abs=1e-15)
+        states, perps = trine_states(), trine_perps()
+        assert len(states) == len(perps) == len(pr.canonical) == 3
+        for s, perp in zip(states, perps):
             assert abs(np.vdot(s, perp)) < 1e-12
