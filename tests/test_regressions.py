@@ -6,6 +6,9 @@
   accuracy when evaluated as (t + v.n)/2).
 - Confidences are probabilities: never above 1, also on the p2 = 0 edge
   where the Bayes ratio is 1 up to rounding.
+- Closer to the corner, down to the purity guard, the dominant state's
+  element fires with probability of order (1 - p0)^2; the zero-outcome
+  guard must not mistake that for a vanishing outcome.
 - The three-outcome success probability cross-check is ill-conditioned on
   the tie family (1 - 2e, e, e) for e near 1e-3; still open.
 """
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 from trinedisc.cli import main
-from trinedisc.errors import VerificationError
+from trinedisc.errors import VerificationError, ZeroOutcomeError
 from trinedisc.max_confidence import (
     confidence,
     confidence_report,
@@ -46,6 +49,26 @@ def test_confidence_report_near_corner(q):
         assert 0.0 <= c <= 1.0
         assert c == pytest.approx(mc_confidence_closed_form(pr, i), abs=1e-10)
     assert rep.measurement.validity().is_valid
+
+
+# 1 - p0 from 1e-7 down to 1e-9, next to the purity guard (about 6.7e-10)
+FAR_CORNER = [
+    (1.0 - 1e-7, 5e-8, 5e-8),
+    (2e-8, 1.0 - 1e-7, 8e-8),
+    (1.0 - 1e-9, 3e-10, 7e-10),
+    (7e-10, 3e-10, 1.0 - 1e-9),
+]
+
+
+@pytest.mark.xfail(raises=ZeroOutcomeError, strict=True,
+                   reason="zero-outcome guard is an absolute 1e-14 on a probability "
+                          "that scales like (1 - p0)^2")
+@pytest.mark.parametrize("q", FAR_CORNER)
+def test_confidence_report_far_corner(q):
+    pr = canonicalize_priors(*q)
+    rep = confidence_report(pr)
+    for i, c in enumerate(rep.per_state_confidence):
+        assert c == pytest.approx(mc_confidence_closed_form(pr, i), abs=1e-10)
 
 
 def test_corner_posteriors_are_well_conditioned():
