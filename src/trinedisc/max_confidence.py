@@ -30,6 +30,8 @@ __all__ = [
     "min_error_confidence",
 ]
 
+#: An outcome whose ensemble probability is at most this fraction of its
+#: element's trace counts as never firing.
 _OUTCOME_TOL = 1e-14
 #: Purity Tr(rho^2) above 1 - PURITY_TOL counts as a pure ensemble.
 _PURITY_TOL = 1e-9
@@ -85,11 +87,13 @@ def confidence(priors: Priors, m: Measurement, outcome_label) -> float:
 
     p_i Tr(rho_i pi_i) / sum_j p_j Tr(rho_j pi_i), with labels and priors
     in the caller's original state order.  Invariant under positive
-    rescaling of the element.  Clamped into [0, 1].
+    rescaling of the element.  Clamped into [0, 1].  The zero-outcome test
+    is relative to Tr(pi), since Tr(rho pi) >= lambda_min(rho) Tr(pi).
     """
-    joint = _joint(priors, bloch_decomposition(m.element(outcome_label)))
+    element = bloch_decomposition(m.element(outcome_label))
+    joint = _joint(priors, element)
     ensemble_prob = sum(joint)
-    if ensemble_prob <= _OUTCOME_TOL:
+    if ensemble_prob <= _OUTCOME_TOL * element[0]:
         raise ZeroOutcomeError(
             f"outcome {outcome_label!r} has vanishing ensemble probability"
         )

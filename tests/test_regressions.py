@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from trinedisc.cli import main
-from trinedisc.errors import VerificationError, ZeroOutcomeError
+from trinedisc.errors import VerificationError
 from trinedisc.max_confidence import (
     confidence,
     confidence_report,
@@ -60,9 +60,6 @@ FAR_CORNER = [
 ]
 
 
-@pytest.mark.xfail(raises=ZeroOutcomeError, strict=True,
-                   reason="zero-outcome guard is an absolute 1e-14 on a probability "
-                          "that scales like (1 - p0)^2")
 @pytest.mark.parametrize("q", FAR_CORNER)
 def test_confidence_report_far_corner(q):
     pr = canonicalize_priors(*q)
