@@ -445,19 +445,30 @@ def _strategy_measurement(args, priors: Priors):
     raise DomainError(f"unknown strategy {args.strategy!r}")
 
 
+def _default_partitions() -> int:
+    """Partition count from ``TRINE_THREADS``: unset or empty means 1."""
+    text = os.environ.get("TRINE_THREADS", "").strip()
+    if not text:
+        return 1
+    if not text.isdecimal() or int(text) < 1:
+        raise DomainError(f"TRINE_THREADS must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def cmd_simulate(args) -> int:
     if args.shots < 1:
         raise DomainError(f"--shots must be positive, got {args.shots}")
+    partitions = _default_partitions() if args.partitions is None else args.partitions
     priors = _priors_from_args(args)
     m = _strategy_measurement(args, priors)
     if args.confidence_outcome is not None:
         result = estimate_confidence(
-            priors, m, args.confidence_outcome, args.shots, args.seed, args.partitions
+            priors, m, args.confidence_outcome, args.shots, args.seed, partitions
         )
         analytic = confidence(priors, m, args.confidence_outcome)
         quantity = "confidence"
     else:
-        result = estimate_success(priors, m, args.shots, args.seed, args.partitions)
+        result = estimate_success(priors, m, args.shots, args.seed, partitions)
         analytic = check_helstrom(priors.original, m).success_probability
         quantity = "success_probability"
     se = result.standard_error
@@ -527,7 +538,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="optimal",
     )
     p_sim.add_argument("--confidence-outcome", type=int)
-    p_sim.add_argument("--partitions", type=int, default=None)
+    p_sim.add_argument(
+        "--partitions",
+        type=int,
+        default=None,
+        help="number of seeded partitions the shots are split over "
+        "(default: TRINE_THREADS, else 1)",
+    )
     p_sim.set_defaults(func=cmd_simulate)
 
     return parser
@@ -539,9 +556,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "partitions", None) is None and hasattr(args, "partitions"):
-        env_cap = os.environ.get("TRINE_THREADS")
-        args.partitions = max(1, int(env_cap)) if env_cap else 1
     try:
         return args.func(args)
     except (DomainError, ZeroPriorError, PureStateError, InsufficientDataError) as exc:

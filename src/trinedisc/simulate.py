@@ -1,11 +1,19 @@
 """Monte Carlo validation of measurement statistics.
 
-States are drawn from the prior, outcomes from the Born distribution.
+States are drawn from the prior, outcomes from the Born distribution.  The
+estimators read only the joint (state, outcome) count table, so the
+counts are drawn directly: the 3 x K table P[j, k] = p_j Tr(rho_j pi_k) is
+built once, and each partition draws all of its shots with one multinomial
+over that table.  This is the distribution of per-shot sampling, at a cost
+that does not grow with the number of shots.
+
 Sampling is fully deterministic given the seed: the generator is numpy's
-PCG64, and when shots are split into partitions, partition k uses the
-k-th child of ``numpy.random.SeedSequence(seed).spawn(partitions)`` and
-the partitions are merged in index order, so a parallel evaluation with
-the same derivation reproduces the sequential result exactly.
+PCG64, partition k draws from the k-th child of
+``numpy.random.SeedSequence(seed).spawn(partitions)``, the first
+``shots % partitions`` partitions take one shot more than the rest, and
+the partition tables are summed.  A fixed ``(seed, partitions)`` pair
+always gives the same counts; they differ from the counts of versions
+that sampled shot by shot.
 """
 
 from __future__ import annotations
@@ -56,29 +64,18 @@ def _outcome_table(priors: Priors, m: Measurement) -> np.ndarray:
 
 
 def _sample_counts(priors: Priors, m: Measurement, shots: int, seed: int, partitions: int):
-    """Joint (state, outcome) counts, partitioned as documented above."""
+    """Joint (state, outcome) counts, drawn as documented above."""
     if shots < 1:
         raise DomainError(f"shots must be positive, got {shots}")
     if partitions < 1 or partitions > shots:
         raise DomainError(f"invalid partition count {partitions}")
-    table = _outcome_table(priors, m)
-    cum_priors = np.cumsum(np.asarray(priors.original))
-    cum_outcomes = np.cumsum(table, axis=1)
-    n_outcomes = table.shape[1]
-    counts = np.zeros((3, n_outcomes), dtype=np.int64)
-    children = np.random.SeedSequence(seed).spawn(partitions)
+    joint = np.asarray(priors.original)[:, None] * _outcome_table(priors, m)
+    counts = np.zeros(joint.size, dtype=np.int64)
     base, extra = divmod(shots, partitions)
-    for k, child in enumerate(children):
-        n = base + (1 if k < extra else 0)
-        if n == 0:
-            continue
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(partitions)):
         rng = np.random.Generator(np.random.PCG64(child))
-        states = np.searchsorted(cum_priors, rng.random(n), side="right")
-        states = np.minimum(states, 2)
-        outcomes = (rng.random(n)[:, None] > cum_outcomes[states]).sum(axis=1)
-        outcomes = np.minimum(outcomes, n_outcomes - 1)
-        np.add.at(counts, (states, outcomes), 1)
-    return counts
+        counts += rng.multinomial(base + (k < extra), joint.ravel())
+    return counts.reshape(joint.shape)
 
 
 def estimate_success(

@@ -259,6 +259,17 @@ class TestSimulate:
         _, out_plain, _ = run(capsys, *argv, "--partitions", "4")
         assert json.loads(out_env) == json.loads(out_plain)
 
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_rejects_invalid_thread_env(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("TRINE_THREADS", value)
+        code, out, err = run(
+            capsys, "simulate", "--p", "0.4", "--delta", "0.1",
+            "--shots", "10000", "--seed", "9",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "TRINE_THREADS" in err
+
     def test_rejects_zero_shots(self, capsys):
         assert run(
             capsys, "simulate", "--p", "0.4", "--delta", "0.1", "--shots", "0"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,11 @@ from trinedisc.max_confidence import mc_povm, mc_confidence_closed_form
 from trinedisc.min_error import optimal_measurement
 from trinedisc.simulate import (
     RNG_ALGORITHM,
+    _sample_counts,
     estimate_confidence,
     estimate_success,
 )
-from trinedisc.trine import canonicalize_priors, trine_measurement
+from trinedisc.trine import canonicalize_priors, trine_measurement, trine_states
 
 IDENTITY = np.eye(2, dtype=complex)
 
@@ -86,6 +89,45 @@ class TestEstimateSuccess:
             estimate_success(EQUAL, m, shots=0, seed=1)
         with pytest.raises(DomainError):
             estimate_success(EQUAL, m, shots=10, seed=1, partitions=20)
+
+
+def joint_probabilities(priors, m):
+    """p_j <psi_j|pi_k|psi_j>, straight from the state vectors."""
+    return np.array([
+        [q * np.vdot(psi, op @ psi).real for _, op in m.elements]
+        for q, psi in zip(priors.original, trine_states())
+    ])
+
+
+class TestSampler:
+    @pytest.mark.parametrize("parts", [1, 2, 7])
+    def test_joint_cells_within_five_se(self, parts):
+        pr = canonicalize_priors(0.5, 0.3, 0.2)
+        m = mc_povm(pr)
+        assert len(m.labels) == 4
+        shots = 10**7
+        counts = _sample_counts(pr, m, shots, seed=31, partitions=parts)
+        p = joint_probabilities(pr, m)
+        assert counts.shape == p.shape
+        assert counts.sum() == shots
+        se = np.sqrt(shots * p * (1.0 - p))
+        assert np.all(np.abs(counts - shots * p) <= 5.0 * se)
+
+    def test_one_shot_per_partition(self):
+        counts = _sample_counts(EQUAL, trine_measurement(), 7, seed=3, partitions=7)
+        assert counts.sum() == 7
+
+    def test_memory_does_not_grow_with_shots(self):
+        pr = canonicalize_priors(0.5, 0.3, 0.2)
+        m = optimal_measurement(pr).measurement
+        tracemalloc.start()
+        try:
+            res = estimate_success(pr, m, shots=10**7, seed=37)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.shots == 10**7
+        assert peak < 1_000_000
 
 
 class TestEstimateConfidence:

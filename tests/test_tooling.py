@@ -13,6 +13,14 @@ import pytest
 import trinedisc
 
 LAYERS = ("trine", "qubit", "min_error", "max_confidence", "oracle", "simulate", "cli")
+SRC = Path(trinedisc.__file__).resolve().parent.parent
+DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
+
+
+def src_env() -> dict:
+    """The environment with the package's source directory on PYTHONPATH."""
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.mark.parametrize("layer", [m for m in LAYERS if m != "cli"])
@@ -40,10 +48,14 @@ def test_cli_import_loads_every_layer():
         "import json, sys, trinedisc.cli; "
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('trinedisc.'))))"
     )
-    src = str(Path(trinedisc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True
     ).stdout
     loaded = set(json.loads(out))
     assert {f"trinedisc.{m}" for m in LAYERS} <= loaded
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], env=src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
