@@ -46,7 +46,7 @@ class EmpiricalResult:
     total_shots: Optional[int] = None  # set for conditional estimates
 
 
-def _outcome_table(priors: Priors, m: Measurement) -> np.ndarray:
+def _outcome_table(m: Measurement) -> np.ndarray:
     """Born probabilities P[state, outcome], rows renormalized.
 
     Rejects measurements that are not valid POVMs or whose outcome
@@ -69,7 +69,7 @@ def _sample_counts(priors: Priors, m: Measurement, shots: int, seed: int, partit
         raise DomainError(f"shots must be positive, got {shots}")
     if partitions < 1 or partitions > shots:
         raise DomainError(f"invalid partition count {partitions}")
-    joint = np.asarray(priors.original)[:, None] * _outcome_table(priors, m)
+    joint = np.asarray(priors.original)[:, None] * _outcome_table(m)
     counts = np.zeros(joint.size, dtype=np.int64)
     base, extra = divmod(shots, partitions)
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(partitions)):
