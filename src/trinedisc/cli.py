@@ -24,8 +24,6 @@ import numpy as np
 from . import __version__
 from .errors import (
     DomainError,
-    InsufficientDataError,
-    PureStateError,
     TrineError,
     UndefinedError,
     VerificationError,
@@ -62,12 +60,11 @@ EXIT_VERIFICATION = 3
 EXIT_IO = 4
 EXIT_MISMATCH = 5
 
+#: The prior coordinates every CSV row starts with (see :func:`_prior_cells`).
+PRIOR_COLUMNS = ["p", "delta", "p0", "p1", "p2"]
+
 SWEEP_COLUMNS = [
-    "p",
-    "delta",
-    "p0",
-    "p1",
-    "p2",
+    *PRIOR_COLUMNS,
     "strategy",
     "p_correct",
     "determinant",
@@ -151,6 +148,30 @@ def _open_out(path):
             yield fh
 
 
+def _require_at_least(flag: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise DomainError(f"{flag} must be at least {minimum}, got {value}")
+
+
+def _delta_axis(p: float, steps: int) -> np.ndarray:
+    """``steps`` deltas from 0 to the admissible bound min(p, 3p - 1)."""
+    return np.linspace(0.0, min(p, 3.0 * p - 1.0), steps)
+
+
+def _p_axis(delta: float, steps: int) -> np.ndarray:
+    """``steps`` values of p from the smallest admissible at ``delta`` to 1/2."""
+    return np.linspace(max(1.0 / 3.0, (1.0 + delta) / 3.0, delta), 0.5, steps)
+
+
+def _prior_cells(priors: Priors) -> list:
+    return [priors.p, priors.delta, priors.p0, priors.p1, priors.p2]
+
+
+def _critical_delta(priors: Priors):
+    """critical_delta at this p, with p clamped into [1/3, 1/2] against rounding."""
+    return critical_delta(min(max(priors.p, 1.0 / 3.0), 0.5))
+
+
 def _write_csv(stream, command: str, flags: str, columns, rows):
     stream.write(f"# trinedisc {__version__} {command} {flags}\n")
     writer = csv.writer(stream)
@@ -161,7 +182,6 @@ def _write_csv(stream, command: str, flags: str, columns, rows):
 
 def _sweep_row(priors: Priors):
     strategy, p_correct, det = optimal_branch(priors)
-    cd = critical_delta(min(max(priors.p, 1.0 / 3.0), 0.5))
     conf = []
     for i in range(3):
         try:
@@ -169,18 +189,14 @@ def _sweep_row(priors: Priors):
         except UndefinedError:
             conf.append(None)  # pure ensemble corner (p0 = 1)
     return [
-        priors.p,
-        priors.delta,
-        priors.p0,
-        priors.p1,
-        priors.p2,
+        *_prior_cells(priors),
         strategy,
         p_correct,
         det,
         conf[0],
         conf[1],
         conf[2],
-        cd,
+        _critical_delta(priors),
     ]
 
 
@@ -246,12 +262,10 @@ def cmd_optimal(args) -> int:
 
 
 def cmd_region(args) -> int:
-    if args.grid < 2:
-        raise DomainError(f"--grid must be at least 2, got {args.grid}")
+    _require_at_least("--grid", args.grid, 2)
     rows = []
     for p in np.linspace(1.0 / 3.0, 0.5, args.grid):
-        dmax = min(p, 3.0 * p - 1.0)
-        for delta in np.linspace(0.0, dmax, args.grid):
+        for delta in _delta_axis(p, args.grid):
             rows.append(_sweep_row(priors_from_p_delta(float(p), float(delta))))
     with _open_out(args.out) as fh:
         _write_csv(fh, "region", f"--grid {args.grid}", SWEEP_COLUMNS, rows)
@@ -266,11 +280,7 @@ def _parse_values(text: str) -> list[float]:
 
 
 CURVE_COLUMNS = [
-    "p",
-    "delta",
-    "p0",
-    "p1",
-    "p2",
+    *PRIOR_COLUMNS,
     "p_2el",
     "p_3el",
     "p_3el_valid",
@@ -288,34 +298,29 @@ def _curve_row(priors: Priors):
     except ZeroPriorError:
         p3el = None
     return [
-        priors.p,
-        priors.delta,
-        priors.p0,
-        priors.p1,
-        priors.p2,
+        *_prior_cells(priors),
         p2el,
         p3el,
         int(det < 0.0),
         p_correct,
         det,
-        critical_delta(min(max(priors.p, 1.0 / 3.0), 0.5)),
+        _critical_delta(priors),
     ]
 
 
 def cmd_curves(args) -> int:
     if (args.p_values is None) == (args.delta_values is None):
         raise DomainError("specify exactly one of --p-values or --delta-values")
+    _require_at_least("--steps", args.steps, 1)
     rows = []
     if args.p_values is not None:
         for p in _parse_values(args.p_values):
-            dmax = min(p, 3.0 * p - 1.0)
-            for delta in np.linspace(0.0, dmax, args.steps):
+            for delta in _delta_axis(p, args.steps):
                 rows.append(_curve_row(priors_from_p_delta(p, float(delta))))
         flags = f"--p-values {args.p_values} --steps {args.steps}"
     else:
         for delta in _parse_values(args.delta_values):
-            p_min = max(1.0 / 3.0, (1.0 + delta) / 3.0, delta)
-            for p in np.linspace(p_min, 0.5, args.steps):
+            for p in _p_axis(delta, args.steps):
                 rows.append(_curve_row(priors_from_p_delta(float(p), delta)))
         flags = f"--delta-values {args.delta_values} --steps {args.steps}"
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -325,11 +330,7 @@ def cmd_curves(args) -> int:
 
 
 CONFIDENCE_COLUMNS = [
-    "p",
-    "delta",
-    "p0",
-    "p1",
-    "p2",
+    *PRIOR_COLUMNS,
     "mc_confidence_0",
     "mc_confidence_1",
     "mc_confidence_2",
@@ -344,11 +345,7 @@ def _confidence_row(priors: Priors):
     report = confidence_report(priors)
     me_conf = min_error_confidence(priors)
     return [
-        priors.p,
-        priors.delta,
-        priors.p0,
-        priors.p1,
-        priors.p2,
+        *_prior_cells(priors),
         *report.per_state_confidence,
         *me_conf,
         report.inconclusive_probability,
@@ -359,11 +356,10 @@ def cmd_confidence(args) -> int:
     if args.sweep is not None:
         if args.delta is None:
             raise DomainError("--sweep needs --delta (sweeps p at fixed delta)")
-        delta = args.delta
-        p_min = max(1.0 / 3.0, (1.0 + delta) / 3.0, delta)
+        _require_at_least("--sweep", args.sweep, 1)
         rows = []
-        for p in np.linspace(p_min, 0.5, args.sweep):
-            priors = priors_from_p_delta(float(p), delta)
+        for p in _p_axis(args.delta, args.sweep):
+            priors = priors_from_p_delta(float(p), args.delta)
             if priors.p0 >= 1.0 - 1e-9:
                 continue  # pure ensemble density: confidence undefined
             rows.append(_confidence_row(priors))
@@ -392,8 +388,7 @@ def cmd_confidence(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise DomainError(f"--samples must be at least 1, got {args.samples}")
+    _require_at_least("--samples", args.samples, 1)
     rng = np.random.default_rng(args.seed)
     worst = {"kind": None, "priors": None, "difference": 0.0}
     for n in range(args.samples):
@@ -558,9 +553,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (DomainError, ZeroPriorError, PureStateError, InsufficientDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except VerificationError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION

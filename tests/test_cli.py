@@ -148,7 +148,6 @@ class TestCurves:
     def test_rejects_malformed_values(self, capsys):
         assert run(capsys, "curves", "--p-values", "0.4,banana")[0] == 2
 
-    @pytest.mark.xfail(strict=True, reason="--steps below 1 is not rejected yet")
     @pytest.mark.parametrize("steps", ["0", "-1"])
     def test_rejects_nonpositive_steps(self, capsys, steps):
         code, _, err = run(capsys, "curves", "--p-values", "0.4", "--steps", steps)
@@ -186,7 +185,6 @@ class TestConfidence:
     def test_sweep_needs_delta(self, capsys):
         assert run(capsys, "confidence", "--sweep", "5")[0] == 2
 
-    @pytest.mark.xfail(strict=True, reason="--sweep below 1 is not rejected yet")
     @pytest.mark.parametrize("sweep", ["0", "-1"])
     def test_rejects_nonpositive_sweep(self, capsys, sweep):
         code, _, err = run(capsys, "confidence", "--delta", "0.05", "--sweep", sweep)
