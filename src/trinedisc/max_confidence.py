@@ -17,7 +17,7 @@ from .errors import (
     VerificationError,
     ZeroOutcomeError,
 )
-from .qubit import INCONCLUSIVE, PSD_TOL, Measurement, born, bloch_decomposition, rank_one
+from .qubit import INCONCLUSIVE, PSD_TOL, Measurement, born, rank_one
 from .min_error import optimal_measurement
 from .trine import TRINE_BLOCH, Priors, transform_to_original
 
@@ -90,7 +90,7 @@ def confidence(priors: Priors, m: Measurement, outcome_label) -> float:
     rescaling of the element.  Clamped into [0, 1].  The zero-outcome test
     is relative to Tr(pi), since Tr(rho pi) >= lambda_min(rho) Tr(pi).
     """
-    element = bloch_decomposition(m.element(outcome_label))
+    element = dict(m.forms)[outcome_label]
     joint = _joint(priors, element)
     ensemble_prob = sum(joint)
     if ensemble_prob <= _OUTCOME_TOL * element[0]:
@@ -144,10 +144,8 @@ def confidence_report(priors: Priors) -> ConfidenceReport:
                 f"Bayes confidence {bayes} disagrees with closed form {closed}"
             )
         per_state.append(bayes)
-    if INCONCLUSIVE in m.labels:
-        inconclusive = sum(_joint(priors, bloch_decomposition(m.element(INCONCLUSIVE))))
-    else:
-        inconclusive = 0.0
+    forms = dict(m.forms)
+    inconclusive = sum(_joint(priors, forms[INCONCLUSIVE])) if INCONCLUSIVE in forms else 0.0
     return ConfidenceReport(tuple(per_state), inconclusive, m)
 
 
@@ -157,11 +155,5 @@ def min_error_confidence(priors: Priors) -> tuple[Optional[float], ...]:
     None for states without an outcome (the two-outcome branch never
     identifies the least likely state).
     """
-    result = optimal_measurement(priors)
-    out: list[Optional[float]] = []
-    for i in range(3):
-        if i in result.measurement.labels:
-            out.append(confidence(priors, result.measurement, i))
-        else:
-            out.append(None)
-    return tuple(out)
+    m = optimal_measurement(priors).measurement
+    return tuple(confidence(priors, m, i) if i in m.labels else None for i in range(3))

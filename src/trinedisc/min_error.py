@@ -35,7 +35,6 @@ from .qubit import (
     from_bloch,
     operator_norm,
     povm_validity,
-    to_measurement,
     trace_product,
 )
 from .trine import TRINE_BLOCH, Priors, transform_to_original
@@ -84,7 +83,7 @@ def _two_element(priors: Priors) -> list:
 
 def two_element_measurement(priors: Priors) -> Measurement:
     """Projective measurement identifying states 0 and 1 (canonical frame)."""
-    return to_measurement(_two_element(priors))
+    return Measurement(_two_element(priors))
 
 
 def p_correct_two_element(priors: Priors) -> float:
@@ -163,8 +162,13 @@ class GammaSolution:
     a: float
     b_x: float
     b_y: float
-    gamma: np.ndarray
     p_corr: float
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """Gamma = (p_corr I + c.sigma)/2 as a 2x2 matrix, c = -(p_corr / a) b."""
+        c = -self.p_corr / self.a
+        return from_bloch((self.p_corr, c * self.b_x, c * self.b_y, 0.0))
 
 
 def gamma_three_element(priors: Priors) -> GammaSolution:
@@ -187,8 +191,7 @@ def gamma_three_element(priors: Priors) -> GammaSolution:
         val = trace_product(n, (a, b_x, b_y, 0.0))
         if abs(val - 1.0 / qj) > 1e-10 * max(1.0, 1.0 / qj):
             raise VerificationError("Gamma^{-1} expectation does not match 1/p_j")
-    gamma = from_bloch((p_corr, -p_corr / a * b_x, -p_corr / a * b_y, 0.0))
-    return GammaSolution(a, b_x, b_y, gamma, p_corr)
+    return GammaSolution(a, b_x, b_y, p_corr)
 
 
 def _outcomes(q: Sequence[float], sol: GammaSolution) -> tuple[list, list[float]]:
@@ -247,7 +250,7 @@ def three_element_measurement(priors: Priors) -> Measurement:
     the construction would produce a non-positive element and raises
     RegionError instead.
     """
-    return to_measurement(_three_element(priors, gamma_three_element(priors)))
+    return Measurement(_three_element(priors, gamma_three_element(priors)))
 
 
 def p_correct_three_element(priors: Priors) -> float:
@@ -316,7 +319,7 @@ def check_helstrom(
     Gamma = (g I + c.sigma)/2, and the success probability Tr(Gamma).
     """
     q = [float(x) for x in probabilities]
-    labeled = [(lab, b) for lab, b in m.bloch() if isinstance(lab, (int, np.integer))]
+    labeled = [(lab, b) for lab, b in m.forms if isinstance(lab, (int, np.integer))]
     offdiag = 0.0
     for i, (li, bi) in enumerate(labeled):
         for lj, bj in labeled[i + 1 :]:

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, PureStateError
-from .qubit import Measurement, equator_element, to_measurement
+from .qubit import Measurement, equator_element
 from .trine import TRINE_ANGLES, Priors, ensemble_density
 
 __all__ = [
@@ -236,19 +236,19 @@ def measurement_from_parameters(result: OracleResult) -> Measurement:
     if result.family == "projective":
         t = result.best_parameters[0]
         a, b = result.labels
-        return to_measurement(
+        return Measurement(
             ((a, equator_element(1.0, t)), (b, equator_element(1.0, t + math.pi)))
         )
     if result.family == "three_outcome":
         t0, t1, t2 = result.best_parameters
         _, k0, k1, k2 = _planar_weights(t0, t1, t2)
-        return to_measurement(
+        return Measurement(
             (j, equator_element(float(k), t))
             for j, (k, t) in enumerate(((k0, t0), (k1, t1), (k2, t2)))
         )
     if result.family == "single_element":
         t = result.best_parameters[0]
-        return to_measurement(((result.labels[0], equator_element(1.0, t)),))
+        return Measurement(((result.labels[0], equator_element(1.0, t)),))
     raise DomainError(f"unknown oracle family {result.family!r}")
 
 

@@ -11,8 +11,9 @@ closed forms need nothing beyond these tuples:
 - the eigenvalues of b are (t - |v|)/2 and (t + |v|)/2;
 - a rotation or reflection of the equator acts on (x, y) alone.
 
-Complex matrices exist only at the boundary: :func:`from_bloch` builds the
-elements a :class:`Measurement` hands to callers, and
+A :class:`Measurement` holds (label, Bloch form) pairs, which every layer
+reads directly.  Complex matrices exist only at the boundary:
+:func:`from_bloch` builds them when a caller reads them, and
 :func:`bloch_decomposition` reads matrices that arrive from outside, which
 is the one place Hermiticity is checked.
 """
@@ -40,7 +41,6 @@ __all__ = [
     "operator_norm",
     "from_bloch",
     "bloch_decomposition",
-    "to_measurement",
     "min_eigenvalue",
     "povm_validity",
     "validate_povm",
@@ -160,38 +160,49 @@ class PovmValidity:
 
 @dataclass(frozen=True)
 class Measurement:
-    """Labeled POVM: pairs of (label, 2x2 element).
+    """Labeled POVM: pairs of (label, Bloch form).
 
     Labels are trine state indices 0/1/2 (the outcome identifies that
-    state) or :data:`INCONCLUSIVE`.
+    state) or :data:`INCONCLUSIVE`.  The constructor takes any iterable of
+    such pairs; 2x2 matrices enter through :meth:`from_matrices`.
     """
 
-    elements: tuple[tuple[object, np.ndarray], ...]
+    forms: tuple[tuple[object, tuple], ...]
+
+    def __post_init__(self):
+        forms = tuple((label, tuple(b)) for label, b in self.forms)
+        if any(len(b) != 4 for _, b in forms):
+            raise DomainError(
+                "Measurement takes (label, Bloch form) pairs; "
+                "use Measurement.from_matrices for 2x2 matrices"
+            )
+        object.__setattr__(self, "forms", forms)
+
+    @classmethod
+    def from_matrices(cls, elements: Iterable[tuple[object, np.ndarray]]) -> Measurement:
+        """A Measurement from (label, Hermitian 2x2 matrix) pairs."""
+        return cls((label, bloch_decomposition(op)) for label, op in elements)
+
+    @property
+    def elements(self) -> tuple[tuple[object, np.ndarray], ...]:
+        """The (label, 2x2 complex matrix) pairs, built on each read."""
+        return tuple((label, from_bloch(b)) for label, b in self.forms)
 
     @property
     def labels(self) -> tuple:
-        return tuple(label for label, _ in self.elements)
+        return tuple(label for label, _ in self.forms)
 
     def element(self, label) -> np.ndarray:
-        for lab, op in self.elements:
+        for lab, b in self.forms:
             if lab == label:
-                return op
+                return from_bloch(b)
         raise KeyError(f"no element labeled {label!r}")
 
     def operators(self) -> list[np.ndarray]:
-        return [op for _, op in self.elements]
-
-    def bloch(self) -> list[tuple[object, tuple]]:
-        """The elements read back as (label, Bloch form) pairs."""
-        return [(lab, bloch_decomposition(op)) for lab, op in self.elements]
+        return [from_bloch(b) for _, b in self.forms]
 
     def validity(self, tol: float = PSD_TOL) -> PovmValidity:
-        return validate_povm(self.operators(), tol)
-
-
-def to_measurement(elements: Iterable[tuple[object, Sequence[float]]]) -> Measurement:
-    """A Measurement from (label, Bloch form) pairs: the output boundary."""
-    return Measurement(tuple((label, from_bloch(b)) for label, b in elements))
+        return povm_validity([b for _, b in self.forms], tol)
 
 
 def povm_validity(forms: Sequence[Sequence[float]], tol: float) -> PovmValidity:

@@ -52,7 +52,7 @@ def _outcome_table(m: Measurement) -> np.ndarray:
     Rejects measurements that are not valid POVMs or whose outcome
     probabilities fail to sum to 1 within 1e-10.
     """
-    forms = [b for _, b in m.bloch()]
+    forms = [b for _, b in m.forms]
     validity = povm_validity(forms, PSD_TOL)
     if not validity.is_valid:
         raise DomainError(f"measurement is not a valid POVM: {validity}")

@@ -20,7 +20,6 @@ from .qubit import (
     equator_element,
     from_bloch,
     pure_state_from_equator_angle,
-    to_measurement,
 )
 
 __all__ = [
@@ -62,14 +61,14 @@ def trine_projectors() -> list[np.ndarray]:
 
 def trine_measurement() -> Measurement:
     """The symmetric measurement along the signal states themselves."""
-    return to_measurement(
+    return Measurement(
         (j, equator_element(2.0 / 3.0, a)) for j, a in enumerate(TRINE_ANGLES)
     )
 
 
 def antitrine_measurement() -> Measurement:
     """Eliminatory measurement: outcome j rules out signal state j."""
-    return to_measurement(
+    return Measurement(
         (j, equator_element(2.0 / 3.0, a + math.pi)) for j, a in enumerate(TRINE_ANGLES)
     )
 
@@ -196,4 +195,4 @@ def transform_to_original(elements, permutation) -> Measurement:
         new_label = label if label == INCONCLUSIVE else permutation[label]
         out.append((new_label, (gap + math.hypot(x, y, z), x, y, z)))
     out.sort(key=lambda pair: (pair[0] == INCONCLUSIVE, str(pair[0])))
-    return to_measurement(out)
+    return Measurement(out)

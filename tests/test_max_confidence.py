@@ -134,7 +134,7 @@ class TestConfidenceFunction:
     def test_scale_invariance(self):
         pr = canonicalize_priors(0.4, 0.35, 0.25)
         m = trine_measurement()
-        scaled = qubit.Measurement(
+        scaled = qubit.Measurement.from_matrices(
             tuple((lab, 0.1 * op) for lab, op in m.elements)
         )
         for i in range(3):
@@ -144,7 +144,7 @@ class TestConfidenceFunction:
 
     def test_zero_outcome_rejected(self):
         pr = canonicalize_priors(0.4, 0.35, 0.25)
-        m = qubit.Measurement(((0, np.zeros((2, 2), dtype=complex)),))
+        m = qubit.Measurement.from_matrices(((0, np.zeros((2, 2), dtype=complex)),))
         with pytest.raises(ZeroOutcomeError):
             confidence(pr, m, 0)
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,10 @@ from hypothesis import strategies as st
 from trinedisc import qubit
 from trinedisc.errors import DomainError, PureStateError
 from trinedisc.max_confidence import mc_povm
+from trinedisc.min_error import optimal_measurement
 from trinedisc.trine import (
     TRINE_BLOCH,
+    antitrine_measurement,
     canonicalize_priors,
     ensemble_density,
     random_priors,
@@ -108,7 +112,7 @@ class TestBornProbability:
         for _ in range(100):
             psi = rng.normal(size=2) + 1j * rng.normal(size=2)
             rho = projector(psi / np.linalg.norm(psi))
-            probs = [qubit.born(qubit.bloch_decomposition(rho), b) for _, b in m.bloch()]
+            probs = [qubit.born(qubit.bloch_decomposition(rho), b) for _, b in m.forms]
             # independent oracle: matrix traces
             direct = [float(np.trace(rho @ op).real) for op in m.operators()]
             np.testing.assert_allclose(probs, direct, atol=1e-12)
@@ -237,3 +241,49 @@ class TestBloch:
             t, *v = qubit.bloch_decomposition(rho)
             assert t == pytest.approx(1.0, abs=1e-12)
             assert np.dot(v, v) <= 1.0 + 1e-12
+
+
+def caller_orders(triple):
+    return [canonicalize_priors(*order) for order in itertools.permutations(triple)]
+
+
+class TestMeasurementBoundary:
+    """The matrices a Measurement hands out encode exactly its Bloch forms."""
+
+    @staticmethod
+    def assert_round_trip(m):
+        assert qubit.Measurement.from_matrices(m.elements).forms == m.forms
+
+    @pytest.mark.parametrize(
+        "triple, strategy",
+        [((0.5, 0.3, 0.2), "two_element"), ((0.38, 0.33, 0.29), "three_element")],
+    )
+    def test_optimal_measurement(self, triple, strategy):
+        for pr in caller_orders(triple):
+            res = optimal_measurement(pr)
+            assert res.strategy == strategy
+            self.assert_round_trip(res.measurement)
+
+    def test_mc_povm_with_inconclusive(self):
+        for pr in caller_orders((0.5, 0.3, 0.2)):
+            m = mc_povm(pr)
+            assert qubit.INCONCLUSIVE in m.labels
+            self.assert_round_trip(m)
+
+    def test_mc_povm_without_inconclusive(self):
+        m = mc_povm(canonicalize_priors(1 / 3, 1 / 3, 1 / 3))
+        assert m.labels == (0, 1, 2)
+        self.assert_round_trip(m)
+
+    def test_trine_and_antitrine(self):
+        self.assert_round_trip(trine_measurement())
+        self.assert_round_trip(antitrine_measurement())
+
+    def test_constructor_rejects_matrices(self):
+        with pytest.raises(DomainError, match="from_matrices"):
+            qubit.Measurement(((0, IDENTITY),))
+
+    def test_from_matrices_rejects_non_hermitian(self):
+        bad = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(DomainError):
+            qubit.Measurement.from_matrices(((0, bad),))

@@ -79,7 +79,7 @@ class TestEstimateSuccess:
         assert res.successes <= labeled
 
     def test_rejects_invalid_measurement(self):
-        bad = qubit.Measurement(((0, 1.5 * IDENTITY),))
+        bad = qubit.Measurement.from_matrices(((0, 1.5 * IDENTITY),))
         with pytest.raises(DomainError):
             estimate_success(EQUAL, bad, shots=100, seed=1)
 
@@ -146,7 +146,7 @@ class TestEstimateConfidence:
         # an outcome with vanishing probability cannot accumulate 100 hits
         pr = canonicalize_priors(0.5, 0.3, 0.2)
         tiny = 1e-7
-        m = qubit.Measurement(
+        m = qubit.Measurement.from_matrices(
             (
                 (0, tiny * IDENTITY),
                 (1, (1.0 - tiny) * IDENTITY),

@@ -43,6 +43,20 @@ def test_package_imports_resolve():
     assert [n for n in names if not hasattr(trinedisc, n)] == []
 
 
+def test_only_qubit_reads_matrices_back():
+    # layers read Measurement.forms; decoding matrices belongs to qubit.py alone
+    offenders = [
+        path.name
+        for path in sorted((SRC / "trinedisc").glob("*.py"))
+        if path.name != "qubit.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == "bloch_decomposition")
+        or (isinstance(node, ast.Attribute) and node.attr == "bloch_decomposition")
+        or (isinstance(node, ast.alias) and node.name == "bloch_decomposition")
+    ]
+    assert offenders == []
+
+
 def test_cli_import_loads_every_layer():
     code = (
         "import json, sys, trinedisc.cli; "

@@ -170,7 +170,7 @@ class TestRandomPriors:
 class TestFrameTransform:
     def test_identity_permutation_is_noop(self):
         m = trine_measurement()
-        out = transform_to_original(m.bloch(), (0, 1, 2))
+        out = transform_to_original(m.forms, (0, 1, 2))
         for (la, a), (lb, b) in zip(m.elements, out.elements):
             assert la == lb
             np.testing.assert_allclose(a, b, atol=1e-12)
@@ -202,8 +202,8 @@ class TestFrameTransform:
             for j, (w, a) in enumerate(zip(weights, angles))
         )
         # not complete, but spectra and hermiticity must survive the map
-        m = qubit.Measurement(elements)
-        out = transform_to_original(m.bloch(), perm)
+        m = qubit.Measurement.from_matrices(elements)
+        out = transform_to_original(m.forms, perm)
         for c in range(3):
             a = m.element(c)
             b = out.element(perm[c])
@@ -213,10 +213,10 @@ class TestFrameTransform:
             np.testing.assert_allclose(b, b.conj().T, atol=1e-12)
 
     def test_inconclusive_label_survives_and_sorts_last(self):
-        m = qubit.Measurement(
+        m = qubit.Measurement.from_matrices(
             ((qubit.INCONCLUSIVE, 0.4 * IDENTITY), (0, 0.6 * IDENTITY))
         )
-        out = transform_to_original(m.bloch(), (2, 1, 0))
+        out = transform_to_original(m.forms, (2, 1, 0))
         assert out.labels == (2, qubit.INCONCLUSIVE)
 
 
