@@ -5,7 +5,9 @@ command in ``CASES``.  Every number must agree at the 12 significant digits
 the CLI prints (one unit in the last printed digit absorbs a rounding
 boundary).  Only rounding noise gets an absolute 1e-12: the Helstrom
 residuals and values that are zero to rounding.  Everything that is not a
-number must match exactly.
+number must match exactly.  ``verify`` output is compared as exact text:
+its ``difference`` is the gap between two nearly equal numbers, so one
+unit in the last place of the oracle's value shows in its printed digits.
 
 Regenerate the recording (only when an output change is intended) with
 
@@ -49,6 +51,10 @@ CASES = {
     "region_grid20": ["region", "--grid", "20"],
     "curves_p040": ["curves", "--p-values", "0.4", "--steps", "20"],
     "confidence_sweep": ["confidence", "--delta", "0.05", "--sweep", "10"],
+    "verify_default": ["verify", "--samples", "3", "--seed", "0"],
+    "verify_coarse": [
+        "verify", "--samples", "2", "--seed", "5", "--resolution", "36", "--refinements", "8",
+    ],
 }
 # every optimal query is also recorded as JSON
 CASES.update({f"{k}_json": v + ["--json"] for k, v in list(CASES.items()) if v[0] == "optimal"})
@@ -144,6 +150,9 @@ def test_cli_output_matches_golden(golden, name):
     assert code == 0
     want = golden[name]["stdout"]
     argv = CASES[name]
+    if argv[0] == "verify":
+        assert out == want
+        return
     if "--json" in argv or (argv[0] == "confidence" and "--sweep" not in argv):
         diffs = compare_json(json.loads(out), json.loads(want))
     else:
