@@ -30,7 +30,6 @@ __all__ = [
     "brute_force_min_error",
     "brute_force_max_confidence",
     "measurement_from_parameters",
-    "random_planar_povm",
 ]
 
 _STATE_ANGLES = np.array(TRINE_ANGLES)
@@ -50,17 +49,18 @@ class OracleResult:
     labels: Optional[tuple[int, ...]] = None
 
 
-def _planar_weights(t0, t1, t2):
-    """Weights closing sum k_j |t_j><t_j| = I, via Cramer's rule.
+def _cramer_weights(s21, s02, s10):
+    """Weights closing sum k_j |t_j><t_j| = I, via Cramer's rule, from
+    s21 = sin(t2 - t1), s02 = sin(t0 - t2) and s10 = sin(t1 - t0).
 
     Valid wherever the three directions are not collinear; returns the
     signed solution (negative entries mean no POVM exists there).
     """
-    d = np.sin(t2 - t1) + np.sin(t0 - t2) + np.sin(t1 - t0)
+    d = s21 + s02 + s10
     with np.errstate(divide="ignore", invalid="ignore"):
-        k0 = 2.0 * np.sin(t2 - t1) / d
-        k1 = 2.0 * np.sin(t0 - t2) / d
-        k2 = 2.0 * np.sin(t1 - t0) / d
+        k0 = 2.0 * s21 / d
+        k1 = 2.0 * s02 / d
+        k2 = 2.0 * s10 / d
     return d, k0, k1, k2
 
 
@@ -69,15 +69,16 @@ def _overlap_sq(state_angle, t):
     return np.cos(0.5 * (state_angle - t)) ** 2
 
 
-def _three_outcome_values(q, t0, t1, t2):
-    """Born success probability at each angle triple; -inf where invalid."""
-    d, k0, k1, k2 = _planar_weights(t0, t1, t2)
+def _three_outcome_values(q, sines, overlaps):
+    """Born success probability of the Cramer POVM; -inf where invalid.
+
+    ``sines`` are those of :func:`_cramer_weights`; ``overlaps`` are
+    |<psi_j|t_j>|^2 for j = 0, 1, 2.
+    """
+    d, k0, k1, k2 = _cramer_weights(*sines)
+    c0, c1, c2 = overlaps
     with np.errstate(invalid="ignore"):
-        value = (
-            q[0] * k0 * _overlap_sq(_STATE_ANGLES[0], t0)
-            + q[1] * k1 * _overlap_sq(_STATE_ANGLES[1], t1)
-            + q[2] * k2 * _overlap_sq(_STATE_ANGLES[2], t2)
-        )
+        value = q[0] * k0 * c0 + q[1] * k1 * c1 + q[2] * k2 * c2
     bad = (
         (np.abs(d) < _DEGENERATE_TOL)
         | (k0 < 0.0)
@@ -86,6 +87,10 @@ def _three_outcome_values(q, t0, t1, t2):
         | ~np.isfinite(value)
     )
     return np.where(bad, -np.inf, value)
+
+
+def _angle_sines(t0, t1, t2):
+    return np.sin(t2 - t1), np.sin(t0 - t2), np.sin(t1 - t0)
 
 
 def _projective_values(q, thetas):
@@ -102,21 +107,25 @@ def _projective_values(q, thetas):
     return best, best_pair
 
 
-def _refine(value_fn, incumbent, start_step, refinements):
-    """Pattern search: 5-point stencil per axis, halving the step."""
-    point = np.asarray(incumbent, dtype=float)
-    ndim = point.size
+def _refine(value_fn, starts, start_step, refinements):
+    """Pattern search from each row of ``starts``: 5-point stencil per axis,
+    halving the step; every start moves to its first best candidate.
+
+    Returns the (m, ndim) final points and their values.
+    """
+    points = np.array(starts, dtype=float)
+    m, ndim = points.shape
     offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     grids = np.meshgrid(*([offsets] * ndim), indexing="ij")
     stencil = np.stack([g.ravel() for g in grids], axis=-1)  # (5^ndim, ndim)
+    rows = np.arange(m)
     step = start_step
     for _ in range(refinements):
         step *= 0.5
-        candidates = point[None, :] + step * stencil
-        values = value_fn(candidates)
-        best = int(np.argmax(values))
-        point = candidates[best]
-    return point, float(value_fn(point[None, :])[0])
+        candidates = points[:, None, :] + step * stencil  # (m, 5^ndim, ndim)
+        values = value_fn(candidates.reshape(-1, ndim)).reshape(m, -1)
+        points = candidates[rows, np.argmax(values, axis=1)]
+    return points, value_fn(points)
 
 
 def brute_force_min_error(
@@ -146,31 +155,47 @@ def brute_force_min_error(
             1.0 - _overlap_sq(_STATE_ANGLES[b], t)
         )
 
-    proj_point, proj_value = _refine(proj_fn, [grid[i_best]], step, refinements)
+    (proj_point,), (proj_value,) = _refine(proj_fn, [[grid[i_best]]], step, refinements)
 
-    # three-outcome family, chunked over the first angle to bound memory;
+    # three-outcome family, one t0 = grid[a] slice at a time, every input
+    # read from per-call tables: sin(t2 - t1) is sd.T, sin(t0 - t2) the row
+    # sd[a] and sin(t1 - t0) the row sd.T[a].  State 0's overlaps are numpy
+    # scalars, as t0 is: a scalar squares through libm pow, one ulp off the
+    # array square at some resolutions (26, 39, 78, ...).
+    sd = np.sin(grid[:, None] - grid[None, :])
+    sd_t = np.ascontiguousarray(sd.T)
+    overlap0 = [_overlap_sq(_STATE_ANGLES[0], t0) for t0 in grid]
+    overlap1 = _overlap_sq(_STATE_ANGLES[1], grid)[:, None]
+    overlap2 = _overlap_sq(_STATE_ANGLES[2], grid)
     # the valid region can be thin near its boundary, so keep the best
     # candidate from every t0 slice and refine the strongest few of them
-    t1g, t2g = np.meshgrid(grid, grid, indexing="ij")
     slice_best = []
-    for t0 in grid:
-        vals = _three_outcome_values(q, t0, t1g, t2g)
+    for a in range(resolution):
+        vals = _three_outcome_values(
+            q, (sd_t, sd[a], sd_t[a][:, None]), (overlap0[a], overlap1, overlap2)
+        )
         j = int(np.argmax(vals))
         v = vals.flat[j]
         if np.isfinite(v):
-            slice_best.append((float(v), (t0, t1g.flat[j], t2g.flat[j])))
+            i1, i2 = divmod(j, resolution)
+            slice_best.append((float(v), (grid[a], grid[i1], grid[i2])))
 
     tri_point, tri_value = None, -np.inf
     if slice_best:
 
         def triple_fn(pts):
-            return _three_outcome_values(q, pts[:, 0], pts[:, 1], pts[:, 2])
+            t = pts.T
+            return _three_outcome_values(
+                q, _angle_sines(*t), _overlap_sq(_STATE_ANGLES[:, None], t)
+            )
 
+        # stable sort: ties keep slice order, and the first strongest
+        # refined start wins
         slice_best.sort(key=lambda pair: -pair[0])
-        for _, start in slice_best[:8]:
-            point, value = _refine(triple_fn, start, step, refinements)
-            if value > tri_value:
-                tri_point, tri_value = point, value
+        starts = [start for _, start in slice_best[:8]]
+        points, values = _refine(triple_fn, starts, step, refinements)
+        k = int(np.argmax(values))
+        tri_point, tri_value = points[k], float(values[k])
 
     if tri_value > proj_value:
         return OracleResult(
@@ -182,7 +207,7 @@ def brute_force_min_error(
             labels=(0, 1, 2),
         )
     return OracleResult(
-        best_value=proj_value,
+        best_value=float(proj_value),
         best_parameters=(float(proj_point[0]),),
         grid_resolution=resolution,
         refinement_depth=refinements,
@@ -218,11 +243,11 @@ def brute_force_max_confidence(
     grid = 2.0 * np.pi * np.arange(resolution) / resolution
     values = conf_fn(grid[:, None])
     i_best = int(np.argmax(values))
-    point, value = _refine(
-        conf_fn, [grid[i_best]], 2.0 * np.pi / resolution, refinements
+    (point,), (value,) = _refine(
+        conf_fn, [[grid[i_best]]], 2.0 * np.pi / resolution, refinements
     )
     return OracleResult(
-        best_value=value,
+        best_value=float(value),
         best_parameters=(float(point[0]),),
         grid_resolution=resolution,
         refinement_depth=refinements,
@@ -241,7 +266,7 @@ def measurement_from_parameters(result: OracleResult) -> Measurement:
         )
     if result.family == "three_outcome":
         t0, t1, t2 = result.best_parameters
-        _, k0, k1, k2 = _planar_weights(t0, t1, t2)
+        _, k0, k1, k2 = _cramer_weights(*_angle_sines(t0, t1, t2))
         return Measurement(
             (j, equator_element(float(k), t))
             for j, (k, t) in enumerate(((k0, t0), (k1, t1), (k2, t2)))
@@ -251,21 +276,3 @@ def measurement_from_parameters(result: OracleResult) -> Measurement:
         return Measurement(((result.labels[0], equator_element(1.0, t)),))
     raise DomainError(f"unknown oracle family {result.family!r}")
 
-
-def random_planar_povm(rng: np.random.Generator):
-    """Three rank-1 outcomes in a random tilted plane through the origin.
-
-    Used as an off-equator spot check that restricting the search to the
-    equator plane loses nothing.  Returns a list of (weight, bloch_dir)
-    pairs, or None when the sampled angles give negative weights.
-    """
-    basis = np.linalg.qr(rng.normal(size=(3, 3)))[0][:, :2]
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    d, k0, k1, k2 = _planar_weights(*angles)
-    weights = (k0, k1, k2)
-    if abs(d) < 1e-9 or min(weights) < 0.0:
-        return None
-    return [
-        (float(k), basis @ np.array([math.cos(t), math.sin(t)]))
-        for k, t in zip(weights, angles)
-    ]
