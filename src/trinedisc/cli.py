@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -148,9 +149,14 @@ def _open_out(path):
             yield fh
 
 
-def _require_at_least(flag: str, value: int, minimum: int) -> None:
+def _require_at_least(flag: str, value, minimum) -> None:
     if value < minimum:
         raise DomainError(f"{flag} must be at least {minimum}, got {value}")
+
+
+def _require_finite(flag: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{flag} must be finite, got {value}")
 
 
 def _delta_axis(p: float, steps: int) -> np.ndarray:
@@ -389,6 +395,10 @@ def cmd_confidence(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_at_least("--samples", args.samples, 1)
+    _require_at_least("--seed", args.seed, 0)
+    _require_at_least("--refinements", args.refinements, 0)
+    _require_finite("--tolerance", args.tolerance)
+    _require_at_least("--tolerance", args.tolerance, 0)
     rng = np.random.default_rng(args.seed)
     worst = {"kind": None, "priors": None, "difference": 0.0}
     for n in range(args.samples):
@@ -451,8 +461,8 @@ def _default_partitions() -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.shots < 1:
-        raise DomainError(f"--shots must be positive, got {args.shots}")
+    _require_at_least("--shots", args.shots, 1)
+    _require_at_least("--seed", args.seed, 0)
     partitions = _default_partitions() if args.partitions is None else args.partitions
     priors = _priors_from_args(args)
     m = _strategy_measurement(args, priors)

@@ -214,21 +214,18 @@ class TestVerify:
     def test_rejects_zero_samples(self, capsys):
         assert run(capsys, "verify", "--samples", "0")[0] == 2
 
-    @pytest.mark.xfail(strict=True, reason="numpy ValueError traceback, exit 1")
     def test_rejects_negative_seed(self, capsys):
         code, out, err = run(capsys, "verify", "--samples", "1", "--seed", "-1")
         assert code == 2
         assert out == ""
         assert err.startswith("error: --seed")
 
-    @pytest.mark.xfail(strict=True, reason="reported as an oracle mismatch, exit 5")
     def test_rejects_negative_refinements(self, capsys):
         code, out, err = run(capsys, "verify", "--samples", "1", "--refinements", "-1")
         assert code == 2
         assert out == ""
         assert err.startswith("error: --refinements")
 
-    @pytest.mark.xfail(strict=True, reason="nan and -0.001 exit 5, inf exits 0")
     @pytest.mark.parametrize("tolerance", ["nan", "-0.001", "inf"])
     def test_rejects_bad_tolerance(self, capsys, tolerance):
         code, out, err = run(
@@ -311,7 +308,6 @@ class TestSimulate:
             capsys, "simulate", "--p", "0.4", "--delta", "0.1", "--shots", "0"
         )[0] == 2
 
-    @pytest.mark.xfail(strict=True, reason="numpy ValueError traceback, exit 1")
     def test_rejects_negative_seed(self, capsys):
         code, out, err = run(
             capsys, "simulate", "--p0", "0.5", "--p1", "0.3", "--p2", "0.2",
