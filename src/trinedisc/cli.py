@@ -149,7 +149,7 @@ def _open_out(path):
             yield fh
 
 
-def _require_at_least(flag: str, value, minimum) -> None:
+def _require_at_least(flag: str, value: float, minimum: float) -> None:
     if value < minimum:
         raise DomainError(f"{flag} must be at least {minimum}, got {value}")
 
