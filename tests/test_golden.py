@@ -8,6 +8,9 @@ residuals and values that are zero to rounding.  Everything that is not a
 number must match exactly.  ``verify`` output is compared as exact text:
 its ``difference`` is the gap between two nearly equal numbers, so one
 unit in the last place of the oracle's value shows in its printed digits.
+The ``*_exact`` cases are compared as exact text too: the 12-digit
+comparison reads -0.0 as 0.0, so only they pin the sign of every zero in
+the printed matrix entries, on both branches.
 
 Regenerate the recording (only when an output change is intended) with
 
@@ -58,6 +61,13 @@ CASES = {
 }
 # every optimal query is also recorded as JSON
 CASES.update({f"{k}_json": v + ["--json"] for k, v in list(CASES.items()) if v[0] == "optimal"})
+#: Compared as exact text: the three-outcome branch and a reflection.
+EXACT_CASES = {
+    f"{name}_exact{suffix}": CASES[name + suffix]
+    for name in ("optimal_three_outcome", "optimal_odd_permutation")
+    for suffix in ("", "_json")
+}
+CASES.update(EXACT_CASES)
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|(?<![a-z_])[-+]?(?:nan|inf)(?![a-z_])")
 _NOISE_KEYS = {"max_offdiag_residual", "min_global_eigenvalue"}
@@ -150,7 +160,7 @@ def test_cli_output_matches_golden(golden, name):
     assert code == 0
     want = golden[name]["stdout"]
     argv = CASES[name]
-    if argv[0] == "verify":
+    if argv[0] == "verify" or name in EXACT_CASES:
         assert out == want
         return
     if "--json" in argv or (argv[0] == "confidence" and "--sweep" not in argv):
