@@ -54,9 +54,7 @@ from .qubit import (
     INCONCLUSIVE,
     Measurement,
     PovmValidity,
-    min_eigenvalue,
     pure_state_from_equator_angle,
-    validate_povm,
 )
 from .simulate import EmpiricalResult, estimate_confidence, estimate_success
 from .trine import (
@@ -66,6 +64,5 @@ from .trine import (
     priors_from_p_delta,
     random_priors,
     trine_measurement,
-    trine_perps,
     trine_states,
 )

@@ -8,6 +8,9 @@ Exit codes: 0 ok, 2 usage or domain error, 3 internal verification
 failure, 4 I/O error, 5 oracle mismatch.  Numbers are serialized with 12
 significant digits; CSV data carries no timestamps, only a ``#`` metadata
 header with the package version and the invoking flags.
+
+numpy is imported only by the sweeps and ``verify``, and through the
+oracle and the sampler, so single queries run without loading it.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import os
 import sys
 from contextlib import contextmanager
-
-import numpy as np
 
 from . import __version__
 from .errors import (
@@ -96,10 +98,12 @@ def _json_ready(obj):
         return {str(k): _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return sig12(float(obj))
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, numbers.Integral):
         return int(obj)
+    if isinstance(obj, numbers.Real):
+        return sig12(float(obj))
     return obj
 
 
@@ -108,14 +112,32 @@ def _emit_json(payload, stream):
     stream.write("\n")
 
 
+def _entries(b):
+    """The (real, imaginary) entries of ``from_bloch(b)``, signed zeros included.
+
+    from_bloch scales [[t + z, x - iy], [x + iy, t - z]] by 0.5 as complex
+    products, so the sign of a zero part follows the other part:
+    iy = (0.0 * y - 0.0, y), and (re, im) scales to
+    (0.5 * re - 0.0 * im, 0.5 * im + 0.0 * re).
+    """
+    t, x, y, z = b
+    iy_re, iy_im = 0.0 * y - 0.0, y
+    rows = (
+        ((t + z, 0.0), (x - iy_re, 0.0 - iy_im)),
+        ((x + iy_re, 0.0 + iy_im), (t - z, 0.0)),
+    )
+    return [[(0.5 * re - 0.0 * im, 0.5 * im + 0.0 * re) for re, im in row] for row in rows]
+
+
 def _measurement_payload(m):
     out = []
-    for label, op in m.elements:
+    for label, b in m.forms:
+        entries = _entries(b)
         out.append(
             {
                 "label": label,
-                "entries_real": [[sig12(op[i, j].real) for j in range(2)] for i in range(2)],
-                "entries_imag": [[sig12(op[i, j].imag) for j in range(2)] for i in range(2)],
+                "entries_real": [[sig12(re) for re, _ in row] for row in entries],
+                "entries_imag": [[sig12(im) for _, im in row] for row in entries],
             }
         )
     return out
@@ -159,13 +181,17 @@ def _require_finite(flag: str, value: float) -> None:
         raise DomainError(f"{flag} must be finite, got {value}")
 
 
-def _delta_axis(p: float, steps: int) -> np.ndarray:
+def _delta_axis(p: float, steps: int):
     """``steps`` deltas from 0 to the admissible bound min(p, 3p - 1)."""
+    import numpy as np
+
     return np.linspace(0.0, min(p, 3.0 * p - 1.0), steps)
 
 
-def _p_axis(delta: float, steps: int) -> np.ndarray:
+def _p_axis(delta: float, steps: int):
     """``steps`` values of p from the smallest admissible at ``delta`` to 1/2."""
+    import numpy as np
+
     return np.linspace(max(1.0 / 3.0, (1.0 + delta) / 3.0, delta), 0.5, steps)
 
 
@@ -268,6 +294,8 @@ def cmd_optimal(args) -> int:
 
 
 def cmd_region(args) -> int:
+    import numpy as np
+
     _require_at_least("--grid", args.grid, 2)
     rows = []
     for p in np.linspace(1.0 / 3.0, 0.5, args.grid):
@@ -399,7 +427,9 @@ def cmd_verify(args) -> int:
     _require_at_least("--refinements", args.refinements, 0)
     _require_finite("--tolerance", args.tolerance)
     _require_at_least("--tolerance", args.tolerance, 0)
-    rng = np.random.default_rng(args.seed)
+    from numpy.random import default_rng
+
+    rng = default_rng(args.seed)
     worst = {"kind": None, "priors": None, "difference": 0.0}
     for n in range(args.samples):
         priors = random_priors(rng)

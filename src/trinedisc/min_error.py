@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -38,6 +36,9 @@ from .qubit import (
     trace_product,
 )
 from .trine import TRINE_BLOCH, Priors, transform_to_original
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GammaSolution",
@@ -319,7 +320,7 @@ def check_helstrom(
     Gamma = (g I + c.sigma)/2, and the success probability Tr(Gamma).
     """
     q = [float(x) for x in probabilities]
-    labeled = [(lab, b) for lab, b in m.forms if isinstance(lab, (int, np.integer))]
+    labeled = [(lab, b) for _, lab, b in m.state_outcomes()]
     offdiag = 0.0
     for i, (li, bi) in enumerate(labeled):
         for lj, bj in labeled[i + 1 :]:

@@ -11,6 +11,9 @@ constraint, so every search point is an exact POVM (parameter sets
 yielding negative weights are discarded).  Two-outcome family:
 projective equatorial measurements with the best assignment of outcome
 labels to states.
+
+numpy and the state-angle array are bound to module globals by the first
+search, not at import.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .errors import DomainError, PureStateError
 from .qubit import Measurement, equator_element
@@ -32,9 +33,18 @@ __all__ = [
     "measurement_from_parameters",
 ]
 
-_STATE_ANGLES = np.array(TRINE_ANGLES)
+np = None  # numpy, bound by _bind_numpy
+_STATE_ANGLES = None  # np.array(TRINE_ANGLES), bound by _bind_numpy
 _LABEL_PAIRS = [(a, b) for a in range(3) for b in range(3) if a != b]
 _DEGENERATE_TOL = 1e-12
+
+
+def _bind_numpy() -> None:
+    global np, _STATE_ANGLES
+    if _STATE_ANGLES is None:
+        import numpy as np
+
+        _STATE_ANGLES = np.array(TRINE_ANGLES)
 
 
 @dataclass(frozen=True)
@@ -139,6 +149,7 @@ def brute_force_min_error(
     """
     if resolution < 16:
         raise DomainError(f"resolution must be at least 16, got {resolution}")
+    _bind_numpy()
     q = np.asarray(priors.canonical)
     grid = 2.0 * np.pi * np.arange(resolution) / resolution
     step = 2.0 * np.pi / resolution
@@ -227,6 +238,7 @@ def brute_force_max_confidence(
     """
     if resolution < 16:
         raise DomainError(f"resolution must be at least 16, got {resolution}")
+    _bind_numpy()
     q = np.asarray(priors.original)
     rho = ensemble_density(q)
     if float(np.trace(rho @ rho).real) >= 1.0 - 1e-9:
@@ -258,6 +270,7 @@ def brute_force_max_confidence(
 
 def measurement_from_parameters(result: OracleResult) -> Measurement:
     """Rebuild the POVM behind an oracle incumbent (for validation)."""
+    _bind_numpy()
     if result.family == "projective":
         t = result.best_parameters[0]
         a, b = result.labels

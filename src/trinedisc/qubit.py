@@ -15,18 +15,21 @@ A :class:`Measurement` holds (label, Bloch form) pairs, which every layer
 reads directly.  Complex matrices exist only at the boundary:
 :func:`from_bloch` builds them when a caller reads them, and
 :func:`bloch_decomposition` reads matrices that arrive from outside, which
-is the one place Hermiticity is checked.
+is the one place Hermiticity is checked.  Both import numpy when called,
+so the closed forms run without loading it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "INCONCLUSIVE",
@@ -41,9 +44,7 @@ __all__ = [
     "operator_norm",
     "from_bloch",
     "bloch_decomposition",
-    "min_eigenvalue",
     "povm_validity",
-    "validate_povm",
 ]
 
 #: Label for the inconclusive ("?") outcome of an incomplete strategy.
@@ -57,7 +58,9 @@ _HERMITICITY_TOL = 1e-12
 
 def pure_state_from_equator_angle(phi: float) -> np.ndarray:
     """Equatorial pure state (|0> + e^{i phi}|1>)/sqrt(2)."""
-    if not np.isfinite(phi):
+    import numpy as np
+
+    if not math.isfinite(phi):
         raise DomainError(f"equator angle must be finite, got {phi!r}")
     return np.array([1.0, np.exp(1j * phi)], dtype=complex) / np.sqrt(2.0)
 
@@ -123,12 +126,16 @@ def operator_norm(b: Sequence) -> float:
 
 def from_bloch(b: Sequence[float]) -> np.ndarray:
     """The 2x2 complex matrix (t I + v.sigma)/2 of a Bloch form."""
+    import numpy as np
+
     t, x, y, z = b
     return 0.5 * np.array([[t + z, x - 1j * y], [x + 1j * y, t - z]], dtype=complex)
 
 
 def bloch_decomposition(m: np.ndarray) -> tuple:
     """Bloch form (t, x, y, z) of a Hermitian 2x2 matrix; inverse of from_bloch."""
+    import numpy as np
+
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
@@ -140,13 +147,14 @@ def bloch_decomposition(m: np.ndarray) -> tuple:
     return (a.real + d.real, 2.0 * c.real, 2.0 * c.imag, a.real - d.real)
 
 
+def _integer_types() -> tuple:
+    # a numpy integer can exist only once numpy is loaded
+    numpy = sys.modules.get("numpy")
+    return (int,) if numpy is None else (int, numpy.integer)
+
+
 def _smaller_eigenvalue(b: Sequence[float]) -> float:
     return 0.5 * (b[0] - math.hypot(b[1], b[2], b[3]))
-
-
-def min_eigenvalue(m: np.ndarray) -> float:
-    """Smaller eigenvalue (t - |v|)/2 of a Hermitian 2x2 matrix."""
-    return _smaller_eigenvalue(bloch_decomposition(m))
 
 
 @dataclass(frozen=True)
@@ -201,6 +209,14 @@ class Measurement:
     def operators(self) -> list[np.ndarray]:
         return [from_bloch(b) for _, b in self.forms]
 
+    def state_outcomes(self) -> list[tuple[int, int, tuple]]:
+        """(outcome index, label, form) of each outcome that names a trine state.
+
+        A state label is a Python or numpy integer; :data:`INCONCLUSIVE` is not.
+        """
+        integer = _integer_types()
+        return [(k, lab, b) for k, (lab, b) in enumerate(self.forms) if isinstance(lab, integer)]
+
     def validity(self, tol: float = PSD_TOL) -> PovmValidity:
         return povm_validity([b for _, b in self.forms], tol)
 
@@ -218,14 +234,3 @@ def povm_validity(forms: Sequence[Sequence[float]], tol: float) -> PovmValidity:
         min_element_eigenvalue=min_eig,
         completeness_deviation=deviation,
     )
-
-
-def validate_povm(
-    elements: Iterable[np.ndarray], tol: float = PSD_TOL
-) -> PovmValidity:
-    """Report minimum element eigenvalue and completeness deviation.
-
-    This is a report, not a rejection: invalid sets simply come back with
-    ``is_valid`` false.
-    """
-    return povm_validity([bloch_decomposition(e) for e in elements], tol)

@@ -14,14 +14,15 @@ PCG64, partition k draws from the k-th child of
 the partition tables are summed.  A fixed ``(seed, partitions)`` pair
 always gives the same counts; they differ from the counts of versions
 that sampled shot by shot.
+
+numpy is bound to the module global ``np`` by the first draw, not at
+import, and the sampler reaches ``np.random`` through that global.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .errors import DomainError, InsufficientDataError
 from .qubit import PSD_TOL, Measurement, born, povm_validity
@@ -30,6 +31,14 @@ from .trine import TRINE_BLOCH, Priors
 __all__ = ["RNG_ALGORITHM", "EmpiricalResult", "estimate_success", "estimate_confidence"]
 
 RNG_ALGORITHM = "numpy-pcg64"
+
+np = None  # numpy, bound by _bind_numpy
+
+
+def _bind_numpy() -> None:
+    global np
+    if np is None:
+        import numpy as np
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,7 @@ def _outcome_table(m: Measurement) -> np.ndarray:
 
 def _sample_counts(priors: Priors, m: Measurement, shots: int, seed: int, partitions: int):
     """Joint (state, outcome) counts, drawn as documented above."""
+    _bind_numpy()
     if shots < 1:
         raise DomainError(f"shots must be positive, got {shots}")
     if partitions < 1 or partitions > shots:
@@ -90,12 +100,7 @@ def estimate_success(
     The inconclusive outcome never counts as a success.
     """
     counts = _sample_counts(priors, m, shots, seed, partitions)
-    labels = m.labels
-    successes = sum(
-        int(counts[lab, k])
-        for k, lab in enumerate(labels)
-        if isinstance(lab, (int, np.integer))
-    )
+    successes = sum(int(counts[lab, k]) for k, lab, _ in m.state_outcomes())
     estimate = successes / shots
     return EmpiricalResult(
         shots=shots,
@@ -103,7 +108,7 @@ def estimate_success(
         estimate=estimate,
         standard_error=float(np.sqrt(estimate * (1.0 - estimate) / shots)),
         per_outcome_counts={
-            lab: int(counts[:, k].sum()) for k, lab in enumerate(labels)
+            lab: int(counts[:, k].sum()) for k, lab in enumerate(m.labels)
         },
         seed=seed,
     )

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .qubit import (
@@ -22,12 +21,14 @@ from .qubit import (
     pure_state_from_equator_angle,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "TRINE_ANGLES",
     "TRINE_BLOCH",
     "Priors",
     "trine_states",
-    "trine_perps",
     "trine_projectors",
     "trine_measurement",
     "antitrine_measurement",
@@ -50,11 +51,6 @@ def trine_states() -> list[np.ndarray]:
     return [pure_state_from_equator_angle(a) for a in TRINE_ANGLES]
 
 
-def trine_perps() -> list[np.ndarray]:
-    """The states orthogonal to the signals: antipodal on the equator."""
-    return [pure_state_from_equator_angle(a + math.pi) for a in TRINE_ANGLES]
-
-
 def trine_projectors() -> list[np.ndarray]:
     return [from_bloch(n) for n in TRINE_BLOCH]
 
@@ -75,6 +71,8 @@ def antitrine_measurement() -> Measurement:
 
 def ensemble_density(probabilities) -> np.ndarray:
     """Average state sum_i q_i |psi_i><psi_i| (state-order probabilities)."""
+    import numpy as np
+
     return from_bloch(np.asarray(probabilities, dtype=float) @ np.array(TRINE_BLOCH))
 
 

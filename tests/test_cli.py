@@ -1,10 +1,13 @@
 import csv
 import io
+import itertools
 import json
 
+import numpy as np
 import pytest
 
-from trinedisc.cli import main, sig12
+from trinedisc.cli import _entries, _json_ready, main, sig12
+from trinedisc.qubit import from_bloch
 
 
 def run(capsys, *argv):
@@ -24,6 +27,25 @@ class TestSerialization:
     def test_sig12(self):
         assert sig12(2 / 3) == 0.666666666667
         assert sig12(1.0) == 1.0
+
+    def test_json_ready_takes_numpy_scalars(self):
+        got = _json_ready({"x": np.float64(2 / 3), "n": np.int64(3), "ok": True, "k": [1, None]})
+        assert got == {"x": 0.666666666667, "n": 3, "ok": True, "k": [1, None]}
+        assert type(got["n"]) is int and type(got["ok"]) is bool
+
+    def test_entries_keep_the_signed_zeros_of_from_bloch(self):
+        # matrix entries are printed from the Bloch forms; the sign of every
+        # zero part must be the one the 2x2 matrix carries
+        values = (0.7, -0.7, 0.0, -0.0, 1e-300, -1e-300)
+        for b in itertools.product(values, repeat=4):
+            op = from_bloch(b)
+            want = [
+                (repr(float(op[i, j].real)), repr(float(op[i, j].imag)))
+                for i in range(2)
+                for j in range(2)
+            ]
+            got = [(repr(re), repr(im)) for row in _entries(b) for re, im in row]
+            assert got == want, b
 
 
 class TestOptimal:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from trinedisc.errors import DomainError, PureStateError
 from trinedisc.max_confidence import mc_povm
 from trinedisc.min_error import optimal_measurement
 from trinedisc.trine import (
+    TRINE_ANGLES,
     TRINE_BLOCH,
     antitrine_measurement,
     canonicalize_priors,
     ensemble_density,
     random_priors,
     trine_measurement,
-    trine_perps,
     trine_projectors,
     trine_states,
 )
@@ -26,6 +27,16 @@ IDENTITY = np.eye(2, dtype=complex)
 
 def projector(psi):
     return np.outer(psi, psi.conj())
+
+
+def validate_povm(elements, tol=qubit.PSD_TOL):
+    """POVM validity of 2x2 matrices, read through their Bloch forms."""
+    return qubit.povm_validity([qubit.bloch_decomposition(e) for e in elements], tol)
+
+
+def min_eigenvalue(m):
+    """Smaller eigenvalue of a Hermitian 2x2 matrix, as povm_validity reports it."""
+    return validate_povm([m]).min_element_eigenvalue
 
 
 def random_hermitian(rng):
@@ -74,7 +85,8 @@ class TestPureStates:
             perp = qubit.pure_state_from_equator_angle(a + np.pi)
             assert abs(np.vdot(psi, perp)) < 1e-12
             assert abs(np.linalg.norm(perp) - 1.0) < 1e-12
-        for s, perp in zip(trine_states(), trine_perps()):
+        for s, a in zip(trine_states(), TRINE_ANGLES):
+            perp = qubit.pure_state_from_equator_angle(a + math.pi)
             assert abs(np.vdot(s, perp)) < 1e-12
 
 
@@ -121,50 +133,52 @@ class TestBornProbability:
 
 class TestValidatePovm:
     def test_trine_measurement_valid(self):
-        v = qubit.validate_povm(trine_measurement().operators())
-        assert v.is_valid
-        assert v.completeness_deviation < 1e-12
+        m = trine_measurement()
+        for v in (m.validity(), validate_povm(m.operators())):
+            assert v.is_valid
+            assert v.completeness_deviation < 1e-12
 
     def test_single_identity_valid(self):
-        v = qubit.validate_povm([IDENTITY])
-        assert v.is_valid
+        assert qubit.povm_validity([(2.0, 0.0, 0.0, 0.0)], qubit.PSD_TOL).is_valid
+        assert validate_povm([IDENTITY]).is_valid
 
     def test_oversized_sum_invalid(self):
+        forms = [(1.1, 0.0, 0.0, 1.1), (1.0, 0.0, 0.0, -1.0)]
         elements = [
             1.1 * np.diag([1.0, 0.0]).astype(complex),
             np.diag([0.0, 1.0]).astype(complex),
         ]
-        v = qubit.validate_povm(elements)
-        assert not v.is_valid
-        assert v.completeness_deviation == pytest.approx(0.1, abs=1e-12)
+        for v in (qubit.povm_validity(forms, qubit.PSD_TOL), validate_povm(elements)):
+            assert not v.is_valid
+            assert v.completeness_deviation == pytest.approx(0.1, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            qubit.validate_povm([])
+            qubit.povm_validity([], qubit.PSD_TOL)
 
 
 class TestEigenvalues:
     def test_identity(self):
-        assert qubit.min_eigenvalue(IDENTITY) == pytest.approx(1.0)
+        assert min_eigenvalue(IDENTITY) == pytest.approx(1.0)
 
     def test_diagonal(self):
-        assert qubit.min_eigenvalue(np.diag([3.0, -2.0]).astype(complex)) == pytest.approx(-2.0)
+        assert min_eigenvalue(np.diag([3.0, -2.0]).astype(complex)) == pytest.approx(-2.0)
 
     def test_projector(self):
         rho = projector(trine_states()[0])
-        assert qubit.min_eigenvalue(rho) == pytest.approx(0.0, abs=1e-15)
+        assert min_eigenvalue(rho) == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError):
-            qubit.min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+            min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
     def test_matches_numpy_on_random_matrices(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
             m = random_hermitian(rng)
             ref = np.linalg.eigvalsh(m)
-            assert qubit.min_eigenvalue(m) == pytest.approx(ref[0], abs=1e-12)
-            assert -qubit.min_eigenvalue(-m) == pytest.approx(ref[1], abs=1e-12)
+            assert min_eigenvalue(m) == pytest.approx(ref[0], abs=1e-12)
+            assert -min_eigenvalue(-m) == pytest.approx(ref[1], abs=1e-12)
 
     def test_operator_norm_of_products(self):
         # independent oracle: numpy's SVD of the matrix product

@@ -69,6 +69,52 @@ def test_cli_import_loads_every_layer():
     assert {f"trinedisc.{m}" for m in LAYERS} <= loaded
 
 
+#: Single queries, which must not load numpy.
+SINGLE_QUERIES = [
+    ["optimal", "--p0", "0.34", "--p1", "0.33", "--p2", "0.33"],
+    ["optimal", "--p0", "0.3", "--p1", "0.5", "--p2", "0.2", "--json"],
+    ["confidence", "--p0", "0.5", "--p1", "0.3", "--p2", "0.2"],
+]
+#: One command through each place the CLI imports numpy on first use.
+NUMPY_PATHS = {
+    "region": ["region", "--grid", "3"],
+    "curves": ["curves", "--p-values", "0.4", "--steps", "3"],
+    "confidence_sweep": ["confidence", "--delta", "0.05", "--sweep", "3"],
+    "verify": ["verify", "--samples", "1", "--resolution", "16", "--refinements", "1"],
+    "simulate": ["simulate", "--p0", "0.5", "--p1", "0.3", "--p2", "0.2", "--shots", "100"],
+}
+
+
+def run_main_fresh(*argvs) -> tuple[list[int], bool]:
+    """Exit codes of ``main`` on each argv, run in turn in a fresh interpreter,
+    and whether numpy was loaded afterwards."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from trinedisc.cli import main\n"
+        f"argvs = {json.dumps(argvs)}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in argvs]\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, numpy_loaded = json.loads(proc.stdout)
+    return codes, numpy_loaded
+
+
+def test_single_queries_do_not_load_numpy():
+    codes, numpy_loaded = run_main_fresh(*SINGLE_QUERIES)
+    assert codes == [0] * len(SINGLE_QUERIES)
+    assert not numpy_loaded
+
+
+@pytest.mark.parametrize("argv", NUMPY_PATHS.values(), ids=list(NUMPY_PATHS))
+def test_numpy_paths_run_in_a_fresh_interpreter(argv):
+    codes, numpy_loaded = run_main_fresh(argv)
+    assert codes == [0]
+    assert numpy_loaded
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=src_env(), capture_output=True, text=True)

@@ -18,12 +18,16 @@ from trinedisc.trine import (
     random_priors,
     transform_to_original,
     trine_measurement,
-    trine_perps,
     trine_projectors,
     trine_states,
 )
 
 IDENTITY = np.eye(2, dtype=complex)
+
+
+def trine_perps():
+    """The states orthogonal to the signals: antipodal on the equator."""
+    return [qubit.pure_state_from_equator_angle(a + math.pi) for a in TRINE_ANGLES]
 
 
 def ket_projector(psi):
