@@ -294,11 +294,9 @@ def cmd_optimal(args) -> int:
 
 
 def cmd_region(args) -> int:
-    import numpy as np
-
     _require_at_least("--grid", args.grid, 2)
     rows = []
-    for p in np.linspace(1.0 / 3.0, 0.5, args.grid):
+    for p in _p_axis(0.0, args.grid):
         for delta in _delta_axis(p, args.grid):
             rows.append(_sweep_row(priors_from_p_delta(float(p), float(delta))))
     with _open_out(args.out) as fh:
