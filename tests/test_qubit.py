@@ -301,3 +301,8 @@ class TestMeasurementBoundary:
         bad = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(DomainError):
             qubit.Measurement.from_matrices(((0, bad),))
+
+    def test_state_outcomes_take_python_and_numpy_integer_labels(self):
+        half = (1.0, 0.0, 0.0, 0.0)
+        m = qubit.Measurement(((np.int64(1), half), (qubit.INCONCLUSIVE, half), (2, half)))
+        assert [(k, int(lab)) for k, lab, _ in m.state_outcomes()] == [(0, 1), (2, 2)]
