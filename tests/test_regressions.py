@@ -11,15 +11,20 @@
   guard must not mistake that for a vanishing outcome.
 - The three-outcome success probability cross-check is ill-conditioned on
   the tie family (1 - 2e, e, e) for e near 1e-3; still open.
+- The max-confidence POVM, its oracle and ``confidence --sweep`` must call
+  the same priors pure: the sweep once dropped rows that the POVM answers.
 """
 
+import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from trinedisc.cli import main
-from trinedisc.errors import VerificationError
+from trinedisc.errors import PureStateError, VerificationError
 from trinedisc.max_confidence import (
     confidence,
     confidence_report,
@@ -28,7 +33,8 @@ from trinedisc.max_confidence import (
     min_error_confidence,
 )
 from trinedisc.min_error import optimal_measurement
-from trinedisc.trine import canonicalize_priors
+from trinedisc.oracle import brute_force_max_confidence
+from trinedisc.trine import canonicalize_priors, priors_from_p_delta
 
 NEAR_CORNER = [
     (0.998, 0.001, 0.001),
@@ -113,3 +119,50 @@ def test_edge_confidences_are_probabilities():
 def test_tie_family_three_outcome_cross_check():
     e = 8.354e-4
     optimal_measurement(canonicalize_priors(1.0 - 2.0 * e, e, e))
+
+
+def sweep_p_values(capsys, delta: float) -> list[float]:
+    """The p column of ``confidence --delta delta --sweep 2``."""
+    assert main(["confidence", "--delta", repr(delta), "--sweep", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return [float(row["p"]) for row in csv.DictReader(io.StringIO("\n".join(lines[1:])))]
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the sweep skips p0 >= 1 - 1e-9, a wider test than the POVM's")
+def test_confidence_sweep_keeps_answered_corner_row(capsys):
+    # the p = 1/2 row, priors (1 - 8e-10, 8e-10, 0), has a verified report
+    confidence_report(priors_from_p_delta(0.5, 0.4999999992))
+    assert len(sweep_p_values(capsys, 0.4999999992)) == 2
+
+
+#: The smallest delta whose p = 1/2 priors (1 - s, s, 0), s = 1/2 - delta,
+#: count as pure: 1.5 e2 <= 1e-9 first holds at s = 6.67e-10.
+PURE_EDGE_DELTA = 0.49999999933333333
+EDGE_DELTAS = [
+    0.5 - 8e-10,
+    math.nextafter(math.nextafter(PURE_EDGE_DELTA, 0.0), 0.0),
+    math.nextafter(PURE_EDGE_DELTA, 0.0),
+    PURE_EDGE_DELTA,
+    math.nextafter(PURE_EDGE_DELTA, 1.0),
+    0.5 - 6e-10,
+]
+
+
+def refuses(fn) -> bool:
+    try:
+        fn()
+    except PureStateError:
+        return True
+    return False
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="three purity tests with three thresholds")
+def test_pure_ensemble_refused_the_same_everywhere(capsys):
+    for delta in EDGE_DELTAS:
+        pr = priors_from_p_delta(0.5, delta)
+        pure = delta >= PURE_EDGE_DELTA
+        assert refuses(lambda: mc_povm(pr)) == pure
+        assert refuses(lambda: brute_force_max_confidence(pr, 0, 16, 0)) == pure
+        assert (0.5 not in sweep_p_values(capsys, delta)) == pure
