@@ -27,6 +27,7 @@ from contextlib import contextmanager
 from . import __version__
 from .errors import (
     DomainError,
+    PureStateError,
     TrineError,
     UndefinedError,
     VerificationError,
@@ -391,10 +392,10 @@ def cmd_confidence(args) -> int:
         _require_at_least("--sweep", args.sweep, 1)
         rows = []
         for p in _p_axis(args.delta, args.sweep):
-            priors = priors_from_p_delta(float(p), args.delta)
-            if priors.p0 >= 1.0 - 1e-9:
+            try:
+                rows.append(_confidence_row(priors_from_p_delta(float(p), args.delta)))
+            except PureStateError:
                 continue  # pure ensemble density: confidence undefined
-            rows.append(_confidence_row(priors))
         with _open_out(args.out) as fh:
             _write_csv(
                 fh,

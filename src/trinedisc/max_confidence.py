@@ -11,15 +11,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    PureStateError,
-    UndefinedError,
-    VerificationError,
-    ZeroOutcomeError,
-)
+from .errors import UndefinedError, VerificationError, ZeroOutcomeError
 from .qubit import INCONCLUSIVE, PSD_TOL, Measurement, born, rank_one
 from .min_error import optimal_measurement
-from .trine import TRINE_BLOCH, Priors, transform_to_original
+from .trine import TRINE_BLOCH, Priors, mixed_e2
 
 __all__ = [
     "ConfidenceReport",
@@ -33,11 +28,9 @@ __all__ = [
 #: An outcome whose ensemble probability is at most this fraction of its
 #: element's trace counts as never firing.
 _OUTCOME_TOL = 1e-14
-#: Purity Tr(rho^2) above 1 - PURITY_TOL counts as a pure ensemble.
-_PURITY_TOL = 1e-9
 
 
-def mc_povm(priors: Priors, tol: float = PSD_TOL) -> Measurement:
+def mc_povm(priors: Priors) -> Measurement:
     """Maximum-confidence POVM, completed with an inconclusive outcome.
 
     Element i is proportional to rho^{-1} rho_i rho^{-1}.  For
@@ -54,13 +47,12 @@ def mc_povm(priors: Priors, tol: float = PSD_TOL) -> Measurement:
     nonzero.  Every element is built exactly rank-1 (see
     :func:`~trinedisc.qubit.rank_one`), so the Born probabilities of the
     returned elements keep their relative accuracy where they are small.
-    Labels are in the caller's original state order.  Raises
-    PureStateError when the ensemble density matrix is pure.
+    The vectors depend on the priors only through rho, so they are built in
+    the caller's state order: labels 0, 1, 2, then inconclusive.  Raises
+    PureStateError when the ensemble is pure (:func:`~trinedisc.trine.mixed_e2`).
     """
-    q = priors.canonical
-    e2 = q[0] * q[1] + q[0] * q[2] + q[1] * q[2]
-    if 1.5 * e2 <= _PURITY_TOL:  # purity (1 + |r|^2)/2 = 1 - 3 e2 / 2
-        raise PureStateError(f"ensemble density matrix is pure within tolerance (priors {q})")
+    e2 = mixed_e2(priors)
+    q = priors.original
     rx = sum(qj * n[1] for qj, n in zip(q, TRINE_BLOCH))
     ry = sum(qj * n[2] for qj, n in zip(q, TRINE_BLOCH))
     raw = []
@@ -72,9 +64,9 @@ def mc_povm(priors: Priors, tol: float = PSD_TOL) -> Measurement:
     scale = 2.0 / (sum(math.hypot(*v) for v in raw) + math.hypot(x, y))
     elements = [(i, rank_one(scale * vx, scale * vy)) for i, (vx, vy) in enumerate(raw)]
     leftover = rank_one(-scale * x, -scale * y)
-    if leftover[0] > tol:
+    if leftover[0] > PSD_TOL:
         elements.append((INCONCLUSIVE, leftover))
-    return transform_to_original(elements, priors.permutation)
+    return Measurement(elements)
 
 
 def _joint(priors: Priors, element) -> list[float]:

@@ -25,7 +25,6 @@ from .errors import (
     ZeroPriorError,
 )
 from .qubit import (
-    PSD_TOL,
     Measurement,
     born,
     bloch_product,
@@ -238,7 +237,7 @@ def _three_element(priors: Priors, sol: GammaSolution) -> list:
         (j, (k, k * dx, k * dy, 0.0)) for j, (k, (dx, dy)) in enumerate(zip(weights, directions))
     ]
     # a negative weight is a negative element eigenvalue
-    validity = povm_validity([b for _, b in elements], PSD_TOL)
+    validity = povm_validity([b for _, b in elements])
     if not validity.is_valid:
         raise VerificationError(f"three-outcome POVM inside its region is invalid: {validity}")
     return elements
@@ -308,9 +307,7 @@ def _gamma(q: Sequence[float], elements) -> list[float]:
     return g
 
 
-def check_helstrom(
-    probabilities: Sequence[float], m: Measurement, tol: float = _HELSTROM_TOL
-) -> HelstromReport:
+def check_helstrom(probabilities: Sequence[float], m: Measurement) -> HelstromReport:
     """Verify the Helstrom conditions for a labeled measurement.
 
     ``probabilities[i]`` is the prior of trine state i and element labels
@@ -334,7 +331,7 @@ def check_helstrom(
     return HelstromReport(
         max_offdiag_residual=offdiag,
         min_global_eigenvalue=min_eig,
-        passes=(offdiag <= tol and min_eig >= -tol),
+        passes=(offdiag <= _HELSTROM_TOL and min_eig >= -_HELSTROM_TOL),
         success_probability=g,
     )
 

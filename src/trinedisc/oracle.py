@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError, PureStateError
+from .errors import DomainError
 from .qubit import Measurement, equator_element
-from .trine import TRINE_ANGLES, Priors, ensemble_density
+from .trine import TRINE_ANGLES, Priors, mixed_e2
 
 __all__ = [
     "OracleResult",
@@ -170,12 +170,10 @@ def brute_force_min_error(
 
     # three-outcome family, one t0 = grid[a] slice at a time, every input
     # read from per-call tables: sin(t2 - t1) is sd.T, sin(t0 - t2) the row
-    # sd[a] and sin(t1 - t0) the row sd.T[a].  State 0's overlaps are numpy
-    # scalars, as t0 is: a scalar squares through libm pow, one ulp off the
-    # array square at some resolutions (26, 39, 78, ...).
+    # sd[a] and sin(t1 - t0) the row sd.T[a]
     sd = np.sin(grid[:, None] - grid[None, :])
     sd_t = np.ascontiguousarray(sd.T)
-    overlap0 = [_overlap_sq(_STATE_ANGLES[0], t0) for t0 in grid]
+    overlap0 = _overlap_sq(_STATE_ANGLES[0], grid)
     overlap1 = _overlap_sq(_STATE_ANGLES[1], grid)[:, None]
     overlap2 = _overlap_sq(_STATE_ANGLES[2], grid)
     # the valid region can be thin near its boundary, so keep the best
@@ -238,11 +236,9 @@ def brute_force_max_confidence(
     """
     if resolution < 16:
         raise DomainError(f"resolution must be at least 16, got {resolution}")
+    mixed_e2(priors)  # the posterior needs a mixed ensemble density
     _bind_numpy()
     q = np.asarray(priors.original)
-    rho = ensemble_density(q)
-    if float(np.trace(rho @ rho).real) >= 1.0 - 1e-9:
-        raise PureStateError("confidence oracle needs a mixed ensemble density")
 
     def conf_fn(pts):
         t = pts[:, 0]

@@ -217,12 +217,12 @@ class Measurement:
         integer = _integer_types()
         return [(k, lab, b) for k, (lab, b) in enumerate(self.forms) if isinstance(lab, integer)]
 
-    def validity(self, tol: float = PSD_TOL) -> PovmValidity:
-        return povm_validity([b for _, b in self.forms], tol)
+    def validity(self) -> PovmValidity:
+        return povm_validity([b for _, b in self.forms])
 
 
-def povm_validity(forms: Sequence[Sequence[float]], tol: float) -> PovmValidity:
-    """Positivity and completeness of POVM elements given as Bloch forms."""
+def povm_validity(forms: Sequence[Sequence[float]]) -> PovmValidity:
+    """Positivity and completeness, within PSD_TOL, of POVM elements given as Bloch forms."""
     if not forms:
         raise DomainError("a POVM needs at least one element")
     min_eig = min(_smaller_eigenvalue(b) for b in forms)
@@ -230,7 +230,7 @@ def povm_validity(forms: Sequence[Sequence[float]], tol: float) -> PovmValidity:
     t, x, y, z = (sum(c) for c in zip(*forms))
     deviation = 0.5 * (abs(t - 2.0) + math.hypot(x, y, z))
     return PovmValidity(
-        is_valid=(min_eig >= -tol and deviation <= tol),
+        is_valid=(min_eig >= -PSD_TOL and deviation <= PSD_TOL),
         min_element_eigenvalue=min_eig,
         completeness_deviation=deviation,
     )

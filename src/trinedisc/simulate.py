@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, InsufficientDataError
-from .qubit import PSD_TOL, Measurement, born, povm_validity
+from .qubit import Measurement, born, povm_validity
 from .trine import TRINE_BLOCH, Priors
 
 __all__ = ["RNG_ALGORITHM", "EmpiricalResult", "estimate_success", "estimate_confidence"]
@@ -62,7 +62,7 @@ def _outcome_table(m: Measurement) -> np.ndarray:
     probabilities fail to sum to 1 within 1e-10.
     """
     forms = [b for _, b in m.forms]
-    validity = povm_validity(forms, PSD_TOL)
+    validity = povm_validity(forms)
     if not validity.is_valid:
         raise DomainError(f"measurement is not a valid POVM: {validity}")
     table = np.array([[born(n, b) for b in forms] for n in TRINE_BLOCH])

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .errors import DomainError, PureStateError
 from .qubit import (
     INCONCLUSIVE,
     Measurement,
@@ -32,7 +32,7 @@ __all__ = [
     "trine_projectors",
     "trine_measurement",
     "antitrine_measurement",
-    "ensemble_density",
+    "mixed_e2",
     "canonicalize_priors",
     "priors_from_p_delta",
     "random_priors",
@@ -45,6 +45,8 @@ TRINE_BLOCH = tuple(equator_element(1.0, a) for a in TRINE_ANGLES)
 
 _SUM_TOL = 1e-9
 _PARAM_TOL = 1e-12
+#: Purity Tr(rho^2) above 1 - _PURITY_TOL counts as a pure ensemble.
+_PURITY_TOL = 1e-9
 
 
 def trine_states() -> list[np.ndarray]:
@@ -67,13 +69,6 @@ def antitrine_measurement() -> Measurement:
     return Measurement(
         (j, equator_element(2.0 / 3.0, a + math.pi)) for j, a in enumerate(TRINE_ANGLES)
     )
-
-
-def ensemble_density(probabilities) -> np.ndarray:
-    """Average state sum_i q_i |psi_i><psi_i| (state-order probabilities)."""
-    import numpy as np
-
-    return from_bloch(np.asarray(probabilities, dtype=float) @ np.array(TRINE_BLOCH))
 
 
 @dataclass(frozen=True)
@@ -152,6 +147,20 @@ def priors_from_p_delta(p: float, delta: float) -> Priors:
     if delta > p + _PARAM_TOL:
         raise DomainError(f"delta={delta!r} violates delta <= p")
     return Priors(p + delta, p - delta, 1.0 - 2.0 * p)
+
+
+def mixed_e2(priors: Priors) -> float:
+    """e2 = p0 p1 + p0 p2 + p1 p2 of a mixed ensemble, in the caller's order.
+
+    The ensemble density has purity Tr(rho^2) = 1 - 3 e2 / 2, so this is
+    the one test of a pure ensemble: it raises PureStateError when
+    1.5 e2 <= 1e-9, where rho has no usable inverse.
+    """
+    q = priors.original
+    e2 = q[0] * q[1] + q[0] * q[2] + q[1] * q[2]
+    if 1.5 * e2 <= _PURITY_TOL:
+        raise PureStateError(f"ensemble density matrix is pure within tolerance (priors {q})")
+    return e2
 
 
 def random_priors(rng: np.random.Generator) -> Priors:

@@ -15,7 +15,6 @@ from trinedisc.trine import (
     TRINE_BLOCH,
     antitrine_measurement,
     canonicalize_priors,
-    ensemble_density,
     random_priors,
     trine_measurement,
     trine_projectors,
@@ -29,9 +28,9 @@ def projector(psi):
     return np.outer(psi, psi.conj())
 
 
-def validate_povm(elements, tol=qubit.PSD_TOL):
+def validate_povm(elements):
     """POVM validity of 2x2 matrices, read through their Bloch forms."""
-    return qubit.povm_validity([qubit.bloch_decomposition(e) for e in elements], tol)
+    return qubit.povm_validity([qubit.bloch_decomposition(e) for e in elements])
 
 
 def min_eigenvalue(m):
@@ -139,7 +138,7 @@ class TestValidatePovm:
             assert v.completeness_deviation < 1e-12
 
     def test_single_identity_valid(self):
-        assert qubit.povm_validity([(2.0, 0.0, 0.0, 0.0)], qubit.PSD_TOL).is_valid
+        assert qubit.povm_validity([(2.0, 0.0, 0.0, 0.0)]).is_valid
         assert validate_povm([IDENTITY]).is_valid
 
     def test_oversized_sum_invalid(self):
@@ -148,13 +147,13 @@ class TestValidatePovm:
             1.1 * np.diag([1.0, 0.0]).astype(complex),
             np.diag([0.0, 1.0]).astype(complex),
         ]
-        for v in (qubit.povm_validity(forms, qubit.PSD_TOL), validate_povm(elements)):
+        for v in (qubit.povm_validity(forms), validate_povm(elements)):
             assert not v.is_valid
             assert v.completeness_deviation == pytest.approx(0.1, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            qubit.povm_validity([], qubit.PSD_TOL)
+            qubit.povm_validity([])
 
 
 class TestEigenvalues:
@@ -210,9 +209,6 @@ class TestInversion:
         # direct summation oracle: the equal-prior mixture is maximally mixed
         rho = sum(projector(s) / 3.0 for s in trine_states())
         np.testing.assert_allclose(rho, 0.5 * IDENTITY, atol=1e-15)
-        np.testing.assert_allclose(
-            ensemble_density([1 / 3, 1 / 3, 1 / 3]), rho, atol=1e-15
-        )
         np.testing.assert_allclose(np.linalg.inv(rho), 2.0 * IDENTITY, atol=1e-12)
 
     def test_pure_state_rejected(self):
@@ -230,7 +226,7 @@ class TestInversion:
             pr = random_priors(rng)
             if pr.p0 > 1.0 - 1e-6:
                 continue
-            inv = np.linalg.inv(ensemble_density(pr.canonical))
+            inv = np.linalg.inv(sum(q * r for q, r in zip(pr.canonical, rhos)))
             m = mc_povm(canonicalize_priors(*pr.canonical))
             for i in range(3):
                 self.assert_proportional(m.element(i), inv @ rhos[i] @ inv)

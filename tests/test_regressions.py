@@ -128,8 +128,6 @@ def sweep_p_values(capsys, delta: float) -> list[float]:
     return [float(row["p"]) for row in csv.DictReader(io.StringIO("\n".join(lines[1:])))]
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="the sweep skips p0 >= 1 - 1e-9, a wider test than the POVM's")
 def test_confidence_sweep_keeps_answered_corner_row(capsys):
     # the p = 1/2 row, priors (1 - 8e-10, 8e-10, 0), has a verified report
     confidence_report(priors_from_p_delta(0.5, 0.4999999992))
@@ -157,8 +155,6 @@ def refuses(fn) -> bool:
     return False
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="three purity tests with three thresholds")
 def test_pure_ensemble_refused_the_same_everywhere(capsys):
     for delta in EDGE_DELTAS:
         pr = priors_from_p_delta(0.5, delta)

@@ -57,6 +57,26 @@ def test_only_qubit_reads_matrices_back():
     assert offenders == []
 
 
+def test_purity_is_tested_in_one_place():
+    # trine.mixed_e2 alone decides that an ensemble is pure
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "trinedisc").glob("*.py"))
+    }
+    raises = [
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and "PureStateError" in ast.unparse(node.exc)
+    ]
+    assert raises == ["trine.py"]
+    # the max-confidence POVM is built in the caller's frame, with no matrix trace
+    assert "transform_to_original" not in ast.unparse(trees["max_confidence.py"])
+    assert [name for name, tree in trees.items() if "np.trace" in ast.unparse(tree)] == []
+
+
 def test_cli_import_loads_every_layer():
     code = (
         "import json, sys, trinedisc.cli; "

@@ -13,7 +13,7 @@ from trinedisc.trine import (
     Priors,
     antitrine_measurement,
     canonicalize_priors,
-    ensemble_density,
+    mixed_e2,
     priors_from_p_delta,
     random_priors,
     transform_to_original,
@@ -32,6 +32,11 @@ def trine_perps():
 
 def ket_projector(psi):
     return np.outer(psi, psi.conj())
+
+
+def ensemble_density(probabilities):
+    """Average state sum_i q_i |psi_i><psi_i| as a matrix (state-order probabilities)."""
+    return qubit.from_bloch(np.asarray(probabilities, dtype=float) @ np.array(TRINE_BLOCH))
 
 
 class TestStates:
@@ -74,6 +79,15 @@ class TestStates:
         expected = sum(qi * p for qi, p in zip(q, trine_projectors()))
         np.testing.assert_allclose(rho, expected, atol=1e-15)
         assert float(np.trace(rho).real) == pytest.approx(1.0, abs=1e-12)
+
+    def test_mixed_e2_is_the_purity_deficit(self):
+        # 1 - Tr(rho^2) = 3 e2 / 2, against the matrix reference
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            pr = random_priors(rng)
+            rho = ensemble_density(pr.original)
+            purity = float(np.trace(rho @ rho).real)
+            assert 1.5 * mixed_e2(pr) == pytest.approx(1.0 - purity, abs=1e-15)
 
 
 class TestCanonicalization:
