@@ -135,7 +135,7 @@ def test_confidence_sweep_keeps_answered_corner_row(capsys):
 
 
 #: The smallest delta whose p = 1/2 priors (1 - s, s, 0), s = 1/2 - delta,
-#: count as pure: 1.5 e2 <= 1e-9 first holds at s = 6.67e-10.
+#: count as pure: 1.5 e2 <= 1e-9 first holds at s of about 6.67e-10.
 PURE_EDGE_DELTA = 0.49999999933333333
 EDGE_DELTAS = [
     0.5 - 8e-10,
