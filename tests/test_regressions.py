@@ -10,7 +10,11 @@
   element fires with probability of order (1 - p0)^2; the zero-outcome
   guard must not mistake that for a vanishing outcome.
 - The three-outcome success probability cross-check is ill-conditioned on
-  the tie family (1 - 2e, e, e) for e near 1e-3; still open.
+  the tie family (1 - 2e, e, e) for e near 1e-3, and ``curves`` meets it
+  at the delta = 3p - 1 endpoint for p just below 1/2; still open.
+- The (p, delta) form of the three-outcome value has a pole at
+  (4/9, 4/9, 1/9), a grid point of ``curves --delta-values 0`` whenever
+  steps - 1 is divisible by 3.
 - The max-confidence POVM, its oracle and ``confidence --sweep`` must call
   the same priors pure: the sweep once dropped rows that the POVM answers.
 """
@@ -119,6 +123,18 @@ def test_edge_confidences_are_probabilities():
 def test_tie_family_three_outcome_cross_check():
     e = 8.354e-4
     optimal_measurement(canonicalize_priors(1.0 - 2.0 * e, e, e))
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the same cross-check trips at the delta = 3p - 1 endpoint")
+def test_curves_near_half_p_three_outcome_cross_check(capsys):
+    assert main(["curves", "--p-values", "0.4999", "--steps", "5"]) == 0
+
+
+@pytest.mark.xfail(raises=ZeroDivisionError, strict=True,
+                   reason="the (p, delta) denominator is exactly 0 at (4/9, 4/9, 1/9)")
+def test_curves_through_the_three_outcome_pole(capsys):
+    assert main(["curves", "--delta-values", "0", "--steps", "40"]) == 0
 
 
 def sweep_p_values(capsys, delta: float) -> list[float]:
