@@ -328,8 +328,8 @@ def _curve_row(priors: Priors):
     p2el = p_correct_two_element(priors)
     try:
         p3el = p_correct_three_element(priors)
-    except ZeroPriorError:
-        p3el = None
+    except (ZeroPriorError, UndefinedError):
+        p3el = None  # a zero prior, or the pole at (4/9, 4/9, 1/9)
     return [
         *_prior_cells(priors),
         p2el,

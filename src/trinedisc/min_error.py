@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .errors import (
     DomainError,
     RegionError,
+    UndefinedError,
     VerificationError,
     ZeroPriorError,
 )
@@ -258,7 +259,9 @@ def p_correct_three_element(priors: Priors) -> float:
 
     Computed everywhere the priors are strictly positive, but only
     meaningful as a success probability where the boundary determinant is
-    negative.  Cross-checked against the equivalent (p, delta) form.
+    negative.  Cross-checked against the equivalent (p, delta) form.  Both
+    forms have a pole on the region boundary, at (4/9, 4/9, 1/9) for
+    delta = 0; a denominator that is exactly 0 raises UndefinedError.
     """
     q = priors.canonical
     if min(q) <= 0.0:
@@ -266,12 +269,14 @@ def p_correct_three_element(priors: Priors) -> float:
     p0, p1, p2 = q
     num = 2.0 * (p0 * p1 + p0 * p2 + p1 * p2)
     den = 2.0 - (p0 * p1 / p2 + p0 * p2 / p1 + p1 * p2 / p0)
-    value = num / den
     p, d = priors.p, priors.delta
     alt_num = 2.0 * (1.0 - 2.0 * p) * (p * p - d * d) * (3.0 * p * p + d * d - 2.0 * p)
     alt_den = (
         9.0 * p**4 - 4.0 * p**3 + 6.0 * p**2 * d**2 - 12.0 * p * d**2 + 4.0 * d**2 + d**4
     )
+    if den == 0.0 or alt_den == 0.0:
+        raise UndefinedError(f"three-element formula has a pole at {q}")
+    value = num / den
     alt = alt_num / alt_den
     # the (p, delta) denominator cancels near p2 -> 0, so the cross-check
     # tolerance is looser than the formula's own accuracy

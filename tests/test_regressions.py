@@ -131,10 +131,11 @@ def test_curves_near_half_p_three_outcome_cross_check(capsys):
     assert main(["curves", "--p-values", "0.4999", "--steps", "5"]) == 0
 
 
-@pytest.mark.xfail(raises=ZeroDivisionError, strict=True,
-                   reason="the (p, delta) denominator is exactly 0 at (4/9, 4/9, 1/9)")
 def test_curves_through_the_three_outcome_pole(capsys):
     assert main(["curves", "--delta-values", "0", "--steps", "40"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out.split("\n", 1)[1])))
+    pole = [r for r in rows if r["p"] == f"{4.0 / 9.0:.12g}"]
+    assert len(pole) == 1 and pole[0]["p_3el"] == ""
 
 
 def sweep_p_values(capsys, delta: float) -> list[float]:
