@@ -42,13 +42,11 @@ from .min_error import (
     p_correct_two_element,
     theta_two_element,
     three_element_measurement,
-    two_element_measurement,
 )
 from .oracle import (
     OracleResult,
     brute_force_max_confidence,
     brute_force_min_error,
-    measurement_from_parameters,
 )
 from .qubit import (
     INCONCLUSIVE,

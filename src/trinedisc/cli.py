@@ -11,12 +11,15 @@ header with the package version and the invoking flags.
 
 numpy is imported only by the sweeps and ``verify``, and through the
 oracle and the sampler, so single queries run without loading it.
+:func:`main` builds its parser on the first call and reuses it, so it can
+be called repeatedly in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import numbers
@@ -468,14 +471,16 @@ def cmd_verify(args) -> int:
 
 
 def _strategy_measurement(args, priors: Priors):
+    """The strategy's measurement, and its Helstrom report if already made."""
     if args.strategy == "optimal":
-        return optimal_measurement(priors).measurement
+        result = optimal_measurement(priors)
+        return result.measurement, result.helstrom
     if args.strategy == "trine":
-        return trine_measurement()
+        return trine_measurement(), None
     if args.strategy == "antitrine":
-        return antitrine_measurement()
+        return antitrine_measurement(), None
     if args.strategy == "maxconf":
-        return confidence_report(priors).measurement
+        return confidence_report(priors).measurement, None
     raise DomainError(f"unknown strategy {args.strategy!r}")
 
 
@@ -494,7 +499,7 @@ def cmd_simulate(args) -> int:
     _require_at_least("--seed", args.seed, 0)
     partitions = _default_partitions() if args.partitions is None else args.partitions
     priors = _priors_from_args(args)
-    m = _strategy_measurement(args, priors)
+    m, helstrom = _strategy_measurement(args, priors)
     if args.confidence_outcome is not None:
         result = estimate_confidence(
             priors, m, args.confidence_outcome, args.shots, args.seed, partitions
@@ -503,7 +508,9 @@ def cmd_simulate(args) -> int:
         quantity = "confidence"
     else:
         result = estimate_success(priors, m, args.shots, args.seed, partitions)
-        analytic = check_helstrom(priors.original, m).success_probability
+        if helstrom is None:
+            helstrom = check_helstrom(priors.original, m)
+        analytic = helstrom.success_probability
         quantity = "success_probability"
     se = result.standard_error
     payload = {
@@ -584,10 +591,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

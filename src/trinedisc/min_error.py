@@ -46,7 +46,6 @@ __all__ = [
     "OptimalResult",
     "BREAKDOWN_P",
     "theta_two_element",
-    "two_element_measurement",
     "p_correct_two_element",
     "boundary_matrix",
     "boundary_determinant",
@@ -80,11 +79,6 @@ def theta_two_element(priors: Priors) -> float:
 def _two_element(priors: Priors) -> list:
     theta = theta_two_element(priors)
     return [(0, equator_element(1.0, theta)), (1, equator_element(1.0, theta + math.pi))]
-
-
-def two_element_measurement(priors: Priors) -> Measurement:
-    """Projective measurement identifying states 0 and 1 (canonical frame)."""
-    return Measurement(_two_element(priors))
 
 
 def p_correct_two_element(priors: Priors) -> float:

@@ -18,19 +18,16 @@ search, not at import.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .qubit import Measurement, equator_element
 from .trine import TRINE_ANGLES, Priors, mixed_e2
 
 __all__ = [
     "OracleResult",
     "brute_force_min_error",
     "brute_force_max_confidence",
-    "measurement_from_parameters",
 ]
 
 np = None  # numpy, bound by _bind_numpy
@@ -57,6 +54,14 @@ class OracleResult:
     refinement_depth: int
     family: str  # "projective" | "three_outcome" | "single_element"
     labels: Optional[tuple[int, ...]] = None
+
+
+def _grid(resolution: int):
+    """The search axis 2 pi k / resolution, k < resolution, and its step."""
+    if resolution < 16:
+        raise DomainError(f"resolution must be at least 16, got {resolution}")
+    _bind_numpy()
+    return 2.0 * np.pi * np.arange(resolution) / resolution, 2.0 * np.pi / resolution
 
 
 def _cramer_weights(s21, s02, s10):
@@ -147,12 +152,8 @@ def brute_force_min_error(
     step-halving local refinements around the incumbent.  Fully
     deterministic; ties go to the lexicographically smallest parameters.
     """
-    if resolution < 16:
-        raise DomainError(f"resolution must be at least 16, got {resolution}")
-    _bind_numpy()
+    grid, step = _grid(resolution)
     q = np.asarray(priors.canonical)
-    grid = 2.0 * np.pi * np.arange(resolution) / resolution
-    step = 2.0 * np.pi / resolution
 
     # projective family
     values, pairs = _projective_values(q, grid)
@@ -234,10 +235,8 @@ def brute_force_max_confidence(
     whole parameter space.  ``i`` indexes the caller's original state
     order.
     """
-    if resolution < 16:
-        raise DomainError(f"resolution must be at least 16, got {resolution}")
+    grid, step = _grid(resolution)
     mixed_e2(priors)  # the posterior needs a mixed ensemble density
-    _bind_numpy()
     q = np.asarray(priors.original)
 
     def conf_fn(pts):
@@ -248,12 +247,9 @@ def brute_force_max_confidence(
             out = q[i] * c[i] / denom
         return np.where(denom > 1e-14, out, -np.inf)
 
-    grid = 2.0 * np.pi * np.arange(resolution) / resolution
     values = conf_fn(grid[:, None])
     i_best = int(np.argmax(values))
-    (point,), (value,) = _refine(
-        conf_fn, [[grid[i_best]]], 2.0 * np.pi / resolution, refinements
-    )
+    (point,), (value,) = _refine(conf_fn, [[grid[i_best]]], step, refinements)
     return OracleResult(
         best_value=float(value),
         best_parameters=(float(point[0]),),
@@ -262,26 +258,3 @@ def brute_force_max_confidence(
         family="single_element",
         labels=(i,),
     )
-
-
-def measurement_from_parameters(result: OracleResult) -> Measurement:
-    """Rebuild the POVM behind an oracle incumbent (for validation)."""
-    _bind_numpy()
-    if result.family == "projective":
-        t = result.best_parameters[0]
-        a, b = result.labels
-        return Measurement(
-            ((a, equator_element(1.0, t)), (b, equator_element(1.0, t + math.pi)))
-        )
-    if result.family == "three_outcome":
-        t0, t1, t2 = result.best_parameters
-        _, k0, k1, k2 = _cramer_weights(*_angle_sines(t0, t1, t2))
-        return Measurement(
-            (j, equator_element(float(k), t))
-            for j, (k, t) in enumerate(((k0, t0), (k1, t1), (k2, t2)))
-        )
-    if result.family == "single_element":
-        t = result.best_parameters[0]
-        return Measurement(((result.labels[0], equator_element(1.0, t)),))
-    raise DomainError(f"unknown oracle family {result.family!r}")
-

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from trinedisc.cli import _entries, _json_ready, main, sig12
+from trinedisc.min_error import check_helstrom, optimal_measurement
 from trinedisc.qubit import from_bloch
+from trinedisc.trine import canonicalize_priors
 
 
 def run(capsys, *argv):
@@ -349,3 +351,49 @@ class TestSimulate:
         # eliminatory labels never name the drawn state
         assert payload["analytic"] == pytest.approx(0.0, abs=1e-9)
         assert payload["estimate"] == 0.0
+
+    def test_optimal_analytic_is_the_helstrom_success_probability(self, capsys):
+        pr = canonicalize_priors(0.2, 0.5, 0.3)
+        code, out, _ = run(
+            capsys, "simulate", "--p0", "0.2", "--p1", "0.5", "--p2", "0.3",
+            "--shots", "1000",
+        )
+        assert code == 0
+        helstrom = check_helstrom(pr.original, optimal_measurement(pr).measurement)
+        assert json.loads(out)["analytic"] == sig12(helstrom.success_probability)
+
+
+SIMULATE = ["simulate", "--p0", "0.5", "--p1", "0.3", "--p2", "0.2", "--shots", "1000"]
+VERIFY = ["verify", "--samples", "1", "--resolution", "16", "--refinements", "1"]
+
+
+def integer_flag_commands() -> list[list[str]]:
+    """Every integer flag at 0 and -1, with small sizes elsewhere."""
+    commands = [["curves", "--delta-values", "0", "--steps", "40"]]
+    for v in ("0", "-1"):
+        commands += [
+            ["region", "--grid", v],
+            ["curves", "--p-values", "0.4", "--steps", v],
+            ["curves", "--delta-values", "0.1", "--steps", v],
+            ["confidence", "--delta", "0.05", "--sweep", v],
+            ["verify", "--samples", v, "--resolution", "16", "--refinements", "1"],
+            [*VERIFY, "--seed", v],
+            ["verify", "--samples", "1", "--resolution", v, "--refinements", "1"],
+            ["verify", "--samples", "1", "--resolution", "16", "--refinements", v],
+            ["simulate", "--p0", "0.5", "--p1", "0.3", "--p2", "0.2", "--shots", v],
+            [*SIMULATE, "--seed", v],
+            [*SIMULATE, "--partitions", v],
+            [*SIMULATE, "--confidence-outcome", v],
+            [*SIMULATE, "--strategy", "maxconf", "--confidence-outcome", v],
+        ]
+    return commands
+
+
+def test_integer_flags_never_exit_1(capsys):
+    # one process, one shared parser: the second pass, in reverse order,
+    # must print exactly what the first did
+    commands = integer_flag_commands()
+    first = {tuple(argv): run(capsys, *argv) for argv in commands}
+    assert {argv: code for argv, (code, _, _) in first.items() if code not in (0, 2)} == {}
+    again = {tuple(argv): run(capsys, *argv) for argv in reversed(commands)}
+    assert again == first

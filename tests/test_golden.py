@@ -154,8 +154,7 @@ def test_recording_covers_every_case(golden):
         assert golden[name]["argv"] == argv
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(golden, name):
+def assert_matches_golden(golden, name):
     code, out = run_cli(CASES[name])
     assert code == 0
     want = golden[name]["stdout"]
@@ -168,6 +167,19 @@ def test_cli_output_matches_golden(golden, name):
     else:
         diffs = compare_text(out, want)
     assert not diffs, "\n".join(diffs[:10])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(golden, name):
+    assert_matches_golden(golden, name)
+
+
+def test_goldens_hold_when_run_twice_in_one_process(golden):
+    # main reuses one parser for every call, so no call may leave state
+    # behind that changes the next one
+    names = sorted(CASES)
+    for name in names + names[::-1]:
+        assert_matches_golden(golden, name)
 
 
 def test_comparison_catches_a_changed_digit(golden):

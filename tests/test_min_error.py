@@ -20,7 +20,6 @@ from trinedisc.min_error import (
     theta_two_element,
     three_element_measurement,
     three_element_weights_raw,
-    two_element_measurement,
 )
 from trinedisc.trine import (
     antitrine_measurement,
@@ -40,6 +39,14 @@ def born_success(probabilities, m):
         probabilities[lab] * float(np.trace(rhos[lab] @ op).real)
         for lab, op in m.elements
         if lab != qubit.INCONCLUSIVE
+    )
+
+
+def two_element_measurement(priors):
+    """Projective measurement identifying states 0 and 1 (canonical frame)."""
+    theta = theta_two_element(priors)
+    return qubit.Measurement(
+        [(0, qubit.equator_element(1.0, theta)), (1, qubit.equator_element(1.0, theta + math.pi))]
     )
 
 

@@ -12,7 +12,6 @@ from trinedisc.oracle import (
     OracleResult,
     brute_force_max_confidence,
     brute_force_min_error,
-    measurement_from_parameters,
 )
 from trinedisc.trine import (
     TRINE_ANGLES,
@@ -36,6 +35,17 @@ def _planar_weights(t0, t1, t2):
         k1 = 2.0 * np.sin(t0 - t2) / d
         k2 = 2.0 * np.sin(t1 - t0) / d
     return d, k0, k1, k2
+
+
+def measurement_from_parameters(result: OracleResult) -> qubit.Measurement:
+    """Rebuild the POVM behind a minimum-error oracle incumbent."""
+    if result.family == "projective":
+        (t,), (a, b) = result.best_parameters, result.labels
+        elements = ((a, 1.0, t), (b, 1.0, t + math.pi))
+    else:
+        _, *weights = _planar_weights(*result.best_parameters)
+        elements = zip(result.labels, map(float, weights), result.best_parameters)
+    return qubit.Measurement((j, qubit.equator_element(k, t)) for j, k, t in elements)
 
 
 def _overlap_sq(state_angle, t):

@@ -89,6 +89,23 @@ def test_cli_import_loads_every_layer():
     assert {f"trinedisc.{m}" for m in LAYERS} <= loaded
 
 
+def test_cli_builds_its_parser_once_on_first_use():
+    code = (
+        "import contextlib, io, json, trinedisc.cli as cli\n"
+        "built = [cli._parser.cache_info().misses]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for _ in range(2):\n"
+        "        cli.main(['optimal', '--p', '0.4', '--delta', '0.1'])\n"
+        "        built.append(cli._parser.cache_info().misses)\n"
+        "print(json.dumps(built))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True
+    ).stdout
+    # none at import, one on the first call, none after
+    assert json.loads(out) == [0, 1, 1]
+
+
 #: Single queries, which must not load numpy.
 SINGLE_QUERIES = [
     ["optimal", "--p0", "0.34", "--p1", "0.33", "--p2", "0.33"],
