@@ -254,8 +254,8 @@ def p_correct_three_element(priors: Priors) -> float:
     Computed everywhere the priors are strictly positive, but only
     meaningful as a success probability where the boundary determinant is
     negative.  Cross-checked against the equivalent (p, delta) form.  Both
-    forms have a pole on the region boundary, at (4/9, 4/9, 1/9) for
-    delta = 0; a denominator that is exactly 0 raises UndefinedError.
+    forms have a pole outside the region, at (4/9, 4/9, 1/9) for delta = 0;
+    a denominator that is exactly 0 raises UndefinedError.
     """
     q = priors.canonical
     if min(q) <= 0.0:
