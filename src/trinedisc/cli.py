@@ -23,7 +23,6 @@ import functools
 import json
 import math
 import numbers
-import os
 import sys
 from contextlib import contextmanager
 
@@ -435,27 +434,20 @@ def cmd_verify(args) -> int:
     worst = {"kind": None, "priors": None, "difference": 0.0}
     for n in range(args.samples):
         priors = random_priors(rng)
-        _, closed, _ = optimal_branch(priors)
-        result = brute_force_min_error(priors, args.resolution, args.refinements)
-        diff = abs(result.best_value - closed)
-        if diff > worst["difference"]:
-            worst = {
-                "kind": "min_error",
-                "priors": list(priors.canonical),
-                "difference": diff,
-            }
         state = n % 3
+        _, closed_min, _ = optimal_branch(priors)
+        found_min = brute_force_min_error(priors, args.resolution, args.refinements)
         closed_conf = mc_confidence_closed_form(priors, state)
-        conf = brute_force_max_confidence(
+        found_conf = brute_force_max_confidence(
             priors, state, max(args.resolution, 360), args.refinements
         )
-        diff = abs(conf.best_value - closed_conf)
-        if diff > worst["difference"]:
-            worst = {
-                "kind": f"confidence_{state}",
-                "priors": list(priors.canonical),
-                "difference": diff,
-            }
+        for kind, closed, found in (
+            ("min_error", closed_min, found_min),
+            (f"confidence_{state}", closed_conf, found_conf),
+        ):
+            diff = abs(found.best_value - closed)
+            if diff > worst["difference"]:
+                worst = {"kind": kind, "priors": list(priors.canonical), "difference": diff}
     ok = worst["difference"] <= args.tolerance
     payload = {
         "samples": args.samples,
@@ -484,30 +476,19 @@ def _strategy_measurement(args, priors: Priors):
     raise DomainError(f"unknown strategy {args.strategy!r}")
 
 
-def _default_partitions() -> int:
-    """Partition count from ``TRINE_THREADS``: unset or empty means 1."""
-    text = os.environ.get("TRINE_THREADS", "").strip()
-    if not text:
-        return 1
-    if not text.isdecimal() or int(text) < 1:
-        raise DomainError(f"TRINE_THREADS must be a positive integer, got {text!r}")
-    return int(text)
-
-
 def cmd_simulate(args) -> int:
     _require_at_least("--shots", args.shots, 1)
     _require_at_least("--seed", args.seed, 0)
-    partitions = _default_partitions() if args.partitions is None else args.partitions
     priors = _priors_from_args(args)
     m, helstrom = _strategy_measurement(args, priors)
     if args.confidence_outcome is not None:
         result = estimate_confidence(
-            priors, m, args.confidence_outcome, args.shots, args.seed, partitions
+            priors, m, args.confidence_outcome, args.shots, args.seed, args.partitions
         )
         analytic = confidence(priors, m, args.confidence_outcome)
         quantity = "confidence"
     else:
-        result = estimate_success(priors, m, args.shots, args.seed, partitions)
+        result = estimate_success(priors, m, args.shots, args.seed, args.partitions)
         if helstrom is None:
             helstrom = check_helstrom(priors.original, m)
         analytic = helstrom.success_probability
@@ -531,7 +512,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call."""
     parser = argparse.ArgumentParser(
         prog="trinedisc",
         description="Optimal trine-state discrimination measurements",
@@ -582,19 +565,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--partitions",
         type=int,
-        default=None,
-        help="number of seeded partitions the shots are split over "
-        "(default: TRINE_THREADS, else 1)",
+        default=1,
+        help="number of seeded partitions the shots are split over (default: 1)",
     )
     p_sim.set_defaults(func=cmd_simulate)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` uses, built on its first call."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -108,18 +108,15 @@ def _angle_sines(t0, t1, t2):
     return np.sin(t2 - t1), np.sin(t0 - t2), np.sin(t1 - t0)
 
 
-def _projective_values(q, thetas):
-    """Best-labeled projective value at each angle; also the labeling."""
-    c = _overlap_sq(_STATE_ANGLES[:, None], thetas[None, :])  # (3, n)
-    c_flip = 1.0 - c  # overlap with the antipodal outcome
-    best = np.full(thetas.shape, -np.inf)
-    best_pair = np.zeros(thetas.shape, dtype=int)
-    for idx, (a, b) in enumerate(_LABEL_PAIRS):
-        v = q[a] * c[a] + q[b] * c_flip[b]
-        improve = v > best
-        best = np.where(improve, v, best)
-        best_pair = np.where(improve, idx, best_pair)
-    return best, best_pair
+def _projective_values(q, pairs, t):
+    """Born value of each labeled projective measurement at each angle.
+
+    Pair (a, b) puts outcome a along angle t and outcome b antipodal to
+    it; returns an (angles, pairs) array.
+    """
+    a, b = np.array(pairs).T
+    c = _overlap_sq(_STATE_ANGLES[None, :], t[:, None])  # (n, 3)
+    return q[a] * c[:, a] + q[b] * (1.0 - c[:, b])
 
 
 def _refine(value_fn, starts, start_step, refinements):
@@ -155,17 +152,14 @@ def brute_force_min_error(
     grid, step = _grid(resolution)
     q = np.asarray(priors.canonical)
 
-    # projective family
-    values, pairs = _projective_values(q, grid)
-    i_best = int(np.argmax(values))
-    labels = _LABEL_PAIRS[pairs[i_best]]
+    # projective family; the first angle-major maximum wins ties
+    i_best, pair = divmod(
+        int(np.argmax(_projective_values(q, _LABEL_PAIRS, grid))), len(_LABEL_PAIRS)
+    )
+    labels = _LABEL_PAIRS[pair]
 
     def proj_fn(pts):
-        a, b = labels
-        t = pts[:, 0]
-        return q[a] * _overlap_sq(_STATE_ANGLES[a], t) + q[b] * (
-            1.0 - _overlap_sq(_STATE_ANGLES[b], t)
-        )
+        return _projective_values(q, [labels], pts[:, 0])[:, 0]
 
     (proj_point,), (proj_value,) = _refine(proj_fn, [[grid[i_best]]], step, refinements)
 

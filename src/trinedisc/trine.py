@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, PureStateError
-from .qubit import (
-    INCONCLUSIVE,
-    Measurement,
-    equator_element,
-    from_bloch,
-    pure_state_from_equator_angle,
-)
+from .qubit import Measurement, equator_element, from_bloch, pure_state_from_equator_angle
 
 if TYPE_CHECKING:
     import numpy as np
@@ -183,7 +177,7 @@ def _permutation_map(permutation) -> tuple[int, float]:
 
 
 def transform_to_original(elements, permutation) -> Measurement:
-    """Carry canonical-frame (label, Bloch form) elements to the caller's order.
+    """Carry canonical-frame (state label, Bloch form) elements to the caller's order.
 
     Each Bloch vector is rotated (and reflected, for odd permutations) in
     the equator plane so that alignment with canonical state c becomes
@@ -199,7 +193,6 @@ def transform_to_original(elements, permutation) -> Measurement:
         gap = t - math.hypot(x, y, z)
         y = eps * y
         x, y = cos_a * x - sin_a * y, sin_a * x + cos_a * y
-        new_label = label if label == INCONCLUSIVE else permutation[label]
-        out.append((new_label, (gap + math.hypot(x, y, z), x, y, z)))
-    out.sort(key=lambda pair: (pair[0] == INCONCLUSIVE, str(pair[0])))
+        out.append((permutation[label], (gap + math.hypot(x, y, z), x, y, z)))
+    out.sort(key=lambda pair: pair[0])
     return Measurement(out)

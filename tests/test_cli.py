@@ -305,27 +305,16 @@ class TestSimulate:
         _, out_b, _ = run(capsys, *argv)
         assert json.loads(out_a) == json.loads(out_b)
 
-    def test_thread_env_sets_partitions(self, capsys, monkeypatch):
+    def test_partitions_default_to_one_whatever_the_environment(self, capsys, monkeypatch):
+        # TRINE_THREADS once set the default partition count; nothing reads it now
         monkeypatch.setenv("TRINE_THREADS", "4")
         argv = (
             "simulate", "--p", "0.4", "--delta", "0.1",
             "--shots", "10000", "--seed", "9",
         )
-        _, out_env, _ = run(capsys, *argv)
-        monkeypatch.delenv("TRINE_THREADS")
-        _, out_plain, _ = run(capsys, *argv, "--partitions", "4")
-        assert json.loads(out_env) == json.loads(out_plain)
-
-    @pytest.mark.parametrize("value", ["abc", "-3"])
-    def test_rejects_invalid_thread_env(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("TRINE_THREADS", value)
-        code, out, err = run(
-            capsys, "simulate", "--p", "0.4", "--delta", "0.1",
-            "--shots", "10000", "--seed", "9",
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "TRINE_THREADS" in err
+        code, out_default, _ = run(capsys, *argv)
+        assert code == 0
+        assert out_default == run(capsys, *argv, "--partitions", "1")[1]
 
     def test_rejects_zero_shots(self, capsys):
         assert run(

@@ -57,6 +57,18 @@ def test_only_qubit_reads_matrices_back():
     assert offenders == []
 
 
+def test_no_module_reads_the_environment():
+    # every setting is a command-line flag or a keyword, never an environment variable
+    offenders = [
+        path.name
+        for path in sorted((SRC / "trinedisc").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.alias) and node.name in ("environ", "getenv"))
+    ]
+    assert offenders == []
+
+
 def test_purity_is_tested_in_one_place():
     # trine.mixed_e2 alone decides that an ensemble is pure
     trees = {

@@ -230,13 +230,6 @@ class TestFrameTransform:
             )
             np.testing.assert_allclose(b, b.conj().T, atol=1e-12)
 
-    def test_inconclusive_label_survives_and_sorts_last(self):
-        m = qubit.Measurement.from_matrices(
-            ((qubit.INCONCLUSIVE, 0.4 * IDENTITY), (0, 0.6 * IDENTITY))
-        )
-        out = transform_to_original(m.forms, (2, 1, 0))
-        assert out.labels == (2, qubit.INCONCLUSIVE)
-
 
 class TestEnsemble:
     def test_priors_with_states_and_perps(self):
