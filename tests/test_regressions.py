@@ -17,6 +17,9 @@
   steps - 1 is divisible by 3.
 - The max-confidence POVM, its oracle and ``confidence --sweep`` must call
   the same priors pure: the sweep once dropped rows that the POVM answers.
+- The <psi_j| Gamma^{-1} |psi_j> = 1/p_j check of the three-outcome
+  construction must allow for the rounding of its own summands, which grow
+  like 1/e on the tie edge (1 - 2e, e, e).
 """
 
 import csv
@@ -36,7 +39,11 @@ from trinedisc.max_confidence import (
     mc_povm,
     min_error_confidence,
 )
-from trinedisc.min_error import optimal_measurement
+from trinedisc.min_error import (
+    gamma_three_element,
+    optimal_measurement,
+    three_element_weights_raw,
+)
 from trinedisc.oracle import brute_force_max_confidence
 from trinedisc.trine import canonicalize_priors, priors_from_p_delta
 
@@ -129,6 +136,15 @@ def test_tie_family_three_outcome_cross_check():
                    reason="the same cross-check trips at the delta = 3p - 1 endpoint")
 def test_curves_near_half_p_three_outcome_cross_check(capsys):
     assert main(["curves", "--p-values", "0.4999", "--steps", "5"]) == 0
+
+
+@pytest.mark.xfail(raises=VerificationError, strict=True,
+                   reason="the 1/p_j check has a fixed 1e-10 relative tolerance")
+@pytest.mark.parametrize("e", [1e-7, 1e-9])
+@pytest.mark.parametrize("fn", [gamma_three_element, three_element_weights_raw])
+def test_gamma_inverse_check_on_the_tie_edge(fn, e):
+    # outside the three-outcome region, but public callers reach it
+    fn(canonicalize_priors(1.0 - 2.0 * e, e, e))
 
 
 def test_curves_through_the_three_outcome_pole(capsys):
