@@ -65,6 +65,7 @@ BREAKDOWN_P = 4.0 / (9.0 + math.sqrt(3.0))
 
 _TIE_TOL = 1e-12
 _HELSTROM_TOL = 1e-9
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def theta_two_element(priors: Priors) -> float:
@@ -171,7 +172,9 @@ def gamma_three_element(priors: Priors) -> GammaSolution:
 
     The defining relations <psi_j| Gamma^{-1} |psi_j> = 1/p_j reduce, with
     the in-plane symmetry b_z = 0, to a linear system with the closed-form
-    solution below; each relation is re-verified to 1e-10.
+    solution below.  Each relation (a + n_j.b)/2 is re-verified to 16 unit
+    roundoffs of its summands' scale (|a| + |n_x b_x| + |n_y b_y|)/2, which
+    grows like 1/p2 on the tie edge.
     """
     q = priors.canonical
     if min(q) <= 0.0:
@@ -184,7 +187,8 @@ def gamma_three_element(priors: Priors) -> GammaSolution:
     p_corr = 4.0 * a / (a * a - b_x * b_x - b_y * b_y)
     for n, qj in zip(TRINE_BLOCH, q):
         val = trace_product(n, (a, b_x, b_y, 0.0))
-        if abs(val - 1.0 / qj) > 1e-10 * max(1.0, 1.0 / qj):
+        scale = 0.5 * (abs(a) + abs(n[1] * b_x) + abs(n[2] * b_y))
+        if abs(val - 1.0 / qj) > 16.0 * _UNIT_ROUNDOFF * scale:
             raise VerificationError("Gamma^{-1} expectation does not match 1/p_j")
     return GammaSolution(a, b_x, b_y, p_corr)
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trinedisc import qubit
-from trinedisc.errors import RegionError, ZeroPriorError
+from trinedisc import min_error, qubit
+from trinedisc.errors import RegionError, VerificationError, ZeroPriorError
 from trinedisc.min_error import (
     BREAKDOWN_P,
     boundary_determinant,
@@ -170,6 +170,18 @@ class TestThreeElement:
             assert float(np.trace(sol.gamma).real) == pytest.approx(
                 sol.p_corr, abs=1e-10
             )
+
+    def test_gamma_inverse_check_trips_on_a_small_fault(self, monkeypatch):
+        # a relative error of 1e-12 in <psi_j| Gamma^{-1} |psi_j> passed the
+        # old fixed 1e-10 tolerance; the roundoff bound catches it
+        pr = canonicalize_priors(0.4, 0.35, 0.25)
+        gamma_three_element(pr)
+        exact = min_error.trace_product
+        monkeypatch.setattr(
+            min_error, "trace_product", lambda a, b: exact(a, b) * (1.0 + 1e-12)
+        )
+        with pytest.raises(VerificationError):
+            gamma_three_element(pr)
 
     def test_povm_validity_inside_region(self):
         rng = np.random.default_rng(41)

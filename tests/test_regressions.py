@@ -138,8 +138,6 @@ def test_curves_near_half_p_three_outcome_cross_check(capsys):
     assert main(["curves", "--p-values", "0.4999", "--steps", "5"]) == 0
 
 
-@pytest.mark.xfail(raises=VerificationError, strict=True,
-                   reason="the 1/p_j check has a fixed 1e-10 relative tolerance")
 @pytest.mark.parametrize("e", [1e-7, 1e-9])
 @pytest.mark.parametrize("fn", [gamma_three_element, three_element_weights_raw])
 def test_gamma_inverse_check_on_the_tie_edge(fn, e):
