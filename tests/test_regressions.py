@@ -14,7 +14,8 @@
   at the delta = 3p - 1 endpoint for p just below 1/2; still open.
 - The (p, delta) form of the three-outcome value has a pole at
   (4/9, 4/9, 1/9), a grid point of ``curves --delta-values 0`` whenever
-  steps - 1 is divisible by 3.
+  steps - 1 is divisible by 3.  Within about 1e-8 of it both forms are
+  near 3.7e6 and their cross-check trips; still open.
 - The max-confidence POVM, its oracle and ``confidence --sweep`` must call
   the same priors pure: the sweep once dropped rows that the POVM answers.
 - The <psi_j| Gamma^{-1} |psi_j> = 1/p_j check of the three-outcome
@@ -150,6 +151,13 @@ def test_curves_through_the_three_outcome_pole(capsys):
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out.split("\n", 1)[1])))
     pole = [r for r in rows if r["p"] == f"{4.0 / 9.0:.12g}"]
     assert len(pole) == 1 and pole[0]["p_3el"] == ""
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="both three-outcome forms are about 3.7e6 next to the pole "
+                          "and disagree beyond the cross-check")
+def test_curves_next_to_the_three_outcome_pole(capsys):
+    assert main(["curves", "--p-values", "0.44444444", "--steps", "3"]) == 0
 
 
 def sweep_p_values(capsys, delta: float) -> list[float]:
