@@ -306,7 +306,7 @@ class TestSimulate:
         assert json.loads(out_a) == json.loads(out_b)
 
     def test_partitions_default_to_one_whatever_the_environment(self, capsys, monkeypatch):
-        # TRINE_THREADS once set the default partition count; nothing reads it now
+        # the default partition count is 1 whatever the environment holds
         monkeypatch.setenv("TRINE_THREADS", "4")
         argv = (
             "simulate", "--p", "0.4", "--delta", "0.1",

@@ -172,8 +172,8 @@ class TestThreeElement:
             )
 
     def test_gamma_inverse_check_trips_on_a_small_fault(self, monkeypatch):
-        # a relative error of 1e-12 in <psi_j| Gamma^{-1} |psi_j> passed the
-        # old fixed 1e-10 tolerance; the roundoff bound catches it
+        # a relative error of 1e-12 in <psi_j| Gamma^{-1} |psi_j> is far above
+        # the roundoff of its summands at ordinary priors, so the check trips
         pr = canonicalize_priors(0.4, 0.35, 0.25)
         gamma_three_element(pr)
         exact = min_error.trace_product
