@@ -12,7 +12,6 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     PureStateError,
-    RegionError,
     TrineError,
     UndefinedError,
     VerificationError,
@@ -33,7 +32,6 @@ from .min_error import (
     HelstromReport,
     OptimalResult,
     boundary_determinant,
-    boundary_matrix,
     check_helstrom,
     critical_delta,
     gamma_three_element,
@@ -41,19 +39,13 @@ from .min_error import (
     p_correct_three_element,
     p_correct_two_element,
     theta_two_element,
-    three_element_measurement,
 )
 from .oracle import (
     OracleResult,
     brute_force_max_confidence,
     brute_force_min_error,
 )
-from .qubit import (
-    INCONCLUSIVE,
-    Measurement,
-    PovmValidity,
-    pure_state_from_equator_angle,
-)
+from .qubit import INCONCLUSIVE, Measurement, PovmValidity
 from .simulate import EmpiricalResult, estimate_confidence, estimate_success
 from .trine import (
     Priors,
@@ -62,5 +54,4 @@ from .trine import (
     priors_from_p_delta,
     random_priors,
     trine_measurement,
-    trine_states,
 )

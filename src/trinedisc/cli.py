@@ -22,7 +22,6 @@ import csv
 import functools
 import json
 import math
-import numbers
 import sys
 from contextlib import contextmanager
 
@@ -101,12 +100,6 @@ def _json_ready(obj):
         return {str(k): _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, numbers.Integral):
-        return int(obj)
-    if isinstance(obj, numbers.Real):
-        return sig12(float(obj))
     return obj
 
 

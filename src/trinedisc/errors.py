@@ -17,10 +17,6 @@ class ZeroPriorError(TrineError, ZeroDivisionError):
     """A formula requiring strictly positive priors received a zero prior."""
 
 
-class RegionError(TrineError):
-    """Three-outcome construction requested outside its validity region."""
-
-
 class VerificationError(TrineError):
     """Two redundant internal computations of the same quantity disagree."""
 

@@ -16,29 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import (
-    DomainError,
-    RegionError,
-    UndefinedError,
-    VerificationError,
-    ZeroPriorError,
-)
+from .errors import DomainError, UndefinedError, VerificationError, ZeroPriorError
 from .qubit import (
     Measurement,
     born,
     bloch_product,
     equator_element,
-    from_bloch,
     operator_norm,
     povm_validity,
     trace_product,
 )
 from .trine import TRINE_BLOCH, Priors, transform_to_original
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "GammaSolution",
@@ -47,12 +37,10 @@ __all__ = [
     "BREAKDOWN_P",
     "theta_two_element",
     "p_correct_two_element",
-    "boundary_matrix",
     "boundary_determinant",
     "critical_delta",
     "gamma_three_element",
     "three_element_weights_raw",
-    "three_element_measurement",
     "p_correct_three_element",
     "check_helstrom",
     "optimal_branch",
@@ -98,20 +86,11 @@ def p_correct_two_element(priors: Priors) -> float:
     return value
 
 
-def boundary_matrix(priors: Priors) -> np.ndarray:
-    """M = sum_i p_i rho_i pi_i - p2 rho_2 for the two-outcome measurement.
-
-    Positivity of M is the remaining Helstrom condition for the
-    two-outcome strategy to stay optimal once state 2 joins the ensemble.
-    """
-    gamma = _gamma(priors.canonical, _two_element(priors))
-    return from_bloch([g - priors.p2 * n for g, n in zip(gamma, TRINE_BLOCH[2])])
-
-
 def boundary_determinant(priors: Priors) -> float:
     """det M as an explicit quartic polynomial in (p0, p1).
 
-    Positive sign means the two-outcome measurement is globally optimal.
+    M = Herm(p0 rho_0 pi_0 + p1 rho_1 pi_1) - p2 rho_2 for the two-outcome
+    measurement (pi_0, pi_1); a positive sign means it is globally optimal.
     """
     x, y = priors.p0, priors.p1
     return (
@@ -149,22 +128,17 @@ def critical_delta(p: float) -> Optional[float]:
 
 @dataclass(frozen=True)
 class GammaSolution:
-    """Lagrangian operator for the three-outcome branch.
+    """Lagrangian operator Gamma of the three-outcome branch, in Bloch components.
 
     ``(a, b_x, b_y)`` are the Bloch components of Gamma^{-1} = (a I + b.sigma)/2;
-    ``p_corr`` = 4a/(a^2 - |b|^2) = Tr(Gamma).
+    ``p_corr`` = 4a/(a^2 - |b|^2) = Tr(Gamma), and Gamma itself is
+    (p_corr I + c.sigma)/2 with c = -(p_corr / a) b.
     """
 
     a: float
     b_x: float
     b_y: float
     p_corr: float
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """Gamma = (p_corr I + c.sigma)/2 as a 2x2 matrix, c = -(p_corr / a) b."""
-        c = -self.p_corr / self.a
-        return from_bloch((self.p_corr, c * self.b_x, c * self.b_y, 0.0))
 
 
 def gamma_three_element(priors: Priors) -> GammaSolution:
@@ -218,19 +192,15 @@ def three_element_weights_raw(priors: Priors) -> tuple[list, list[float]]:
     Returns ``(directions, weights)``: for each j the unit equator vector
     of the outcome state, which spans the kernel of the rank-1 operator
     N_j = Gamma - p_j rho_j and so points against its Bloch vector
-    c - p_j n_j, and the weight k_j solving completeness.  No validity
-    checks: outside the three-outcome region some weight goes negative,
-    which is exactly what the region diagnostics look at.
+    c - p_j n_j, and the weight k_j solving completeness.  This is the
+    unchecked construction: outside the three-outcome region some weight
+    goes negative, and the breakdown-point tests bisect on that sign.
     """
     return _outcomes(priors.canonical, gamma_three_element(priors))
 
 
 def _three_element(priors: Priors, sol: GammaSolution) -> list:
-    det = boundary_determinant(priors)
-    if det >= 0.0:
-        raise RegionError(
-            f"three-outcome construction is invalid for det(M) = {det!r} >= 0"
-        )
+    # optimal_branch has already put det M below -1e-12
     directions, weights = _outcomes(priors.canonical, sol)
     elements = [
         (j, (k, k * dx, k * dy, 0.0)) for j, (k, (dx, dy)) in enumerate(zip(weights, directions))
@@ -240,16 +210,6 @@ def _three_element(priors: Priors, sol: GammaSolution) -> list:
     if not validity.is_valid:
         raise VerificationError(f"three-outcome POVM inside its region is invalid: {validity}")
     return elements
-
-
-def three_element_measurement(priors: Priors) -> Measurement:
-    """Extract the optimal three-outcome POVM (canonical frame).
-
-    Only meaningful where the boundary determinant is negative; elsewhere
-    the construction would produce a non-positive element and raises
-    RegionError instead.
-    """
-    return Measurement(_three_element(priors, gamma_three_element(priors)))
 
 
 def p_correct_three_element(priors: Priors) -> float:

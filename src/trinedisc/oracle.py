@@ -50,8 +50,6 @@ class OracleResult:
 
     best_value: float
     best_parameters: tuple[float, ...]
-    grid_resolution: int
-    refinement_depth: int
     family: str  # "projective" | "three_outcome" | "single_element"
     labels: Optional[tuple[int, ...]] = None
 
@@ -205,16 +203,12 @@ def brute_force_min_error(
         return OracleResult(
             best_value=tri_value,
             best_parameters=tuple(float(t) for t in tri_point),
-            grid_resolution=resolution,
-            refinement_depth=refinements,
             family="three_outcome",
             labels=(0, 1, 2),
         )
     return OracleResult(
         best_value=float(proj_value),
         best_parameters=(float(proj_point[0]),),
-        grid_resolution=resolution,
-        refinement_depth=refinements,
         family="projective",
         labels=labels,
     )
@@ -247,8 +241,6 @@ def brute_force_max_confidence(
     return OracleResult(
         best_value=float(value),
         best_parameters=(float(point[0]),),
-        grid_resolution=resolution,
-        refinement_depth=refinements,
         family="single_element",
         labels=(i,),
     )

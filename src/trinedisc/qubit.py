@@ -35,7 +35,6 @@ __all__ = [
     "INCONCLUSIVE",
     "Measurement",
     "PovmValidity",
-    "pure_state_from_equator_angle",
     "equator_element",
     "trace_product",
     "born",
@@ -54,15 +53,6 @@ PSD_TOL = 1e-10
 #: Largest anti-Hermitian part, relative to the largest entry, that an
 #: incoming matrix may carry.
 _HERMITICITY_TOL = 1e-12
-
-
-def pure_state_from_equator_angle(phi: float) -> np.ndarray:
-    """Equatorial pure state (|0> + e^{i phi}|1>)/sqrt(2)."""
-    import numpy as np
-
-    if not math.isfinite(phi):
-        raise DomainError(f"equator angle must be finite, got {phi!r}")
-    return np.array([1.0, np.exp(1j * phi)], dtype=complex) / np.sqrt(2.0)
 
 
 def equator_element(weight: float, angle: float) -> tuple:
@@ -199,15 +189,6 @@ class Measurement:
     @property
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.forms)
-
-    def element(self, label) -> np.ndarray:
-        for lab, b in self.forms:
-            if lab == label:
-                return from_bloch(b)
-        raise KeyError(f"no element labeled {label!r}")
-
-    def operators(self) -> list[np.ndarray]:
-        return [from_bloch(b) for _, b in self.forms]
 
     def state_outcomes(self) -> list[tuple[int, int, tuple]]:
         """(outcome index, label, form) of each outcome that names a trine state.

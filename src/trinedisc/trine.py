@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, PureStateError
-from .qubit import Measurement, equator_element, from_bloch, pure_state_from_equator_angle
+from .qubit import Measurement, equator_element
 
 if TYPE_CHECKING:
     import numpy as np
@@ -22,8 +22,6 @@ __all__ = [
     "TRINE_ANGLES",
     "TRINE_BLOCH",
     "Priors",
-    "trine_states",
-    "trine_projectors",
     "trine_measurement",
     "antitrine_measurement",
     "mixed_e2",
@@ -41,14 +39,6 @@ _SUM_TOL = 1e-9
 _PARAM_TOL = 1e-12
 #: Purity Tr(rho^2) above 1 - _PURITY_TOL counts as a pure ensemble.
 _PURITY_TOL = 1e-9
-
-
-def trine_states() -> list[np.ndarray]:
-    return [pure_state_from_equator_angle(a) for a in TRINE_ANGLES]
-
-
-def trine_projectors() -> list[np.ndarray]:
-    return [from_bloch(n) for n in TRINE_BLOCH]
 
 
 def trine_measurement() -> Measurement:

@@ -22,7 +22,6 @@ from trinedisc.max_confidence import (
 from trinedisc.min_error import (
     BREAKDOWN_P,
     boundary_determinant,
-    boundary_matrix,
     check_helstrom,
     critical_delta,
     optimal_measurement,
@@ -39,8 +38,9 @@ from trinedisc.trine import (
     priors_from_p_delta,
     random_priors,
     trine_measurement,
-    trine_projectors,
 )
+
+from reference import boundary_matrix, element
 
 
 _PENDING_LINES = []
@@ -84,7 +84,7 @@ def test_criterion_01_equal_prior_optimum(capsys):
     for item in payload["elements"]:
         got = np.array(item["entries_real"]) + 1j * np.array(item["entries_imag"])
         element_err = max(
-            element_err, float(np.max(np.abs(got - ref.element(item["label"]))))
+            element_err, float(np.max(np.abs(got - element(ref, item["label"]))))
         )
     value_err = abs(payload["p_correct"] - 2 / 3)
     ok = code == 0 and element_err < 1e-10 and value_err < 1e-12

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trinedisc import min_error, qubit
-from trinedisc.errors import RegionError, VerificationError, ZeroPriorError
+from trinedisc.errors import VerificationError, ZeroPriorError
 from trinedisc.min_error import (
     BREAKDOWN_P,
     boundary_determinant,
-    boundary_matrix,
     check_helstrom,
     critical_delta,
     gamma_three_element,
@@ -18,7 +17,6 @@ from trinedisc.min_error import (
     p_correct_three_element,
     p_correct_two_element,
     theta_two_element,
-    three_element_measurement,
     three_element_weights_raw,
 )
 from trinedisc.trine import (
@@ -27,6 +25,13 @@ from trinedisc.trine import (
     priors_from_p_delta,
     random_priors,
     trine_measurement,
+)
+
+from reference import (
+    boundary_matrix,
+    element,
+    gamma_matrix,
+    three_element_measurement,
     trine_projectors,
     trine_states,
 )
@@ -152,7 +157,7 @@ class TestThreeElement:
         m = three_element_measurement(pr)
         ref = trine_measurement()
         for j in range(3):
-            np.testing.assert_allclose(m.element(j), ref.element(j), atol=1e-10)
+            np.testing.assert_allclose(element(m, j), element(ref, j), atol=1e-10)
         assert p_correct_three_element(pr) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_gamma_inverse_expectations(self):
@@ -163,11 +168,11 @@ class TestThreeElement:
             if pr.p2 <= 1e-6:
                 continue
             sol = gamma_three_element(pr)
-            gamma_inv = np.linalg.inv(sol.gamma)
+            gamma_inv = np.linalg.inv(gamma_matrix(sol))
             for psi, q in zip(states, pr.canonical):
                 val = float(np.real(np.vdot(psi, gamma_inv @ psi)))
                 assert val == pytest.approx(1.0 / q, rel=1e-9)
-            assert float(np.trace(sol.gamma).real) == pytest.approx(
+            assert float(np.trace(gamma_matrix(sol)).real) == pytest.approx(
                 sol.p_corr, abs=1e-10
             )
 
@@ -198,9 +203,11 @@ class TestThreeElement:
             )
             checked += 1
 
-    def test_rejects_outside_region(self):
-        with pytest.raises(RegionError):
-            three_element_measurement(priors_from_p_delta(0.48, 0.3))
+    def test_unchecked_povm_has_a_negative_element_outside_region(self):
+        pr = priors_from_p_delta(0.48, 0.3)
+        assert boundary_determinant(pr) > 0.0
+        v = three_element_measurement(pr).validity()
+        assert not v.is_valid and v.min_element_eigenvalue < 0.0
 
     def test_rejects_zero_prior(self):
         with pytest.raises(ZeroPriorError):
@@ -263,6 +270,20 @@ class TestOptimal:
         res = optimal_measurement(canonicalize_priors(0.5, 0.5, 0.0))
         assert res.strategy == "two_element"
         assert res.p_correct == pytest.approx((2.0 + math.sqrt(3.0)) / 4.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "triple, strategy",
+        [((0.5, 0.3, 0.2), "two_element"), ((0.34, 0.33, 0.33), "three_element")],
+    )
+    def test_determinant_evaluated_once(self, monkeypatch, triple, strategy):
+        calls = []
+        quartic = min_error.boundary_determinant
+        monkeypatch.setattr(
+            min_error, "boundary_determinant", lambda pr: calls.append(pr) or quartic(pr)
+        )
+        res = optimal_measurement(canonicalize_priors(*triple))
+        assert res.strategy == strategy
+        assert len(calls) == 1
 
     def test_dispatch_matches_determinant_sign(self):
         rng = np.random.default_rng(43)

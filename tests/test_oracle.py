@@ -17,8 +17,9 @@ from trinedisc.trine import (
     TRINE_ANGLES,
     canonicalize_priors,
     random_priors,
-    trine_projectors,
 )
+
+from reference import trine_projectors
 
 # Reference oracle: the straightforward evaluation the table-driven one
 # must reproduce bit for bit.  Each t0 slice evaluates every sine and
@@ -135,12 +136,10 @@ def reference_min_error(priors, resolution, refinements):
             tri_point, tri_value = point, value
     if tri_value > proj_value:
         return OracleResult(
-            tri_value, tuple(float(t) for t in tri_point), resolution,
-            refinements, "three_outcome", (0, 1, 2),
+            tri_value, tuple(float(t) for t in tri_point), "three_outcome", (0, 1, 2),
         )
     return OracleResult(
-        proj_value, (float(proj_point[0]),), resolution, refinements,
-        "projective", labels,
+        proj_value, (float(proj_point[0]),), "projective", labels,
     )
 
 
@@ -160,7 +159,7 @@ def reference_max_confidence(priors, i, resolution, refinements):
         conf_fn, [grid[i_best]], 2.0 * np.pi / resolution, refinements
     )
     return OracleResult(
-        value, (float(point[0]),), resolution, refinements, "single_element", (i,)
+        value, (float(point[0]),), "single_element", (i,)
     )
 
 

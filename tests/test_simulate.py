@@ -13,7 +13,9 @@ from trinedisc.simulate import (
     estimate_confidence,
     estimate_success,
 )
-from trinedisc.trine import canonicalize_priors, trine_measurement, trine_states
+from trinedisc.trine import canonicalize_priors, trine_measurement
+
+from reference import trine_states
 
 IDENTITY = np.eye(2, dtype=complex)
 

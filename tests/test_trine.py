@@ -18,20 +18,14 @@ from trinedisc.trine import (
     random_priors,
     transform_to_original,
     trine_measurement,
-    trine_projectors,
-    trine_states,
 )
 
-IDENTITY = np.eye(2, dtype=complex)
+from reference import IDENTITY, element, ket, projector, trine_projectors, trine_states
 
 
 def trine_perps():
     """The states orthogonal to the signals: antipodal on the equator."""
-    return [qubit.pure_state_from_equator_angle(a + math.pi) for a in TRINE_ANGLES]
-
-
-def ket_projector(psi):
-    return np.outer(psi, psi.conj())
+    return [ket(a + math.pi) for a in TRINE_ANGLES]
 
 
 def ensemble_density(probabilities):
@@ -61,7 +55,7 @@ class TestStates:
 
     def test_bloch_forms_match_projectors(self):
         for n, psi in zip(TRINE_BLOCH, trine_states()):
-            np.testing.assert_allclose(qubit.from_bloch(n), ket_projector(psi), atol=1e-15)
+            np.testing.assert_allclose(qubit.from_bloch(n), projector(psi), atol=1e-15)
 
     def test_symmetric_measurements_are_povms(self):
         for m in (trine_measurement(), antitrine_measurement()):
@@ -216,15 +210,15 @@ class TestFrameTransform:
         angles = rng.uniform(0, 2 * math.pi, size=3)
         weights = np.array([0.7, 0.7, 0.6])
         elements = tuple(
-            (j, w * ket_projector(qubit.pure_state_from_equator_angle(a)))
+            (j, w * projector(ket(a)))
             for j, (w, a) in enumerate(zip(weights, angles))
         )
         # not complete, but spectra and hermiticity must survive the map
         m = qubit.Measurement.from_matrices(elements)
         out = transform_to_original(m.forms, perm)
         for c in range(3):
-            a = m.element(c)
-            b = out.element(perm[c])
+            a = element(m, c)
+            b = element(out, perm[c])
             np.testing.assert_allclose(
                 np.linalg.eigvalsh(a), np.linalg.eigvalsh(b), atol=1e-12
             )
