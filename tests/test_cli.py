@@ -234,6 +234,21 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["ok"] is False
 
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="worst.priors is printed in canonical order")
+    def test_worst_priors_are_the_checked_draw(self, capsys):
+        # draw n checks confidence_{n % 3}, an index into the order the
+        # priors were drawn in; seed 0 draws (0.395, 0.593, 0.0115) first
+        from numpy.random import default_rng
+
+        code, out, _ = run(capsys, "verify", "--samples", "3", "--seed", "0")
+        assert code == 0
+        worst = json.loads(out)["worst"]
+        assert worst["kind"] == "confidence_0"
+        rng = default_rng(0)
+        first_draw = [float(q) for q in rng.dirichlet((1.0, 1.0, 1.0))]
+        assert worst["priors"] == pytest.approx(first_draw, rel=1e-11)
+
     def test_rejects_zero_samples(self, capsys):
         assert run(capsys, "verify", "--samples", "0")[0] == 2
 
