@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 
 from . import __version__
 from .errors import (
@@ -244,21 +245,9 @@ def cmd_optimal(args) -> int:
         "p_correct": result.p_correct,
         "determinant": result.boundary_determinant,
         "theta": result.theta,
-        "gamma": None
-        if result.gamma is None
-        else {
-            "a": result.gamma.a,
-            "b_x": result.gamma.b_x,
-            "b_y": result.gamma.b_y,
-            "p_corr": result.gamma.p_corr,
-        },
+        "gamma": None if result.gamma is None else asdict(result.gamma),
         "elements": _measurement_payload(result.measurement),
-        "helstrom": {
-            "max_offdiag_residual": result.helstrom.max_offdiag_residual,
-            "min_global_eigenvalue": result.helstrom.min_global_eigenvalue,
-            "passes": bool(result.helstrom.passes),
-            "success_probability": result.helstrom.success_probability,
-        },
+        "helstrom": asdict(result.helstrom),
     }
     if args.json:
         _emit_json(payload, sys.stdout)
@@ -418,7 +407,6 @@ def cmd_confidence(args) -> int:
 def cmd_verify(args) -> int:
     _require_at_least("--samples", args.samples, 1)
     _require_at_least("--seed", args.seed, 0)
-    _require_at_least("--refinements", args.refinements, 0)
     _require_finite("--tolerance", args.tolerance)
     _require_at_least("--tolerance", args.tolerance, 0)
     from numpy.random import default_rng
@@ -429,25 +417,21 @@ def cmd_verify(args) -> int:
         priors = random_priors(rng)
         state = n % 3
         _, closed_min, _ = optimal_branch(priors)
-        found_min = brute_force_min_error(priors, args.resolution, args.refinements)
+        found_min = brute_force_min_error(priors)
         closed_conf = mc_confidence_closed_form(priors, state)
-        found_conf = brute_force_max_confidence(
-            priors, state, max(args.resolution, 360), args.refinements
-        )
+        found_conf = brute_force_max_confidence(priors, state)
         for kind, closed, found in (
             ("min_error", closed_min, found_min),
             (f"confidence_{state}", closed_conf, found_conf),
         ):
             diff = abs(found.best_value - closed)
             if diff > worst["difference"]:
-                worst = {"kind": kind, "priors": list(priors.canonical), "difference": diff}
+                worst = {"kind": kind, "priors": list(priors.original), "difference": diff}
     ok = worst["difference"] <= args.tolerance
     payload = {
         "samples": args.samples,
         "seed": args.seed,
         "tolerance": args.tolerance,
-        "resolution": args.resolution,
-        "refinements": args.refinements,
         "worst": worst,
         "ok": bool(ok),
     }
@@ -541,8 +525,6 @@ def _parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--samples", type=int, default=100)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--tolerance", type=float, default=1e-4)
-    p_ver.add_argument("--resolution", type=int, default=72)
-    p_ver.add_argument("--refinements", type=int, default=24)
     p_ver.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimate")

@@ -139,13 +139,14 @@ def _refine(value_fn, starts, start_step, refinements):
 
 
 def brute_force_min_error(
-    priors: Priors, resolution: int = 360, refinements: int = 20
+    priors: Priors, resolution: int = 72, refinements: int = 24
 ) -> OracleResult:
     """Maximize Born success probability over both measurement families.
 
     Grid search at ``resolution`` points per angle, then ``refinements``
     step-halving local refinements around the incumbent.  Fully
     deterministic; ties go to the lexicographically smallest parameters.
+    The defaults are the configuration ``verify`` runs.
     """
     grid, step = _grid(resolution)
     q = np.asarray(priors.canonical)
@@ -215,13 +216,14 @@ def brute_force_min_error(
 
 
 def brute_force_max_confidence(
-    priors: Priors, i: int, resolution: int = 360, refinements: int = 20
+    priors: Priors, i: int, resolution: int = 360, refinements: int = 24
 ) -> OracleResult:
     """Maximize the Bayes posterior for state ``i`` over rank-1 elements.
 
     Confidence is scale invariant, so a single equatorial angle is the
-    whole parameter space.  ``i`` indexes the caller's original state
-    order.
+    whole parameter space, searched as in :func:`brute_force_min_error`.
+    ``i`` indexes the caller's original state order.  The defaults are the
+    configuration ``verify`` runs.
     """
     grid, step = _grid(resolution)
     mixed_e2(priors)  # the posterior needs a mixed ensemble density

@@ -11,20 +11,17 @@ closed forms need nothing beyond these tuples:
 - the eigenvalues of b are (t - |v|)/2 and (t + |v|)/2;
 - a rotation or reflection of the equator acts on (x, y) alone.
 
-A :class:`Measurement` holds (label, Bloch form) pairs, which every layer
-reads directly.  Complex matrices exist only at the boundary:
-:func:`from_bloch` builds them when a caller reads them, and
-:func:`bloch_decomposition` reads matrices that arrive from outside, which
-is the one place Hermiticity is checked.  Both import numpy when called,
-so the closed forms run without loading it.
+A :class:`Measurement` is built from, and holds, (label, Bloch form) pairs,
+which every layer reads directly.  Complex matrices exist only on the way
+out: :func:`from_bloch` builds them when a caller reads them, and imports
+numpy only when called, so the closed forms run without loading it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError
 
@@ -42,7 +39,6 @@ __all__ = [
     "bloch_product",
     "operator_norm",
     "from_bloch",
-    "bloch_decomposition",
     "povm_validity",
 ]
 
@@ -50,9 +46,6 @@ __all__ = [
 INCONCLUSIVE = "?"
 
 PSD_TOL = 1e-10
-#: Largest anti-Hermitian part, relative to the largest entry, that an
-#: incoming matrix may carry.
-_HERMITICITY_TOL = 1e-12
 
 
 def equator_element(weight: float, angle: float) -> tuple:
@@ -122,27 +115,6 @@ def from_bloch(b: Sequence[float]) -> np.ndarray:
     return 0.5 * np.array([[t + z, x - 1j * y], [x + 1j * y, t - z]], dtype=complex)
 
 
-def bloch_decomposition(m: np.ndarray) -> tuple:
-    """Bloch form (t, x, y, z) of a Hermitian 2x2 matrix; inverse of from_bloch."""
-    import numpy as np
-
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
-    (a, b), (c, d) = m.tolist()
-    scale = max(1.0, abs(a), abs(b), abs(c), abs(d))
-    skew = max(2.0 * abs(a.imag), 2.0 * abs(d.imag), abs(b - c.conjugate()))
-    if skew > _HERMITICITY_TOL * scale:
-        raise DomainError("matrix is not Hermitian within tolerance")
-    return (a.real + d.real, 2.0 * c.real, 2.0 * c.imag, a.real - d.real)
-
-
-def _integer_types() -> tuple:
-    # a numpy integer can exist only once numpy is loaded
-    numpy = sys.modules.get("numpy")
-    return (int,) if numpy is None else (int, numpy.integer)
-
-
 def _smaller_eigenvalue(b: Sequence[float]) -> float:
     return 0.5 * (b[0] - math.hypot(b[1], b[2], b[3]))
 
@@ -162,7 +134,7 @@ class Measurement:
 
     Labels are trine state indices 0/1/2 (the outcome identifies that
     state) or :data:`INCONCLUSIVE`.  The constructor takes any iterable of
-    such pairs; 2x2 matrices enter through :meth:`from_matrices`.
+    such pairs.
     """
 
     forms: tuple[tuple[object, tuple], ...]
@@ -170,16 +142,8 @@ class Measurement:
     def __post_init__(self):
         forms = tuple((label, tuple(b)) for label, b in self.forms)
         if any(len(b) != 4 for _, b in forms):
-            raise DomainError(
-                "Measurement takes (label, Bloch form) pairs; "
-                "use Measurement.from_matrices for 2x2 matrices"
-            )
+            raise DomainError("Measurement takes (label, Bloch form (t, x, y, z)) pairs")
         object.__setattr__(self, "forms", forms)
-
-    @classmethod
-    def from_matrices(cls, elements: Iterable[tuple[object, np.ndarray]]) -> Measurement:
-        """A Measurement from (label, Hermitian 2x2 matrix) pairs."""
-        return cls((label, bloch_decomposition(op)) for label, op in elements)
 
     @property
     def elements(self) -> tuple[tuple[object, np.ndarray], ...]:
@@ -193,10 +157,9 @@ class Measurement:
     def state_outcomes(self) -> list[tuple[int, int, tuple]]:
         """(outcome index, label, form) of each outcome that names a trine state.
 
-        A state label is a Python or numpy integer; :data:`INCONCLUSIVE` is not.
+        The state labels are 0, 1 and 2; :data:`INCONCLUSIVE` is not one.
         """
-        integer = _integer_types()
-        return [(k, lab, b) for k, (lab, b) in enumerate(self.forms) if isinstance(lab, integer)]
+        return [(k, lab, b) for k, (lab, b) in enumerate(self.forms) if lab in (0, 1, 2)]
 
     def validity(self) -> PovmValidity:
         return povm_validity([b for _, b in self.forms])

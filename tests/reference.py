@@ -4,7 +4,9 @@ The equator kets, their projectors, the Lagrange operator Gamma as a
 matrix, the two-outcome boundary matrix M and the unchecked three-outcome
 POVM are all built with numpy from state vectors.  Only scalars come from
 the library: the two-outcome angle, Gamma's components and the raw
-three-outcome directions and weights.
+three-outcome directions and weights.  Matrices become Bloch forms through
+Pauli traces (:func:`bloch_form`), and so reach a :class:`Measurement`
+without going through the code under test.
 """
 
 import math
@@ -18,6 +20,23 @@ from trinedisc.trine import TRINE_ANGLES
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+PAULIS = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+
+def bloch_form(m):
+    """(Tr m, Tr m sigma_x, Tr m sigma_y, Tr m sigma_z) of a Hermitian 2x2 matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
+        raise ValueError("matrix is not Hermitian")
+    return tuple(float(np.trace(m @ s).real) for s in PAULIS)
+
+
+def measurement(elements):
+    """A Measurement from (label, Hermitian 2x2 matrix) pairs."""
+    return qubit.Measurement((label, bloch_form(m)) for label, m in elements)
 
 
 def ket(phi):
@@ -65,7 +84,7 @@ def boundary_matrix(priors):
 def three_element_measurement(priors):
     """The three-outcome POVM k_j |phi_j><phi_j| (canonical frame), unchecked."""
     directions, weights = three_element_weights_raw(priors)
-    return qubit.Measurement.from_matrices(
+    return measurement(
         (j, k * projector(ket(math.atan2(dy, dx))))
         for j, (k, (dx, dy)) in enumerate(zip(weights, directions))
     )

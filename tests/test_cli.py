@@ -1,10 +1,12 @@
 import csv
+import inspect
 import io
 import itertools
 import json
 
 import pytest
 
+from trinedisc import cli
 from trinedisc.cli import _entries, _json_ready, main, sig12
 from trinedisc.min_error import check_helstrom, optimal_measurement
 from trinedisc.qubit import from_bloch
@@ -234,8 +236,6 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["ok"] is False
 
-    @pytest.mark.xfail(raises=AssertionError, strict=True,
-                       reason="worst.priors is printed in canonical order")
     def test_worst_priors_are_the_checked_draw(self, capsys):
         # draw n checks confidence_{n % 3}, an index into the order the
         # priors were drawn in; seed 0 draws (0.395, 0.593, 0.0115) first
@@ -258,11 +258,36 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: --seed")
 
-    def test_rejects_negative_refinements(self, capsys):
-        code, out, err = run(capsys, "verify", "--samples", "1", "--refinements", "-1")
+    @pytest.mark.parametrize(
+        "flag", ["--resolution 36", "--refinements 8"], ids=["resolution", "refinements"]
+    )
+    def test_rejects_oracle_flags(self, capsys, flag):
+        # the oracles run at one configuration; no flag changes it
+        code, out, err = run(capsys, "verify", "--samples", "1", *flag.split())
         assert code == 2
         assert out == ""
-        assert err.startswith("error: --refinements")
+        assert "unrecognized arguments" in err
+
+    def test_oracles_run_at_their_defaults(self, capsys, monkeypatch):
+        # verify passes the priors (and the state) only, so the oracles' own
+        # defaults are its one configuration: min-error at r = 72,
+        # confidence at r = 360, both with 24 refinements
+        calls = []
+
+        def recorder(fn):
+            def record(*args, **kwargs):
+                call = inspect.signature(fn).bind(*args, **kwargs)
+                passed = sorted(call.arguments)
+                call.apply_defaults()
+                calls.append((passed, call.arguments["resolution"], call.arguments["refinements"]))
+                return fn(*args, **kwargs)
+
+            return record
+
+        for name in ("brute_force_min_error", "brute_force_max_confidence"):
+            monkeypatch.setattr(cli, name, recorder(getattr(cli, name)))
+        assert run(capsys, "verify", "--samples", "2")[0] == 0
+        assert calls == [(["priors"], 72, 24), (["i", "priors"], 360, 24)] * 2
 
     @pytest.mark.parametrize("tolerance", ["nan", "-0.001", "inf"])
     def test_rejects_bad_tolerance(self, capsys, tolerance):
@@ -367,7 +392,7 @@ class TestSimulate:
 
 
 SIMULATE = ["simulate", "--p0", "0.5", "--p1", "0.3", "--p2", "0.2", "--shots", "1000"]
-VERIFY = ["verify", "--samples", "1", "--resolution", "16", "--refinements", "1"]
+VERIFY = ["verify", "--samples", "1"]
 
 
 def integer_flag_commands() -> list[list[str]]:
@@ -379,10 +404,8 @@ def integer_flag_commands() -> list[list[str]]:
             ["curves", "--p-values", "0.4", "--steps", v],
             ["curves", "--delta-values", "0.1", "--steps", v],
             ["confidence", "--delta", "0.05", "--sweep", v],
-            ["verify", "--samples", v, "--resolution", "16", "--refinements", "1"],
+            ["verify", "--samples", v],
             [*VERIFY, "--seed", v],
-            ["verify", "--samples", "1", "--resolution", v, "--refinements", "1"],
-            ["verify", "--samples", "1", "--resolution", "16", "--refinements", v],
             ["simulate", "--p0", "0.5", "--p1", "0.3", "--p2", "0.2", "--shots", v],
             [*SIMULATE, "--seed", v],
             [*SIMULATE, "--partitions", v],

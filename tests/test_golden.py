@@ -54,10 +54,9 @@ CASES = {
     "region_grid20": ["region", "--grid", "20"],
     "curves_p040": ["curves", "--p-values", "0.4", "--steps", "20"],
     "confidence_sweep": ["confidence", "--delta", "0.05", "--sweep", "10"],
+    # the worst cases are a confidence and a min-error value
     "verify_default": ["verify", "--samples", "3", "--seed", "0"],
-    "verify_coarse": [
-        "verify", "--samples", "2", "--seed", "5", "--resolution", "36", "--refinements", "8",
-    ],
+    "verify_min_error": ["verify", "--samples", "2", "--seed", "1"],
 }
 # every optimal query is also recorded as JSON
 CASES.update({f"{k}_json": v + ["--json"] for k, v in list(CASES.items()) if v[0] == "optimal"})

@@ -18,7 +18,7 @@ from trinedisc.trine import (
     trine_measurement,
 )
 
-from reference import element, trine_projectors
+from reference import element, measurement, trine_projectors
 
 
 def bayes_confidence(q, m, i):
@@ -135,7 +135,7 @@ class TestConfidenceFunction:
     def test_scale_invariance(self):
         pr = canonicalize_priors(0.4, 0.35, 0.25)
         m = trine_measurement()
-        scaled = qubit.Measurement.from_matrices(
+        scaled = measurement(
             tuple((lab, 0.1 * op) for lab, op in m.elements)
         )
         for i in range(3):
@@ -145,7 +145,7 @@ class TestConfidenceFunction:
 
     def test_zero_outcome_rejected(self):
         pr = canonicalize_priors(0.4, 0.35, 0.25)
-        m = qubit.Measurement.from_matrices(((0, np.zeros((2, 2), dtype=complex)),))
+        m = measurement(((0, np.zeros((2, 2), dtype=complex)),))
         with pytest.raises(ZeroOutcomeError):
             confidence(pr, m, 0)
 

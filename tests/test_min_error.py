@@ -31,6 +31,7 @@ from reference import (
     boundary_matrix,
     element,
     gamma_matrix,
+    measurement,
     three_element_measurement,
     trine_projectors,
     trine_states,
@@ -256,7 +257,7 @@ class TestHelstrom:
         # measure along sigma_z: never optimal for equatorial states
         up = np.array([1.0, 0.0], dtype=complex)
         down = np.array([0.0, 1.0], dtype=complex)
-        m = qubit.Measurement.from_matrices(((0, np.outer(up, up.conj())), (1, np.outer(down, down.conj()))))
+        m = measurement(((0, np.outer(up, up.conj())), (1, np.outer(down, down.conj()))))
         assert not check_helstrom(pr.original, m).passes
 
 

@@ -15,9 +15,7 @@ from trinedisc.simulate import (
 )
 from trinedisc.trine import canonicalize_priors, trine_measurement
 
-from reference import trine_states
-
-IDENTITY = np.eye(2, dtype=complex)
+from reference import IDENTITY, measurement, trine_states
 
 
 EQUAL = canonicalize_priors(1 / 3, 1 / 3, 1 / 3)
@@ -81,7 +79,7 @@ class TestEstimateSuccess:
         assert res.successes <= labeled
 
     def test_rejects_invalid_measurement(self):
-        bad = qubit.Measurement.from_matrices(((0, 1.5 * IDENTITY),))
+        bad = measurement(((0, 1.5 * IDENTITY),))
         with pytest.raises(DomainError):
             estimate_success(EQUAL, bad, shots=100, seed=1)
 
@@ -148,7 +146,7 @@ class TestEstimateConfidence:
         # an outcome with vanishing probability cannot accumulate 100 hits
         pr = canonicalize_priors(0.5, 0.3, 0.2)
         tiny = 1e-7
-        m = qubit.Measurement.from_matrices(
+        m = measurement(
             (
                 (0, tiny * IDENTITY),
                 (1, (1.0 - tiny) * IDENTITY),

@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import trinedisc
+from trinedisc.cli import main
 
 LAYERS = ("trine", "qubit", "min_error", "max_confidence", "oracle", "simulate", "cli")
 SRC = Path(trinedisc.__file__).resolve().parent.parent
@@ -43,16 +45,16 @@ def test_package_imports_resolve():
     assert [n for n in names if not hasattr(trinedisc, n)] == []
 
 
-def test_only_qubit_reads_matrices_back():
-    # layers read Measurement.forms; decoding matrices belongs to qubit.py alone
+def test_no_module_decodes_matrices():
+    # a Measurement is built from Bloch forms only; matrices go out, never in
+    decoders = ("from_matrices", "bloch_decomposition")
     offenders = [
         path.name
         for path in sorted((SRC / "trinedisc").glob("*.py"))
-        if path.name != "qubit.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (isinstance(node, ast.Name) and node.id == "bloch_decomposition")
-        or (isinstance(node, ast.Attribute) and node.attr == "bloch_decomposition")
-        or (isinstance(node, ast.alias) and node.name == "bloch_decomposition")
+        if (isinstance(node, ast.Name) and node.id in decoders)
+        or (isinstance(node, ast.Attribute) and node.attr in decoders)
+        or (isinstance(node, (ast.FunctionDef, ast.alias)) and node.name in decoders)
     ]
     assert offenders == []
 
@@ -129,7 +131,7 @@ NUMPY_PATHS = {
     "region": ["region", "--grid", "3"],
     "curves": ["curves", "--p-values", "0.4", "--steps", "3"],
     "confidence_sweep": ["confidence", "--delta", "0.05", "--sweep", "3"],
-    "verify": ["verify", "--samples", "1", "--resolution", "16", "--refinements", "1"],
+    "verify": ["verify", "--samples", "1"],
     "simulate": ["simulate", "--p0", "0.5", "--p1", "0.3", "--p2", "0.2", "--shots", "100"],
 }
 
@@ -168,3 +170,21 @@ def test_numpy_paths_run_in_a_fresh_interpreter(argv):
 def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def readme_commands() -> list[list[str]]:
+    """The ``trinedisc ...`` lines of the README's command-line block, as argvs."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("trinedisc ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # the documented commands name only flags that exist, and succeed
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) >= 6
+    codes = {" ".join(argv): main(argv) for argv in commands}
+    capsys.readouterr()
+    assert codes == {command: 0 for command in codes}

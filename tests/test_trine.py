@@ -20,7 +20,16 @@ from trinedisc.trine import (
     trine_measurement,
 )
 
-from reference import IDENTITY, element, ket, projector, trine_projectors, trine_states
+from reference import (
+    IDENTITY,
+    bloch_form,
+    element,
+    ket,
+    measurement,
+    projector,
+    trine_projectors,
+    trine_states,
+)
 
 
 def trine_perps():
@@ -196,7 +205,7 @@ class TestFrameTransform:
         # with original state perm[c]
         projs = trine_projectors()
         for c in range(3):
-            out = transform_to_original([(c, qubit.bloch_decomposition(projs[c]))], perm)
+            out = transform_to_original([(c, bloch_form(projs[c]))], perm)
             (label, op), = out.elements
             assert label == perm[c]
             np.testing.assert_allclose(op, projs[perm[c]], atol=1e-12)
@@ -214,7 +223,7 @@ class TestFrameTransform:
             for j, (w, a) in enumerate(zip(weights, angles))
         )
         # not complete, but spectra and hermiticity must survive the map
-        m = qubit.Measurement.from_matrices(elements)
+        m = measurement(elements)
         out = transform_to_original(m.forms, perm)
         for c in range(3):
             a = element(m, c)
