@@ -146,7 +146,7 @@ def brute_force_min_error(
     Grid search at ``resolution`` points per angle, then ``refinements``
     step-halving local refinements around the incumbent.  Fully
     deterministic; ties go to the lexicographically smallest parameters.
-    The defaults are the configuration ``verify`` runs.
+    The defaults, 72 points and 24 refinements, are what ``verify`` runs.
     """
     grid, step = _grid(resolution)
     q = np.asarray(priors.canonical)
@@ -222,8 +222,8 @@ def brute_force_max_confidence(
 
     Confidence is scale invariant, so a single equatorial angle is the
     whole parameter space, searched as in :func:`brute_force_min_error`.
-    ``i`` indexes the caller's original state order.  The defaults are the
-    configuration ``verify`` runs.
+    ``i`` indexes the caller's original state order.  The defaults, 360
+    points and 24 refinements, are what ``verify`` runs.
     """
     grid, step = _grid(resolution)
     mixed_e2(priors)  # the posterior needs a mixed ensemble density
