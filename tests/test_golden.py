@@ -57,6 +57,8 @@ CASES = {
     # the worst cases are a confidence and a min-error value
     "verify_default": ["verify", "--samples", "3", "--seed", "0"],
     "verify_min_error": ["verify", "--samples", "2", "--seed", "1"],
+    # twenty priors, so a change to the oracle shows in its exact text
+    "verify_wide": ["verify", "--samples", "20", "--seed", "7"],
 }
 # every optimal query is also recorded as JSON
 CASES.update({f"{k}_json": v + ["--json"] for k, v in list(CASES.items()) if v[0] == "optimal"})
