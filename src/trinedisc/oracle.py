@@ -13,11 +13,18 @@ projective equatorial measurements with the best assignment of outcome
 labels to states.
 
 numpy and the state-angle array are bound to module globals by the first
-search, not at import.
+search, not at import.  The three-outcome grid's Cramer weights and
+validity mask do not depend on the priors, so the first min-error search
+at a resolution builds them and keeps only the valid points, about a
+quarter of the r^3 grid.  The table holds about 7 bytes per grid point
+(2.5 MB at r = 72) and is cached until a search at another resolution
+replaces it.  Refinement evaluates sines and overlaps once per axis value
+of its stencil, not once per stencil point.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +41,9 @@ np = None  # numpy, bound by _bind_numpy
 _STATE_ANGLES = None  # np.array(TRINE_ANGLES), bound by _bind_numpy
 _LABEL_PAIRS = [(a, b) for a in range(3) for b in range(3) if a != b]
 _DEGENERATE_TOL = 1e-12
+#: Grid points per block of the three-outcome search, few enough that the
+#: block's temporaries stay in cache
+_BLOCK_POINTS = 8192
 
 
 def _bind_numpy() -> None:
@@ -82,24 +92,70 @@ def _overlap_sq(state_angle, t):
     return np.cos(0.5 * (state_angle - t)) ** 2
 
 
-def _three_outcome_values(q, sines, overlaps):
-    """Born success probability of the Cramer POVM; -inf where invalid.
+def _invalid_weights(d, k0, k1, k2):
+    """Where the Cramer solution is no POVM: collinear directions or a
+    negative weight."""
+    return (np.abs(d) < _DEGENERATE_TOL) | (k0 < 0.0) | (k1 < 0.0) | (k2 < 0.0)
 
-    ``sines`` are those of :func:`_cramer_weights`; ``overlaps`` are
-    |<psi_j|t_j>|^2 for j = 0, 1, 2.
+
+def _born_value(q, weights, overlaps):
+    """Born success probability of the Cramer POVM; -inf where not finite.
+
+    ``weights`` are k0, k1 and k2; ``overlaps`` are |<psi_j|t_j>|^2 for
+    j = 0, 1, 2.
     """
-    d, k0, k1, k2 = _cramer_weights(*sines)
+    k0, k1, k2 = weights
     c0, c1, c2 = overlaps
     with np.errstate(invalid="ignore"):
         value = q[0] * k0 * c0 + q[1] * k1 * c1 + q[2] * k2 * c2
-    bad = (
-        (np.abs(d) < _DEGENERATE_TOL)
-        | (k0 < 0.0)
-        | (k1 < 0.0)
-        | (k2 < 0.0)
-        | ~np.isfinite(value)
-    )
-    return np.where(bad, -np.inf, value)
+    return np.where(np.isfinite(value), value, -np.inf)
+
+
+def _three_outcome_values(q, sines, overlaps):
+    """Born success probability of the Cramer POVM; -inf where invalid.
+
+    ``sines`` are those of :func:`_cramer_weights`.
+    """
+    d, *weights = _cramer_weights(*sines)
+    return np.where(_invalid_weights(d, *weights), -np.inf, _born_value(q, weights, overlaps))
+
+
+@functools.lru_cache(maxsize=1)
+def _three_outcome_table(resolution: int):
+    """The valid points of the three-outcome grid, which do not depend on
+    the priors.
+
+    Row a holds the t0 = grid[a] slice in (t1, t2) order: the (2, r, w)
+    axis indices of t1 and t2 and the (3, r, w) weights k0, k1 and k2.
+    Rows are padded to the longest with index 0 and NaN weights, whose
+    Born value is not finite.
+    """
+    grid, _ = _grid(resolution)
+    # sin(t2 - t1) is sd.T, sin(t0 - t2) the row sd[a] and sin(t1 - t0)
+    # the row sd.T[a]
+    sd = np.sin(grid[:, None] - grid[None, :])
+    sd_t = np.ascontiguousarray(sd.T)
+
+    def slice_weights(a):
+        d, *k = _cramer_weights(sd_t, sd[a], sd_t[a][:, None])
+        return ~_invalid_weights(d, *k), k
+
+    # count first, so that only the padded table is ever held in full
+    counts = [np.count_nonzero(slice_weights(a)[0]) for a in range(resolution)]
+    width = max(counts)
+    indices = np.zeros((2, resolution, width), np.min_scalar_type(resolution - 1))
+    weights = np.full((3, resolution, width), np.nan)
+    for a, n in enumerate(counts):
+        valid, k = slice_weights(a)
+        indices[:, a, :n] = np.nonzero(valid)
+        weights[:, a, :n] = [kj[valid] for kj in k]
+    return indices, weights
+
+
+def _product_axes(x):
+    """Rows 0, 1 and 2 of each (3, n) block of ``x`` on the three axes of
+    an (m, n, n, n) product grid."""
+    return x[:, 0, :, None, None], x[:, 1, None, :, None], x[:, 2, None, None, :]
 
 
 def _angle_sines(t0, t1, t2):
@@ -121,21 +177,24 @@ def _refine(value_fn, starts, start_step, refinements):
     """Pattern search from each row of ``starts``: 5-point stencil per axis,
     halving the step; every start moves to its first best candidate.
 
-    Returns the (m, ndim) final points and their values.
+    ``value_fn`` takes (m, ndim, n) per-axis coordinates and returns the
+    values of all n^ndim points of each row's product grid, in row-major
+    order over the axes.  Returns the (m, ndim) final points and their
+    values.
     """
     points = np.array(starts, dtype=float)
     m, ndim = points.shape
     offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    grids = np.meshgrid(*([offsets] * ndim), indexing="ij")
-    stencil = np.stack([g.ravel() for g in grids], axis=-1)  # (5^ndim, ndim)
-    rows = np.arange(m)
+    # the offset index along each axis of every candidate, row-major
+    stencil = np.indices((offsets.size,) * ndim).reshape(ndim, -1).T  # (5^ndim, ndim)
+    rows, axes = np.arange(m)[:, None], np.arange(ndim)
     step = start_step
     for _ in range(refinements):
         step *= 0.5
-        candidates = points[:, None, :] + step * stencil  # (m, 5^ndim, ndim)
-        values = value_fn(candidates.reshape(-1, ndim)).reshape(m, -1)
-        points = candidates[rows, np.argmax(values, axis=1)]
-    return points, value_fn(points)
+        coords = points[:, :, None] + step * offsets  # (m, ndim, 5)
+        values = value_fn(coords).reshape(m, -1)
+        points = coords[rows, axes, stencil[np.argmax(values, axis=1)]]
+    return points, value_fn(points[:, :, None]).reshape(m)
 
 
 def brute_force_min_error(
@@ -157,45 +216,42 @@ def brute_force_min_error(
     )
     labels = _LABEL_PAIRS[pair]
 
-    def proj_fn(pts):
-        return _projective_values(q, [labels], pts[:, 0])[:, 0]
+    def proj_fn(coords):
+        return _projective_values(q, [labels], coords.ravel())[:, 0]
 
     (proj_point,), (proj_value,) = _refine(proj_fn, [[grid[i_best]]], step, refinements)
 
-    # three-outcome family, one t0 = grid[a] slice at a time, every input
-    # read from per-call tables: sin(t2 - t1) is sd.T, sin(t0 - t2) the row
-    # sd[a] and sin(t1 - t0) the row sd.T[a]
-    sd = np.sin(grid[:, None] - grid[None, :])
-    sd_t = np.ascontiguousarray(sd.T)
-    overlap0 = _overlap_sq(_STATE_ANGLES[0], grid)
-    overlap1 = _overlap_sq(_STATE_ANGLES[1], grid)[:, None]
-    overlap2 = _overlap_sq(_STATE_ANGLES[2], grid)
-    # the valid region can be thin near its boundary, so keep the best
-    # candidate from every t0 slice and refine the strongest few of them
-    slice_best = []
-    for a in range(resolution):
-        vals = _three_outcome_values(
-            q, (sd_t, sd[a], sd_t[a][:, None]), (overlap0[a], overlap1, overlap2)
+    # three-outcome family over the valid grid points only, a block of t0
+    # slices at a time; the valid region can be thin near its boundary, so
+    # keep the first best candidate from every slice and refine the
+    # strongest few of them
+    (i1, i2), weights = _three_outcome_table(resolution)
+    c0, c1, c2 = _overlap_sq(_STATE_ANGLES[:, None], grid)
+    block = max(1, _BLOCK_POINTS // i1.shape[1])
+    slice_j = np.empty(resolution, dtype=int)
+    slice_value = np.empty(resolution)
+    for a0 in range(0, resolution, block):
+        rows = slice(a0, a0 + block)
+        vals = _born_value(
+            q, weights[:, rows], (c0[rows, None], c1.take(i1[rows]), c2.take(i2[rows]))
         )
-        j = int(np.argmax(vals))
-        v = vals.flat[j]
-        if np.isfinite(v):
-            i1, i2 = divmod(j, resolution)
-            slice_best.append((float(v), (grid[a], grid[i1], grid[i2])))
+        slice_j[rows] = j = np.argmax(vals, axis=1)
+        slice_value[rows] = vals[np.arange(j.size), j]
+    found = np.flatnonzero(np.isfinite(slice_value))
 
     tri_point, tri_value = None, -np.inf
-    if slice_best:
+    if found.size:
 
-        def triple_fn(pts):
-            t = pts.T
-            return _three_outcome_values(
-                q, _angle_sines(*t), _overlap_sq(_STATE_ANGLES[:, None], t)
-            )
+        def triple_fn(coords):
+            t = _product_axes(coords)
+            overlaps = _product_axes(_overlap_sq(_STATE_ANGLES[:, None], coords))
+            return _three_outcome_values(q, _angle_sines(*t), overlaps)
 
         # stable sort: ties keep slice order, and the first strongest
         # refined start wins
-        slice_best.sort(key=lambda pair: -pair[0])
-        starts = [start for _, start in slice_best[:8]]
+        a = found[np.argsort(-slice_value[found], kind="stable")[:8]]
+        j = slice_j[a]
+        starts = np.stack([grid[a], grid[i1[a, j]], grid[i2[a, j]]], axis=1)
         points, values = _refine(triple_fn, starts, step, refinements)
         k = int(np.argmax(values))
         tri_point, tri_value = points[k], float(values[k])
@@ -229,8 +285,8 @@ def brute_force_max_confidence(
     mixed_e2(priors)  # the posterior needs a mixed ensemble density
     q = np.asarray(priors.original)
 
-    def conf_fn(pts):
-        t = pts[:, 0]
+    def conf_fn(coords):
+        t = coords.ravel()
         c = _overlap_sq(_STATE_ANGLES[:, None], t[None, :])
         denom = q[0] * c[0] + q[1] * c[1] + q[2] * c[2]
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -7,7 +7,7 @@ import pytest
 from trinedisc import qubit
 from trinedisc.errors import DomainError, PureStateError
 from trinedisc.max_confidence import mc_confidence_closed_form
-from trinedisc.min_error import optimal_measurement
+from trinedisc.min_error import boundary_determinant, critical_delta, optimal_measurement
 from trinedisc.oracle import (
     OracleResult,
     brute_force_max_confidence,
@@ -16,6 +16,7 @@ from trinedisc.oracle import (
 from trinedisc.trine import (
     TRINE_ANGLES,
     canonicalize_priors,
+    priors_from_p_delta,
     random_priors,
 )
 
@@ -165,7 +166,11 @@ def reference_max_confidence(priors, i, resolution, refinements):
 
 def _equivalence_priors():
     rng = np.random.default_rng(83)
+    boundary = priors_from_p_delta(0.42, critical_delta(0.42))
+    assert abs(boundary_determinant(boundary)) < 1e-9
     edges = [(1.0 - 2.0 * e, e, e) for e in (1e-3, 1e-6)]
+    edges += [boundary.canonical, (1.0 - 1e-6, 5e-7, 5e-7)]
+    # the pure ensemble stays last: the max-confidence test leaves it out
     edges += [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0)]
     return [random_priors(rng) for _ in range(30)] + [
         canonicalize_priors(*p) for p in edges
@@ -173,7 +178,8 @@ def _equivalence_priors():
 
 
 class TestMatchesReference:
-    @pytest.mark.parametrize("resolution", [16, 48, 72])
+    # 37 is odd and not a multiple of 4
+    @pytest.mark.parametrize("resolution", [16, 37, 48, 72])
     def test_min_error_equals_reference(self, resolution):
         for pr in _equivalence_priors():
             for refinements in (0, 5, 24):

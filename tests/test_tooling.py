@@ -120,6 +120,30 @@ def test_cli_builds_its_parser_once_on_first_use():
     assert json.loads(out) == [0, 1, 1]
 
 
+def test_oracle_builds_its_grid_table_once_per_resolution():
+    code = (
+        "import contextlib, io, json, trinedisc.cli as cli\n"
+        "from trinedisc import oracle\n"
+        "table = oracle._three_outcome_table\n"
+        "built = [table.cache_info().misses]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for _ in range(2):\n"
+        "        cli.main(['verify', '--samples', '2'])\n"
+        "        built.append(table.cache_info().misses)\n"
+        "nbytes = sum(a.nbytes for a in table(72))\n"
+        "built.append(table.cache_info().misses)\n"
+        "print(json.dumps([built, nbytes]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True
+    ).stdout
+    built, nbytes = json.loads(out)
+    # none at import, one on the first verify, none after, and the one
+    # cached is verify's r = 72
+    assert built == [0, 1, 1, 1]
+    assert nbytes <= 3_000_000
+
+
 #: Single queries, which must not load numpy.
 SINGLE_QUERIES = [
     ["optimal", "--p0", "0.34", "--p1", "0.33", "--p2", "0.33"],
