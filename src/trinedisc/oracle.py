@@ -149,6 +149,8 @@ def _three_outcome_table(resolution: int):
         valid, k = slice_weights(a)
         indices[:, a, :n] = np.nonzero(valid)
         weights[:, a, :n] = [kj[valid] for kj in k]
+    # every later search shares these arrays
+    indices.flags.writeable = weights.flags.writeable = False
     return indices, weights
 
 
