@@ -59,6 +59,9 @@ CASES = {
     "verify_min_error": ["verify", "--samples", "2", "--seed", "1"],
     # twenty priors, so a change to the oracle shows in its exact text
     "verify_wide": ["verify", "--samples", "20", "--seed", "7"],
+    # forty priors: enough that a search over many priors at once cannot
+    # hide an error in how it splits or joins them
+    "verify_chunks": ["verify", "--samples", "40", "--seed", "11"],
 }
 # every optimal query is also recorded as JSON
 CASES.update({f"{k}_json": v + ["--json"] for k, v in list(CASES.items()) if v[0] == "optimal"})
