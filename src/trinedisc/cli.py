@@ -412,17 +412,18 @@ def cmd_verify(args) -> int:
     from numpy.random import default_rng
 
     rng = default_rng(args.seed)
+    samples = [random_priors(rng) for _ in range(args.samples)]
+    states = [n % 3 for n in range(args.samples)]
+    # each oracle searches all samples in one call, a chunk at a time
+    found_min = brute_force_min_error(samples)
+    found_conf = brute_force_max_confidence(samples, states)
     worst = {"kind": None, "priors": None, "difference": 0.0}
-    for n in range(args.samples):
-        priors = random_priors(rng)
-        state = n % 3
+    for n, (priors, state) in enumerate(zip(samples, states)):
         _, closed_min, _ = optimal_branch(priors)
-        found_min = brute_force_min_error(priors)
         closed_conf = mc_confidence_closed_form(priors, state)
-        found_conf = brute_force_max_confidence(priors, state)
         for kind, closed, found in (
-            ("min_error", closed_min, found_min),
-            (f"confidence_{state}", closed_conf, found_conf),
+            ("min_error", closed_min, found_min[n]),
+            (f"confidence_{state}", closed_conf, found_conf[n]),
         ):
             diff = abs(found.best_value - closed)
             if diff > worst["difference"]:

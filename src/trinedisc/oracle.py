@@ -16,17 +16,19 @@ numpy and the state-angle array are bound to module globals by the first
 search, not at import.  The three-outcome grid's Cramer weights and
 validity mask do not depend on the priors, so the first min-error search
 at a resolution builds them and keeps only the valid points, about a
-quarter of the r^3 grid.  The table holds about 7 bytes per grid point
-(2.5 MB at r = 72) and is cached until a search at another resolution
-replaces it.  Refinement evaluates sines and overlaps once per axis value
-of its stencil, not once per stencil point.
+quarter of the r^3 grid: 6.5 bytes per grid point (2.4 MB at r = 72),
+cached until a search at another resolution replaces it.  Both oracles
+take one prior or a sequence, searched in lockstep 16 priors at a time,
+so each numpy call serves a chunk of priors and working memory does not
+grow with the sequence.  Refinement evaluates sines and overlaps once per
+axis value of its stencil, not once per stencil point.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DomainError
 from .trine import TRINE_ANGLES, Priors, mixed_e2
@@ -41,9 +43,9 @@ np = None  # numpy, bound by _bind_numpy
 _STATE_ANGLES = None  # np.array(TRINE_ANGLES), bound by _bind_numpy
 _LABEL_PAIRS = [(a, b) for a in range(3) for b in range(3) if a != b]
 _DEGENERATE_TOL = 1e-12
-#: Grid points per block of the three-outcome search, few enough that the
-#: block's temporaries stay in cache
-_BLOCK_POINTS = 8192
+#: Priors searched in lockstep, which bounds a search's working memory
+#: whatever the number of priors
+_CHUNK_PRIORS = 16
 
 
 def _bind_numpy() -> None:
@@ -99,16 +101,14 @@ def _invalid_weights(d, k0, k1, k2):
 
 
 def _born_value(q, weights, overlaps):
-    """Born success probability of the Cramer POVM; -inf where not finite.
+    """Born success probability of the Cramer POVM.
 
     ``weights`` are k0, k1 and k2; ``overlaps`` are |<psi_j|t_j>|^2 for
     j = 0, 1, 2.
     """
     k0, k1, k2 = weights
     c0, c1, c2 = overlaps
-    with np.errstate(invalid="ignore"):
-        value = q[0] * k0 * c0 + q[1] * k1 * c1 + q[2] * k2 * c2
-    return np.where(np.isfinite(value), value, -np.inf)
+    return q[0] * k0 * c0 + q[1] * k1 * c1 + q[2] * k2 * c2
 
 
 def _three_outcome_values(q, sines, overlaps):
@@ -117,7 +117,9 @@ def _three_outcome_values(q, sines, overlaps):
     ``sines`` are those of :func:`_cramer_weights`.
     """
     d, *weights = _cramer_weights(*sines)
-    return np.where(_invalid_weights(d, *weights), -np.inf, _born_value(q, weights, overlaps))
+    with np.errstate(invalid="ignore"):
+        value = _born_value(q, weights, overlaps)
+    return np.where(_invalid_weights(d, *weights) | ~np.isfinite(value), -np.inf, value)
 
 
 @functools.lru_cache(maxsize=1)
@@ -125,10 +127,10 @@ def _three_outcome_table(resolution: int):
     """The valid points of the three-outcome grid, which do not depend on
     the priors.
 
-    Row a holds the t0 = grid[a] slice in (t1, t2) order: the (2, r, w)
-    axis indices of t1 and t2 and the (3, r, w) weights k0, k1 and k2.
-    Rows are padded to the longest with index 0 and NaN weights, whose
-    Born value is not finite.
+    Points offsets[a] to offsets[a + 1] are the t0 = grid[a] slice in
+    (t1, t2) order: their (2, n) axis indices of t1 and t2 and their
+    (3, n) weights k0, k1 and k2.  Every slice holds valid points: three
+    directions with every gap under half a turn close to a POVM.
     """
     grid, _ = _grid(resolution)
     # sin(t2 - t1) is sd.T, sin(t0 - t2) the row sd[a] and sin(t1 - t0)
@@ -140,18 +142,19 @@ def _three_outcome_table(resolution: int):
         d, *k = _cramer_weights(sd_t, sd[a], sd_t[a][:, None])
         return ~_invalid_weights(d, *k), k
 
-    # count first, so that only the padded table is ever held in full
+    # count first, so that only the table is ever held in full
     counts = [np.count_nonzero(slice_weights(a)[0]) for a in range(resolution)]
-    width = max(counts)
-    indices = np.zeros((2, resolution, width), np.min_scalar_type(resolution - 1))
-    weights = np.full((3, resolution, width), np.nan)
-    for a, n in enumerate(counts):
+    offsets = np.cumsum([0] + counts)
+    indices = np.empty((2, offsets[-1]), np.min_scalar_type(resolution - 1))
+    weights = np.empty((3, offsets[-1]))
+    for a in range(resolution):
         valid, k = slice_weights(a)
-        indices[:, a, :n] = np.nonzero(valid)
-        weights[:, a, :n] = [kj[valid] for kj in k]
+        points = slice(offsets[a], offsets[a + 1])
+        indices[:, points] = np.nonzero(valid)
+        weights[:, points] = [kj[valid] for kj in k]
     # every later search shares these arrays
-    indices.flags.writeable = weights.flags.writeable = False
-    return indices, weights
+    offsets.flags.writeable = indices.flags.writeable = weights.flags.writeable = False
+    return offsets, indices, weights
 
 
 def _product_axes(x):
@@ -164,15 +167,17 @@ def _angle_sines(t0, t1, t2):
     return np.sin(t2 - t1), np.sin(t0 - t2), np.sin(t1 - t0)
 
 
-def _projective_values(q, pairs, t):
+def _projective_values(q, t):
     """Born value of each labeled projective measurement at each angle.
 
-    Pair (a, b) puts outcome a along angle t and outcome b antipodal to
-    it; returns an (angles, pairs) array.
+    Pair (a, b) of ``_LABEL_PAIRS`` puts outcome a along angle t and outcome
+    b antipodal to it.  ``q`` holds m prior triples and ``t`` is (m or 1, n);
+    returns an (m, n, pairs) array.
     """
-    a, b = np.array(pairs).T
-    c = _overlap_sq(_STATE_ANGLES[None, :], t[:, None])  # (n, 3)
-    return q[a] * c[:, a] + q[b] * (1.0 - c[:, b])
+    a, b = np.array(_LABEL_PAIRS).T
+    c = _overlap_sq(_STATE_ANGLES, t[..., None])  # (m or 1, n, 3)
+    q = q[:, None, :]
+    return q[..., a] * c[..., a] + q[..., b] * (1.0 - c[..., b])
 
 
 def _refine(value_fn, starts, start_step, refinements):
@@ -200,107 +205,130 @@ def _refine(value_fn, starts, start_step, refinements):
 
 
 def brute_force_min_error(
-    priors: Priors, resolution: int = 72, refinements: int = 24
-) -> OracleResult:
+    priors: Priors | Sequence[Priors], resolution: int = 72, refinements: int = 24
+) -> OracleResult | list[OracleResult]:
     """Maximize Born success probability over both measurement families.
 
     Grid search at ``resolution`` points per angle, then ``refinements``
     step-halving local refinements around the incumbent.  Fully
     deterministic; ties go to the lexicographically smallest parameters.
     The defaults, 72 points and 24 refinements, are what ``verify`` runs.
+    ``priors`` is one ``Priors``, answered with one ``OracleResult``, or a
+    sequence, answered with a list; each result is the same either way.
     """
     grid, step = _grid(resolution)
-    q = np.asarray(priors.canonical)
+    single = isinstance(priors, Priors)
+    priors = [priors] if single else list(priors)
+    results = []
+    for c in range(0, len(priors), _CHUNK_PRIORS):
+        q = np.array([p.canonical for p in priors[c:c + _CHUNK_PRIORS]])
+        results += _min_error_chunk(q, grid, step, refinements)
+    return results[0] if single else results
 
-    # projective family; the first angle-major maximum wins ties
-    i_best, pair = divmod(
-        int(np.argmax(_projective_values(q, _LABEL_PAIRS, grid))), len(_LABEL_PAIRS)
+
+def _min_error_chunk(q, grid, step, refinements):
+    """:func:`brute_force_min_error` for each row of the (m, 3) canonical
+    triples ``q``, all searched in lockstep."""
+    m, resolution = len(q), grid.size
+
+    # projective family; each prior's first angle-major maximum wins ties
+    i_best, pair = np.divmod(
+        np.argmax(_projective_values(q, grid[None, :]).reshape(m, -1), axis=1),
+        len(_LABEL_PAIRS),
     )
-    labels = _LABEL_PAIRS[pair]
 
     def proj_fn(coords):
-        return _projective_values(q, [labels], coords.ravel())[:, 0]
+        return _projective_values(q, coords[:, 0])[np.arange(m), :, pair]
 
-    (proj_point,), (proj_value,) = _refine(proj_fn, [[grid[i_best]]], step, refinements)
+    proj_points, proj_values = _refine(proj_fn, grid[i_best, None], step, refinements)
 
-    # three-outcome family over the valid grid points only, a block of t0
-    # slices at a time; the valid region can be thin near its boundary, so
-    # keep the first best candidate from every slice and refine the
-    # strongest few of them
-    (i1, i2), weights = _three_outcome_table(resolution)
+    # three-outcome family over the valid grid points only, a t0 slice for
+    # every prior at a time; the valid region can be thin near its
+    # boundary, so keep the first best candidate from every slice and
+    # refine the strongest few of each prior
+    offsets, (i1, i2), weights = _three_outcome_table(resolution)
     c0, c1, c2 = _overlap_sq(_STATE_ANGLES[:, None], grid)
-    block = max(1, _BLOCK_POINTS // i1.shape[1])
-    slice_j = np.empty(resolution, dtype=int)
-    slice_value = np.empty(resolution)
-    for a0 in range(0, resolution, block):
-        rows = slice(a0, a0 + block)
-        vals = _born_value(
-            q, weights[:, rows], (c0[rows, None], c1.take(i1[rows]), c2.take(i2[rows]))
-        )
-        slice_j[rows] = j = np.argmax(vals, axis=1)
-        slice_value[rows] = vals[np.arange(j.size), j]
-    found = np.flatnonzero(np.isfinite(slice_value))
+    qc = q.T[:, :, None]
+    slice_best = np.empty((m, resolution), dtype=int)
+    slice_value = np.empty((m, resolution))
+    for a in range(resolution):
+        points = slice(offsets[a], offsets[a + 1])
+        overlaps = (c0[a], c1.take(i1[points]), c2.take(i2[points]))
+        vals = _born_value(qc, weights[:, points], overlaps)
+        j = np.argmax(vals, axis=1)
+        slice_best[:, a] = offsets[a] + j
+        slice_value[:, a] = vals[np.arange(m), j]
 
-    tri_point, tri_value = None, -np.inf
-    if found.size:
+    # every slice holds valid points, so each prior has eight starts;
+    # stable sort: ties keep slice order, and the first strongest refined
+    # start wins
+    a = np.argsort(-slice_value, axis=1, kind="stable")[:, :8]
+    best = np.take_along_axis(slice_best, a, 1)
+    starts = np.stack([grid[a], grid[i1[best]], grid[i2[best]]], axis=2)
+    qr = np.repeat(q, a.shape[1], axis=0).T[:, :, None, None, None]
 
-        def triple_fn(coords):
-            t = _product_axes(coords)
-            overlaps = _product_axes(_overlap_sq(_STATE_ANGLES[:, None], coords))
-            return _three_outcome_values(q, _angle_sines(*t), overlaps)
+    def triple_fn(coords):
+        t = _product_axes(coords)
+        overlaps = _product_axes(_overlap_sq(_STATE_ANGLES[:, None], coords))
+        return _three_outcome_values(qr, _angle_sines(*t), overlaps)
 
-        # stable sort: ties keep slice order, and the first strongest
-        # refined start wins
-        a = found[np.argsort(-slice_value[found], kind="stable")[:8]]
-        j = slice_j[a]
-        starts = np.stack([grid[a], grid[i1[a, j]], grid[i2[a, j]]], axis=1)
-        points, values = _refine(triple_fn, starts, step, refinements)
-        k = int(np.argmax(values))
-        tri_point, tri_value = points[k], float(values[k])
-
-    if tri_value > proj_value:
-        return OracleResult(
-            best_value=tri_value,
-            best_parameters=tuple(float(t) for t in tri_point),
-            family="three_outcome",
-            labels=(0, 1, 2),
-        )
-    return OracleResult(
-        best_value=float(proj_value),
-        best_parameters=(float(proj_point[0]),),
-        family="projective",
-        labels=labels,
-    )
+    tri_points, tri_values = _refine(triple_fn, starts.reshape(-1, 3), step, refinements)
+    tri_points, tri_values = tri_points.reshape(starts.shape), tri_values.reshape(a.shape)
+    k = np.argmax(tri_values, axis=1)
+    return [
+        OracleResult(float(tri_values[p, k[p]]), tuple(tri_points[p, k[p]].tolist()),
+                     "three_outcome", (0, 1, 2))
+        if tri_values[p, k[p]] > proj_values[p] else
+        OracleResult(float(proj_values[p]), (float(proj_points[p, 0]),),
+                     "projective", _LABEL_PAIRS[pair[p]])
+        for p in range(m)
+    ]
 
 
 def brute_force_max_confidence(
-    priors: Priors, i: int, resolution: int = 360, refinements: int = 24
-) -> OracleResult:
+    priors: Priors | Sequence[Priors], i: int | Sequence[int],
+    resolution: int = 360, refinements: int = 24,
+) -> OracleResult | list[OracleResult]:
     """Maximize the Bayes posterior for state ``i`` over rank-1 elements.
 
     Confidence is scale invariant, so a single equatorial angle is the
     whole parameter space, searched as in :func:`brute_force_min_error`.
     ``i`` indexes the caller's original state order.  The defaults, 360
-    points and 24 refinements, are what ``verify`` runs.
+    points and 24 refinements, are what ``verify`` runs.  ``priors`` is one
+    ``Priors`` and ``i`` one state, answered with one ``OracleResult``, or
+    both are sequences of the same length, answered with a list.
     """
     grid, step = _grid(resolution)
-    mixed_e2(priors)  # the posterior needs a mixed ensemble density
-    q = np.asarray(priors.original)
+    single = isinstance(priors, Priors)
+    priors, states = ([priors], [i]) if single else (list(priors), list(i))
+    if len(states) != len(priors):
+        raise DomainError(f"{len(priors)} prior triples but {len(states)} states")
+    for p in priors:
+        mixed_e2(p)  # the posterior needs a mixed ensemble density
+    results = []
+    for c in range(0, len(priors), _CHUNK_PRIORS):
+        chunk = slice(c, c + _CHUNK_PRIORS)
+        q = np.array([p.original for p in priors[chunk]])
+        results += _max_confidence_chunk(q, states[chunk], grid, step, refinements)
+    return results[0] if single else results
+
+
+def _max_confidence_chunk(q, states, grid, step, refinements):
+    """:func:`brute_force_max_confidence` for each row of the (m, 3)
+    original-order triples ``q`` and its state, all searched in lockstep."""
+    rows = np.arange(len(q))
+    qc, qi = q.T[:, :, None], q[rows, states, None]
 
     def conf_fn(coords):
-        t = coords.ravel()
-        c = _overlap_sq(_STATE_ANGLES[:, None], t[None, :])
-        denom = q[0] * c[0] + q[1] * c[1] + q[2] * c[2]
+        c = _overlap_sq(_STATE_ANGLES[:, None, None], coords[:, 0])
+        denom = qc[0] * c[0] + qc[1] * c[1] + qc[2] * c[2]
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = q[i] * c[i] / denom
+            out = qi * c[states, rows] / denom
         return np.where(denom > 1e-14, out, -np.inf)
 
-    values = conf_fn(grid[:, None])
-    i_best = int(np.argmax(values))
-    (point,), (value,) = _refine(conf_fn, [[grid[i_best]]], step, refinements)
-    return OracleResult(
-        best_value=float(value),
-        best_parameters=(float(point[0]),),
-        family="single_element",
-        labels=(i,),
-    )
+    i_best = np.argmax(conf_fn(np.broadcast_to(grid, (rows.size, 1, grid.size))), axis=1)
+    points, values = _refine(conf_fn, grid[i_best, None], step, refinements)
+    return [
+        OracleResult(float(value), (float(point),), "single_element", (state,))
+        for value, point, state in zip(values, points[:, 0], states)
+    ]

@@ -269,9 +269,10 @@ class TestVerify:
         assert "unrecognized arguments" in err
 
     def test_oracles_run_at_their_defaults(self, capsys, monkeypatch):
-        # verify passes the priors (and the state) only, so the oracles' own
+        # verify passes the priors (and the states) only, so the oracles' own
         # defaults are its one configuration: min-error at r = 72,
-        # confidence at r = 360, both with 24 refinements
+        # confidence at r = 360, both with 24 refinements; each oracle is
+        # called once with every sample
         calls = []
 
         def recorder(fn):
@@ -279,15 +280,20 @@ class TestVerify:
                 call = inspect.signature(fn).bind(*args, **kwargs)
                 passed = sorted(call.arguments)
                 call.apply_defaults()
-                calls.append((passed, call.arguments["resolution"], call.arguments["refinements"]))
+                arguments = call.arguments
+                calls.append((passed, len(arguments["priors"]), arguments.get("i"),
+                              arguments["resolution"], arguments["refinements"]))
                 return fn(*args, **kwargs)
 
             return record
 
         for name in ("brute_force_min_error", "brute_force_max_confidence"):
             monkeypatch.setattr(cli, name, recorder(getattr(cli, name)))
-        assert run(capsys, "verify", "--samples", "2")[0] == 0
-        assert calls == [(["priors"], 72, 24), (["i", "priors"], 360, 24)] * 2
+        assert run(capsys, "verify", "--samples", "5")[0] == 0
+        assert calls == [
+            (["priors"], 5, None, 72, 24),
+            (["i", "priors"], 5, [0, 1, 2, 0, 1], 360, 24),
+        ]
 
     @pytest.mark.parametrize("tolerance", ["nan", "-0.001", "inf"])
     def test_rejects_bad_tolerance(self, capsys, tolerance):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from trinedisc import qubit
+from trinedisc import oracle, qubit
 from trinedisc.errors import DomainError, PureStateError
 from trinedisc.max_confidence import mc_confidence_closed_form
 from trinedisc.min_error import boundary_determinant, critical_delta, optimal_measurement
@@ -197,6 +197,28 @@ class TestMatchesReference:
                     want = reference_max_confidence(pr, i, resolution, refinements)
                     assert got == want, (pr.original, i, refinements)
 
+    # one batch call over every prior: 37 of them, three chunks, the last
+    # one short
+    @pytest.mark.parametrize("resolution", [16, 37, 72])
+    def test_min_error_batch_equals_reference(self, resolution):
+        priors = _equivalence_priors()
+        assert len(priors) % oracle._CHUNK_PRIORS
+        for refinements in (0, 24):
+            got = brute_force_min_error(priors, resolution, refinements)
+            assert got == [reference_min_error(pr, resolution, refinements) for pr in priors]
+
+    @pytest.mark.parametrize("resolution", [16, 37, 360])
+    def test_max_confidence_batch_equals_reference(self, resolution):
+        priors = _equivalence_priors()[:-1]  # (1, 0, 0) is a pure ensemble
+        assert len(priors) % oracle._CHUNK_PRIORS
+        states = [n % 3 for n in range(len(priors))]
+        for refinements in (0, 24):
+            got = brute_force_max_confidence(priors, states, resolution, refinements)
+            assert got == [
+                reference_max_confidence(pr, i, resolution, refinements)
+                for pr, i in zip(priors, states)
+            ]
+
 
 
 class TestMinErrorOracle:
@@ -237,9 +259,17 @@ class TestMinErrorOracle:
         b = brute_force_min_error(pr, resolution=48, refinements=12)
         assert a == b
 
-    def test_rejects_tiny_resolution(self):
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_rejects_tiny_resolution(self, batch):
+        pr = canonicalize_priors(0.5, 0.3, 0.2)
         with pytest.raises(DomainError):
-            brute_force_min_error(canonicalize_priors(0.5, 0.3, 0.2), resolution=8)
+            brute_force_min_error([pr] if batch else pr, resolution=8)
+        with pytest.raises(DomainError):
+            brute_force_max_confidence([pr] if batch else pr, [0] if batch else 0, resolution=8)
+
+    def test_empty_batch(self):
+        assert brute_force_min_error([]) == []
+        assert brute_force_max_confidence([], []) == []
 
     def test_incumbent_value_matches_born_rule(self):
         # recompute the oracle value from its own POVM, in canonical order
@@ -268,8 +298,16 @@ class TestMaxConfidenceOracle:
                 )
 
     def test_pure_ensemble_rejected(self):
+        pure = canonicalize_priors(1.0, 0.0, 0.0)
         with pytest.raises(PureStateError):
-            brute_force_max_confidence(canonicalize_priors(1.0, 0.0, 0.0), 0)
+            brute_force_max_confidence(pure, 0)
+        with pytest.raises(PureStateError):
+            brute_force_max_confidence([canonicalize_priors(0.5, 0.3, 0.2), pure], [0, 1])
+
+    def test_batch_needs_one_state_per_prior(self):
+        pr = canonicalize_priors(0.5, 0.3, 0.2)
+        with pytest.raises(DomainError):
+            brute_force_max_confidence([pr, pr], [0])
 
     def test_equal_priors(self):
         pr = canonicalize_priors(1 / 3, 1 / 3, 1 / 3)

@@ -1,7 +1,9 @@
 """The package's public surface resolves, and the CLI loads every layer."""
 
 import ast
+import contextlib
 import importlib
+import io
 import json
 import os
 import shlex
@@ -142,6 +144,26 @@ def test_oracle_builds_its_grid_table_once_per_resolution():
     # cached is verify's r = 72
     assert built == [0, 1, 1, 1]
     assert nbytes <= 3_000_000
+
+
+def test_oracle_refines_a_bounded_number_of_starts(monkeypatch):
+    # verify hands each oracle all its priors; searched a chunk at a time,
+    # no refinement holds more than eight starts per prior of one chunk
+    from trinedisc import oracle
+
+    rows = []
+    refine = oracle._refine
+
+    def record(value_fn, starts, *args):
+        rows.append(len(starts))
+        return refine(value_fn, starts, *args)
+
+    monkeypatch.setattr(oracle, "_refine", record)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--samples", "40"]) == 0
+    # two oracle calls, so more than three refinements means chunks
+    assert len(rows) > 3
+    assert max(rows) <= 8 * oracle._CHUNK_PRIORS
 
 
 #: Single queries, which must not load numpy.
