@@ -259,13 +259,14 @@ class TestMinErrorOracle:
         b = brute_force_min_error(pr, resolution=48, refinements=12)
         assert a == b
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_rejects_tiny_resolution(self, batch):
+    def test_rejects_tiny_resolution(self):
         pr = canonicalize_priors(0.5, 0.3, 0.2)
-        with pytest.raises(DomainError):
-            brute_force_min_error([pr] if batch else pr, resolution=8)
-        with pytest.raises(DomainError):
-            brute_force_max_confidence([pr] if batch else pr, [0] if batch else 0, resolution=8)
+        # one prior, a batch, and an empty batch
+        for priors, states in ((pr, 0), ([pr], [0]), ([], [])):
+            with pytest.raises(DomainError):
+                brute_force_min_error(priors, resolution=8)
+            with pytest.raises(DomainError):
+                brute_force_max_confidence(priors, states, resolution=8)
 
     def test_empty_batch(self):
         assert brute_force_min_error([]) == []
