@@ -21,18 +21,23 @@
 - The <psi_j| Gamma^{-1} |psi_j> = 1/p_j check of the three-outcome
   construction must allow for the rounding of its own summands, which grow
   like 1/e on the tie edge (1 - 2e, e, e).
+- NaN passes every range check written as ``x < lo``, so a NaN prior or
+  delta must fail the range check, not reach the order check; the CLI must
+  refuse a non-finite ``--delta`` or value-list entry before it builds an
+  axis from it.
 """
 
 import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from trinedisc.cli import main
-from trinedisc.errors import PureStateError, VerificationError
+from trinedisc.errors import DomainError, PureStateError, VerificationError
 from trinedisc.max_confidence import (
     confidence,
     confidence_report,
@@ -46,7 +51,7 @@ from trinedisc.min_error import (
     three_element_weights_raw,
 )
 from trinedisc.oracle import brute_force_max_confidence
-from trinedisc.trine import canonicalize_priors, priors_from_p_delta
+from trinedisc.trine import Priors, canonicalize_priors, priors_from_p_delta
 
 NEAR_CORNER = [
     (0.998, 0.001, 0.001),
@@ -201,3 +206,31 @@ def test_pure_ensemble_refused_the_same_everywhere(capsys):
         assert refuses(lambda: mc_povm(pr)) == pure
         assert refuses(lambda: brute_force_max_confidence(pr, 0, 16, 0)) == pure
         assert (0.5 not in sweep_p_values(capsys, delta)) == pure
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="NaN passes the range checks and fails the order check")
+@pytest.mark.parametrize("build, args, message", [
+    (canonicalize_priors, (math.nan, 0.5, 0.5), r"priors must be nonnegative, got \(nan"),
+    (Priors, (0.5, 0.5, math.nan), r"priors must be nonnegative, got \(0.5, 0.5, nan\)"),
+    (priors_from_p_delta, (0.4, math.nan), "delta must be nonnegative, got nan"),
+])
+def test_nan_priors_fail_the_range_checks(build, args, message):
+    with pytest.raises(DomainError, match=message):
+        build(*args)
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="a non-finite delta or value reaches np.linspace")
+@pytest.mark.parametrize("argv, message", [
+    (["optimal", "--p", "0.4", "--delta", "nan"], "delta must be nonnegative, got nan"),
+    (["curves", "--delta-values", "inf", "--steps", "3"], "--delta-values must be finite, got inf"),
+    (["curves", "--p-values", "0.4,nan", "--steps", "3"], "--p-values must be finite, got nan"),
+    (["confidence", "--delta", "inf", "--sweep", "3"], "--delta must be finite, got inf"),
+])
+def test_non_finite_cli_values_name_the_bad_value(capsys, argv, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+    assert [str(w.message) for w in caught] == []
