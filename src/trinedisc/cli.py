@@ -289,11 +289,14 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
-def _parse_values(text: str) -> list[float]:
+def _parse_values(flag: str, text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise DomainError(f"invalid value list {text!r}") from exc
+    for v in values:
+        _require_finite(flag, v)
+    return values
 
 
 CURVE_COLUMNS = [
@@ -331,12 +334,12 @@ def cmd_curves(args) -> int:
     _require_at_least("--steps", args.steps, 1)
     rows = []
     if args.p_values is not None:
-        for p in _parse_values(args.p_values):
+        for p in _parse_values("--p-values", args.p_values):
             for delta in _delta_axis(p, args.steps):
                 rows.append(_curve_row(priors_from_p_delta(p, float(delta))))
         flags = f"--p-values {args.p_values} --steps {args.steps}"
     else:
-        for delta in _parse_values(args.delta_values):
+        for delta in _parse_values("--delta-values", args.delta_values):
             for p in _p_axis(delta, args.steps):
                 rows.append(_curve_row(priors_from_p_delta(float(p), delta)))
         flags = f"--delta-values {args.delta_values} --steps {args.steps}"
@@ -373,6 +376,7 @@ def cmd_confidence(args) -> int:
     if args.sweep is not None:
         if args.delta is None:
             raise DomainError("--sweep needs --delta (sweeps p at fixed delta)")
+        _require_finite("--delta", args.delta)
         _require_at_least("--sweep", args.sweep, 1)
         rows = []
         for p in _p_axis(args.delta, args.sweep):

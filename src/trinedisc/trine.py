@@ -71,9 +71,10 @@ class Priors:
 
     def __post_init__(self):
         triple = (self.p0, self.p1, self.p2)
-        if any(q < -_PARAM_TOL for q in triple):
+        # each range check is written so that NaN fails it
+        if not all(q >= -_PARAM_TOL for q in triple):
             raise DomainError(f"priors must be nonnegative, got {triple}")
-        if abs(sum(triple) - 1.0) > _SUM_TOL:
+        if not abs(sum(triple) - 1.0) <= _SUM_TOL:
             raise DomainError(f"priors must sum to 1, got {triple}")
         if not (self.p0 >= self.p1 - _PARAM_TOL >= self.p2 - 2 * _PARAM_TOL):
             raise DomainError(f"canonical order requires p0 >= p1 >= p2, got {triple}")
@@ -108,10 +109,10 @@ def canonicalize_priors(q0: float, q1: float, q2: float) -> Priors:
     Triples whose sum is within 1e-9 of 1 are renormalized.
     """
     triple = [float(q0), float(q1), float(q2)]
-    if any(q < 0.0 for q in triple):
+    if not all(q >= 0.0 for q in triple):
         raise DomainError(f"priors must be nonnegative, got {tuple(triple)}")
     total = sum(triple)
-    if abs(total - 1.0) > _SUM_TOL:
+    if not abs(total - 1.0) <= _SUM_TOL:
         raise DomainError(f"priors must sum to 1 within 1e-9, got sum {total!r}")
     triple = [q / total for q in triple]
     order = sorted(range(3), key=lambda i: -triple[i])
@@ -124,7 +125,7 @@ def priors_from_p_delta(p: float, delta: float) -> Priors:
     """Build the canonical triple (p+delta, p-delta, 1-2p)."""
     if not (1.0 / 3.0 - _PARAM_TOL <= p <= 0.5 + _PARAM_TOL):
         raise DomainError(f"p must lie in [1/3, 1/2], got {p!r}")
-    if delta < -_PARAM_TOL:
+    if not delta >= -_PARAM_TOL:
         raise DomainError(f"delta must be nonnegative, got {delta!r}")
     if delta > 3.0 * p - 1.0 + _PARAM_TOL:
         raise DomainError(f"delta={delta!r} violates delta <= 3p-1 = {3 * p - 1!r}")

@@ -208,8 +208,6 @@ def test_pure_ensemble_refused_the_same_everywhere(capsys):
         assert (0.5 not in sweep_p_values(capsys, delta)) == pure
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="NaN passes the range checks and fails the order check")
 @pytest.mark.parametrize("build, args, message", [
     (canonicalize_priors, (math.nan, 0.5, 0.5), r"priors must be nonnegative, got \(nan"),
     (Priors, (0.5, 0.5, math.nan), r"priors must be nonnegative, got \(0.5, 0.5, nan\)"),
@@ -220,8 +218,6 @@ def test_nan_priors_fail_the_range_checks(build, args, message):
         build(*args)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="a non-finite delta or value reaches np.linspace")
 @pytest.mark.parametrize("argv, message", [
     (["optimal", "--p", "0.4", "--delta", "nan"], "delta must be nonnegative, got nan"),
     (["curves", "--delta-values", "inf", "--steps", "3"], "--delta-values must be finite, got inf"),
