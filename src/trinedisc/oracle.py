@@ -16,19 +16,19 @@ numpy and the state-angle array are bound to module globals by the first
 search, not at import.  The three-outcome grid's Cramer weights and
 validity mask do not depend on the priors, so the first min-error search
 at a resolution builds them and keeps only the valid points, about a
-quarter of the r^3 grid: 6.5 bytes per grid point (2.4 MB at r = 72),
-cached until a search at another resolution replaces it.  Both oracles
-take one prior or a sequence, searched in lockstep 16 priors at a time,
-so each numpy call serves a chunk of priors and working memory does not
-grow with the sequence.  Refinement evaluates sines and overlaps once per
-axis value of its stencil, not once per stencil point.
+quarter of the r^3 grid: 6.5 bytes per grid point (2.4 MB at r = 72,
+0.3 GB at r = 360), cached until a search at another resolution replaces
+it.  Both oracles search a sequence of priors in lockstep, 16 at a time,
+so each numpy call serves a chunk and working memory does not grow with
+the sequence.  Refinement evaluates sines and overlaps once per axis
+value of its stencil, not once per stencil point.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 from .trine import TRINE_ANGLES, Priors, mixed_e2
@@ -63,7 +63,7 @@ class OracleResult:
     best_value: float
     best_parameters: tuple[float, ...]
     family: str  # "projective" | "three_outcome" | "single_element"
-    labels: Optional[tuple[int, ...]] = None
+    labels: tuple[int, ...]
 
 
 def _grid(resolution: int):
@@ -78,15 +78,16 @@ def _cramer_weights(s21, s02, s10):
     """Weights closing sum k_j |t_j><t_j| = I, via Cramer's rule, from
     s21 = sin(t2 - t1), s02 = sin(t0 - t2) and s10 = sin(t1 - t0).
 
-    Valid wherever the three directions are not collinear; returns the
-    signed solution (negative entries mean no POVM exists there).
+    Returns where they are a POVM (no collinear directions, no negative
+    weight) and the signed weights (k0, k1, k2).
     """
     d = s21 + s02 + s10
     with np.errstate(divide="ignore", invalid="ignore"):
         k0 = 2.0 * s21 / d
         k1 = 2.0 * s02 / d
         k2 = 2.0 * s10 / d
-    return d, k0, k1, k2
+    invalid = (np.abs(d) < _DEGENERATE_TOL) | (k0 < 0.0) | (k1 < 0.0) | (k2 < 0.0)
+    return ~invalid, (k0, k1, k2)
 
 
 def _overlap_sq(state_angle, t):
@@ -94,32 +95,21 @@ def _overlap_sq(state_angle, t):
     return np.cos(0.5 * (state_angle - t)) ** 2
 
 
-def _invalid_weights(d, k0, k1, k2):
-    """Where the Cramer solution is no POVM: collinear directions or a
-    negative weight."""
-    return (np.abs(d) < _DEGENERATE_TOL) | (k0 < 0.0) | (k1 < 0.0) | (k2 < 0.0)
-
-
 def _born_value(q, weights, overlaps):
-    """Born success probability of the Cramer POVM.
-
-    ``weights`` are k0, k1 and k2; ``overlaps`` are |<psi_j|t_j>|^2 for
-    j = 0, 1, 2.
-    """
+    """Born success probability of the Cramer POVM with ``weights`` k0, k1
+    and k2 and ``overlaps`` |<psi_j|t_j>|^2 for j = 0, 1, 2."""
     k0, k1, k2 = weights
     c0, c1, c2 = overlaps
     return q[0] * k0 * c0 + q[1] * k1 * c1 + q[2] * k2 * c2
 
 
 def _three_outcome_values(q, sines, overlaps):
-    """Born success probability of the Cramer POVM; -inf where invalid.
-
-    ``sines`` are those of :func:`_cramer_weights`.
-    """
-    d, *weights = _cramer_weights(*sines)
+    """Born value of the Cramer POVM of ``sines``, as :func:`_cramer_weights`
+    takes them; -inf where it is no POVM or the value is not finite."""
+    valid, weights = _cramer_weights(*sines)
     with np.errstate(invalid="ignore"):
         value = _born_value(q, weights, overlaps)
-    return np.where(_invalid_weights(d, *weights) | ~np.isfinite(value), -np.inf, value)
+    return np.where(valid & np.isfinite(value), value, -np.inf)
 
 
 @functools.lru_cache(maxsize=1)
@@ -139,8 +129,7 @@ def _three_outcome_table(resolution: int):
     sd_t = np.ascontiguousarray(sd.T)
 
     def slice_weights(a):
-        d, *k = _cramer_weights(sd_t, sd[a], sd_t[a][:, None])
-        return ~_invalid_weights(d, *k), k
+        return _cramer_weights(sd_t, sd[a], sd_t[a][:, None])
 
     # count first, so that only the table is ever held in full
     counts = [np.count_nonzero(slice_weights(a)[0]) for a in range(resolution)]
@@ -155,16 +144,6 @@ def _three_outcome_table(resolution: int):
     # every later search shares these arrays
     offsets.flags.writeable = indices.flags.writeable = weights.flags.writeable = False
     return offsets, indices, weights
-
-
-def _product_axes(x):
-    """Rows 0, 1 and 2 of each (3, n) block of ``x`` on the three axes of
-    an (m, n, n, n) product grid."""
-    return x[:, 0, :, None, None], x[:, 1, None, :, None], x[:, 2, None, None, :]
-
-
-def _angle_sines(t0, t1, t2):
-    return np.sin(t2 - t1), np.sin(t0 - t2), np.sin(t1 - t0)
 
 
 def _projective_values(q, t):
@@ -204,26 +183,37 @@ def _refine(value_fn, starts, start_step, refinements):
     return points, value_fn(points[:, :, None]).reshape(m)
 
 
+def _in_chunks(search_chunk, resolution, refinements, q, *per_prior):
+    """``search_chunk`` on ``_CHUNK_PRIORS`` of the prior triples ``q`` at
+    a time, as an (m, 3) array, with the same slice of each ``per_prior``
+    sequence; returns all the results in order."""
+    grid, step = _grid(resolution)
+    results = []
+    for c in range(0, len(q), _CHUNK_PRIORS):
+        chunk = slice(c, c + _CHUNK_PRIORS)
+        args = (x[chunk] for x in per_prior)
+        results += search_chunk(np.array(q[chunk]), *args, grid, step, refinements)
+    return results
+
+
 def brute_force_min_error(
-    priors: Priors | Sequence[Priors], resolution: int = 72, refinements: int = 24
-) -> OracleResult | list[OracleResult]:
-    """Maximize Born success probability over both measurement families.
+    priors: Sequence[Priors], resolution: int = 72, refinements: int = 24
+) -> list[OracleResult]:
+    """Maximize Born success probability over both measurement families
+    for each of ``priors``; one result per prior, in order.
 
     Grid search at ``resolution`` points per angle, then ``refinements``
-    step-halving local refinements around the incumbent.  Fully
-    deterministic; ties go to the lexicographically smallest parameters.
-    The defaults, 72 points and 24 refinements, are what ``verify`` runs.
-    ``priors`` is one ``Priors``, answered with one ``OracleResult``, or a
-    sequence, answered with a list; each result is the same either way.
+    step-halving local refinements; the defaults, 72 and 24, are what
+    ``verify`` runs.  The grid table stays cached for the process: about
+    6.5 bytes per grid point (r^3), 2.4 MB at r = 72, 0.3 GB at r = 360.
+    Deterministic.  Projective ties go to the first maximum in angle-major
+    order over (angle, label pair).  Three-outcome t0 slices are ranked by
+    value, ties in t0 order, each offering its first best point in (t1, t2)
+    order, and the first best of the eight refined starts wins; it is
+    returned only when strictly above the projective result.
     """
-    grid, step = _grid(resolution)
-    single = isinstance(priors, Priors)
-    priors = [priors] if single else list(priors)
-    results = []
-    for c in range(0, len(priors), _CHUNK_PRIORS):
-        q = np.array([p.canonical for p in priors[c:c + _CHUNK_PRIORS]])
-        results += _min_error_chunk(q, grid, step, refinements)
-    return results[0] if single else results
+    q = [p.canonical for p in priors]
+    return _in_chunks(_min_error_chunk, resolution, refinements, q)
 
 
 def _min_error_chunk(q, grid, step, refinements):
@@ -268,9 +258,13 @@ def _min_error_chunk(q, grid, step, refinements):
     qr = np.repeat(q, a.shape[1], axis=0).T[:, :, None, None, None]
 
     def triple_fn(coords):
-        t = _product_axes(coords)
-        overlaps = _product_axes(_overlap_sq(_STATE_ANGLES[:, None], coords))
-        return _three_outcome_values(qr, _angle_sines(*t), overlaps)
+        # rows 0, 1 and 2 of each (3, n) block on the three axes of an
+        # (m, n, n, n) product grid
+        axes = np.s_[:, 0, :, None, None], np.s_[:, 1, None, :, None], np.s_[:, 2, None, None, :]
+        t0, t1, t2 = (coords[j] for j in axes)
+        c = _overlap_sq(_STATE_ANGLES[:, None], coords)
+        sines = np.sin(t2 - t1), np.sin(t0 - t2), np.sin(t1 - t0)
+        return _three_outcome_values(qr, sines, tuple(c[j] for j in axes))
 
     tri_points, tri_values = _refine(triple_fn, starts.reshape(-1, 3), step, refinements)
     tri_points, tri_values = tri_points.reshape(starts.shape), tri_values.reshape(a.shape)
@@ -286,31 +280,23 @@ def _min_error_chunk(q, grid, step, refinements):
 
 
 def brute_force_max_confidence(
-    priors: Priors | Sequence[Priors], i: int | Sequence[int],
+    priors: Sequence[Priors], states: Sequence[int],
     resolution: int = 360, refinements: int = 24,
-) -> OracleResult | list[OracleResult]:
-    """Maximize the Bayes posterior for state ``i`` over rank-1 elements.
+) -> list[OracleResult]:
+    """Maximize the Bayes posterior for ``states[n]``, an index in the
+    caller's original order, over rank-1 elements for each ``priors[n]``;
+    one result per prior, in order.
 
     Confidence is scale invariant, so a single equatorial angle is the
     whole parameter space, searched as in :func:`brute_force_min_error`.
-    ``i`` indexes the caller's original state order.  The defaults, 360
-    points and 24 refinements, are what ``verify`` runs.  ``priors`` is one
-    ``Priors`` and ``i`` one state, answered with one ``OracleResult``, or
-    both are sequences of the same length, answered with a list.
+    The defaults, 360 points and 24 refinements, are what ``verify`` runs.
     """
-    grid, step = _grid(resolution)
-    single = isinstance(priors, Priors)
-    priors, states = ([priors], [i]) if single else (list(priors), list(i))
-    if len(states) != len(priors):
-        raise DomainError(f"{len(priors)} prior triples but {len(states)} states")
+    q = [p.original for p in priors]
+    if len(states) != len(q):
+        raise DomainError(f"{len(q)} prior triples but {len(states)} states")
     for p in priors:
         mixed_e2(p)  # the posterior needs a mixed ensemble density
-    results = []
-    for c in range(0, len(priors), _CHUNK_PRIORS):
-        chunk = slice(c, c + _CHUNK_PRIORS)
-        q = np.array([p.original for p in priors[chunk]])
-        results += _max_confidence_chunk(q, states[chunk], grid, step, refinements)
-    return results[0] if single else results
+    return _in_chunks(_max_confidence_chunk, resolution, refinements, q, states)
 
 
 def _max_confidence_chunk(q, states, grid, step, refinements):

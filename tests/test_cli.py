@@ -281,7 +281,7 @@ class TestVerify:
                 passed = sorted(call.arguments)
                 call.apply_defaults()
                 arguments = call.arguments
-                calls.append((passed, len(arguments["priors"]), arguments.get("i"),
+                calls.append((passed, len(arguments["priors"]), arguments.get("states"),
                               arguments["resolution"], arguments["refinements"]))
                 return fn(*args, **kwargs)
 
@@ -292,7 +292,7 @@ class TestVerify:
         assert run(capsys, "verify", "--samples", "5")[0] == 0
         assert calls == [
             (["priors"], 5, None, 72, 24),
-            (["i", "priors"], 5, [0, 1, 2, 0, 1], 360, 24),
+            (["priors", "states"], 5, [0, 1, 2, 0, 1], 360, 24),
         ]
 
     @pytest.mark.parametrize("tolerance", ["nan", "-0.001", "inf"])

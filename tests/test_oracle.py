@@ -183,7 +183,7 @@ class TestMatchesReference:
     def test_min_error_equals_reference(self, resolution):
         for pr in _equivalence_priors():
             for refinements in (0, 5, 24):
-                got = brute_force_min_error(pr, resolution, refinements)
+                [got] = brute_force_min_error([pr], resolution, refinements)
                 assert got == reference_min_error(pr, resolution, refinements), (
                     pr.original, refinements,
                 )
@@ -193,7 +193,7 @@ class TestMatchesReference:
         for pr in _equivalence_priors()[:-1]:  # (1, 0, 0) is a pure ensemble
             for i in range(3):
                 for refinements in (0, 5, 24):
-                    got = brute_force_max_confidence(pr, i, resolution, refinements)
+                    [got] = brute_force_max_confidence([pr], [i], resolution, refinements)
                     want = reference_max_confidence(pr, i, resolution, refinements)
                     assert got == want, (pr.original, i, refinements)
 
@@ -224,13 +224,13 @@ class TestMatchesReference:
 class TestMinErrorOracle:
     def test_equal_priors(self):
         pr = canonicalize_priors(1 / 3, 1 / 3, 1 / 3)
-        res = brute_force_min_error(pr, resolution=72, refinements=24)
+        [res] = brute_force_min_error([pr], resolution=72, refinements=24)
         assert res.best_value == pytest.approx(2 / 3, abs=1e-9)
         assert res.family == "three_outcome"
 
     def test_two_state_edge(self):
         pr = canonicalize_priors(0.5, 0.5, 0.0)
-        res = brute_force_min_error(pr, resolution=72, refinements=24)
+        [res] = brute_force_min_error([pr], resolution=72, refinements=24)
         assert res.best_value == pytest.approx((2 + np.sqrt(3)) / 4, abs=1e-9)
         # with p2 = 0 a degenerate three-outcome POVM ties the projective
         # optimum, so either family may win the tie-break
@@ -241,28 +241,28 @@ class TestMinErrorOracle:
         for _ in range(20):
             pr = random_priors(rng)
             analytic = optimal_measurement(pr).p_correct
-            res = brute_force_min_error(pr, resolution=72, refinements=24)
+            [res] = brute_force_min_error([pr], resolution=72, refinements=24)
             assert res.best_value == pytest.approx(analytic, abs=1e-6)
 
     def test_incumbent_is_a_valid_povm(self):
         rng = np.random.default_rng(71)
         for _ in range(10):
             pr = random_priors(rng)
-            res = brute_force_min_error(pr, resolution=48, refinements=16)
+            [res] = brute_force_min_error([pr], resolution=48, refinements=16)
             m = measurement_from_parameters(res)
             v = m.validity()
             assert v.is_valid and v.completeness_deviation < 1e-8
 
     def test_deterministic(self):
         pr = canonicalize_priors(0.5, 0.3, 0.2)
-        a = brute_force_min_error(pr, resolution=48, refinements=12)
-        b = brute_force_min_error(pr, resolution=48, refinements=12)
+        a = brute_force_min_error([pr], resolution=48, refinements=12)
+        b = brute_force_min_error([pr], resolution=48, refinements=12)
         assert a == b
 
     def test_rejects_tiny_resolution(self):
         pr = canonicalize_priors(0.5, 0.3, 0.2)
-        # one prior, a batch, and an empty batch
-        for priors, states in ((pr, 0), ([pr], [0]), ([], [])):
+        # a batch, and an empty batch
+        for priors, states in (([pr], [0]), ([], [])):
             with pytest.raises(DomainError):
                 brute_force_min_error(priors, resolution=8)
             with pytest.raises(DomainError):
@@ -272,10 +272,18 @@ class TestMinErrorOracle:
         assert brute_force_min_error([]) == []
         assert brute_force_max_confidence([], []) == []
 
+    def test_bare_priors_rejected(self):
+        # both oracles take a sequence of priors, never one bare triple
+        pr = canonicalize_priors(0.5, 0.3, 0.2)
+        with pytest.raises(TypeError):
+            brute_force_min_error(pr)
+        with pytest.raises(TypeError):
+            brute_force_max_confidence(pr, [0])
+
     def test_incumbent_value_matches_born_rule(self):
         # recompute the oracle value from its own POVM, in canonical order
         pr = canonicalize_priors(0.45, 0.35, 0.2)
-        res = brute_force_min_error(pr, resolution=72, refinements=24)
+        [res] = brute_force_min_error([pr], resolution=72, refinements=24)
         m = measurement_from_parameters(res)
         rhos = trine_projectors()
         value = sum(
@@ -293,7 +301,7 @@ class TestMaxConfidenceOracle:
             if pr.p0 > 1.0 - 1e-6 or min(pr.canonical) < 1e-6:
                 continue
             for i in range(3):
-                res = brute_force_max_confidence(pr, i, resolution=360, refinements=20)
+                [res] = brute_force_max_confidence([pr], [i], resolution=360, refinements=20)
                 assert res.best_value == pytest.approx(
                     mc_confidence_closed_form(pr, i), abs=1e-7
                 )
@@ -301,7 +309,7 @@ class TestMaxConfidenceOracle:
     def test_pure_ensemble_rejected(self):
         pure = canonicalize_priors(1.0, 0.0, 0.0)
         with pytest.raises(PureStateError):
-            brute_force_max_confidence(pure, 0)
+            brute_force_max_confidence([pure], [0])
         with pytest.raises(PureStateError):
             brute_force_max_confidence([canonicalize_priors(0.5, 0.3, 0.2), pure], [0, 1])
 
@@ -313,7 +321,7 @@ class TestMaxConfidenceOracle:
     def test_equal_priors(self):
         pr = canonicalize_priors(1 / 3, 1 / 3, 1 / 3)
         for i in range(3):
-            res = brute_force_max_confidence(pr, i, resolution=360, refinements=20)
+            [res] = brute_force_max_confidence([pr], [i], resolution=360, refinements=20)
             assert res.best_value == pytest.approx(2 / 3, abs=1e-9)
 
 

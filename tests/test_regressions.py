@@ -204,7 +204,7 @@ def test_pure_ensemble_refused_the_same_everywhere(capsys):
         pr = priors_from_p_delta(0.5, delta)
         pure = delta >= PURE_EDGE_DELTA
         assert refuses(lambda: mc_povm(pr)) == pure
-        assert refuses(lambda: brute_force_max_confidence(pr, 0, 16, 0)) == pure
+        assert refuses(lambda: brute_force_max_confidence([pr], [0], 16, 0)) == pure
         assert (0.5 not in sweep_p_values(capsys, delta)) == pure
 
 
