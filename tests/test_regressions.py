@@ -25,6 +25,9 @@
   delta must fail the range check, not reach the order check; the CLI must
   refuse a non-finite ``--delta`` or value-list entry before it builds an
   axis from it.
+- The p axis of a sweep at fixed delta starts at delta itself when
+  delta > 1/2, so an out-of-range delta was reported as a bad p the caller
+  never gave; the range check must name the delta flag.
 """
 
 import csv
@@ -230,3 +233,15 @@ def test_non_finite_cli_values_name_the_bad_value(capsys, argv, message):
         code = main(argv)
     assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.xfail(strict=True, reason="delta > 1/2 reaches the p axis and is reported as a bad p")
+@pytest.mark.parametrize("argv, message", [
+    (["confidence", "--delta", "0.9", "--sweep", "3"], "--delta must lie in [0, 1/2], got 0.9"),
+    (["curves", "--delta-values", "0.6", "--steps", "3"],
+     "--delta-values must lie in [0, 1/2], got 0.6"),
+    (["curves", "--delta-values", "0.1,-0.2", "--steps", "3"],
+     "--delta-values must lie in [0, 1/2], got -0.2"),
+])
+def test_out_of_range_sweep_delta_names_its_flag(capsys, argv, message):
+    assert (main(argv), capsys.readouterr().err) == (2, f"error: {message}\n")
