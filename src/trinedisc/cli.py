@@ -178,6 +178,12 @@ def _require_finite(flag: str, value: float) -> None:
         raise DomainError(f"{flag} must be finite, got {value}")
 
 
+def _require_delta(flag: str, delta: float) -> None:
+    """Refuse a delta outside [0, 1/2] before :func:`_p_axis` starts an axis at it."""
+    if not 0.0 <= delta <= 0.5:
+        raise DomainError(f"{flag} must lie in [0, 1/2], got {delta}")
+
+
 def _delta_axis(p: float, steps: int):
     """``steps`` deltas from 0 to the admissible bound min(p, 3p - 1)."""
     import numpy as np
@@ -340,6 +346,7 @@ def cmd_curves(args) -> int:
         flags = f"--p-values {args.p_values} --steps {args.steps}"
     else:
         for delta in _parse_values("--delta-values", args.delta_values):
+            _require_delta("--delta-values", delta)
             for p in _p_axis(delta, args.steps):
                 rows.append(_curve_row(priors_from_p_delta(float(p), delta)))
         flags = f"--delta-values {args.delta_values} --steps {args.steps}"
@@ -377,6 +384,7 @@ def cmd_confidence(args) -> int:
         if args.delta is None:
             raise DomainError("--sweep needs --delta (sweeps p at fixed delta)")
         _require_finite("--delta", args.delta)
+        _require_delta("--delta", args.delta)
         _require_at_least("--sweep", args.sweep, 1)
         rows = []
         for p in _p_axis(args.delta, args.sweep):

@@ -235,7 +235,6 @@ def test_non_finite_cli_values_name_the_bad_value(capsys, argv, message):
     assert [str(w.message) for w in caught] == []
 
 
-@pytest.mark.xfail(strict=True, reason="delta > 1/2 reaches the p axis and is reported as a bad p")
 @pytest.mark.parametrize("argv, message", [
     (["confidence", "--delta", "0.9", "--sweep", "3"], "--delta must lie in [0, 1/2], got 0.9"),
     (["curves", "--delta-values", "0.6", "--steps", "3"],
