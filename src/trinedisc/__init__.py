@@ -2,8 +2,9 @@
 
 Closed-form minimum-error and maximum-confidence measurements for three
 symmetric equatorial qubit states with arbitrary prior probabilities,
-together with a brute-force search oracle and Monte Carlo sampling that
-validate every closed form independently.
+together with certified bounds on each optimum, read off the answer itself
+by weak duality, and Monte Carlo sampling that checks every closed form
+independently.
 """
 
 __version__ = "0.1.0"
@@ -40,11 +41,7 @@ from .min_error import (
     p_correct_two_element,
     theta_two_element,
 )
-from .oracle import (
-    OracleResult,
-    brute_force_max_confidence,
-    brute_force_min_error,
-)
+from .oracle import certify_max_confidence, certify_min_error
 from .qubit import INCONCLUSIVE, Measurement, PovmValidity
 from .simulate import EmpiricalResult, estimate_confidence, estimate_success
 from .trine import (

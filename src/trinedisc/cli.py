@@ -2,15 +2,16 @@
 
 Subcommands: ``optimal`` (single-point query), ``region`` and ``curves``
 and ``confidence`` (CSV parameter sweeps), ``verify`` (closed forms
-against the brute-force oracle), ``simulate`` (Monte Carlo).
+against the certified bounds of :mod:`trinedisc.oracle`), ``simulate``
+(Monte Carlo).
 
 Exit codes: 0 ok, 2 usage or domain error, 3 internal verification
-failure, 4 I/O error, 5 oracle mismatch.  Numbers are serialized with 12
+failure, 4 I/O error, 5 certificate mismatch.  Numbers are serialized with 12
 significant digits; CSV data carries no timestamps, only a ``#`` metadata
 header with the package version and the invoking flags.
 
-numpy is imported only by the sweeps and ``verify``, and through the
-oracle and the sampler, so single queries run without loading it.
+numpy is imported only by the sweeps, by ``verify`` to draw its priors
+and through the sampler, so single queries run without loading it.
 :func:`main` builds its parser on the first call and reuses it, so it can
 be called repeatedly in one process.
 """
@@ -49,7 +50,7 @@ from .min_error import (
     p_correct_three_element,
     p_correct_two_element,
 )
-from .oracle import brute_force_max_confidence, brute_force_min_error
+from .oracle import certify_max_confidence, certify_min_error
 from .simulate import estimate_confidence, estimate_success
 from .trine import (
     Priors,
@@ -424,20 +425,21 @@ def cmd_verify(args) -> int:
     from numpy.random import default_rng
 
     rng = default_rng(args.seed)
-    samples = [random_priors(rng) for _ in range(args.samples)]
-    states = [n % 3 for n in range(args.samples)]
-    # each oracle searches all samples in one call, a chunk at a time
-    found_min = brute_force_min_error(samples)
-    found_conf = brute_force_max_confidence(samples, states)
     worst = {"kind": None, "priors": None, "difference": 0.0}
-    for n, (priors, state) in enumerate(zip(samples, states)):
-        _, closed_min, _ = optimal_branch(priors)
-        closed_conf = mc_confidence_closed_form(priors, state)
-        for kind, closed, found in (
-            ("min_error", closed_min, found_min[n]),
-            (f"confidence_{state}", closed_conf, found_conf[n]),
-        ):
-            diff = abs(found.best_value - closed)
+    for _ in range(args.samples):
+        priors = random_priors(rng)
+        result = optimal_measurement(priors)
+        checked = [
+            ("min_error", result.p_correct,
+             certify_min_error(priors.original, result.measurement)),
+        ]
+        bounds = certify_max_confidence(priors, confidence_report(priors))
+        for i in range(3):
+            checked.append((f"confidence_{i}", mc_confidence_closed_form(priors, i), bounds[i]))
+        for kind, closed, (lower, upper) in checked:
+            # the largest distance from the closed form to any value the
+            # certificate leaves possible
+            diff = max(upper - closed, closed - lower)
             if diff > worst["difference"]:
                 worst = {"kind": kind, "priors": list(priors.original), "difference": diff}
     ok = worst["difference"] <= args.tolerance
@@ -534,10 +536,10 @@ def _parser() -> argparse.ArgumentParser:
     p_conf.add_argument("--out", default="-")
     p_conf.set_defaults(func=cmd_confidence)
 
-    p_ver = sub.add_parser("verify", help="closed forms vs brute-force oracle")
+    p_ver = sub.add_parser("verify", help="closed forms vs certified bounds")
     p_ver.add_argument("--samples", type=int, default=100)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--tolerance", type=float, default=1e-4)
+    p_ver.add_argument("--tolerance", type=float, default=1e-10)
     p_ver.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimate")

@@ -40,6 +40,7 @@ from trinedisc.trine import (
     trine_measurement,
 )
 
+from grid_search import brute_force_max_confidence, brute_force_min_error
 from reference import boundary_matrix, element
 
 
@@ -186,14 +187,25 @@ def test_criterion_05_breakdown_point():
 
 def test_criterion_06_oracle_equivalence(capsys):
     start = time.perf_counter()
-    code, out = _run_cli(
-        capsys, "verify", "--samples", "100", "--tolerance", "1e-4"
-    )
+    code, out = _run_cli(capsys, "verify", "--samples", "100")
     payload = json.loads(out)
-    ok = code == 0 and payload["ok"] is True
+    # the grid search, which uses no closed form, on the same 100 draws
+    rng = np.random.default_rng(0)
+    priors = [random_priors(rng) for _ in range(100)]
+    states = [n % 3 for n in range(100)]
+    gaps = [
+        abs(found.best_value - optimal_measurement(pr).p_correct)
+        for found, pr in zip(brute_force_min_error(priors), priors)
+    ] + [
+        abs(found.best_value - mc_confidence_closed_form(pr, i))
+        for found, pr, i in zip(brute_force_max_confidence(priors, states), priors, states)
+    ]
+    ok = code == 0 and payload["ok"] is True and max(gaps) <= 1e-4
     _finish(
         6, ok,
-        f"verify exit {code}, worst oracle gap {payload['worst']['difference']:.2e}",
+        f"verify exit {code}, worst certified difference "
+        f"{payload['worst']['difference']:.2e} (tolerance {payload['tolerance']:.0e}); "
+        f"grid search within {max(gaps):.2e} of the closed forms (1e-4)",
         time.perf_counter() - start, 300.0,
     )
 

@@ -5,12 +5,17 @@ import itertools
 import json
 
 import pytest
+from numpy.random import default_rng
 
 from trinedisc import cli
 from trinedisc.cli import _entries, _json_ready, main, sig12
+from trinedisc.max_confidence import confidence_report, mc_confidence_closed_form
 from trinedisc.min_error import check_helstrom, optimal_measurement
+from trinedisc.oracle import certify_max_confidence
 from trinedisc.qubit import from_bloch
-from trinedisc.trine import canonicalize_priors
+from trinedisc.trine import canonicalize_priors, random_priors
+
+from grid_search import brute_force_max_confidence, brute_force_min_error
 
 
 def run(capsys, *argv):
@@ -237,17 +242,22 @@ class TestVerify:
         assert payload["ok"] is False
 
     def test_worst_priors_are_the_checked_draw(self, capsys):
-        # draw n checks confidence_{n % 3}, an index into the order the
-        # priors were drawn in; seed 0 draws (0.395, 0.593, 0.0115) first
-        from numpy.random import default_rng
-
+        # worst.priors is a draw in the order it was drawn, which the i of
+        # confidence_i indexes; seed 0's worst is a draw whose canonical
+        # order differs, and its difference is the certificate's there
         code, out, _ = run(capsys, "verify", "--samples", "3", "--seed", "0")
         assert code == 0
         worst = json.loads(out)["worst"]
-        assert worst["kind"] == "confidence_0"
         rng = default_rng(0)
-        first_draw = [float(q) for q in rng.dirichlet((1.0, 1.0, 1.0))]
-        assert worst["priors"] == pytest.approx(first_draw, rel=1e-11)
+        draws = [[float(q) for q in rng.dirichlet((1.0, 1.0, 1.0))] for _ in range(3)]
+        [draw] = [d for d in draws if d == pytest.approx(worst["priors"], rel=1e-11)]
+        assert draw != sorted(draw, reverse=True)
+        kind, i = worst["kind"].rsplit("_", 1)
+        assert kind == "confidence"
+        pr = canonicalize_priors(*draw)
+        lower, upper = certify_max_confidence(pr, confidence_report(pr))[int(i)]
+        closed = mc_confidence_closed_form(pr, int(i))
+        assert worst["difference"] == sig12(max(upper - closed, closed - lower))
 
     def test_rejects_zero_samples(self, capsys):
         assert run(capsys, "verify", "--samples", "0")[0] == 2
@@ -269,31 +279,42 @@ class TestVerify:
         assert "unrecognized arguments" in err
 
     def test_oracles_run_at_their_defaults(self, capsys, monkeypatch):
-        # verify passes the priors (and the states) only, so the oracles' own
-        # defaults are its one configuration: min-error at r = 72,
-        # confidence at r = 360, both with 24 refinements; each oracle is
-        # called once with every sample
+        # verify certifies each draw once, from its own answers: min error
+        # from optimal_measurement's measurement in the caller's order, the
+        # three confidences from confidence_report
         calls = []
 
         def recorder(fn):
-            def record(*args, **kwargs):
-                call = inspect.signature(fn).bind(*args, **kwargs)
-                passed = sorted(call.arguments)
-                call.apply_defaults()
-                arguments = call.arguments
-                calls.append((passed, len(arguments["priors"]), arguments.get("states"),
-                              arguments["resolution"], arguments["refinements"]))
-                return fn(*args, **kwargs)
+            def record(*args):
+                calls.append((fn.__name__, args))
+                return fn(*args)
 
             return record
 
-        for name in ("brute_force_min_error", "brute_force_max_confidence"):
+        for name in ("certify_min_error", "certify_max_confidence"):
             monkeypatch.setattr(cli, name, recorder(getattr(cli, name)))
         assert run(capsys, "verify", "--samples", "5")[0] == 0
+        rng = default_rng(0)
+        draws = [random_priors(rng) for _ in range(5)]
         assert calls == [
-            (["priors"], 5, None, 72, 24),
-            (["priors", "states"], 5, [0, 1, 2, 0, 1], 360, 24),
+            call
+            for pr in draws
+            for call in (
+                ("certify_min_error", (pr.original, optimal_measurement(pr).measurement)),
+                ("certify_max_confidence", (pr, confidence_report(pr))),
+            )
         ]
+        # the grid search, now the tests' reference, keeps its defaults:
+        # min error at r = 72, confidence at r = 360, both with 24
+        # refinements, one result per prior of a call
+        for fn, defaults in (
+            (brute_force_min_error, (72, 24)),
+            (brute_force_max_confidence, (360, 24)),
+        ):
+            params = inspect.signature(fn).parameters
+            assert (params["resolution"].default, params["refinements"].default) == defaults
+        assert len(brute_force_min_error(draws)) == 5
+        assert len(brute_force_max_confidence(draws, [0, 1, 2, 0, 1])) == 5
 
     @pytest.mark.parametrize("tolerance", ["nan", "-0.001", "inf"])
     def test_rejects_bad_tolerance(self, capsys, tolerance):

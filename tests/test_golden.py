@@ -5,9 +5,10 @@ command in ``CASES``.  Every number must agree at the 12 significant digits
 the CLI prints (one unit in the last printed digit absorbs a rounding
 boundary).  Only rounding noise gets an absolute 1e-12: the Helstrom
 residuals and values that are zero to rounding.  Everything that is not a
-number must match exactly.  ``verify`` output is compared as exact text:
-its ``difference`` is the gap between two nearly equal numbers, so one
-unit in the last place of the oracle's value shows in its printed digits.
+number must match exactly.  ``verify`` output is compared as exact text: its
+``difference`` is a certificate's width around a closed form, a few
+units in the last place, so any change to a bound or to its rounding
+shows in its printed digits.
 The ``*_exact`` cases are compared as exact text too: the 12-digit
 comparison reads -0.0 as 0.0, so only they pin the sign of every zero in
 the printed matrix entries, on both branches.
@@ -54,13 +55,10 @@ CASES = {
     "region_grid20": ["region", "--grid", "20"],
     "curves_p040": ["curves", "--p-values", "0.4", "--steps", "20"],
     "confidence_sweep": ["confidence", "--delta", "0.05", "--sweep", "10"],
-    # the worst cases are a confidence and a min-error value
     "verify_default": ["verify", "--samples", "3", "--seed", "0"],
     "verify_min_error": ["verify", "--samples", "2", "--seed", "1"],
-    # twenty priors, so a change to the oracle shows in its exact text
+    # twenty priors, so a change to a certificate shows in its exact text
     "verify_wide": ["verify", "--samples", "20", "--seed", "7"],
-    # forty priors: enough that a search over many priors at once cannot
-    # hide an error in how it splits or joins them
     "verify_chunks": ["verify", "--samples", "40", "--seed", "11"],
 }
 # every optimal query is also recorded as JSON

@@ -4,15 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from trinedisc import oracle, qubit
+from trinedisc import qubit
 from trinedisc.errors import DomainError, PureStateError
 from trinedisc.max_confidence import mc_confidence_closed_form
 from trinedisc.min_error import boundary_determinant, critical_delta, optimal_measurement
-from trinedisc.oracle import (
-    OracleResult,
-    brute_force_max_confidence,
-    brute_force_min_error,
-)
 from trinedisc.trine import (
     TRINE_ANGLES,
     canonicalize_priors,
@@ -20,6 +15,12 @@ from trinedisc.trine import (
     random_priors,
 )
 
+import grid_search
+from grid_search import (
+    OracleResult,
+    brute_force_max_confidence,
+    brute_force_min_error,
+)
 from reference import trine_projectors
 
 # Reference oracle: the straightforward evaluation the table-driven one
@@ -202,7 +203,7 @@ class TestMatchesReference:
     @pytest.mark.parametrize("resolution", [16, 37, 72])
     def test_min_error_batch_equals_reference(self, resolution):
         priors = _equivalence_priors()
-        assert len(priors) % oracle._CHUNK_PRIORS
+        assert len(priors) % grid_search._CHUNK_PRIORS
         for refinements in (0, 24):
             got = brute_force_min_error(priors, resolution, refinements)
             assert got == [reference_min_error(pr, resolution, refinements) for pr in priors]
@@ -210,7 +211,7 @@ class TestMatchesReference:
     @pytest.mark.parametrize("resolution", [16, 37, 360])
     def test_max_confidence_batch_equals_reference(self, resolution):
         priors = _equivalence_priors()[:-1]  # (1, 0, 0) is a pure ensemble
-        assert len(priors) % oracle._CHUNK_PRIORS
+        assert len(priors) % grid_search._CHUNK_PRIORS
         states = [n % 3 for n in range(len(priors))]
         for refinements in (0, 24):
             got = brute_force_max_confidence(priors, states, resolution, refinements)

@@ -53,8 +53,9 @@ from trinedisc.min_error import (
     optimal_measurement,
     three_element_weights_raw,
 )
-from trinedisc.oracle import brute_force_max_confidence
 from trinedisc.trine import Priors, canonicalize_priors, priors_from_p_delta
+
+from grid_search import brute_force_max_confidence
 
 NEAR_CORNER = [
     (0.998, 0.001, 0.001),

@@ -12,18 +12,24 @@ import sys
 from pathlib import Path
 
 import pytest
+from numpy.random import default_rng
 
 import trinedisc
 from trinedisc.cli import main
+from trinedisc.trine import random_priors
+
+import grid_search
 
 LAYERS = ("trine", "qubit", "min_error", "max_confidence", "oracle", "simulate", "cli")
 SRC = Path(trinedisc.__file__).resolve().parent.parent
 DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
+TESTS = Path(__file__).resolve().parent
 
 
-def src_env() -> dict:
-    """The environment with the package's source directory on PYTHONPATH."""
-    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+def src_env(*extra: Path) -> dict:
+    """The environment with the package's source directory, and ``extra``,
+    on PYTHONPATH."""
+    path = os.pathsep.join([str(SRC), *map(str, extra), os.environ.get("PYTHONPATH", "")])
     return dict(os.environ, PYTHONPATH=path)
 
 
@@ -123,47 +129,80 @@ def test_cli_builds_its_parser_once_on_first_use():
 
 
 def test_oracle_builds_its_grid_table_once_per_resolution():
+    # verify certifies each answer from its own bounds and loads no grid
+    # search; the grid search, now the tests' reference, builds its table
+    # once per resolution
     code = (
-        "import contextlib, io, json, trinedisc.cli as cli\n"
-        "from trinedisc import oracle\n"
-        "table = oracle._three_outcome_table\n"
-        "built = [table.cache_info().misses]\n"
+        "import contextlib, io, json, sys, trinedisc.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    for _ in range(2):\n"
-        "        cli.main(['verify', '--samples', '2'])\n"
-        "        built.append(table.cache_info().misses)\n"
+        "    cli.main(['verify', '--samples', '2'])\n"
+        "searched = sorted(m for m in sys.modules if 'grid_search' in m)\n"
+        "import grid_search\n"
+        "from trinedisc.trine import canonicalize_priors\n"
+        "table = grid_search._three_outcome_table\n"
+        "built = [table.cache_info().misses]\n"
+        "priors = [canonicalize_priors(0.5, 0.3, 0.2), canonicalize_priors(0.2, 0.3, 0.5)]\n"
+        "for _ in range(2):\n"
+        "    grid_search.brute_force_min_error(priors)\n"
+        "    built.append(table.cache_info().misses)\n"
         "nbytes = sum(a.nbytes for a in table(72))\n"
         "built.append(table.cache_info().misses)\n"
-        "print(json.dumps([built, nbytes]))\n"
+        "print(json.dumps([searched, built, nbytes]))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=src_env(TESTS), capture_output=True, text=True, check=True
     ).stdout
-    built, nbytes = json.loads(out)
-    # none at import, one on the first verify, none after, and the one
-    # cached is verify's r = 72
+    searched, built, nbytes = json.loads(out)
+    assert searched == []
+    # none at import, one on the first search, none after, and the one
+    # cached is the default r = 72
     assert built == [0, 1, 1, 1]
     assert nbytes <= 3_000_000
 
 
 def test_oracle_refines_a_bounded_number_of_starts(monkeypatch):
-    # verify hands each oracle all its priors; searched a chunk at a time,
-    # no refinement holds more than eight starts per prior of one chunk
-    from trinedisc import oracle
-
+    # the grid search takes forty priors in one call and searches them a
+    # chunk at a time, so no refinement holds more than eight starts per
+    # prior of one chunk; verify refines nothing
     rows = []
-    refine = oracle._refine
+    refine = grid_search._refine
 
     def record(value_fn, starts, *args):
         rows.append(len(starts))
         return refine(value_fn, starts, *args)
 
-    monkeypatch.setattr(oracle, "_refine", record)
+    monkeypatch.setattr(grid_search, "_refine", record)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--samples", "40"]) == 0
-    # two oracle calls, so more than three refinements means chunks
+    assert rows == []
+    rng = default_rng(0)
+    priors = [random_priors(rng) for _ in range(40)]
+    grid_search.brute_force_min_error(priors)
+    grid_search.brute_force_max_confidence(priors, [n % 3 for n in range(40)])
+    # two calls, so more than three refinements means chunks
     assert len(rows) > 3
-    assert max(rows) <= 8 * oracle._CHUNK_PRIORS
+    assert max(rows) <= 8 * grid_search._CHUNK_PRIORS
+
+
+def test_every_benchmark_layer_is_a_module_of_the_package():
+    # the benchmark's tracer reads each of its layers from sys.modules once
+    # trinedisc and its CLI are imported, so a layer module that goes away
+    # must fail here, not in the benchmark
+    tracing = ast.parse((SRC.parent / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    [layers] = [
+        ast.literal_eval(node.value)
+        for node in tracing.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS"
+    ]
+    assert "oracle" in layers
+    code = (
+        "import json, sys, trinedisc, trinedisc.cli\n"
+        f"print(json.dumps([m for m in {list(layers)!r} if 'trinedisc.' + m not in sys.modules]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == []
 
 
 #: Single queries, which must not load numpy.
