@@ -429,13 +429,11 @@ def cmd_verify(args) -> int:
     for _ in range(args.samples):
         priors = random_priors(rng)
         result = optimal_measurement(priors)
-        checked = [
-            ("min_error", result.p_correct,
-             certify_min_error(priors.original, result.measurement)),
-        ]
+        checked = [("min_error", result.p_correct,
+                    certify_min_error(priors.original, result.measurement))]
         bounds = certify_max_confidence(priors, confidence_report(priors))
-        for i in range(3):
-            checked.append((f"confidence_{i}", mc_confidence_closed_form(priors, i), bounds[i]))
+        checked += [(f"confidence_{i}", mc_confidence_closed_form(priors, i), bounds[i])
+                    for i in range(3)]
         for kind, closed, (lower, upper) in checked:
             # the largest distance from the closed form to any value the
             # certificate leaves possible

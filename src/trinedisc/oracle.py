@@ -54,15 +54,17 @@ def certify_min_error(
 
     Rounding: U = g - 2m is evaluated from check_helstrom's g and c to
     within 2u|g| + 5u|U| + 13u max_j p_j of the exact
-    max(g, max_j [p_j + |c - p_j n_j|]) for those g and c, so it is raised
-    by 16u (|g| + |U| + max_j p_j).  Each Born probability is within
-    24u (|t| + |v|) of the exact one for an element (t, v), and the sum of
-    k of them adds (k + 1)u of its scale.  Adding eta I to each element
-    whose smallest eigenvalue is -eta makes it positive, and the
+    max(g, max_j [p_j + |c - p_j n_j|]) for those g and c, and is raised
+    by 16u (|g| + |U| + max_j p_j).  Each of the k Born probabilities in g
+    is within 24u (|t| + |v|) of the exact one for its element (t, v),
+    clamping into [0, 1] included, and summing them adds (k + 1)u, so g is
+    lowered by (k + 32)u sum_l p_l (|t_l| + |v_l|).  Adding eta I to an
+    element whose smallest eigenvalue is -eta makes it positive; the n
     elements then sum to at most (1 + x) I, with x the completeness
-    deviation plus the sum of the eta; scaled by 1/(1 + x) and completed
-    with an inconclusive element, they are a POVM whose Born sum is the
-    lower bound.
+    deviation plus n times the largest eta, plus 4(n + 1)u sum (|t| + |v|)
+    for their rounding.  Scaled by 1/(1 + x) and completed with an
+    inconclusive element they are a POVM, whose Born sum is at least the
+    lowered g over 1 + x, rounded down.
     """
     q = [float(p) for p in probabilities]
     report = check_helstrom(q, measurement)

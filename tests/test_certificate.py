@@ -51,13 +51,20 @@ def sqrt_bracket(x: Fraction) -> tuple[Fraction, Fraction]:
 HALF_SQRT3 = tuple(v / 2 for v in sqrt_bracket(Fraction(3)))
 
 
+def exact_det(q) -> Fraction:
+    """det M for priors ``q``, any order, normalized to sum to 1."""
+    p0, p1, p2 = sorted(map(Fraction, q), reverse=True)
+    s = p0 + p1 + p2
+    p0, p1, p2 = p0 / s, p1 / s, p2 / s
+    return (p0 - p2) * (p1 - p2) * (p0 * p1 + 3 * p2) - 3 * p2**4
+
+
 def exact_optimum(q) -> tuple[Fraction, Fraction]:
     """Bracket on the optimal success probability for priors ``q``, any order."""
     p0, p1, p2 = sorted(map(Fraction, q), reverse=True)
     s = p0 + p1 + p2
     p0, p1, p2 = p0 / s, p1 / s, p2 / s
-    det = (p0 - p2) * (p1 - p2) * (p0 * p1 + 3 * p2) - 3 * p2**4
-    if p2 > 0 and det < 0:
+    if p2 > 0 and exact_det(q) < 0:
         e2 = p0 * p1 + p0 * p2 + p1 * p2
         value = s * 2 * e2 / (2 - (p0 * p1 / p2 + p0 * p2 / p1 + p1 * p2 / p0))
         return value, value
@@ -126,6 +133,13 @@ def boundary_priors():
     return out
 
 
+FAMILIES = {
+    "tie": tie_priors,
+    "boundary": boundary_priors,
+    "uniform": lambda: [canonicalize_priors(1 / 3, 1 / 3, 1 / 3)],
+}
+
+
 def test_trine_floats_within_the_assumed_10u():
     exact = [(Fraction(1), (Fraction(0),) * 2), (Fraction(-1, 2), HALF_SQRT3),
              (Fraction(-1, 2), tuple(-h for h in HALF_SQRT3))]
@@ -135,20 +149,13 @@ def test_trine_floats_within_the_assumed_10u():
         assert (Fraction(nx) - ex) ** 2 + dy**2 <= Fraction(10 * U) ** 2
 
 
-@pytest.mark.parametrize("family", ["tie", "boundary", "uniform"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_min_error_bounds_bracket_the_exact_optimum(family):
-    # at PR 5 a plain-float U fell below the exact optimum at 181 of these
-    # 400 tie points; rounded outward it never does
-    priors = {
-        "tie": tie_priors,
-        "boundary": boundary_priors,
-        "uniform": lambda: [canonicalize_priors(1 / 3, 1 / 3, 1 / 3)],
-    }[family]()
+    # on the tie points U in plain floats falls below the exact optimum for
+    # some answers; rounded outward it never does
+    priors = FAMILIES[family]()
     if family == "boundary":
-        assert all(abs(float(
-            (Fraction(p.p0) - Fraction(p.p2)) * (Fraction(p.p1) - Fraction(p.p2))
-            * (Fraction(p.p0) * Fraction(p.p1) + 3 * Fraction(p.p2)) - 3 * Fraction(p.p2) ** 4
-        )) < 1e-9 for p in priors)
+        assert all(abs(exact_det(p.canonical)) < 1e-9 for p in priors)
     certified = 0
     for pr in priors:
         opt_lo, opt_hi = exact_optimum(pr.original)
@@ -161,13 +168,9 @@ def test_min_error_bounds_bracket_the_exact_optimum(family):
     assert certified >= 2 * len(priors)
 
 
-@pytest.mark.parametrize("family", ["tie", "boundary", "uniform"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_confidence_bounds_bracket_the_exact_maximum(family):
-    priors = {
-        "tie": tie_priors,
-        "boundary": boundary_priors,
-        "uniform": lambda: [canonicalize_priors(1 / 3, 1 / 3, 1 / 3)],
-    }[family]()
+    priors = FAMILIES[family]()
     for pr in priors:
         bounds = certify_max_confidence(pr, confidence_report(pr))
         for i, (lower, upper) in enumerate(bounds):

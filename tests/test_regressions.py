@@ -16,8 +16,9 @@
   (4/9, 4/9, 1/9), a grid point of ``curves --delta-values 0`` whenever
   steps - 1 is divisible by 3.  Within about 1e-8 of it both forms are
   near 3.7e6 and their cross-check trips; still open.
-- The max-confidence POVM, its oracle and ``confidence --sweep`` must call
-  the same priors pure: the sweep once dropped rows that the POVM answers.
+- The max-confidence POVM, the grid search and ``confidence --sweep``
+  must call the same priors pure: the sweep once dropped rows that the
+  POVM answers.
 - The <psi_j| Gamma^{-1} |psi_j> = 1/p_j check of the three-outcome
   construction must allow for the rounding of its own summands, which grow
   like 1/e on the tie edge (1 - 2e, e, e).
