@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from trinedisc.errors import VerificationError
 from trinedisc.max_confidence import confidence_report, mc_confidence_closed_form
 from trinedisc.min_error import (
     check_helstrom,
@@ -32,7 +33,6 @@ from trinedisc.trine import (
     random_priors,
     trine_measurement,
 )
-from trinedisc.errors import VerificationError
 
 from grid_search import brute_force_min_error
 from reference import three_element_measurement
