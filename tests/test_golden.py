@@ -11,7 +11,9 @@ units in the last place, so any change to a bound or to its rounding
 shows in its printed digits.
 The ``*_exact`` cases are compared as exact text too: the 12-digit
 comparison reads -0.0 as 0.0, so only they pin the sign of every zero in
-the printed matrix entries, on both branches.
+the printed matrix entries, on both branches.  It also splits lines and
+masks numbers, so only the exact CSV cases pin a sweep's bytes: the
+``\r\n`` row ends and the empty cell of an undefined value.
 
 Regenerate the recording (only when an output change is intended) with
 
@@ -63,12 +65,16 @@ CASES = {
 }
 # every optimal query is also recorded as JSON
 CASES.update({f"{k}_json": v + ["--json"] for k, v in list(CASES.items()) if v[0] == "optimal"})
-#: Compared as exact text: the three-outcome branch and a reflection.
+#: Compared as exact text: the three-outcome branch, a reflection and one
+#: of each CSV sweep.
 EXACT_CASES = {
     f"{name}_exact{suffix}": CASES[name + suffix]
     for name in ("optimal_three_outcome", "optimal_odd_permutation")
     for suffix in ("", "_json")
 }
+EXACT_CASES.update(
+    {f"{name}_exact": CASES[name] for name in ("region_grid20", "curves_p040", "confidence_sweep")}
+)
 CASES.update(EXACT_CASES)
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|(?<![a-z_])[-+]?(?:nan|inf)(?![a-z_])")
