@@ -9,6 +9,7 @@ from numpy.random import default_rng
 
 from trinedisc import cli
 from trinedisc.cli import _entries, _json_ready, main, sig12
+from trinedisc.errors import VerificationError
 from trinedisc.max_confidence import confidence_report, mc_confidence_closed_form
 from trinedisc.min_error import check_helstrom, optimal_measurement
 from trinedisc.oracle import certify_max_confidence
@@ -127,6 +128,23 @@ class TestRegion:
         assert out == ""
         header, rows = parse_csv(out_file.read_text())
         assert len(rows) == 9
+
+    def test_failed_sweep_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        # every row is computed before --out is opened, so a row that fails
+        # its verification leaves no partial file behind
+        calls = itertools.count(1)
+        branch = cli.optimal_branch
+
+        def failing_on_the_seventh_row(priors):
+            if next(calls) == 7:
+                raise VerificationError("planted")
+            return branch(priors)
+
+        monkeypatch.setattr(cli, "optimal_branch", failing_on_the_seventh_row)
+        out_file = tmp_path / "region.csv"
+        code, _, err = run(capsys, "region", "--grid", "5", "--out", str(out_file))
+        assert (code, err) == (3, "internal verification failure: planted\n")
+        assert not out_file.exists()
 
     def test_rejects_tiny_grid(self, capsys):
         code, _, _ = run(capsys, "region", "--grid", "1")

@@ -29,8 +29,13 @@
 - The p axis of a sweep at fixed delta starts at delta itself when
   delta > 1/2, so an out-of-range delta was reported as a bad p the caller
   never gave; the range check must name the delta flag.
+- On the tie edge (1 - 2e, e, e) with e of a few 1e-9 and below, the three
+  outcome directions of the unchecked three-outcome construction round to
+  collinear and its completeness system to singular; a public caller must
+  get a TrineError, not a bare ZeroDivisionError.  Still open.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -41,7 +46,7 @@ import numpy as np
 import pytest
 
 from trinedisc.cli import main
-from trinedisc.errors import DomainError, PureStateError, VerificationError
+from trinedisc.errors import DomainError, PureStateError, UndefinedError, VerificationError
 from trinedisc.max_confidence import (
     confidence,
     confidence_report,
@@ -154,6 +159,14 @@ def test_curves_near_half_p_three_outcome_cross_check(capsys):
 def test_gamma_inverse_check_on_the_tie_edge(fn, e):
     # outside the three-outcome region, but public callers reach it
     fn(canonicalize_priors(1.0 - 2.0 * e, e, e))
+
+
+@pytest.mark.xfail(raises=ZeroDivisionError, strict=True,
+                   reason="collinear outcome directions divide by a zero Cramer total")
+def test_three_outcome_weights_on_the_tie_edge_raise_a_trine_error():
+    for e in np.logspace(-12, -2, 400).tolist():
+        with contextlib.suppress(UndefinedError):
+            three_element_weights_raw(canonicalize_priors(1.0 - 2.0 * e, e, e))
 
 
 def test_curves_through_the_three_outcome_pole(capsys):
