@@ -183,6 +183,8 @@ def _outcomes(q: Sequence[float], sol: GammaSolution) -> tuple[list, list[float]
         for j in range(3)
     ]
     total = sum(cross)
+    if total == 0.0:
+        raise UndefinedError(f"three-outcome directions are collinear at {tuple(q)}")
     return directions, [2.0 * c / total for c in cross]
 
 
@@ -195,6 +197,8 @@ def three_element_weights_raw(priors: Priors) -> tuple[list, list[float]]:
     c - p_j n_j, and the weight k_j solving completeness.  This is the
     unchecked construction: outside the three-outcome region some weight
     goes negative, and the breakdown-point tests bisect on that sign.
+    Raises UndefinedError where the directions round to collinear, as on
+    the tie edge (1 - 2e, e, e) for e of a few 1e-9 and below.
     """
     return _outcomes(priors.canonical, gamma_three_element(priors))
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trinedisc.errors import VerificationError
+from trinedisc.errors import UndefinedError, VerificationError, ZeroPriorError
 from trinedisc.max_confidence import confidence_report, mc_confidence_closed_form
 from trinedisc.min_error import (
     check_helstrom,
@@ -110,9 +110,9 @@ def answers(priors):
                          (priors.original, lambda p: optimal_measurement(p).measurement)):
         try:
             out.append((frame, build(priors)))
-        except (ZeroDivisionError, VerificationError):
-            # a zero prior or a degenerate direction, or the ill-conditioned
-            # three-outcome cross-check on the tie edge
+        except (ZeroPriorError, UndefinedError, VerificationError):
+            # a zero prior or collinear outcome directions, or the
+            # ill-conditioned three-outcome cross-check on the tie edge
             pass
     return out
 

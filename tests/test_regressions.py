@@ -32,7 +32,7 @@
 - On the tie edge (1 - 2e, e, e) with e of a few 1e-9 and below, the three
   outcome directions of the unchecked three-outcome construction round to
   collinear and its completeness system to singular; a public caller must
-  get a TrineError, not a bare ZeroDivisionError.  Still open.
+  get a TrineError, not a bare ZeroDivisionError.
 """
 
 import contextlib
@@ -161,8 +161,6 @@ def test_gamma_inverse_check_on_the_tie_edge(fn, e):
     fn(canonicalize_priors(1.0 - 2.0 * e, e, e))
 
 
-@pytest.mark.xfail(raises=ZeroDivisionError, strict=True,
-                   reason="collinear outcome directions divide by a zero Cramer total")
 def test_three_outcome_weights_on_the_tie_edge_raise_a_trine_error():
     for e in np.logspace(-12, -2, 400).tolist():
         with contextlib.suppress(UndefinedError):
