@@ -19,7 +19,6 @@ be called repeatedly in one process.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -185,54 +184,45 @@ def _require_delta(flag: str, delta: float) -> None:
         raise DomainError(f"{flag} must lie in [0, 1/2], got {delta}")
 
 
-def _delta_axis(p: float, steps: int):
+def _delta_axis(p: float, steps: int) -> list[float]:
     """``steps`` deltas from 0 to the admissible bound min(p, 3p - 1)."""
     import numpy as np
 
-    return np.linspace(0.0, min(p, 3.0 * p - 1.0), steps)
+    return np.linspace(0.0, min(p, 3.0 * p - 1.0), steps).tolist()
 
 
-def _p_axis(delta: float, steps: int):
+def _p_axis(delta: float, steps: int) -> list[float]:
     """``steps`` values of p from the smallest admissible at ``delta`` to 1/2."""
     import numpy as np
 
-    return np.linspace(max(1.0 / 3.0, (1.0 + delta) / 3.0, delta), 0.5, steps)
+    return np.linspace(max(1.0 / 3.0, (1.0 + delta) / 3.0, delta), 0.5, steps).tolist()
 
 
 def _prior_cells(priors: Priors) -> list:
     return [priors.p, priors.delta, priors.p0, priors.p1, priors.p2]
 
 
-def _critical_delta(priors: Priors):
-    """critical_delta at this p, with p clamped into [1/3, 1/2] against rounding."""
-    return critical_delta(min(max(priors.p, 1.0 / 3.0), 0.5))
+@functools.lru_cache(maxsize=1)
+def _critical_delta(p: float):
+    """critical_delta at a row's ``priors.p``, clamped into [1/3, 1/2] against
+    rounding, and kept for the next row, which usually shares that p."""
+    return critical_delta(min(max(p, 1.0 / 3.0), 0.5))
 
 
 def _write_csv(stream, command: str, flags: str, columns, rows):
     stream.write(f"# trinedisc {__version__} {command} {flags}\n")
-    writer = csv.writer(stream)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    stream.writelines(",".join(map(_fmt, row)) + "\r\n" for row in [columns, *rows])
 
 
 def _sweep_row(priors: Priors):
     strategy, p_correct, det = optimal_branch(priors)
-    conf = []
-    for i in range(3):
-        try:
-            conf.append(mc_confidence_closed_form(priors, i))
-        except UndefinedError:
-            conf.append(None)  # pure ensemble corner (p0 = 1)
     return [
         *_prior_cells(priors),
         strategy,
         p_correct,
         det,
-        conf[0],
-        conf[1],
-        conf[2],
-        _critical_delta(priors),
+        *mc_confidence_closed_form(priors),
+        _critical_delta(priors.p),
     ]
 
 
@@ -290,7 +280,7 @@ def cmd_region(args) -> int:
     rows = []
     for p in _p_axis(0.0, args.grid):
         for delta in _delta_axis(p, args.grid):
-            rows.append(_sweep_row(priors_from_p_delta(float(p), float(delta))))
+            rows.append(_sweep_row(priors_from_p_delta(p, delta)))
     with _open_out(args.out) as fh:
         _write_csv(fh, "region", f"--grid {args.grid}", SWEEP_COLUMNS, rows)
     return EXIT_OK
@@ -318,10 +308,10 @@ CURVE_COLUMNS = [
 
 
 def _curve_row(priors: Priors):
-    _, p_correct, det = optimal_branch(priors)
-    p2el = p_correct_two_element(priors)
+    strategy, p_correct, det = optimal_branch(priors)
+    p2el = p_correct_two_element(priors) if strategy == "three_element" else p_correct
     try:
-        p3el = p_correct_three_element(priors)
+        p3el = p_correct if strategy == "three_element" else p_correct_three_element(priors)
     except (ZeroPriorError, UndefinedError):
         p3el = None  # a zero prior, or the pole at (4/9, 4/9, 1/9)
     return [
@@ -331,7 +321,7 @@ def _curve_row(priors: Priors):
         int(det < 0.0),
         p_correct,
         det,
-        _critical_delta(priors),
+        _critical_delta(priors.p),
     ]
 
 
@@ -343,13 +333,13 @@ def cmd_curves(args) -> int:
     if args.p_values is not None:
         for p in _parse_values("--p-values", args.p_values):
             for delta in _delta_axis(p, args.steps):
-                rows.append(_curve_row(priors_from_p_delta(p, float(delta))))
+                rows.append(_curve_row(priors_from_p_delta(p, delta)))
         flags = f"--p-values {args.p_values} --steps {args.steps}"
     else:
         for delta in _parse_values("--delta-values", args.delta_values):
             _require_delta("--delta-values", delta)
             for p in _p_axis(delta, args.steps):
-                rows.append(_curve_row(priors_from_p_delta(float(p), delta)))
+                rows.append(_curve_row(priors_from_p_delta(p, delta)))
         flags = f"--delta-values {args.delta_values} --steps {args.steps}"
     rows.sort(key=lambda r: (r[0], r[1]))
     with _open_out(args.out) as fh:
@@ -390,7 +380,7 @@ def cmd_confidence(args) -> int:
         rows = []
         for p in _p_axis(args.delta, args.sweep):
             try:
-                rows.append(_confidence_row(priors_from_p_delta(float(p), args.delta)))
+                rows.append(_confidence_row(priors_from_p_delta(p, args.delta)))
             except PureStateError:
                 continue  # pure ensemble density: confidence undefined
         with _open_out(args.out) as fh:
@@ -432,8 +422,8 @@ def cmd_verify(args) -> int:
         checked = [("min_error", result.p_correct,
                     certify_min_error(priors.original, result.measurement))]
         bounds = certify_max_confidence(priors, confidence_report(priors))
-        checked += [(f"confidence_{i}", mc_confidence_closed_form(priors, i), bounds[i])
-                    for i in range(3)]
+        checked += [(f"confidence_{i}", closed, bound) for i, (closed, bound)
+                    in enumerate(zip(mc_confidence_closed_form(priors), bounds))]
         for kind, closed, (lower, upper) in checked:
             # the largest distance from the closed form to any value the
             # certificate leaves possible

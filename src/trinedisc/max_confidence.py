@@ -92,22 +92,26 @@ def confidence(priors: Priors, m: Measurement, outcome_label) -> float:
     return min(1.0, joint[outcome_label] / ensemble_prob)
 
 
-def mc_confidence_closed_form(priors: Priors, i: int) -> float:
-    """Closed-form maximum confidence for identifying state ``i``.
-
-    (1 + prod_{j!=i} p_j / (p_i sum_{j!=i} p_j))^{-1}, with the limits
-    p_i = 0 -> 0 and (some p_j = 0, j != i) -> 1 taken exactly.
-    """
-    q = priors.original
-    p_i = q[i]
-    others = [q[j] for j in range(3) if j != i]
+def _closed_form(p_i: float, a: float, b: float) -> Optional[float]:
     if p_i >= 1.0:
-        raise UndefinedError("confidence is undefined for a pure ensemble (p_i = 1)")
+        return None
     if p_i == 0.0:
         return 0.0
-    if min(others) == 0.0:
+    if a == 0.0 or b == 0.0:
         return 1.0
-    return 1.0 / (1.0 + (others[0] * others[1]) / (p_i * (others[0] + others[1])))
+    return 1.0 / (1.0 + (a * b) / (p_i * (a + b)))
+
+
+def mc_confidence_closed_form(priors: Priors) -> tuple[Optional[float], ...]:
+    """Closed-form maximum confidence for identifying each state.
+
+    Entry i, in the caller's original state order, is
+    (1 + prod_{j!=i} p_j / (p_i sum_{j!=i} p_j))^{-1}, with the limits
+    p_i = 0 -> 0 and (some p_j = 0, j != i) -> 1 taken exactly.  It is
+    None where p_i = 1: confidence is undefined for a pure ensemble.
+    """
+    q0, q1, q2 = priors.original
+    return _closed_form(q0, q1, q2), _closed_form(q1, q0, q2), _closed_form(q2, q0, q1)
 
 
 @dataclass(frozen=True)
@@ -128,9 +132,10 @@ def confidence_report(priors: Priors) -> ConfidenceReport:
     """Assemble the POVM and evaluate per-state confidence both ways."""
     m = mc_povm(priors)
     per_state = []
-    for i in range(3):
+    for i, closed in enumerate(mc_confidence_closed_form(priors)):
         bayes = confidence(priors, m, i)
-        closed = mc_confidence_closed_form(priors, i)
+        if closed is None:
+            raise UndefinedError("confidence is undefined for a pure ensemble (p_i = 1)")
         if abs(bayes - closed) > 1e-10:
             raise VerificationError(
                 f"Bayes confidence {bayes} disagrees with closed form {closed}"

@@ -196,9 +196,8 @@ def three_element_weights_raw(priors: Priors) -> tuple[list, list[float]]:
     N_j = Gamma - p_j rho_j and so points against its Bloch vector
     c - p_j n_j, and the weight k_j solving completeness.  This is the
     unchecked construction: outside the three-outcome region some weight
-    goes negative, and the breakdown-point tests bisect on that sign.
-    Raises UndefinedError where the directions round to collinear, as on
-    the tie edge (1 - 2e, e, e) for e of a few 1e-9 and below.
+    goes negative, and the breakdown-point tests bisect on that sign.  It
+    raises UndefinedError where the directions round to collinear (tie edge).
     """
     return _outcomes(priors.canonical, gamma_three_element(priors))
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from trinedisc.cli import main
-from trinedisc.errors import UndefinedError
 from trinedisc.max_confidence import (
     confidence,
     mc_confidence_closed_form,
@@ -197,7 +196,7 @@ def test_criterion_06_oracle_equivalence(capsys):
         abs(found.best_value - optimal_measurement(pr).p_correct)
         for found, pr in zip(brute_force_min_error(priors), priors)
     ] + [
-        abs(found.best_value - mc_confidence_closed_form(pr, i))
+        abs(found.best_value - mc_confidence_closed_form(pr)[i])
         for found, pr, i in zip(brute_force_max_confidence(priors, states), priors, states)
     ]
     ok = code == 0 and payload["ok"] is True and max(gaps) <= 1e-4
@@ -254,15 +253,12 @@ def test_criterion_08_confidence_identities():
         for i in range(3):
             worst = max(
                 worst,
-                abs(confidence(pr, m, i) - mc_confidence_closed_form(pr, i)),
+                abs(confidence(pr, m, i) - mc_confidence_closed_form(pr)[i]),
             )
         checked += 1
     # limit sequences: p_j -> 0 drives confidence_i to 1, p_i -> 0 to 0
-    limit_hi = mc_confidence_closed_form(
-        canonicalize_priors(0.6 - 5e-11, 0.4 - 5e-11, 1e-10), 0
-    )
-    limit_lo = mc_confidence_closed_form(
-        canonicalize_priors(0.6 - 5e-11, 0.4 - 5e-11, 1e-10), 2
+    limit_hi, _, limit_lo = mc_confidence_closed_form(
+        canonicalize_priors(0.6 - 5e-11, 0.4 - 5e-11, 1e-10)
     )
     ok = worst < 1e-10 and abs(limit_hi - 1.0) < 1e-9 and abs(limit_lo) < 1e-9
     _finish(
@@ -285,12 +281,8 @@ def test_criterion_09_min_error_below_max_confidence():
             if pr.p0 >= 1.0 - 1e-9:
                 continue  # confidence undefined at the pure-ensemble corner
             me = min_error_confidence(pr)
-            for i, v in enumerate(me):
-                if v is None:
-                    continue
-                try:
-                    mc = mc_confidence_closed_form(pr, i)
-                except UndefinedError:
+            for v, mc in zip(me, mc_confidence_closed_form(pr)):
+                if v is None or mc is None:
                     continue
                 worst_excess = max(worst_excess, v - mc)
             cells += 1

@@ -187,7 +187,7 @@ def test_bounds_are_tight_on_the_answers():
         assert lower <= result.p_correct <= upper
         assert upper - lower < 1e-13
         for i, (lower, upper) in enumerate(certify_max_confidence(pr, confidence_report(pr))):
-            closed = mc_confidence_closed_form(pr, i)
+            closed = mc_confidence_closed_form(pr)[i]
             assert lower <= closed <= upper
             assert upper - lower < 1e-11
 

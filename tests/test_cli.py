@@ -274,7 +274,7 @@ class TestVerify:
         assert kind == "confidence"
         pr = canonicalize_priors(*draw)
         lower, upper = certify_max_confidence(pr, confidence_report(pr))[int(i)]
-        closed = mc_confidence_closed_form(pr, int(i))
+        closed = mc_confidence_closed_form(pr)[int(i)]
         assert worst["difference"] == sig12(max(upper - closed, closed - lower))
 
     def test_rejects_zero_samples(self, capsys):

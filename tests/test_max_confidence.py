@@ -13,6 +13,7 @@ from trinedisc.max_confidence import (
     min_error_confidence,
 )
 from trinedisc.trine import (
+    Priors,
     canonicalize_priors,
     random_priors,
     trine_measurement,
@@ -33,42 +34,47 @@ class TestClosedForm:
     def test_equal_priors(self):
         pr = canonicalize_priors(1 / 3, 1 / 3, 1 / 3)
         for i in range(3):
-            assert mc_confidence_closed_form(pr, i) == pytest.approx(2 / 3, abs=1e-12)
+            assert mc_confidence_closed_form(pr)[i] == pytest.approx(2 / 3, abs=1e-12)
 
     def test_hand_computed_example(self):
         # p = (0.5, 0.3, 0.2): 1/(1 + 0.06/(0.5*0.5)) = 25/31, etc.
         pr = canonicalize_priors(0.5, 0.3, 0.2)
-        assert mc_confidence_closed_form(pr, 0) == pytest.approx(25 / 31, abs=1e-12)
-        assert mc_confidence_closed_form(pr, 1) == pytest.approx(21 / 31, abs=1e-12)
-        assert mc_confidence_closed_form(pr, 2) == pytest.approx(16 / 31, abs=1e-12)
+        assert mc_confidence_closed_form(pr)[0] == pytest.approx(25 / 31, abs=1e-12)
+        assert mc_confidence_closed_form(pr)[1] == pytest.approx(21 / 31, abs=1e-12)
+        assert mc_confidence_closed_form(pr)[2] == pytest.approx(16 / 31, abs=1e-12)
 
     def test_zero_prior_limit(self):
         pr = canonicalize_priors(0.6, 0.4, 0.0)
-        assert mc_confidence_closed_form(pr, 2) == 0.0
-        assert mc_confidence_closed_form(pr, 0) == 1.0
-        assert mc_confidence_closed_form(pr, 1) == 1.0
+        assert mc_confidence_closed_form(pr)[2] == 0.0
+        assert mc_confidence_closed_form(pr)[0] == 1.0
+        assert mc_confidence_closed_form(pr)[1] == 1.0
 
     def test_pure_ensemble_undefined(self):
         pr = canonicalize_priors(1.0, 0.0, 0.0)
+        assert mc_confidence_closed_form(pr) == (None, 0.0, 0.0)
+
+    def test_report_refuses_an_undefined_closed_form(self):
+        # p0 = 1 within the sum tolerance, but e2 just above the purity guard:
+        # the POVM is built, and the closed form it is checked against is None
         with pytest.raises(UndefinedError):
-            mc_confidence_closed_form(pr, 0)
+            confidence_report(Priors(1.0, 4e-10, 4e-10))
 
     def test_limit_sequences_converge(self):
         # p2 -> 0: confidence_2 -> 0, confidence_0 and confidence_1 -> 1
         for eps in (1e-4, 1e-6, 1e-8):
             pr = canonicalize_priors(0.6 - eps / 2, 0.4 - eps / 2, eps)
-            c2 = mc_confidence_closed_form(pr, 2)
+            c2 = mc_confidence_closed_form(pr)[2]
             assert c2 < 5 * eps
-            assert mc_confidence_closed_form(pr, 0) > 1.0 - 5 * eps
+            assert mc_confidence_closed_form(pr)[0] > 1.0 - 5 * eps
 
     def test_respects_original_ordering(self):
         a = canonicalize_priors(0.2, 0.3, 0.5)
         b = canonicalize_priors(0.5, 0.3, 0.2)
-        assert mc_confidence_closed_form(a, 0) == pytest.approx(
-            mc_confidence_closed_form(b, 2), abs=1e-14
+        assert mc_confidence_closed_form(a)[0] == pytest.approx(
+            mc_confidence_closed_form(b)[2], abs=1e-14
         )
-        assert mc_confidence_closed_form(a, 2) == pytest.approx(
-            mc_confidence_closed_form(b, 0), abs=1e-14
+        assert mc_confidence_closed_form(a)[2] == pytest.approx(
+            mc_confidence_closed_form(b)[0], abs=1e-14
         )
 
 
@@ -119,7 +125,7 @@ class TestPovm:
             m = mc_povm(pr)
             for i in range(3):
                 assert bayes_confidence(pr.original, m, i) == pytest.approx(
-                    mc_confidence_closed_form(pr, i), abs=1e-10
+                    mc_confidence_closed_form(pr)[i], abs=1e-10
                 )
 
 
@@ -187,7 +193,7 @@ class TestMinErrorConfidence:
             me = min_error_confidence(pr)
             for i, v in enumerate(me):
                 if v is not None:
-                    assert v <= mc_confidence_closed_form(pr, i) + 1e-9
+                    assert v <= mc_confidence_closed_form(pr)[i] + 1e-9
 
     def test_two_element_branch_has_missing_state(self):
         pr = canonicalize_priors(0.45, 0.45, 0.1)

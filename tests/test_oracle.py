@@ -304,7 +304,7 @@ class TestMaxConfidenceOracle:
             for i in range(3):
                 [res] = brute_force_max_confidence([pr], [i], resolution=360, refinements=20)
                 assert res.best_value == pytest.approx(
-                    mc_confidence_closed_form(pr, i), abs=1e-7
+                    mc_confidence_closed_form(pr)[i], abs=1e-7
                 )
 
     def test_pure_ensemble_rejected(self):

@@ -80,7 +80,7 @@ def test_confidence_report_near_corner(q):
     rep = confidence_report(pr)
     for i, c in enumerate(rep.per_state_confidence):
         assert 0.0 <= c <= 1.0
-        assert c == pytest.approx(mc_confidence_closed_form(pr, i), abs=1e-10)
+        assert c == pytest.approx(mc_confidence_closed_form(pr)[i], abs=1e-10)
     assert rep.measurement.validity().is_valid
 
 
@@ -98,7 +98,7 @@ def test_confidence_report_far_corner(q):
     pr = canonicalize_priors(*q)
     rep = confidence_report(pr)
     for i, c in enumerate(rep.per_state_confidence):
-        assert c == pytest.approx(mc_confidence_closed_form(pr, i), abs=1e-10)
+        assert c == pytest.approx(mc_confidence_closed_form(pr)[i], abs=1e-10)
 
 
 def test_corner_posteriors_are_well_conditioned():
@@ -113,7 +113,7 @@ def test_corner_posteriors_are_well_conditioned():
         m = mc_povm(pr)
         for i in range(3):
             assert confidence(pr, m, i) == pytest.approx(
-                mc_confidence_closed_form(pr, i), abs=1e-13
+                mc_confidence_closed_form(pr)[i], abs=1e-13
             )
 
 

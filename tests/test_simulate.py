@@ -136,7 +136,7 @@ class TestEstimateConfidence:
         m = mc_povm(pr)
         for i in range(3):
             res = estimate_confidence(pr, m, i, shots=400_000, seed=23)
-            assert abs(res.estimate - mc_confidence_closed_form(pr, i)) < (
+            assert abs(res.estimate - mc_confidence_closed_form(pr)[i]) < (
                 4 * res.standard_error
             )
             assert res.total_shots == 400_000
