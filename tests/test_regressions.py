@@ -22,6 +22,9 @@
 - The <psi_j| Gamma^{-1} |psi_j> = 1/p_j check of the three-outcome
   construction must allow for the rounding of its own summands, which grow
   like 1/e on the tie edge (1 - 2e, e, e).
+- Deeper on the tie edge, for e below about 1.3e-16, the denominator
+  a^2 - |b|^2 of Gamma's trace rounds to exactly 0; a public caller must
+  get a TrineError there too, not a bare ZeroDivisionError.
 - NaN passes every range check written as ``x < lo``, so a NaN prior or
   delta must fail the range check, not reach the order check; the CLI must
   refuse a non-finite ``--delta`` or value-list entry before it builds an
@@ -165,6 +168,19 @@ def test_three_outcome_weights_on_the_tie_edge_raise_a_trine_error():
     for e in np.logspace(-12, -2, 400).tolist():
         with contextlib.suppress(UndefinedError):
             three_element_weights_raw(canonicalize_priors(1.0 - 2.0 * e, e, e))
+
+
+@pytest.mark.xfail(raises=ZeroDivisionError, strict=True,
+                   reason="Gamma's trace divides by a^2 - |b|^2, which rounds to 0")
+@pytest.mark.parametrize("fn", [gamma_three_element, three_element_weights_raw])
+def test_gamma_on_the_deep_tie_edge_raises_a_trine_error(fn):
+    undefined = 0
+    for e in np.logspace(-17, -14, 400).tolist():
+        try:
+            fn(canonicalize_priors(1.0 - 2.0 * e, e, e))
+        except UndefinedError:
+            undefined += 1
+    assert undefined >= 100
 
 
 def test_curves_through_the_three_outcome_pole(capsys):
