@@ -148,7 +148,8 @@ def gamma_three_element(priors: Priors) -> GammaSolution:
     the in-plane symmetry b_z = 0, to a linear system with the closed-form
     solution below.  Each relation (a + n_j.b)/2 is re-verified to 16 unit
     roundoffs of its summands' scale (|a| + |n_x b_x| + |n_y b_y|)/2, which
-    grows like 1/p2 on the tie edge.
+    grows like 1/p2 on the tie edge.  Deep on that edge a^2 - |b|^2 rounds
+    to exactly 0, and UndefinedError is raised.
     """
     q = priors.canonical
     if min(q) <= 0.0:
@@ -158,7 +159,10 @@ def gamma_three_element(priors: Priors) -> GammaSolution:
     b_x = (2.0 / 3.0) * (2.0 * r0 - r1 - r2)
     b_y = (2.0 / math.sqrt(3.0)) * (r1 - r2)
     # (a I + b.sigma)/2 inverts to 2 (a I - b.sigma)/(a^2 - |b|^2)
-    p_corr = 4.0 * a / (a * a - b_x * b_x - b_y * b_y)
+    den = a * a - b_x * b_x - b_y * b_y
+    if den == 0.0:
+        raise UndefinedError(f"Gamma^{{-1}} rounds to a singular operator at {q}")
+    p_corr = 4.0 * a / den
     for n, qj in zip(TRINE_BLOCH, q):
         val = trace_product(n, (a, b_x, b_y, 0.0))
         scale = 0.5 * (abs(a) + abs(n[1] * b_x) + abs(n[2] * b_y))
@@ -197,7 +201,8 @@ def three_element_weights_raw(priors: Priors) -> tuple[list, list[float]]:
     c - p_j n_j, and the weight k_j solving completeness.  This is the
     unchecked construction: outside the three-outcome region some weight
     goes negative, and the breakdown-point tests bisect on that sign.  It
-    raises UndefinedError where the directions round to collinear (tie edge).
+    raises UndefinedError where Gamma^{-1} rounds to singular or the
+    directions round to collinear (both on the tie edge).
     """
     return _outcomes(priors.canonical, gamma_three_element(priors))
 

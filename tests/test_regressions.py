@@ -170,8 +170,6 @@ def test_three_outcome_weights_on_the_tie_edge_raise_a_trine_error():
             three_element_weights_raw(canonicalize_priors(1.0 - 2.0 * e, e, e))
 
 
-@pytest.mark.xfail(raises=ZeroDivisionError, strict=True,
-                   reason="Gamma's trace divides by a^2 - |b|^2, which rounds to 0")
 @pytest.mark.parametrize("fn", [gamma_three_element, three_element_weights_raw])
 def test_gamma_on_the_deep_tie_edge_raises_a_trine_error(fn):
     undefined = 0
