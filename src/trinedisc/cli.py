@@ -56,7 +56,6 @@ from .trine import (
     antitrine_measurement,
     canonicalize_priors,
     priors_from_p_delta,
-    random_priors,
     trine_measurement,
 )
 
@@ -407,20 +406,39 @@ def cmd_confidence(args) -> int:
     return EXIT_OK
 
 
+#: Priors drawn per numpy call in :func:`_random_priors`.
+_DRAW_BLOCK = 1024
+
+
+def _random_priors(rng, samples: int):
+    """``samples`` draws of :func:`~trinedisc.trine.random_priors`, made
+    ``_DRAW_BLOCK`` rows per numpy call: a block of k rows is the same
+    stream as k single draws, so memory stays bounded and output unchanged."""
+    for start in range(0, samples, _DRAW_BLOCK):
+        size = min(_DRAW_BLOCK, samples - start)
+        for q in rng.dirichlet((1.0, 1.0, 1.0), size=size).tolist():
+            yield canonicalize_priors(*q)
+
+
 def cmd_verify(args) -> int:
+    """Certify the answers for ``--samples`` uniform priors from ``--seed``.
+
+    Each prior's minimum-error answer is certified from the Helstrom report
+    :func:`~trinedisc.min_error.optimal_measurement` made on it, and its
+    three maximum confidences from :func:`confidence_report`; the payload
+    names the largest distance from a closed form to its bounds.
+    """
     _require_at_least("--samples", args.samples, 1)
     _require_at_least("--seed", args.seed, 0)
     _require_finite("--tolerance", args.tolerance)
     _require_at_least("--tolerance", args.tolerance, 0)
     from numpy.random import default_rng
 
-    rng = default_rng(args.seed)
     worst = {"kind": None, "priors": None, "difference": 0.0}
-    for _ in range(args.samples):
-        priors = random_priors(rng)
+    for priors in _random_priors(default_rng(args.seed), args.samples):
         result = optimal_measurement(priors)
         checked = [("min_error", result.p_correct,
-                    certify_min_error(priors.original, result.measurement))]
+                    certify_min_error(priors.original, result.measurement, result.helstrom))]
         bounds = certify_max_confidence(priors, confidence_report(priors))
         checked += [(f"confidence_{i}", closed, bound) for i, (closed, bound)
                     in enumerate(zip(mc_confidence_closed_form(priors), bounds))]

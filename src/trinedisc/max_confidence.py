@@ -82,7 +82,11 @@ def confidence(priors: Priors, m: Measurement, outcome_label) -> float:
     rescaling of the element.  Clamped into [0, 1].  The zero-outcome test
     is relative to Tr(pi), since Tr(rho pi) >= lambda_min(rho) Tr(pi).
     """
-    element = dict(m.forms)[outcome_label]
+    return _posterior(priors, dict(m.forms)[outcome_label], outcome_label)
+
+
+def _posterior(priors: Priors, element, outcome_label) -> float:
+    """:func:`confidence` of one element, with its zero-outcome test."""
     joint = _joint(priors, element)
     ensemble_prob = sum(joint)
     if ensemble_prob <= _OUTCOME_TOL * element[0]:
@@ -131,9 +135,10 @@ class ConfidenceReport:
 def confidence_report(priors: Priors) -> ConfidenceReport:
     """Assemble the POVM and evaluate per-state confidence both ways."""
     m = mc_povm(priors)
+    forms = dict(m.forms)
     per_state = []
     for i, closed in enumerate(mc_confidence_closed_form(priors)):
-        bayes = confidence(priors, m, i)
+        bayes = _posterior(priors, forms[i], i)
         if closed is None:
             raise UndefinedError("confidence is undefined for a pure ensemble (p_i = 1)")
         if abs(bayes - closed) > 1e-10:
@@ -141,7 +146,6 @@ def confidence_report(priors: Priors) -> ConfidenceReport:
                 f"Bayes confidence {bayes} disagrees with closed form {closed}"
             )
         per_state.append(bayes)
-    forms = dict(m.forms)
     inconclusive = sum(_joint(priors, forms[INCONCLUSIVE])) if INCONCLUSIVE in forms else 0.0
     return ConfidenceReport(tuple(per_state), inconclusive, m)
 

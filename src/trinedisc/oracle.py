@@ -30,7 +30,7 @@ import math
 from typing import Sequence
 
 from .max_confidence import ConfidenceReport
-from .min_error import check_helstrom
+from .min_error import HelstromReport
 from .qubit import Measurement, povm_validity
 from .trine import Priors, mixed_e2
 
@@ -40,13 +40,18 @@ _U = 2.0**-53
 
 
 def certify_min_error(
-    probabilities: Sequence[float], measurement: Measurement
+    probabilities: Sequence[float], measurement: Measurement, helstrom: HelstromReport
 ) -> tuple[float, float]:
     """Bounds (lower, upper) on the optimal success probability.
 
     ``probabilities[i]`` is the prior of trine state i, and element labels
     refer to the same indexing, as for
-    :func:`~trinedisc.min_error.check_helstrom`.  The upper bound holds for
+    :func:`~trinedisc.min_error.check_helstrom`.  ``helstrom`` must be
+    ``check_helstrom(probabilities, measurement)``, for instance the
+    ``helstrom`` of the :class:`~trinedisc.min_error.OptimalResult` that
+    returned the measurement; its g and smallest eigenvalue m give both
+    bounds, and a report made on other inputs gives bounds that hold for
+    nothing.  The upper bound holds for
     any measurement; the lower bound is the measurement's Born sum,
     lowered to what the measurement achieves once repaired into a valid
     POVM, so it holds for any measurement too and is tight for one that
@@ -67,8 +72,7 @@ def certify_min_error(
     lowered g over 1 + x, rounded down.
     """
     q = [float(p) for p in probabilities]
-    report = check_helstrom(q, measurement)
-    g, m = report.success_probability, report.min_global_eigenvalue
+    g, m = helstrom.success_probability, helstrom.min_global_eigenvalue
     upper = g - 2.0 * min(0.0, m)
     upper = math.nextafter(upper + 16.0 * _U * (abs(g) + abs(upper) + max(q)), math.inf)
     forms = [b for _, b in measurement.forms]

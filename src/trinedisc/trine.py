@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, PureStateError
@@ -93,9 +94,13 @@ class Priors:
     def canonical(self) -> tuple[float, float, float]:
         return (self.p0, self.p1, self.p2)
 
-    @property
+    @cached_property
     def original(self) -> tuple[float, float, float]:
-        """The triple in the caller's original state order."""
+        """The triple in the caller's original state order.
+
+        Computed on the first read and kept: the sweeps build many Priors
+        that never read it, and ``verify`` reads it about ten times each.
+        """
         out = [0.0, 0.0, 0.0]
         for c, q in enumerate(self.canonical):
             out[self.permutation[c]] = q

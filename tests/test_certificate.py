@@ -160,7 +160,7 @@ def test_min_error_bounds_bracket_the_exact_optimum(family):
     for pr in priors:
         opt_lo, opt_hi = exact_optimum(pr.original)
         for q, m in answers(pr):
-            lower, upper = certify_min_error(q, m)
+            lower, upper = certify_min_error(q, m, check_helstrom(q, m))
             assert Fraction(lower) <= opt_lo and opt_hi <= Fraction(upper), (pr.original, m)
             if m.validity().is_valid:
                 assert Fraction(lower) <= exact_born_lower(q, m), (pr.original, m)
@@ -183,7 +183,7 @@ def test_bounds_are_tight_on_the_answers():
     for _ in range(200):
         pr = random_priors(rng)
         result = optimal_measurement(pr)
-        lower, upper = certify_min_error(pr.original, result.measurement)
+        lower, upper = certify_min_error(pr.original, result.measurement, result.helstrom)
         assert lower <= result.p_correct <= upper
         assert upper - lower < 1e-13
         for i, (lower, upper) in enumerate(certify_max_confidence(pr, confidence_report(pr))):
@@ -196,17 +196,19 @@ def test_bounds_hold_for_any_measurement():
     uniform = (1 / 3, 1 / 3, 1 / 3)
     # the trine measurement is optimal at equal priors; the anti-trine one
     # never identifies its state
-    lower, upper = certify_min_error(uniform, trine_measurement())
+    trine, anti = trine_measurement(), antitrine_measurement()
+    lower, upper = certify_min_error(uniform, trine, check_helstrom(uniform, trine))
     assert lower <= 2 / 3 <= upper and upper - lower < 1e-13
-    lower, upper = certify_min_error(uniform, antitrine_measurement())
+    lower, upper = certify_min_error(uniform, anti, check_helstrom(uniform, anti))
     assert lower <= 0.0 and upper >= 2 / 3
     # elements 10% too large sum past the identity and claim more than the
     # optimum, but the lower bound is what they achieve as a POVM
     pr = canonicalize_priors(0.5, 0.3, 0.2)
     m = optimal_measurement(pr).measurement
     scaled = Measurement((label, tuple(1.1 * c for c in b)) for label, b in m.forms)
-    assert check_helstrom(pr.original, scaled).success_probability > 0.75
-    lower, upper = certify_min_error(pr.original, scaled)
+    report = check_helstrom(pr.original, scaled)
+    assert report.success_probability > 0.75
+    lower, upper = certify_min_error(pr.original, scaled, report)
     assert lower <= 0.75 <= upper
 
 
@@ -234,15 +236,15 @@ def test_certificate_trips_on_every_fault_the_grid_search_catches():
         # catch at 1e-9 (or at verify's former 1e-4) is a fault
         assert abs(grid_value - result.p_correct) < 1e-12
         opt_lo, opt_hi = exact_optimum(pr.original)
-        genuine = certify_min_error(pr.original, result.measurement)
+        genuine = certify_min_error(pr.original, result.measurement, result.helstrom)
         planted = []
         for phi in sizes:
             m = rotated(result.measurement, phi)
-            lower, upper = certify_min_error(pr.original, m)
+            report = check_helstrom(pr.original, m)
+            lower, upper = certify_min_error(pr.original, m, report)
             # the true gap never exceeds the certified one
             assert Fraction(lower) <= opt_lo and opt_hi <= Fraction(upper)
-            claimed = check_helstrom(pr.original, m).success_probability
-            planted.append(("rotation", claimed, (lower, upper)))
+            planted.append(("rotation", report.success_probability, (lower, upper)))
         planted += [("offset", result.p_correct + offset, genuine) for offset in sizes]
         for kind, claimed, (lower, upper) in planted:
             trips = max(upper - claimed, claimed - lower) > 1e-10

@@ -280,6 +280,20 @@ class TestVerify:
     def test_rejects_zero_samples(self, capsys):
         assert run(capsys, "verify", "--samples", "0")[0] == 2
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_block_draws_are_the_single_draws(self, seed):
+        # verify draws its priors a block at a time; numpy's dirichlet
+        # stream must not depend on how the draws are grouped
+        samples = cli._DRAW_BLOCK + 3
+        rng = default_rng(seed)
+        single = [random_priors(rng) for _ in range(samples)]
+        blocks = list(cli._random_priors(default_rng(seed), samples))
+
+        def bits(pr):
+            return [q.hex() for q in pr.canonical], pr.permutation
+
+        assert list(map(bits, blocks)) == list(map(bits, single))
+
     def test_rejects_negative_seed(self, capsys):
         code, out, err = run(capsys, "verify", "--samples", "1", "--seed", "-1")
         assert code == 2
@@ -314,11 +328,12 @@ class TestVerify:
         assert run(capsys, "verify", "--samples", "5")[0] == 0
         rng = default_rng(0)
         draws = [random_priors(rng) for _ in range(5)]
+        results = [optimal_measurement(pr) for pr in draws]
         assert calls == [
             call
-            for pr in draws
+            for pr, result in zip(draws, results)
             for call in (
-                ("certify_min_error", (pr.original, optimal_measurement(pr).measurement)),
+                ("certify_min_error", (pr.original, result.measurement, result.helstrom)),
                 ("certify_max_confidence", (pr, confidence_report(pr))),
             )
         ]

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trinedisc import qubit
-from trinedisc.errors import PureStateError, UndefinedError, ZeroOutcomeError
+from trinedisc import max_confidence, qubit
+from trinedisc.errors import PureStateError, UndefinedError, VerificationError, ZeroOutcomeError
 from trinedisc.max_confidence import (
     confidence,
     confidence_report,
@@ -172,6 +172,31 @@ class TestReport:
             for _, op in rep.measurement.elements
         )
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_report_trips_on_a_planted_closed_form_offset(self, monkeypatch, i):
+        # the Bayes posteriors agree with the closed forms to 1e-10, so a
+        # closed form 2e-10 off must fail the cross-check
+        def planted(priors):
+            closed = list(mc_confidence_closed_form(priors))
+            closed[i] += 2e-10
+            return tuple(closed)
+
+        monkeypatch.setattr(max_confidence, "mc_confidence_closed_form", planted)
+        with pytest.raises(VerificationError):
+            confidence_report(canonicalize_priors(0.5, 0.3, 0.2))
+
+    def test_report_trips_on_a_planted_zero_element(self, monkeypatch):
+        # the report and confidence() share one zero-outcome test
+        pr = canonicalize_priors(0.5, 0.3, 0.2)
+        forms = dict(mc_povm(pr).forms)
+        forms[1] = (0.0, 0.0, 0.0, 0.0)
+        m = qubit.Measurement(forms.items())
+        monkeypatch.setattr(max_confidence, "mc_povm", lambda priors: m)
+        with pytest.raises(ZeroOutcomeError):
+            confidence_report(pr)
+        with pytest.raises(ZeroOutcomeError):
+            confidence(pr, m, 1)
 
     @given(st.floats(0.05, 1), st.floats(0.05, 1), st.floats(0.05, 1))
     @settings(max_examples=100, deadline=None)

@@ -15,7 +15,10 @@ import pytest
 from numpy.random import default_rng
 
 import trinedisc
+import trinedisc.cli
+from trinedisc import min_error, oracle
 from trinedisc.cli import main
+from trinedisc.min_error import check_helstrom
 from trinedisc.trine import random_priors
 
 import grid_search
@@ -182,6 +185,38 @@ def test_oracle_refines_a_bounded_number_of_starts(monkeypatch):
     # two calls, so more than three refinements means chunks
     assert len(rows) > 3
     assert max(rows) <= 8 * grid_search._CHUNK_PRIORS
+
+
+def test_verify_checks_helstrom_once_per_prior(monkeypatch):
+    # the Helstrom report optimal_measurement makes is the one the
+    # min-error certificate reads; no layer makes a second one
+    reports = []
+
+    def record(probabilities, m):
+        report = check_helstrom(probabilities, m)
+        reports.append(report)
+        return report
+
+    certified = []
+    certify = oracle.certify_min_error
+
+    def record_certify(probabilities, m, helstrom):
+        certified.append((probabilities, m, helstrom))
+        return certify(probabilities, m, helstrom)
+
+    for module in (min_error, oracle, trinedisc.cli, trinedisc):
+        if hasattr(module, "check_helstrom"):
+            monkeypatch.setattr(module, "check_helstrom", record)
+    monkeypatch.setattr(trinedisc.cli, "certify_min_error", record_certify)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--samples", "5"]) == 0
+    rng = default_rng(0)
+    draws = [random_priors(rng) for _ in range(5)]
+    assert len(reports) == len(certified) == 5
+    for pr, (probabilities, m, helstrom), made in zip(draws, certified, reports):
+        assert probabilities == pr.original
+        assert helstrom is made
+        assert helstrom == check_helstrom(pr.original, m)
 
 
 def test_every_benchmark_layer_is_a_module_of_the_package():
