@@ -65,10 +65,6 @@ def theta_two_element(priors: Priors) -> float:
     return math.atan2(-math.sqrt(3.0) * priors.p1, 2.0 * priors.p0 + priors.p1)
 
 
-def _two_element(theta: float) -> list:
-    return [(0, equator_element(1.0, theta)), (1, equator_element(1.0, theta + math.pi))]
-
-
 def p_correct_two_element(priors: Priors) -> float:
     """Success probability of the optimal two-outcome strategy.
 
@@ -348,7 +344,7 @@ def optimal_measurement(priors: Priors) -> OptimalResult:
     strategy, p_correct, det = optimal_branch(priors)
     if strategy == "two_element":
         theta, gamma = theta_two_element(priors), None
-        canonical = _two_element(theta)
+        canonical = [(0, equator_element(1.0, theta)), (1, equator_element(1.0, theta + math.pi))]
     else:
         theta, gamma = None, gamma_three_element(priors)
         canonical = _three_element(priors, gamma)
