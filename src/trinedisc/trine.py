@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, PureStateError
@@ -56,6 +55,29 @@ def antitrine_measurement() -> Measurement:
     )
 
 
+class _computed_once:
+    """A read-only attribute computed on its first read and then kept.
+
+    The value goes into the instance's ``__dict__``, which Python reads
+    ahead of a non-data descriptor like this one, so later reads cost a
+    dict lookup.  ``functools.cached_property`` does the same, but on
+    Python 3.11 its first read also takes a lock, which made it slower
+    than recomputing for a ``Priors`` read only once.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class Priors:
     """Prior triple in canonical descending order plus the caller mapping.
@@ -94,16 +116,16 @@ class Priors:
     def canonical(self) -> tuple[float, float, float]:
         return (self.p0, self.p1, self.p2)
 
-    @cached_property
+    @_computed_once
     def original(self) -> tuple[float, float, float]:
         """The triple in the caller's original state order.
 
         Computed on the first read and kept: the sweeps build many Priors
         that never read it, and ``verify`` reads it about ten times each.
         """
+        a, b, c = self.permutation
         out = [0.0, 0.0, 0.0]
-        for c, q in enumerate(self.canonical):
-            out[self.permutation[c]] = q
+        out[a], out[b], out[c] = self.p0, self.p1, self.p2
         return tuple(out)
 
 
