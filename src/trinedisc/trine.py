@@ -67,6 +67,7 @@ class _computed_once:
 
     def __init__(self, compute):
         self.compute = compute
+        self.__doc__ = compute.__doc__
 
     def __set_name__(self, owner, name):
         self.name = name
