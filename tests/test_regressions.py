@@ -36,6 +36,9 @@
   outcome directions of the unchecked three-outcome construction round to
   collinear and its completeness system to singular; a public caller must
   get a TrineError, not a bare ZeroDivisionError.
+- ``optimal`` printed det M next to the region boundary from an expanded
+  quartic, whose twelve terms cancel to 1e-10 and leave it wrong from the
+  sixth digit.
 """
 
 import contextlib
@@ -271,3 +274,13 @@ def test_non_finite_cli_values_name_the_bad_value(capsys, argv, message):
 ])
 def test_out_of_range_sweep_delta_names_its_flag(capsys, argv, message):
     assert (main(argv), capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the expanded quartic prints 7.78764552845e-11")
+def test_boundary_determinant_prints_its_exact_digits(capsys):
+    # 2.6e-10 below the boundary delta_c at p = 0.42; the exact det M of
+    # these float priors, in fractions, is 7.78765927733e-11
+    assert main(["optimal", "--p", "0.42", "--delta", "0.253534207"]) == 0
+    [line] = [x for x in capsys.readouterr().out.splitlines() if x.startswith("determinant:")]
+    assert float(line.split()[1]) == pytest.approx(7.78765927733e-11, rel=1e-9, abs=0)
