@@ -4,9 +4,10 @@ Two-outcome branch: a projective measurement in the equator plane at an
 angle fixed by the ratio of the two largest priors.  Three-outcome
 branch: the Lagrangian operator Gamma is solved from a 3x3 linear system
 in its inverse-Bloch components, and each POVM element points against the
-Bloch vector of the rank-1 operator Gamma - p_j rho_j.  A quartic
-determinant in (p0, p1) decides which branch is globally optimal, and
-every dispatched measurement is re-verified against the Helstrom
+Bloch vector of the rank-1 operator Gamma - p_j rho_j.  The sign of the
+boundary determinant det M, a difference of two nonnegative terms in
+canonical order, decides which branch is globally optimal, and every
+dispatched measurement is re-verified against the Helstrom
 optimality conditions.  Everything runs on real Bloch forms (see
 :mod:`trinedisc.qubit`); each global Helstrom condition
 Gamma - p_j rho_j >= 0 is the scalar test g - p_j >= |c - p_j n_j|.
@@ -82,26 +83,16 @@ def p_correct_two_element(priors: Priors) -> float:
 
 
 def boundary_determinant(priors: Priors) -> float:
-    """det M as an explicit quartic polynomial in (p0, p1).
+    """det M = (p0 - p2)(p1 - p2)(p0 p1 + 3 p2) - 3 p2^4.
 
     M = Herm(p0 rho_0 pi_0 + p1 rho_1 pi_1) - p2 rho_2 for the two-outcome
     measurement (pi_0, pi_1); a positive sign means it is globally optimal.
+    On p0 + p1 + p2 = 1 the identity is exact.  Every factor is nonnegative
+    in canonical order, so det M = T1 - T2 with T1, T2 >= 0, and the float
+    value lies within a few unit roundoffs of T1 + T2 of the exact one.
     """
-    x, y = priors.p0, priors.p1
-    return (
-        -3.0 * x**4
-        - 3.0 * y**4
-        - 10.0 * x**3 * y
-        - 10.0 * x * y**3
-        + 6.0 * x**3
-        + 6.0 * y**3
-        - 13.0 * x**2 * y**2
-        + 12.0 * x**2 * y
-        + 12.0 * x * y**2
-        - 3.0 * x**2
-        - 3.0 * y**2
-        - 2.0 * x * y
-    )
+    p0, p1, p2 = priors.p0, priors.p1, priors.p2
+    return (p0 - p2) * (p1 - p2) * (p0 * p1 + 3.0 * p2) - 3.0 * p2**4
 
 
 def critical_delta(p: float) -> Optional[float]:

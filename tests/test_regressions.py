@@ -276,8 +276,6 @@ def test_out_of_range_sweep_delta_names_its_flag(capsys, argv, message):
     assert (main(argv), capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="the expanded quartic prints 7.78764552845e-11")
 def test_boundary_determinant_prints_its_exact_digits(capsys):
     # 2.6e-10 below the boundary delta_c at p = 0.42; the exact det M of
     # these float priors, in fractions, is 7.78765927733e-11
