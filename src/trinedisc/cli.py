@@ -56,6 +56,7 @@ from .trine import (
     antitrine_measurement,
     canonicalize_priors,
     priors_from_p_delta,
+    random_priors,
     trine_measurement,
 )
 
@@ -406,20 +407,6 @@ def cmd_confidence(args) -> int:
     return EXIT_OK
 
 
-#: Priors drawn per numpy call in :func:`_random_priors`.
-_DRAW_BLOCK = 1024
-
-
-def _random_priors(rng, samples: int):
-    """``samples`` draws of :func:`~trinedisc.trine.random_priors`, made
-    ``_DRAW_BLOCK`` rows per numpy call: a block of k rows is the same
-    stream as k single draws, so memory stays bounded and output unchanged."""
-    for start in range(0, samples, _DRAW_BLOCK):
-        size = min(_DRAW_BLOCK, samples - start)
-        for q in rng.dirichlet((1.0, 1.0, 1.0), size=size).tolist():
-            yield canonicalize_priors(*q)
-
-
 def cmd_verify(args) -> int:
     """Certify the answers for ``--samples`` uniform priors from ``--seed``.
 
@@ -435,7 +422,7 @@ def cmd_verify(args) -> int:
     from numpy.random import default_rng
 
     worst = {"kind": None, "priors": None, "difference": 0.0}
-    for priors in _random_priors(default_rng(args.seed), args.samples):
+    for priors in random_priors(default_rng(args.seed), args.samples):
         result = optimal_measurement(priors)
         checked = [("min_error", result.p_correct,
                     certify_min_error(priors.original, result.measurement, result.helstrom))]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError, PureStateError
 from .qubit import Measurement, equator_element
@@ -176,10 +176,21 @@ def mixed_e2(priors: Priors) -> float:
     return e2
 
 
-def random_priors(rng: np.random.Generator) -> Priors:
-    """Canonicalized prior triple drawn uniformly from the simplex."""
-    q = rng.dirichlet((1.0, 1.0, 1.0))
-    return canonicalize_priors(*q)
+#: Priors drawn per numpy call in :func:`random_priors`.
+_DRAW_BLOCK = 1024
+
+
+def random_priors(rng: np.random.Generator, samples: int) -> Iterator[Priors]:
+    """``samples`` canonicalized prior triples drawn uniformly from the simplex.
+
+    They are drawn ``_DRAW_BLOCK`` rows per numpy call: a block of k rows is
+    the same stream as k single draws, so memory stays bounded and the
+    triples do not depend on the block size.
+    """
+    for start in range(0, samples, _DRAW_BLOCK):
+        size = min(_DRAW_BLOCK, samples - start)
+        for q in rng.dirichlet((1.0, 1.0, 1.0), size=size).tolist():
+            yield canonicalize_priors(*q)
 
 
 def _permutation_map(permutation) -> tuple[int, float]:

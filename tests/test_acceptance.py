@@ -190,7 +190,7 @@ def test_criterion_06_oracle_equivalence(capsys):
     payload = json.loads(out)
     # the grid search, which uses no closed form, on the same 100 draws
     rng = np.random.default_rng(0)
-    priors = [random_priors(rng) for _ in range(100)]
+    priors = list(random_priors(rng, 100))
     states = [n % 3 for n in range(100)]
     gaps = [
         abs(found.best_value - optimal_measurement(pr).p_correct)
@@ -215,8 +215,7 @@ def test_criterion_07_helstrom_suite():
     worst_offdiag = 0.0
     worst_eig = 0.0
     all_pass = True
-    for _ in range(1000):
-        pr = random_priors(rng)
+    for pr in random_priors(rng, 1000):
         report = optimal_measurement(pr).helstrom
         worst_offdiag = max(worst_offdiag, report.max_offdiag_residual)
         worst_eig = min(worst_eig, report.min_global_eigenvalue)
@@ -246,7 +245,7 @@ def test_criterion_08_confidence_identities():
     worst = 0.0
     checked = 0
     while checked < 1000:
-        pr = random_priors(rng)
+        [pr] = random_priors(rng, 1)
         if pr.p0 > 1.0 - 1e-9 or min(pr.canonical) < 1e-12:
             continue
         m = mc_povm(pr)

@@ -180,8 +180,7 @@ def test_confidence_bounds_bracket_the_exact_maximum(family):
 
 def test_bounds_are_tight_on_the_answers():
     rng = np.random.default_rng(97)
-    for _ in range(200):
-        pr = random_priors(rng)
+    for pr in random_priors(rng, 200):
         result = optimal_measurement(pr)
         lower, upper = certify_min_error(pr.original, result.measurement, result.helstrom)
         assert lower <= result.p_correct <= upper
@@ -222,7 +221,7 @@ def rotated(m: Measurement, phi: float) -> Measurement:
 
 def test_certificate_trips_on_every_fault_the_grid_search_catches():
     rng = np.random.default_rng(89)
-    priors = [random_priors(rng) for _ in range(12)] + [
+    priors = [*random_priors(rng, 12),
         canonicalize_priors(0.6, 0.2, 0.2),
         canonicalize_priors(1 / 3, 1 / 3, 1 / 3),
         canonicalize_priors(0.34, 0.33, 0.33),

@@ -7,7 +7,7 @@ import json
 import pytest
 from numpy.random import default_rng
 
-from trinedisc import cli
+from trinedisc import cli, trine
 from trinedisc.cli import _entries, _json_ready, main, sig12
 from trinedisc.errors import VerificationError
 from trinedisc.max_confidence import confidence_report, mc_confidence_closed_form
@@ -284,10 +284,10 @@ class TestVerify:
     def test_block_draws_are_the_single_draws(self, seed):
         # verify draws its priors a block at a time; numpy's dirichlet
         # stream must not depend on how the draws are grouped
-        samples = cli._DRAW_BLOCK + 3
+        samples = trine._DRAW_BLOCK + 3
         rng = default_rng(seed)
-        single = [random_priors(rng) for _ in range(samples)]
-        blocks = list(cli._random_priors(default_rng(seed), samples))
+        single = [canonicalize_priors(*rng.dirichlet((1.0, 1.0, 1.0))) for _ in range(samples)]
+        blocks = list(random_priors(default_rng(seed), samples))
 
         def bits(pr):
             return [q.hex() for q in pr.canonical], pr.permutation
@@ -327,7 +327,7 @@ class TestVerify:
             monkeypatch.setattr(cli, name, recorder(getattr(cli, name)))
         assert run(capsys, "verify", "--samples", "5")[0] == 0
         rng = default_rng(0)
-        draws = [random_priors(rng) for _ in range(5)]
+        draws = list(random_priors(rng, 5))
         results = [optimal_measurement(pr) for pr in draws]
         assert calls == [
             call

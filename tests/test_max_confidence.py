@@ -81,8 +81,7 @@ class TestClosedForm:
 class TestPovm:
     def test_is_valid_povm(self):
         rng = np.random.default_rng(53)
-        for _ in range(100):
-            pr = random_priors(rng)
+        for pr in random_priors(rng, 100):
             if pr.p0 > 1.0 - 1e-6:
                 continue
             m = mc_povm(pr)
@@ -118,8 +117,7 @@ class TestPovm:
 
     def test_achieves_closed_form(self):
         rng = np.random.default_rng(59)
-        for _ in range(200):
-            pr = random_priors(rng)
+        for pr in random_priors(rng, 200):
             if pr.p0 > 1.0 - 1e-6 or min(pr.canonical) < 1e-9:
                 continue
             m = mc_povm(pr)
@@ -211,8 +209,7 @@ class TestReport:
 class TestMinErrorConfidence:
     def test_never_exceeds_maximum(self):
         rng = np.random.default_rng(61)
-        for _ in range(200):
-            pr = random_priors(rng)
+        for pr in random_priors(rng, 200):
             if pr.p0 > 1.0 - 1e-6 or min(pr.canonical) < 1e-9:
                 continue
             me = min_error_confidence(pr)

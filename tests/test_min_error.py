@@ -79,8 +79,7 @@ class TestTwoElement:
 
     def test_closed_form_matches_born_rule(self):
         rng = np.random.default_rng(23)
-        for _ in range(200):
-            pr = random_priors(rng)
+        for pr in random_priors(rng, 200):
             m = two_element_measurement(pr)
             # canonical-frame measurement against canonical-order priors
             assert born_success(pr.canonical, m) == pytest.approx(
@@ -134,7 +133,7 @@ def determinant_family(name):
         ]
     if name == "uniform":
         rng = np.random.default_rng(53)
-        return [random_priors(rng) for _ in range(2000)]
+        return list(random_priors(rng, 2000))
     if name == "tie":
         return [
             canonicalize_priors(1.0 - 2.0 * e, e, e) for e in np.logspace(-17, -1, 400).tolist()
@@ -179,8 +178,7 @@ class TestBoundaryDeterminant:
     def test_sign_matches_explicit_matrix(self):
         # independent oracle: numpy determinant of the actual boundary matrix
         rng = np.random.default_rng(31)
-        for _ in range(500):
-            pr = random_priors(rng)
+        for pr in random_priors(rng, 500):
             quartic = boundary_determinant(pr)
             explicit = float(np.linalg.det(boundary_matrix(pr)).real)
             if abs(quartic) > 1e-10 and abs(explicit) > 1e-12:
@@ -235,8 +233,7 @@ class TestThreeElement:
     def test_gamma_inverse_expectations(self):
         rng = np.random.default_rng(37)
         states = trine_states()
-        for _ in range(100):
-            pr = random_priors(rng)
+        for pr in random_priors(rng, 100):
             if pr.p2 <= 1e-6:
                 continue
             sol = gamma_three_element(pr)
@@ -264,7 +261,7 @@ class TestThreeElement:
         rng = np.random.default_rng(41)
         checked = 0
         while checked < 100:
-            pr = random_priors(rng)
+            [pr] = random_priors(rng, 1)
             if pr.p2 <= 0 or boundary_determinant(pr) >= -1e-6:
                 continue
             m = three_element_measurement(pr)
@@ -359,8 +356,7 @@ class TestOptimal:
 
     def test_dispatch_matches_determinant_sign(self):
         rng = np.random.default_rng(43)
-        for _ in range(200):
-            pr = random_priors(rng)
+        for pr in random_priors(rng, 200):
             res = optimal_measurement(pr)
             det = boundary_determinant(pr)
             if det > 1e-10 or pr.p2 <= 0:
@@ -370,8 +366,7 @@ class TestOptimal:
 
     def test_dispatched_beats_fixed_strategies(self):
         rng = np.random.default_rng(47)
-        for _ in range(100):
-            pr = random_priors(rng)
+        for pr in random_priors(rng, 100):
             res = optimal_measurement(pr)
             for fixed in (trine_measurement(), antitrine_measurement()):
                 assert res.p_correct >= born_success(pr.original, fixed) - 1e-10

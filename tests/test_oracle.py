@@ -173,9 +173,7 @@ def _equivalence_priors():
     edges += [boundary.canonical, (1.0 - 1e-6, 5e-7, 5e-7)]
     # the pure ensemble stays last: the max-confidence test leaves it out
     edges += [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0)]
-    return [random_priors(rng) for _ in range(30)] + [
-        canonicalize_priors(*p) for p in edges
-    ]
+    return [*random_priors(rng, 30), *(canonicalize_priors(*p) for p in edges)]
 
 
 class TestMatchesReference:
@@ -239,16 +237,14 @@ class TestMinErrorOracle:
 
     def test_matches_closed_form_on_random_priors(self):
         rng = np.random.default_rng(67)
-        for _ in range(20):
-            pr = random_priors(rng)
+        for pr in random_priors(rng, 20):
             analytic = optimal_measurement(pr).p_correct
             [res] = brute_force_min_error([pr], resolution=72, refinements=24)
             assert res.best_value == pytest.approx(analytic, abs=1e-6)
 
     def test_incumbent_is_a_valid_povm(self):
         rng = np.random.default_rng(71)
-        for _ in range(10):
-            pr = random_priors(rng)
+        for pr in random_priors(rng, 10):
             [res] = brute_force_min_error([pr], resolution=48, refinements=16)
             m = measurement_from_parameters(res)
             v = m.validity()
@@ -297,8 +293,7 @@ class TestMinErrorOracle:
 class TestMaxConfidenceOracle:
     def test_matches_closed_form(self):
         rng = np.random.default_rng(73)
-        for _ in range(20):
-            pr = random_priors(rng)
+        for pr in random_priors(rng, 20):
             if pr.p0 > 1.0 - 1e-6 or min(pr.canonical) < 1e-6:
                 continue
             for i in range(3):
@@ -352,7 +347,7 @@ class TestOffEquator:
         rhos = trine_projectors()
         checked = 0
         for _ in range(40):
-            pr = random_priors(rng)
+            [pr] = random_priors(rng, 1)
             best = optimal_measurement(pr).p_correct
             q = pr.original
             trials = 0

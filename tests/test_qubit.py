@@ -222,8 +222,7 @@ class TestInversion:
     def test_inverse_identity_many(self):
         rng = np.random.default_rng(7)
         rhos = trine_projectors()
-        for _ in range(300):
-            pr = random_priors(rng)
+        for pr in random_priors(rng, 300):
             if pr.p0 > 1.0 - 1e-6:
                 continue
             inv = np.linalg.inv(sum(q * r for q, r in zip(pr.canonical, rhos)))

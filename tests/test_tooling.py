@@ -102,6 +102,31 @@ def test_purity_is_tested_in_one_place():
     assert [name for name, tree in trees.items() if "np.trace" in ast.unparse(tree)] == []
 
 
+def call_sites(name: str) -> list[tuple[str, str | None]]:
+    """(module, enclosing function) of each call to ``name`` in the package;
+    the function is None for a call at module level."""
+    sites = []
+    for path in sorted((SRC / "trinedisc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                scope = parent.get(node)
+                while scope is not None and not isinstance(scope, ast.FunctionDef):
+                    scope = parent.get(scope)
+                sites.append((path.stem, scope and scope.name))
+    return sites
+
+
+def test_branch_test_and_prior_draws_are_made_in_one_place():
+    # det M is computed only to choose the branch, and priors are drawn
+    # from numpy in one function, which verify and the tests share
+    assert call_sites("boundary_determinant") == [("min_error", "optimal_branch")]
+    assert call_sites("dirichlet") == [("trine", "random_priors")]
+
+
 def test_cli_import_loads_every_layer():
     code = (
         "import json, sys, trinedisc.cli; "
@@ -179,7 +204,7 @@ def test_oracle_refines_a_bounded_number_of_starts(monkeypatch):
         assert main(["verify", "--samples", "40"]) == 0
     assert rows == []
     rng = default_rng(0)
-    priors = [random_priors(rng) for _ in range(40)]
+    priors = list(random_priors(rng, 40))
     grid_search.brute_force_min_error(priors)
     grid_search.brute_force_max_confidence(priors, [n % 3 for n in range(40)])
     # two calls, so more than three refinements means chunks
@@ -211,7 +236,7 @@ def test_verify_checks_helstrom_once_per_prior(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--samples", "5"]) == 0
     rng = default_rng(0)
-    draws = [random_priors(rng) for _ in range(5)]
+    draws = list(random_priors(rng, 5))
     assert len(reports) == len(certified) == 5
     for pr, (probabilities, m, helstrom), made in zip(draws, certified, reports):
         assert probabilities == pr.original

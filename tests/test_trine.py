@@ -86,8 +86,7 @@ class TestStates:
     def test_mixed_e2_is_the_purity_deficit(self):
         # 1 - Tr(rho^2) = 3 e2 / 2, against the matrix reference
         rng = np.random.default_rng(8)
-        for _ in range(200):
-            pr = random_priors(rng)
+        for pr in random_priors(rng, 200):
             rho = ensemble_density(pr.original)
             purity = float(np.trace(rho @ rho).real)
             assert 1.5 * mixed_e2(pr) == pytest.approx(1.0 - purity, abs=1e-15)
@@ -179,11 +178,10 @@ class TestPDelta:
 
 class TestRandomPriors:
     def test_reproducible_and_canonical(self):
-        a = random_priors(np.random.default_rng(42))
-        b = random_priors(np.random.default_rng(42))
+        [a] = random_priors(np.random.default_rng(42), 1)
+        [b] = random_priors(np.random.default_rng(42), 1)
         assert a == b
-        for _ in range(200):
-            pr = random_priors(np.random.default_rng())
+        for pr in random_priors(np.random.default_rng(), 200):
             assert pr.p0 >= pr.p1 >= pr.p2 >= 0.0
             assert sum(pr.canonical) == pytest.approx(1.0, abs=1e-9)
 
