@@ -1,9 +1,10 @@
 """Map which measurement strategy is optimal across the prior simplex.
 
 Priors are parameterized as (p0, p1, p2) = (p + delta, p - delta, 1 - 2p)
-with p in [1/3, 1/2] and 0 <= delta <= 3p - 1.  The sign of a quartic
-determinant decides the winner: positive means the biased two-outcome
-projective measurement, negative means the full three-outcome POVM.
+with p in [1/3, 1/2] and 0 <= delta <= 3p - 1.  The sign of the boundary
+determinant det M = (p0 - p2)(p1 - p2)(p0 p1 + 3 p2) - 3 p2^4 decides the
+winner: positive means the biased two-outcome projective measurement,
+negative means the full three-outcome POVM.
 
 Run:  python3 demos/strategy_region.py
 """

@@ -122,16 +122,16 @@ def test_criterion_03_region_map_sign_agreement():
         deltas = np.linspace(0.0, dmax, n)
         for k, delta in enumerate(deltas):
             pr = priors_from_p_delta(float(p), float(delta))
-            quartic = boundary_determinant(pr)
-            if quartic < 0.0:
+            det = boundary_determinant(pr)
+            if det < 0.0:
                 negative_cells += 1
                 if k == n - 1:
                     negative_at_boundary += 1
             explicit = float(np.linalg.det(boundary_matrix(pr)).real)
-            if abs(quartic) <= 1e-10 or abs(explicit) <= 1e-12:
+            if abs(det) <= 1e-10 or abs(explicit) <= 1e-12:
                 continue  # within tolerance of the zero contour
             compared += 1
-            if math.copysign(1.0, quartic) != math.copysign(1.0, explicit):
+            if math.copysign(1.0, det) != math.copysign(1.0, explicit):
                 mismatches += 1
     ok = mismatches == 0 and negative_cells > 0 and negative_at_boundary > 0
     _finish(

@@ -179,10 +179,10 @@ class TestBoundaryDeterminant:
         # independent oracle: numpy determinant of the actual boundary matrix
         rng = np.random.default_rng(31)
         for pr in random_priors(rng, 500):
-            quartic = boundary_determinant(pr)
+            det = boundary_determinant(pr)
             explicit = float(np.linalg.det(boundary_matrix(pr)).real)
-            if abs(quartic) > 1e-10 and abs(explicit) > 1e-12:
-                assert math.copysign(1.0, quartic) == math.copysign(1.0, explicit)
+            if abs(det) > 1e-10 and abs(explicit) > 1e-12:
+                assert math.copysign(1.0, det) == math.copysign(1.0, explicit)
 
     def test_equal_priors_negative(self):
         pr = canonicalize_priors(1 / 3, 1 / 3, 1 / 3)
@@ -207,7 +207,7 @@ class TestBoundaryDeterminant:
         assert critical_delta(1 / 3) is None
 
     def test_critical_delta_bisection_oracle(self):
-        # locate the sign change of the quartic by bisection and compare
+        # locate the sign change of det M by bisection and compare
         for p in (0.40, 0.42, 0.45, 0.48):
             lo, hi = 0.0, 3.0 * p - 1.0
             f = lambda d: boundary_determinant(priors_from_p_delta(p, d))
@@ -346,9 +346,9 @@ class TestOptimal:
     )
     def test_determinant_evaluated_once(self, monkeypatch, triple, strategy):
         calls = []
-        quartic = min_error.boundary_determinant
+        determinant = min_error.boundary_determinant
         monkeypatch.setattr(
-            min_error, "boundary_determinant", lambda pr: calls.append(pr) or quartic(pr)
+            min_error, "boundary_determinant", lambda pr: calls.append(pr) or determinant(pr)
         )
         res = optimal_measurement(canonicalize_priors(*triple))
         assert res.strategy == strategy
