@@ -10,6 +10,12 @@ failure, 4 I/O error, 5 certificate mismatch.  Numbers are serialized with 12
 significant digits; CSV data carries no timestamps, only a ``#`` metadata
 header with the package version and the invoking flags.
 
+``region`` and ``curves`` compute their rows as numpy columns, with the
+same closed-form expressions as a single query, and run every check a
+single row runs as a mask over the columns; where a row fails, that row
+alone is evaluated again, so the sweep stops with the error a single
+evaluation gives.  ``confidence --sweep`` builds a POVM per row and stays
+row by row.  Every sweep computes all its rows before ``--out`` is opened.
 numpy is imported only by the sweeps, by ``verify`` to draw its priors
 and through the sampler, so single queries run without loading it.
 :func:`main` builds its parser on the first call and reuses it, so it can
@@ -36,12 +42,17 @@ from .errors import (
     ZeroPriorError,
 )
 from .max_confidence import (
+    _closed_form_columns,
+    _each_state,
     confidence,
     confidence_report,
     mc_confidence_closed_form,
     min_error_confidence,
 )
 from .min_error import (
+    _branch,
+    _p_correct_three,
+    _p_correct_two,
     check_helstrom,
     critical_delta,
     optimal_branch,
@@ -53,6 +64,9 @@ from .oracle import certify_max_confidence, certify_min_error
 from .simulate import estimate_confidence, estimate_success
 from .trine import (
     Priors,
+    _check_canonical,
+    _p_delta_triple,
+    _PriorColumns,
     antitrine_measurement,
     canonicalize_priors,
     priors_from_p_delta,
@@ -66,7 +80,7 @@ EXIT_VERIFICATION = 3
 EXIT_IO = 4
 EXIT_MISMATCH = 5
 
-#: The prior coordinates every CSV row starts with (see :func:`_prior_cells`).
+#: The prior coordinates every CSV row starts with.
 PRIOR_COLUMNS = ["p", "delta", "p0", "p1", "p2"]
 
 SWEEP_COLUMNS = [
@@ -184,46 +198,136 @@ def _require_delta(flag: str, delta: float) -> None:
         raise DomainError(f"{flag} must lie in [0, 1/2], got {delta}")
 
 
-def _delta_axis(p: float, steps: int) -> list[float]:
-    """``steps`` deltas from 0 to the admissible bound min(p, 3p - 1)."""
+def _delta_axis(p: float, steps: int):
+    """``steps`` deltas from 0 to the admissible bound min(p, 3p - 1), as an array."""
     import numpy as np
 
-    return np.linspace(0.0, min(p, 3.0 * p - 1.0), steps).tolist()
+    return np.linspace(0.0, min(p, 3.0 * p - 1.0), steps)
 
 
-def _p_axis(delta: float, steps: int) -> list[float]:
-    """``steps`` values of p from the smallest admissible at ``delta`` to 1/2."""
+def _p_axis(delta: float, steps: int):
+    """``steps`` values of p from the smallest admissible at ``delta`` to 1/2, as an array."""
     import numpy as np
 
-    return np.linspace(max(1.0 / 3.0, (1.0 + delta) / 3.0, delta), 0.5, steps).tolist()
+    return np.linspace(max(1.0 / 3.0, (1.0 + delta) / 3.0, delta), 0.5, steps)
 
 
-def _prior_cells(priors: Priors) -> list:
-    return [priors.p, priors.delta, priors.p0, priors.p1, priors.p2]
+def _first(mask) -> int:
+    """The index of the first true entry of ``mask``, or its length if none is."""
+    return int(mask.argmax()) if mask.any() else len(mask)
 
 
-@functools.lru_cache(maxsize=1)
-def _critical_delta(p: float):
-    """critical_delta at a row's ``priors.p``, clamped into [1/3, 1/2] against
-    rounding, and kept for the next row, which usually shares that p."""
-    return critical_delta(min(max(p, 1.0 / 3.0), 0.5))
+class _Refusals:
+    """The guard of a column evaluation: it records, per row, the first check it fails.
+
+    Later checks do not count a row again, because evaluating that row
+    alone stops at its first failure (see
+    :func:`~trinedisc.errors._raise_unless`).
+    """
+
+    def __init__(self, rows: int):
+        import numpy as np
+
+        self.failed = np.zeros(rows, dtype=bool)
+        self._by_error = {}
+
+    def __call__(self, ok, error, message):
+        new = ~ok & ~self.failed
+        self._by_error[error] = self._by_error.get(error, False) | new
+        self.failed |= new
+
+    def rows(self, *errors):
+        """The rows whose first failed check raises one of ``errors``."""
+        out = self.failed & False
+        for error in errors:
+            out = out | self._by_error.get(error, False)
+        return out
+
+
+class _Sweep:
+    """The rows of a (p, delta) sweep, evaluated over numpy columns.
+
+    Each row gets the closed forms and runs the checks that
+    :func:`priors_from_p_delta` and :func:`optimal_branch` run on it alone,
+    with both branches' success probabilities.  Rows are evaluated up to
+    the first that the range checks refuse, as they would be one by one.
+    """
+
+    def __init__(self, p, delta):
+        import numpy as np
+
+        self.p, self.delta = p, delta
+        ranges = _Refusals(len(p))
+        # refused rows, and the zero priors of the edge rows, overflow or
+        # divide by zero here; no such value is printed
+        with np.errstate(all="ignore"):
+            triple = _p_delta_triple(p, delta, ranges)
+            _check_canonical(*triple, ranges)
+            self.admitted = _first(ranges.failed)
+            self.priors = _PriorColumns(*(c[: self.admitted] for c in triple))
+            self.det, self.two = _branch(self.priors)
+            self.two_checks = _Refusals(self.admitted)
+            self.p2el = _p_correct_two(self.priors, self.two_checks)
+            self.three_checks = _Refusals(self.admitted)
+            self.p3el = _p_correct_three(self.priors, self.three_checks)
+
+    def stop_at_first_failure(self, failed, row_checks) -> None:
+        """Raise what the first failing row raises when evaluated alone.
+
+        ``failed`` marks the admitted rows whose checks fail, and
+        ``row_checks(p, delta)`` runs those checks on one row.  So the
+        error and its message are the single-row ones.
+        """
+        first = min(_first(failed), self.admitted)
+        if first < len(self.p):
+            p, delta = self.p[first].item(), self.delta[first].item()
+            row_checks(p, delta)
+            raise VerificationError(
+                f"sweep row p={p!r}, delta={delta!r} fails its checks on columns only"
+            )
+
+
+def _cells(values, missing=None) -> list[str]:
+    """A float column as :func:`_fmt` prints each value; "" where ``missing``."""
+    import numpy as np
+
+    cells = [f"{x:.12g}" for x in values.tolist()]
+    if missing is not None:
+        for i in np.flatnonzero(missing).tolist():
+            cells[i] = ""
+    return cells
+
+
+def _cells_per_value(values, cell) -> list[str]:
+    """``cell(v)`` for each entry v of ``values``, computed once per distinct v."""
+    import numpy as np
+
+    # -0.0 would share the cell of 0.0; no column printed this way holds it
+    distinct, index = np.unique(values, return_inverse=True)
+    table = [cell(v) for v in distinct.tolist()]
+    return [table[i] for i in index.tolist()]
+
+
+def _critical_delta_cell(p: float) -> str:
+    """critical_delta at a row's ``priors.p``, clamped into [1/3, 1/2] against rounding."""
+    return _fmt(critical_delta(min(max(p, 1.0 / 3.0), 0.5)))
+
+
+def _prior_cells(priors) -> list[list[str]]:
+    """The PRIOR_COLUMNS cells of prior columns; p and p2 take few distinct values."""
+    return [
+        _cells_per_value(priors.p, _fmt),
+        _cells(priors.delta),
+        _cells(priors.p0),
+        _cells(priors.p1),
+        _cells_per_value(priors.p2, _fmt),
+    ]
 
 
 def _write_csv(stream, command: str, flags: str, columns, rows):
+    """Write the metadata line, then ``columns`` and ``rows`` of formatted cells."""
     stream.write(f"# trinedisc {__version__} {command} {flags}\n")
-    stream.writelines(",".join(map(_fmt, row)) + "\r\n" for row in [columns, *rows])
-
-
-def _sweep_row(priors: Priors):
-    strategy, p_correct, det = optimal_branch(priors)
-    return [
-        *_prior_cells(priors),
-        strategy,
-        p_correct,
-        det,
-        *mc_confidence_closed_form(priors),
-        _critical_delta(priors.p),
-    ]
+    stream.writelines(",".join(row) + "\r\n" for row in [columns, *rows])
 
 
 def cmd_optimal(args) -> int:
@@ -275,14 +379,34 @@ def cmd_optimal(args) -> int:
     return EXIT_OK
 
 
+def _region_row_checks(p: float, delta: float) -> None:
+    optimal_branch(priors_from_p_delta(p, delta))
+
+
 def cmd_region(args) -> int:
     _require_at_least("--grid", args.grid, 2)
-    rows = []
-    for p in _p_axis(0.0, args.grid):
-        for delta in _delta_axis(p, args.grid):
-            rows.append(_sweep_row(priors_from_p_delta(p, delta)))
+    import numpy as np
+
+    ps = _p_axis(0.0, args.grid)
+    sweep = _Sweep(
+        np.repeat(ps, args.grid),
+        np.concatenate([_delta_axis(p, args.grid) for p in ps.tolist()]),
+    )
+    two = sweep.two
+    sweep.stop_at_first_failure(
+        np.where(two, sweep.two_checks.failed, sweep.three_checks.failed), _region_row_checks
+    )
+    priors = sweep.priors
+    cells = [
+        *_prior_cells(priors),
+        np.where(two, "two_element", "three_element").tolist(),
+        _cells(np.where(two, sweep.p2el, sweep.p3el)),
+        _cells(sweep.det),
+        *(_cells(*_closed_form_columns(*state)) for state in _each_state(priors.original)),
+        _cells_per_value(priors.p, _critical_delta_cell),
+    ]
     with _open_out(args.out) as fh:
-        _write_csv(fh, "region", f"--grid {args.grid}", SWEEP_COLUMNS, rows)
+        _write_csv(fh, "region", f"--grid {args.grid}", SWEEP_COLUMNS, zip(*cells))
     return EXIT_OK
 
 
@@ -307,43 +431,71 @@ CURVE_COLUMNS = [
 ]
 
 
-def _curve_row(priors: Priors):
-    strategy, p_correct, det = optimal_branch(priors)
-    p2el = p_correct_two_element(priors) if strategy == "three_element" else p_correct
+def _curve_row_checks(p: float, delta: float) -> None:
+    priors = priors_from_p_delta(p, delta)
+    optimal_branch(priors)
+    p_correct_two_element(priors)
     try:
-        p3el = p_correct if strategy == "three_element" else p_correct_three_element(priors)
+        p_correct_three_element(priors)
     except (ZeroPriorError, UndefinedError):
-        p3el = None  # a zero prior, or the pole at (4/9, 4/9, 1/9)
-    return [
-        *_prior_cells(priors),
-        p2el,
-        p3el,
-        int(det < 0.0),
-        p_correct,
-        det,
-        _critical_delta(priors.p),
-    ]
+        pass  # printed as an empty p_3el cell
+
+
+def _curve_columns(p, delta) -> list:
+    """The CURVE_COLUMNS values of one --p-values or --delta-values entry.
+
+    p_3el is computed everywhere, and is None (its entry in ``missing``)
+    at a zero prior or at the pole (4/9, 4/9, 1/9); that is an error only
+    where the three-outcome branch is taken.
+    """
+    import numpy as np
+
+    sweep = _Sweep(p, delta)
+    two, missing = sweep.two, sweep.three_checks.rows(ZeroPriorError, UndefinedError)
+    sweep.stop_at_first_failure(
+        sweep.two_checks.failed | (sweep.three_checks.failed & ~(two & missing)),
+        _curve_row_checks,
+    )
+    pr = sweep.priors
+    p_correct = np.where(two, sweep.p2el, sweep.p3el)
+    return [pr.p0, pr.p1, pr.p2, sweep.p2el, sweep.p3el, missing, p_correct, sweep.det]
 
 
 def cmd_curves(args) -> int:
     if (args.p_values is None) == (args.delta_values is None):
         raise DomainError("specify exactly one of --p-values or --delta-values")
     _require_at_least("--steps", args.steps, 1)
-    rows = []
+    import numpy as np
+
+    entries = []
     if args.p_values is not None:
         for p in _parse_values("--p-values", args.p_values):
-            for delta in _delta_axis(p, args.steps):
-                rows.append(_curve_row(priors_from_p_delta(p, delta)))
+            deltas = _delta_axis(p, args.steps)
+            entries.append(_curve_columns(np.full(len(deltas), p), deltas))
         flags = f"--p-values {args.p_values} --steps {args.steps}"
     else:
         for delta in _parse_values("--delta-values", args.delta_values):
             _require_delta("--delta-values", delta)
-            for p in _p_axis(delta, args.steps):
-                rows.append(_curve_row(priors_from_p_delta(p, delta)))
+            ps = _p_axis(delta, args.steps)
+            entries.append(_curve_columns(ps, np.full(len(ps), delta)))
         flags = f"--delta-values {args.delta_values} --steps {args.steps}"
-    rows.sort(key=lambda r: (r[0], r[1]))
+    # no values at all print the header alone
+    columns = [np.concatenate(column) for column in zip(*entries)] or [np.empty(0)] * 8
+    rows = _PriorColumns(*columns[:3])
+    order = np.lexsort((rows.delta, rows.p))  # stable, like sorting the rows by (p, delta)
+    p0, p1, p2, p2el, p3el, missing, p_correct, det = (column[order] for column in columns)
+    priors = _PriorColumns(p0, p1, p2)
+    cells = [
+        *_prior_cells(priors),
+        _cells(p2el),
+        _cells(p3el, missing),
+        np.where(det < 0.0, "1", "0").tolist(),
+        _cells(p_correct),
+        _cells(det),
+        _cells_per_value(priors.p, _critical_delta_cell),
+    ]
     with _open_out(args.out) as fh:
-        _write_csv(fh, "curves", flags, CURVE_COLUMNS, rows)
+        _write_csv(fh, "curves", flags, CURVE_COLUMNS, zip(*cells))
     return EXIT_OK
 
 
@@ -363,7 +515,11 @@ def _confidence_row(priors: Priors):
     report = confidence_report(priors)
     me_conf = min_error_confidence(priors)
     return [
-        *_prior_cells(priors),
+        priors.p,
+        priors.delta,
+        priors.p0,
+        priors.p1,
+        priors.p2,
         *report.per_state_confidence,
         *me_conf,
         report.inconclusive_probability,
@@ -378,9 +534,9 @@ def cmd_confidence(args) -> int:
         _require_delta("--delta", args.delta)
         _require_at_least("--sweep", args.sweep, 1)
         rows = []
-        for p in _p_axis(args.delta, args.sweep):
+        for p in _p_axis(args.delta, args.sweep).tolist():
             try:
-                rows.append(_confidence_row(priors_from_p_delta(p, args.delta)))
+                rows.append(list(map(_fmt, _confidence_row(priors_from_p_delta(p, args.delta)))))
             except PureStateError:
                 continue  # pure ensemble density: confidence undefined
         with _open_out(args.out) as fh:

@@ -96,14 +96,45 @@ def _posterior(priors: Priors, element, outcome_label) -> float:
     return min(1.0, joint[outcome_label] / ensemble_prob)
 
 
-def _closed_form(p_i: float, a: float, b: float) -> Optional[float]:
-    if p_i >= 1.0:
-        return None
-    if p_i == 0.0:
-        return 0.0
-    if a == 0.0 or b == 0.0:
-        return 1.0
+def _limits(p_i, a, b) -> tuple:
+    """(applies, value) for each exact limit of the closed form, first first.
+
+    Array-generic, like :func:`_closed_form_value`: the sweeps apply both
+    to prior columns.
+    """
+    return ((p_i >= 1.0, None), (p_i == 0.0, 0.0), ((a == 0.0) | (b == 0.0), 1.0))
+
+
+def _closed_form_value(p_i, a, b):
     return 1.0 / (1.0 + (a * b) / (p_i * (a + b)))
+
+
+def _closed_form(p_i: float, a: float, b: float) -> Optional[float]:
+    for applies, value in _limits(p_i, a, b):
+        if applies:
+            return value
+    return _closed_form_value(p_i, a, b)
+
+
+def _closed_form_columns(p_i, a, b):
+    """:func:`_closed_form` over numpy columns: the values, and where they are None."""
+    import numpy as np
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # where the limits apply
+        value = _closed_form_value(p_i, a, b)
+    undefined = False
+    for applies, limit in reversed(_limits(p_i, a, b)):
+        if limit is None:
+            undefined = applies
+        else:
+            value = np.where(applies, limit, value)
+    return value, undefined
+
+
+def _each_state(q) -> tuple:
+    """(p_i, then the other two priors) for each state i of the triple ``q``."""
+    q0, q1, q2 = q
+    return (q0, q1, q2), (q1, q0, q2), (q2, q0, q1)
 
 
 def mc_confidence_closed_form(priors: Priors) -> tuple[Optional[float], ...]:
@@ -114,8 +145,8 @@ def mc_confidence_closed_form(priors: Priors) -> tuple[Optional[float], ...]:
     p_i = 0 -> 0 and (some p_j = 0, j != i) -> 1 taken exactly.  It is
     None where p_i = 1: confidence is undefined for a pure ensemble.
     """
-    q0, q1, q2 = priors.original
-    return _closed_form(q0, q1, q2), _closed_form(q1, q0, q2), _closed_form(q2, q0, q1)
+    s0, s1, s2 = _each_state(priors.original)
+    return _closed_form(*s0), _closed_form(*s1), _closed_form(*s2)
 
 
 @dataclass(frozen=True)

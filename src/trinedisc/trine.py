@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import DomainError, PureStateError
+from .errors import DomainError, PureStateError, _raise_unless
 from .qubit import Measurement, equator_element
 
 if TYPE_CHECKING:
@@ -94,14 +94,7 @@ class Priors:
     permutation: tuple[int, int, int] = (0, 1, 2)
 
     def __post_init__(self):
-        triple = (self.p0, self.p1, self.p2)
-        # each range check is written so that NaN fails it
-        if not all(q >= -_PARAM_TOL for q in triple):
-            raise DomainError(f"priors must be nonnegative, got {triple}")
-        if not abs(sum(triple) - 1.0) <= _SUM_TOL:
-            raise DomainError(f"priors must sum to 1, got {triple}")
-        if not (self.p0 >= self.p1 - _PARAM_TOL >= self.p2 - 2 * _PARAM_TOL):
-            raise DomainError(f"canonical order requires p0 >= p1 >= p2, got {triple}")
+        _check_canonical(self.p0, self.p1, self.p2, _raise_unless)
         if sorted(self.permutation) != [0, 1, 2]:
             raise DomainError(f"invalid permutation {self.permutation}")
 
@@ -130,6 +123,38 @@ class Priors:
         return tuple(out)
 
 
+def _check_canonical(p0, p1, p2, guard) -> None:
+    """The range checks of :class:`Priors` on a canonical triple, in order.
+
+    Array-generic (see :func:`~trinedisc.errors._raise_unless`), and each
+    check is written so that NaN fails it.
+    """
+    triple = (p0, p1, p2)
+    guard((p0 >= -_PARAM_TOL) & (p1 >= -_PARAM_TOL) & (p2 >= -_PARAM_TOL), DomainError,
+          lambda: f"priors must be nonnegative, got {triple}")
+    guard(abs(p0 + p1 + p2 - 1.0) <= _SUM_TOL, DomainError,
+          lambda: f"priors must sum to 1, got {triple}")
+    guard((p0 >= p1 - _PARAM_TOL) & (p1 - _PARAM_TOL >= p2 - 2 * _PARAM_TOL), DomainError,
+          lambda: f"canonical order requires p0 >= p1 >= p2, got {triple}")
+
+
+class _PriorColumns:
+    """Canonical prior triples held as numpy columns, read the way a Priors is.
+
+    ``p``, ``delta`` and ``canonical`` are :class:`Priors`' own properties,
+    and the caller's order is the canonical one, so the array-generic
+    closed forms take these columns where they take a Priors.  The range
+    checks are the caller's to run, with :func:`_check_canonical`.
+    """
+
+    p = Priors.p
+    delta = Priors.delta
+    canonical = original = Priors.canonical
+
+    def __init__(self, p0, p1, p2):
+        self.p0, self.p1, self.p2 = p0, p1, p2
+
+
 def canonicalize_priors(q0: float, q1: float, q2: float) -> Priors:
     """Sort a prior triple descending, remembering where each entry came from.
 
@@ -151,15 +176,27 @@ def canonicalize_priors(q0: float, q1: float, q2: float) -> Priors:
 
 def priors_from_p_delta(p: float, delta: float) -> Priors:
     """Build the canonical triple (p+delta, p-delta, 1-2p)."""
-    if not (1.0 / 3.0 - _PARAM_TOL <= p <= 0.5 + _PARAM_TOL):
-        raise DomainError(f"p must lie in [1/3, 1/2], got {p!r}")
-    if not delta >= -_PARAM_TOL:
-        raise DomainError(f"delta must be nonnegative, got {delta!r}")
-    if delta > 3.0 * p - 1.0 + _PARAM_TOL:
-        raise DomainError(f"delta={delta!r} violates delta <= 3p-1 = {3 * p - 1!r}")
-    if delta > p + _PARAM_TOL:
-        raise DomainError(f"delta={delta!r} violates delta <= p")
-    return Priors(p + delta, p - delta, 1.0 - 2.0 * p)
+    return Priors(*_p_delta_triple(p, delta, _raise_unless))
+
+
+def _p_delta_triple(p, delta, guard):
+    """The range checks of :func:`priors_from_p_delta`, in order, and its triple.
+
+    Array-generic (see :func:`~trinedisc.errors._raise_unless`), and each
+    check is written so that NaN fails it.
+    """
+    guard((1.0 / 3.0 - _PARAM_TOL <= p) & (p <= 0.5 + _PARAM_TOL), DomainError,
+          lambda: f"p must lie in [1/3, 1/2], got {p!r}")
+    guard(delta >= -_PARAM_TOL, DomainError, lambda: f"delta must be nonnegative, got {delta!r}")
+    guard(delta <= 3.0 * p - 1.0 + _PARAM_TOL, DomainError,
+          lambda: f"delta={delta!r} violates delta <= 3p-1 = {3 * p - 1!r}")
+    guard(delta <= p + _PARAM_TOL, DomainError, lambda: f"delta={delta!r} violates delta <= p")
+    return p + delta, p - delta, 1.0 - 2.0 * p
+
+
+def _e2(a, b, c):
+    """ab + ac + bc, the second elementary symmetric polynomial; array-generic."""
+    return a * b + a * c + b * c
 
 
 def mixed_e2(priors: Priors) -> float:
@@ -170,7 +207,7 @@ def mixed_e2(priors: Priors) -> float:
     1.5 e2 <= 1e-9, where rho has no usable inverse.
     """
     q = priors.original
-    e2 = q[0] * q[1] + q[0] * q[2] + q[1] * q[2]
+    e2 = _e2(*q)
     if 1.5 * e2 <= _PURITY_TOL:
         raise PureStateError(f"ensemble density matrix is pure within tolerance (priors {q})")
     return e2

@@ -7,7 +7,7 @@ import json
 import pytest
 from numpy.random import default_rng
 
-from trinedisc import cli, trine
+from trinedisc import cli, min_error, trine
 from trinedisc.cli import _entries, _json_ready, main, sig12
 from trinedisc.errors import VerificationError
 from trinedisc.max_confidence import confidence_report, mc_confidence_closed_form
@@ -23,6 +23,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def plant_two_outcome_fault(monkeypatch, p0):
+    """Fail the two-outcome cross-check of the sweep row whose p0 is ``p0``.
+
+    The fault is planted in the one expression that the sweep's columns and
+    the single row it then re-runs both evaluate.
+    """
+    check = min_error._p_correct_two
+
+    def planted(priors, guard):
+        guard(abs(priors.p0 - p0) > 1e-9, VerificationError, lambda: "planted")
+        return check(priors, guard)
+
+    monkeypatch.setattr(min_error, "_p_correct_two", planted)
+    monkeypatch.setattr(cli, "_p_correct_two", planted)
 
 
 def parse_csv(text):
@@ -131,16 +147,9 @@ class TestRegion:
 
     def test_failed_sweep_writes_no_file(self, tmp_path, capsys, monkeypatch):
         # every row is computed before --out is opened, so a row that fails
-        # its verification leaves no partial file behind
-        calls = itertools.count(1)
-        branch = cli.optimal_branch
-
-        def failing_on_the_seventh_row(priors):
-            if next(calls) == 7:
-                raise VerificationError("planted")
-            return branch(priors)
-
-        monkeypatch.setattr(cli, "optimal_branch", failing_on_the_seventh_row)
+        # its verification leaves no partial file behind; the seventh row,
+        # (p, delta) = (0.375, 0.03125), takes the two-outcome branch
+        plant_two_outcome_fault(monkeypatch, p0=0.40625)
         out_file = tmp_path / "region.csv"
         code, _, err = run(capsys, "region", "--grid", "5", "--out", str(out_file))
         assert (code, err) == (3, "internal verification failure: planted\n")
@@ -186,6 +195,16 @@ class TestCurves:
         # rows arrive sorted by (p, delta)
         keys = [(float(r["p"]), float(r["delta"])) for r in rows]
         assert keys == sorted(keys)
+
+    def test_failed_sweep_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        # the row (p, delta) = (0.42, 0.065) takes the two-outcome branch
+        plant_two_outcome_fault(monkeypatch, p0=0.485)
+        out_file = tmp_path / "curves.csv"
+        code, _, err = run(
+            capsys, "curves", "--p-values", "0.36,0.42", "--steps", "5", "--out", str(out_file)
+        )
+        assert (code, err) == (3, "internal verification failure: planted\n")
+        assert not out_file.exists()
 
     def test_requires_exactly_one_axis(self, capsys):
         assert run(capsys, "curves")[0] == 2

@@ -29,6 +29,9 @@ from trinedisc.min_error import (
 )
 from trinedisc.trine import priors_from_p_delta
 
+#: numpy prints a RuntimeWarning for a division by zero; no sweep may
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def cell(x) -> str:
     if x is None:
@@ -105,7 +108,7 @@ def region_reference(grid: int):
 
 def curves_reference(flag: str, text: str, steps: int):
     def build():
-        values = [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",") if v.strip()]
         if flag == "--p-values":
             rows = [curve_row(p, d) for p in values for d in delta_axis(p, steps)]
         else:
@@ -143,6 +146,7 @@ def test_region_is_the_row_by_row_sweep(capsys, grid):
         # through the three-outcome pole at (4/9, 4/9, 1/9)
         ("--delta-values", "0", 40),
         ("--delta-values", "0.5,0.25", 1),
+        ("--p-values", ",", 5),
     ],
 )
 def test_curves_are_the_row_by_row_sweep(capsys, flag, text, steps):

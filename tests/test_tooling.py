@@ -121,9 +121,11 @@ def call_sites(name: str) -> list[tuple[str, str | None]]:
 
 
 def test_branch_test_and_prior_draws_are_made_in_one_place():
-    # det M is computed only to choose the branch, and priors are drawn
+    # det M is computed only to choose the branch, by one function that
+    # optimal_branch and the sweeps' columns share, and priors are drawn
     # from numpy in one function, which verify and the tests share
-    assert call_sites("boundary_determinant") == [("min_error", "optimal_branch")]
+    assert call_sites("boundary_determinant") == [("min_error", "_branch")]
+    assert call_sites("_branch") == [("cli", "__init__"), ("min_error", "optimal_branch")]
     assert call_sites("dirichlet") == [("trine", "random_priors")]
 
 
