@@ -43,7 +43,6 @@ from .errors import (
 )
 from .max_confidence import (
     _closed_form_columns,
-    _each_state,
     confidence,
     confidence_report,
     mc_confidence_closed_form,
@@ -218,39 +217,29 @@ def _first(mask) -> int:
 
 
 class _Refusals:
-    """The guard of a column evaluation: it records, per row, the first check it fails.
+    """The guard of a column evaluation (see :func:`~trinedisc.errors._raise_unless`).
 
-    Later checks do not count a row again, because evaluating that row
-    alone stops at its first failure (see
-    :func:`~trinedisc.errors._raise_unless`).
+    It records each row at the first check it fails, where evaluating the
+    row alone would stop, and the error that check raises.
     """
 
     def __init__(self, rows: int):
         import numpy as np
 
         self.failed = np.zeros(rows, dtype=bool)
-        self._by_error = {}
+        self.by_error = {}
 
     def __call__(self, ok, error, message):
         new = ~ok & ~self.failed
-        self._by_error[error] = self._by_error.get(error, False) | new
+        self.by_error[error] = self.by_error.get(error, False) | new
         self.failed |= new
-
-    def rows(self, *errors):
-        """The rows whose first failed check raises one of ``errors``."""
-        out = self.failed & False
-        for error in errors:
-            out = out | self._by_error.get(error, False)
-        return out
 
 
 class _Sweep:
-    """The rows of a (p, delta) sweep, evaluated over numpy columns.
+    """The rows of a (p, delta) sweep with both branches' closed forms, as numpy columns.
 
-    Each row gets the closed forms and runs the checks that
-    :func:`priors_from_p_delta` and :func:`optimal_branch` run on it alone,
-    with both branches' success probabilities.  Rows are evaluated up to
-    the first that the range checks refuse, as they would be one by one.
+    Rows are evaluated up to the first that the range checks refuse, as
+    they would be one by one.
     """
 
     def __init__(self, p, delta):
@@ -258,8 +247,7 @@ class _Sweep:
 
         self.p, self.delta = p, delta
         ranges = _Refusals(len(p))
-        # refused rows, and the zero priors of the edge rows, overflow or
-        # divide by zero here; no such value is printed
+        # refused rows and zero priors overflow or divide by zero; no such value is printed
         with np.errstate(all="ignore"):
             triple = _p_delta_triple(p, delta, ranges)
             _check_canonical(*triple, ranges)
@@ -272,11 +260,9 @@ class _Sweep:
             self.p3el = _p_correct_three(self.priors, self.three_checks)
 
     def stop_at_first_failure(self, failed, row_checks) -> None:
-        """Raise what the first failing row raises when evaluated alone.
+        """Raise what the first failing row raises alone, through ``row_checks(p, delta)``.
 
-        ``failed`` marks the admitted rows whose checks fail, and
-        ``row_checks(p, delta)`` runs those checks on one row.  So the
-        error and its message are the single-row ones.
+        ``failed`` marks the admitted rows whose checks fail.
         """
         first = min(_first(failed), self.admitted)
         if first < len(self.p):
@@ -379,10 +365,6 @@ def cmd_optimal(args) -> int:
     return EXIT_OK
 
 
-def _region_row_checks(p: float, delta: float) -> None:
-    optimal_branch(priors_from_p_delta(p, delta))
-
-
 def cmd_region(args) -> int:
     _require_at_least("--grid", args.grid, 2)
     import numpy as np
@@ -394,7 +376,8 @@ def cmd_region(args) -> int:
     )
     two = sweep.two
     sweep.stop_at_first_failure(
-        np.where(two, sweep.two_checks.failed, sweep.three_checks.failed), _region_row_checks
+        np.where(two, sweep.two_checks.failed, sweep.three_checks.failed),
+        lambda p, delta: optimal_branch(priors_from_p_delta(p, delta)),
     )
     priors = sweep.priors
     cells = [
@@ -402,7 +385,7 @@ def cmd_region(args) -> int:
         np.where(two, "two_element", "three_element").tolist(),
         _cells(np.where(two, sweep.p2el, sweep.p3el)),
         _cells(sweep.det),
-        *(_cells(*_closed_form_columns(*state)) for state in _each_state(priors.original)),
+        *(_cells(*confidences) for confidences in _closed_form_columns(priors)),
         _cells_per_value(priors.p, _critical_delta_cell),
     ]
     with _open_out(args.out) as fh:
@@ -444,17 +427,16 @@ def _curve_row_checks(p: float, delta: float) -> None:
 def _curve_columns(p, delta) -> list:
     """The CURVE_COLUMNS values of one --p-values or --delta-values entry.
 
-    p_3el is computed everywhere, and is None (its entry in ``missing``)
-    at a zero prior or at the pole (4/9, 4/9, 1/9); that is an error only
-    where the three-outcome branch is taken.
+    p_3el is missing at a zero prior or at the pole (4/9, 4/9, 1/9), which
+    is an error only where the three-outcome branch is taken.
     """
     import numpy as np
 
     sweep = _Sweep(p, delta)
-    two, missing = sweep.two, sweep.three_checks.rows(ZeroPriorError, UndefinedError)
+    checks = sweep.three_checks
+    two, missing = sweep.two, checks.failed & ~checks.by_error[VerificationError]
     sweep.stop_at_first_failure(
-        sweep.two_checks.failed | (sweep.three_checks.failed & ~(two & missing)),
-        _curve_row_checks,
+        sweep.two_checks.failed | (checks.failed & ~(two & missing)), _curve_row_checks
     )
     pr = sweep.priors
     p_correct = np.where(two, sweep.p2el, sweep.p3el)
@@ -481,8 +463,8 @@ def cmd_curves(args) -> int:
         flags = f"--delta-values {args.delta_values} --steps {args.steps}"
     # no values at all print the header alone
     columns = [np.concatenate(column) for column in zip(*entries)] or [np.empty(0)] * 8
-    rows = _PriorColumns(*columns[:3])
-    order = np.lexsort((rows.delta, rows.p))  # stable, like sorting the rows by (p, delta)
+    unsorted = _PriorColumns(*columns[:3])
+    order = np.lexsort((unsorted.delta, unsorted.p))  # a stable sort by (p, delta)
     p0, p1, p2, p2el, p3el, missing, p_correct, det = (column[order] for column in columns)
     priors = _PriorColumns(p0, p1, p2)
     cells = [

@@ -97,10 +97,9 @@ def _posterior(priors: Priors, element, outcome_label) -> float:
 
 
 def _limits(p_i, a, b) -> tuple:
-    """(applies, value) for each exact limit of the closed form, first first.
+    """(applies, value) for each exact limit of the closed form, the first first.
 
-    Array-generic, like :func:`_closed_form_value`: the sweeps apply both
-    to prior columns.
+    Array-generic, like :func:`_closed_form_value`.
     """
     return ((p_i >= 1.0, None), (p_i == 0.0, 0.0), ((a == 0.0) | (b == 0.0), 1.0))
 
@@ -116,25 +115,29 @@ def _closed_form(p_i: float, a: float, b: float) -> Optional[float]:
     return _closed_form_value(p_i, a, b)
 
 
-def _closed_form_columns(p_i, a, b):
-    """:func:`_closed_form` over numpy columns: the values, and where they are None."""
-    import numpy as np
-
-    with np.errstate(divide="ignore", invalid="ignore"):  # where the limits apply
-        value = _closed_form_value(p_i, a, b)
-    undefined = False
-    for applies, limit in reversed(_limits(p_i, a, b)):
-        if limit is None:
-            undefined = applies
-        else:
-            value = np.where(applies, limit, value)
-    return value, undefined
-
-
 def _each_state(q) -> tuple:
     """(p_i, then the other two priors) for each state i of the triple ``q``."""
     q0, q1, q2 = q
     return (q0, q1, q2), (q1, q0, q2), (q2, q0, q1)
+
+
+def _closed_form_columns(priors) -> list:
+    """:func:`mc_confidence_closed_form` of prior columns: per state, the
+    values and where they are None."""
+    import numpy as np
+
+    out = []
+    for p_i, a, b in _each_state(priors.original):
+        with np.errstate(divide="ignore", invalid="ignore"):  # where the limits apply
+            value = _closed_form_value(p_i, a, b)
+        undefined = False
+        for applies, limit in reversed(_limits(p_i, a, b)):
+            if limit is None:
+                undefined = applies
+            else:
+                value = np.where(applies, limit, value)
+        out.append((value, undefined))
+    return out
 
 
 def mc_confidence_closed_form(priors: Priors) -> tuple[Optional[float], ...]:

@@ -67,10 +67,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 def _power(x, n: int):
     """x ** n with the bits of Python's float ``**``, for a float or a 1-D array.
 
-    numpy's ``**`` on an array is its own vectorized pow, which rounds
-    differently from the C library's on some inputs (about 5% of uniform
-    draws for n = 3 and 4, and 0.08% for n = 2, on an AVX-512 host), so
-    an array is raised element by element as Python floats.
+    numpy's ``**`` on arrays rounds differently from the C library's pow on
+    some inputs (about 5% of uniform draws for n = 3 and 4 on an AVX-512
+    host), so an array is raised element by element as Python floats.
     """
     if isinstance(x, (int, float)):
         return x**n
@@ -107,10 +106,7 @@ def p_correct_two_element(priors: Priors) -> float:
 
 
 def _p_correct_two(priors, guard):
-    """:func:`p_correct_two_element` of a Priors or of prior columns.
-
-    Array-generic (see :func:`~trinedisc.errors._raise_unless`).
-    """
+    """:func:`p_correct_two_element` of a Priors or of prior columns (see ``_raise_unless``)."""
     p0, p1 = priors.p0, priors.p1
     value = 0.5 * (p0 + p1 + _sqrt(p0 * p0 + p0 * p1 + p1 * p1))
     alt = priors.p + 0.5 * _sqrt(3.0 * _power(priors.p, 2) + _power(priors.delta, 2))
@@ -257,10 +253,7 @@ def p_correct_three_element(priors: Priors) -> float:
 
 
 def _p_correct_three(priors, guard):
-    """:func:`p_correct_three_element` of a Priors or of prior columns.
-
-    Array-generic (see :func:`~trinedisc.errors._raise_unless`).
-    """
+    """:func:`p_correct_three_element` of a Priors or of prior columns (see ``_raise_unless``)."""
     q = priors.canonical
     p0, p1, p2 = q
     guard((p0 > 0.0) & (p1 > 0.0) & (p2 > 0.0), ZeroPriorError,
@@ -373,10 +366,7 @@ def optimal_branch(priors: Priors) -> tuple[str, float, float]:
 
 
 def _branch(priors):
-    """det M, and whether :func:`optimal_branch` takes the two-outcome branch.
-
-    Array-generic: it also takes prior columns.
-    """
+    """det M, and whether :func:`optimal_branch` takes the two-outcome branch; array-generic."""
     det = boundary_determinant(priors)
     return det, (det >= -_TIE_TOL) | (priors.p2 <= 0.0)
 

@@ -139,12 +139,10 @@ def _check_canonical(p0, p1, p2, guard) -> None:
 
 
 class _PriorColumns:
-    """Canonical prior triples held as numpy columns, read the way a Priors is.
+    """Canonical prior triples as numpy columns, which read like a Priors in caller order.
 
-    ``p``, ``delta`` and ``canonical`` are :class:`Priors`' own properties,
-    and the caller's order is the canonical one, so the array-generic
-    closed forms take these columns where they take a Priors.  The range
-    checks are the caller's to run, with :func:`_check_canonical`.
+    The array-generic closed forms take them where they take a Priors; the
+    caller runs the range checks, with :func:`_check_canonical`.
     """
 
     p = Priors.p
