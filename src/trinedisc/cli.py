@@ -50,8 +50,10 @@ from .max_confidence import (
 )
 from .min_error import (
     _branch,
-    _p_correct_three,
     _p_correct_two,
+    _positive,
+    _three_element_agree,
+    _three_element_terms,
     check_helstrom,
     critical_delta,
     optimal_branch,
@@ -63,8 +65,8 @@ from .oracle import certify_max_confidence, certify_min_error
 from .simulate import estimate_confidence, estimate_success
 from .trine import (
     Priors,
-    _check_canonical,
-    _p_delta_triple,
+    _canonical_checks,
+    _from_p_delta,
     _PriorColumns,
     antitrine_measurement,
     canonicalize_priors,
@@ -216,48 +218,31 @@ def _first(mask) -> int:
     return int(mask.argmax()) if mask.any() else len(mask)
 
 
-class _Refusals:
-    """The guard of a column evaluation (see :func:`~trinedisc.errors._raise_unless`).
-
-    It records each row at the first check it fails, where evaluating the
-    row alone would stop, and the error that check raises.
-    """
-
-    def __init__(self, rows: int):
-        import numpy as np
-
-        self.failed = np.zeros(rows, dtype=bool)
-        self.by_error = {}
-
-    def __call__(self, ok, error, message):
-        new = ~ok & ~self.failed
-        self.by_error[error] = self.by_error.get(error, False) | new
-        self.failed |= new
-
-
 class _Sweep:
     """The rows of a (p, delta) sweep with both branches' closed forms, as numpy columns.
 
-    Rows are evaluated up to the first that the range checks refuse, as
-    they would be one by one.
+    Each check is a mask of the rows that fail it.  Rows are evaluated up
+    to the first that the range checks refuse, as they would be one by one.
     """
 
     def __init__(self, p, delta):
         import numpy as np
 
         self.p, self.delta = p, delta
-        ranges = _Refusals(len(p))
         # refused rows and zero priors overflow or divide by zero; no such value is printed
         with np.errstate(all="ignore"):
-            triple = _p_delta_triple(p, delta, ranges)
-            _check_canonical(*triple, ranges)
-            self.admitted = _first(ranges.failed)
-            self.priors = _PriorColumns(*(c[: self.admitted] for c in triple))
-            self.det, self.two = _branch(self.priors)
-            self.two_checks = _Refusals(self.admitted)
-            self.p2el = _p_correct_two(self.priors, self.two_checks)
-            self.three_checks = _Refusals(self.admitted)
-            self.p3el = _p_correct_three(self.priors, self.three_checks)
+            checks, triple = _from_p_delta(p, delta)
+            self.admitted = _first(~np.logical_and.reduce([*checks, *_canonical_checks(*triple)]))
+            self.priors = pr = _PriorColumns(*(c[: self.admitted] for c in triple))
+            self.det, self.two = _branch(pr)
+            self.p2el, _, agree = _p_correct_two(pr, np.sqrt)
+            self.two_failed = ~agree
+            num, den, alt_num, alt_den, off_pole = _three_element_terms(pr)
+            self.p3el = num / den
+            # p_3el is undefined at a zero prior or at the pole (4/9, 4/9, 1/9)
+            self.undefined = ~(_positive(pr.canonical) & off_pole)
+            agree = _three_element_agree(self.p3el, alt_num / alt_den)
+            self.three_failed = ~self.undefined & ~agree
 
     def stop_at_first_failure(self, failed, row_checks) -> None:
         """Raise what the first failing row raises alone, through ``row_checks(p, delta)``.
@@ -376,7 +361,7 @@ def cmd_region(args) -> int:
     )
     two = sweep.two
     sweep.stop_at_first_failure(
-        np.where(two, sweep.two_checks.failed, sweep.three_checks.failed),
+        np.where(two, sweep.two_failed, sweep.three_failed | sweep.undefined),
         lambda p, delta: optimal_branch(priors_from_p_delta(p, delta)),
     )
     priors = sweep.priors
@@ -427,20 +412,18 @@ def _curve_row_checks(p: float, delta: float) -> None:
 def _curve_columns(p, delta) -> list:
     """The CURVE_COLUMNS values of one --p-values or --delta-values entry.
 
-    p_3el is missing at a zero prior or at the pole (4/9, 4/9, 1/9), which
-    is an error only where the three-outcome branch is taken.
+    An undefined p_3el is an error only where the three-outcome branch is taken.
     """
     import numpy as np
 
     sweep = _Sweep(p, delta)
-    checks = sweep.three_checks
-    two, missing = sweep.two, checks.failed & ~checks.by_error[VerificationError]
+    two, undefined = sweep.two, sweep.undefined
     sweep.stop_at_first_failure(
-        sweep.two_checks.failed | (checks.failed & ~(two & missing)), _curve_row_checks
+        sweep.two_failed | sweep.three_failed | (~two & undefined), _curve_row_checks
     )
     pr = sweep.priors
     p_correct = np.where(two, sweep.p2el, sweep.p3el)
-    return [pr.p0, pr.p1, pr.p2, sweep.p2el, sweep.p3el, missing, p_correct, sweep.det]
+    return [pr.p0, pr.p1, pr.p2, sweep.p2el, sweep.p3el, undefined, p_correct, sweep.det]
 
 
 def cmd_curves(args) -> int:
@@ -465,12 +448,12 @@ def cmd_curves(args) -> int:
     columns = [np.concatenate(column) for column in zip(*entries)] or [np.empty(0)] * 8
     unsorted = _PriorColumns(*columns[:3])
     order = np.lexsort((unsorted.delta, unsorted.p))  # a stable sort by (p, delta)
-    p0, p1, p2, p2el, p3el, missing, p_correct, det = (column[order] for column in columns)
+    p0, p1, p2, p2el, p3el, undefined, p_correct, det = (column[order] for column in columns)
     priors = _PriorColumns(p0, p1, p2)
     cells = [
         *_prior_cells(priors),
         _cells(p2el),
-        _cells(p3el, missing),
+        _cells(p3el, undefined),
         np.where(det < 0.0, "1", "0").tolist(),
         _cells(p_correct),
         _cells(det),

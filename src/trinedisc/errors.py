@@ -31,16 +31,3 @@ class UndefinedError(TrineError):
 
 class InsufficientDataError(TrineError):
     """Too few Monte Carlo shots landed on the requested outcome."""
-
-
-def _raise_unless(ok, error: type[TrineError], message) -> None:
-    """The guard of a single evaluation: raise ``error(message())`` unless ``ok``.
-
-    Checks that must also run over numpy columns of many rows take the
-    guard as an argument and write ``ok`` with comparisons joined by ``&``
-    and ``|``, so one expression serves a single value and a column; the
-    column guard records the rows instead of raising.  ``message`` is
-    called only on failure.
-    """
-    if not ok:
-        raise error(message())

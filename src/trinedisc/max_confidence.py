@@ -97,11 +97,12 @@ def _posterior(priors: Priors, element, outcome_label) -> float:
 
 
 def _limits(p_i, a, b) -> tuple:
-    """(applies, value) for each exact limit of the closed form, the first first.
+    """Where the closed form takes an exact limit: (undefined, 0, 1), first first.
 
-    Array-generic, like :func:`_closed_form_value`.
+    Array-generic, like :func:`_closed_form_value`; the sweeps evaluate both
+    on prior columns (:func:`_closed_form_columns`).
     """
-    return ((p_i >= 1.0, None), (p_i == 0.0, 0.0), ((a == 0.0) | (b == 0.0), 1.0))
+    return p_i >= 1.0, p_i == 0.0, (a == 0.0) | (b == 0.0)
 
 
 def _closed_form_value(p_i, a, b):
@@ -109,9 +110,13 @@ def _closed_form_value(p_i, a, b):
 
 
 def _closed_form(p_i: float, a: float, b: float) -> Optional[float]:
-    for applies, value in _limits(p_i, a, b):
-        if applies:
-            return value
+    undefined, never, certain = _limits(p_i, a, b)
+    if undefined:
+        return None
+    if never:
+        return 0.0
+    if certain:
+        return 1.0
     return _closed_form_value(p_i, a, b)
 
 
@@ -128,15 +133,10 @@ def _closed_form_columns(priors) -> list:
 
     out = []
     for p_i, a, b in _each_state(priors.original):
-        with np.errstate(divide="ignore", invalid="ignore"):  # where the limits apply
+        undefined, never, certain = _limits(p_i, a, b)
+        with np.errstate(divide="ignore", invalid="ignore"):  # where a limit applies
             value = _closed_form_value(p_i, a, b)
-        undefined = False
-        for applies, limit in reversed(_limits(p_i, a, b)):
-            if limit is None:
-                undefined = applies
-            else:
-                value = np.where(applies, limit, value)
-        out.append((value, undefined))
+        out.append((np.where(never, 0.0, np.where(certain, 1.0, value)), undefined))
     return out
 
 

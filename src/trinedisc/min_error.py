@@ -17,16 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Sequence
 
-from .errors import (
-    DomainError,
-    UndefinedError,
-    VerificationError,
-    ZeroPriorError,
-    _raise_unless,
-)
+from .errors import DomainError, UndefinedError, VerificationError, ZeroPriorError
 from .qubit import (
     Measurement,
     born,
@@ -64,29 +57,6 @@ _HELSTROM_TOL = 1e-9
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _power(x, n: int):
-    """x ** n with the bits of Python's float ``**``, for a float or a 1-D array.
-
-    numpy's ``**`` on arrays rounds differently from the C library's pow on
-    some inputs (about 5% of uniform draws for n = 3 and 4 on an AVX-512
-    host), so an array is raised element by element as Python floats.
-    """
-    if isinstance(x, (int, float)):
-        return x**n
-    import numpy as np
-
-    return np.fromiter(map(pow, x.tolist(), repeat(n)), float, count=len(x))
-
-
-def _sqrt(x):
-    """The correctly rounded square root of a float or an array."""
-    if isinstance(x, (int, float)):
-        return math.sqrt(x)
-    import numpy as np
-
-    return np.sqrt(x)
-
-
 def theta_two_element(priors: Priors) -> float:
     """Measurement angle of the optimal two-outcome strategy.
 
@@ -102,17 +72,23 @@ def p_correct_two_element(priors: Priors) -> float:
     Evaluates (p0 + p1 + sqrt(p0^2 + p0 p1 + p1^2))/2 and cross-checks the
     equivalent (p, delta) form p + sqrt(3 p^2 + delta^2)/2.
     """
-    return _p_correct_two(priors, _raise_unless)
-
-
-def _p_correct_two(priors, guard):
-    """:func:`p_correct_two_element` of a Priors or of prior columns (see ``_raise_unless``)."""
-    p0, p1 = priors.p0, priors.p1
-    value = 0.5 * (p0 + p1 + _sqrt(p0 * p0 + p0 * p1 + p1 * p1))
-    alt = priors.p + 0.5 * _sqrt(3.0 * _power(priors.p, 2) + _power(priors.delta, 2))
-    guard(abs(value - alt) <= 1e-12, VerificationError,
-          lambda: f"two-element success probability forms disagree: {value} vs {alt}")
+    value, alt, agree = _p_correct_two(priors)
+    if not agree:
+        raise VerificationError(
+            f"two-element success probability forms disagree: {value} vs {alt}"
+        )
     return value
+
+
+def _p_correct_two(priors, sqrt=math.sqrt) -> tuple:
+    """The two-outcome value, its (p, delta) form and whether they agree.
+
+    Array-generic: the sweeps pass prior columns and ``numpy.sqrt``.
+    """
+    p0, p1 = priors.p0, priors.p1
+    value = 0.5 * (p0 + p1 + sqrt(p0 * p0 + p0 * p1 + p1 * p1))
+    alt = priors.p + 0.5 * sqrt(3.0 * priors.p**2 + priors.delta**2)
+    return value, alt, abs(value - alt) <= 1e-12
 
 
 def boundary_determinant(priors: Priors) -> float:
@@ -126,7 +102,7 @@ def boundary_determinant(priors: Priors) -> float:
     Array-generic: it also takes prior columns.
     """
     p0, p1, p2 = priors.p0, priors.p1, priors.p2
-    return (p0 - p2) * (p1 - p2) * (p0 * p1 + 3.0 * p2) - 3.0 * _power(p2, 4)
+    return (p0 - p2) * (p1 - p2) * (p0 * p1 + 3.0 * p2) - 3.0 * p2**4
 
 
 def critical_delta(p: float) -> Optional[float]:
@@ -249,35 +225,48 @@ def p_correct_three_element(priors: Priors) -> float:
     forms have a pole outside the region, at (4/9, 4/9, 1/9) for delta = 0;
     a denominator that is exactly 0 raises UndefinedError.
     """
-    return _p_correct_three(priors, _raise_unless)
-
-
-def _p_correct_three(priors, guard):
-    """:func:`p_correct_three_element` of a Priors or of prior columns (see ``_raise_unless``)."""
     q = priors.canonical
+    if not _positive(q):
+        raise ZeroPriorError("three-element formula needs strictly positive priors")
+    num, den, alt_num, alt_den, off_pole = _three_element_terms(priors)
+    if not off_pole:
+        raise UndefinedError(f"three-element formula has a pole at {q}")
+    value = num / den
+    alt = alt_num / alt_den
+    if not _three_element_agree(value, alt):
+        raise VerificationError(
+            f"three-element success probability forms disagree: {value} vs {alt}"
+        )
+    return value
+
+
+def _positive(q):
     p0, p1, p2 = q
-    guard((p0 > 0.0) & (p1 > 0.0) & (p2 > 0.0), ZeroPriorError,
-          lambda: "three-element formula needs strictly positive priors")
+    return (p0 > 0.0) & (p1 > 0.0) & (p2 > 0.0)
+
+
+def _three_element_terms(priors) -> tuple:
+    """Numerator and denominator of the three-outcome value and of its (p,
+    delta) form, for positive priors, and whether neither denominator is 0.
+
+    Array-generic, like the other closed forms the sweeps evaluate on columns.
+    """
+    p0, p1, p2 = priors.canonical
     num = 2.0 * _e2(p0, p1, p2)
     den = 2.0 - (p0 * p1 / p2 + p0 * p2 / p1 + p1 * p2 / p0)
     p, d = priors.p, priors.delta
-    d2 = _power(d, 2)
+    d2 = d**2
     alt_num = 2.0 * (1.0 - 2.0 * p) * (p * p - d * d) * (3.0 * p * p + d * d - 2.0 * p)
-    alt_den = (
-        9.0 * _power(p, 4) - 4.0 * _power(p, 3) + 6.0 * _power(p, 2) * d2 - 12.0 * p * d2
-        + 4.0 * d2 + _power(d, 4)
-    )
-    guard((den != 0.0) & (alt_den != 0.0), UndefinedError,
-          lambda: f"three-element formula has a pole at {q}")
-    value = num / den
-    alt = alt_num / alt_den
+    alt_den = 9.0 * p**4 - 4.0 * p**3 + 6.0 * p**2 * d2 - 12.0 * p * d2 + 4.0 * d2 + d**4
+    return num, den, alt_num, alt_den, (den != 0.0) & (alt_den != 0.0)
+
+
+def _three_element_agree(value, alt):
     # the (p, delta) denominator cancels near p2 -> 0, so the cross-check
     # tolerance is looser than the formula's own accuracy: 1e-8 relative
     # to max(1, |value|)
     diff = abs(value - alt)
-    guard((diff <= 1e-8) | (diff <= 1e-8 * abs(value)), VerificationError,
-          lambda: f"three-element success probability forms disagree: {value} vs {alt}")
-    return value
+    return (diff <= 1e-8) | (diff <= 1e-8 * abs(value))
 
 
 @dataclass(frozen=True)

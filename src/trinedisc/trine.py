@@ -8,11 +8,13 @@ ordering while callers keep their own state indexing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import DomainError, PureStateError, _raise_unless
+from .errors import DomainError, PureStateError
 from .qubit import Measurement, equator_element
 
 if TYPE_CHECKING:
@@ -94,7 +96,14 @@ class Priors:
     permutation: tuple[int, int, int] = (0, 1, 2)
 
     def __post_init__(self):
-        _check_canonical(self.p0, self.p1, self.p2, _raise_unless)
+        triple = (self.p0, self.p1, self.p2)
+        nonnegative, sums_to_one, descending = _canonical_checks(*triple)
+        if not nonnegative:
+            raise DomainError(f"priors must be nonnegative, got {triple}")
+        if not sums_to_one:
+            raise DomainError(f"priors must sum to 1, got {triple}")
+        if not descending:
+            raise DomainError(f"canonical order requires p0 >= p1 >= p2, got {triple}")
         if sorted(self.permutation) != [0, 1, 2]:
             raise DomainError(f"invalid permutation {self.permutation}")
 
@@ -123,26 +132,42 @@ class Priors:
         return tuple(out)
 
 
-def _check_canonical(p0, p1, p2, guard) -> None:
-    """The range checks of :class:`Priors` on a canonical triple, in order.
+def _canonical_checks(p0, p1, p2) -> tuple:
+    """Whether a canonical triple passes each range check of :class:`Priors`, in order.
 
-    Array-generic (see :func:`~trinedisc.errors._raise_unless`), and each
-    check is written so that NaN fails it.
+    Array-generic, like every expression the sweeps evaluate on columns:
+    comparisons joined by ``&``, each written so that NaN fails it.
     """
-    triple = (p0, p1, p2)
-    guard((p0 >= -_PARAM_TOL) & (p1 >= -_PARAM_TOL) & (p2 >= -_PARAM_TOL), DomainError,
-          lambda: f"priors must be nonnegative, got {triple}")
-    guard(abs(p0 + p1 + p2 - 1.0) <= _SUM_TOL, DomainError,
-          lambda: f"priors must sum to 1, got {triple}")
-    guard((p0 >= p1 - _PARAM_TOL) & (p1 - _PARAM_TOL >= p2 - 2 * _PARAM_TOL), DomainError,
-          lambda: f"canonical order requires p0 >= p1 >= p2, got {triple}")
+    return (
+        (p0 >= -_PARAM_TOL) & (p1 >= -_PARAM_TOL) & (p2 >= -_PARAM_TOL),
+        abs(p0 + p1 + p2 - 1.0) <= _SUM_TOL,
+        (p0 >= p1 - _PARAM_TOL) & (p1 - _PARAM_TOL >= p2 - 2 * _PARAM_TOL),
+    )
+
+
+@functools.cache
+def _column_class():
+    """The numpy array class of prior columns, made on first use (only the sweeps load numpy).
+
+    Its ``**`` has the bits of Python's float ``**``, so a closed form
+    prints the same digits on columns as on one Priors: numpy's own
+    ``**`` rounds differently from the C library's pow on some inputs
+    (about 5% of uniform draws for exponents 3 and 4 on an AVX-512 host).
+    """
+    import numpy as np
+
+    class Column(np.ndarray):
+        def __pow__(self, n):
+            return np.fromiter(map(pow, self.tolist(), repeat(n)), float, len(self)).view(Column)
+
+    return Column
 
 
 class _PriorColumns:
     """Canonical prior triples as numpy columns, which read like a Priors in caller order.
 
     The array-generic closed forms take them where they take a Priors; the
-    caller runs the range checks, with :func:`_check_canonical`.
+    caller runs the range checks, with :func:`_canonical_checks`.
     """
 
     p = Priors.p
@@ -150,7 +175,10 @@ class _PriorColumns:
     canonical = original = Priors.canonical
 
     def __init__(self, p0, p1, p2):
-        self.p0, self.p1, self.p2 = p0, p1, p2
+        import numpy as np
+
+        column = _column_class()
+        self.p0, self.p1, self.p2 = (np.asarray(c, dtype=float).view(column) for c in (p0, p1, p2))
 
 
 def canonicalize_priors(q0: float, q1: float, q2: float) -> Priors:
@@ -174,22 +202,28 @@ def canonicalize_priors(q0: float, q1: float, q2: float) -> Priors:
 
 def priors_from_p_delta(p: float, delta: float) -> Priors:
     """Build the canonical triple (p+delta, p-delta, 1-2p)."""
-    return Priors(*_p_delta_triple(p, delta, _raise_unless))
+    (in_range, nonnegative, below_3p_1, below_p), triple = _from_p_delta(p, delta)
+    if not in_range:
+        raise DomainError(f"p must lie in [1/3, 1/2], got {p!r}")
+    if not nonnegative:
+        raise DomainError(f"delta must be nonnegative, got {delta!r}")
+    if not below_3p_1:
+        raise DomainError(f"delta={delta!r} violates delta <= 3p-1 = {3 * p - 1!r}")
+    if not below_p:
+        raise DomainError(f"delta={delta!r} violates delta <= p")
+    return Priors(*triple)
 
 
-def _p_delta_triple(p, delta, guard):
-    """The range checks of :func:`priors_from_p_delta`, in order, and its triple.
-
-    Array-generic (see :func:`~trinedisc.errors._raise_unless`), and each
-    check is written so that NaN fails it.
-    """
-    guard((1.0 / 3.0 - _PARAM_TOL <= p) & (p <= 0.5 + _PARAM_TOL), DomainError,
-          lambda: f"p must lie in [1/3, 1/2], got {p!r}")
-    guard(delta >= -_PARAM_TOL, DomainError, lambda: f"delta must be nonnegative, got {delta!r}")
-    guard(delta <= 3.0 * p - 1.0 + _PARAM_TOL, DomainError,
-          lambda: f"delta={delta!r} violates delta <= 3p-1 = {3 * p - 1!r}")
-    guard(delta <= p + _PARAM_TOL, DomainError, lambda: f"delta={delta!r} violates delta <= p")
-    return p + delta, p - delta, 1.0 - 2.0 * p
+def _from_p_delta(p, delta) -> tuple:
+    """Whether (p, delta) passes each check of :func:`priors_from_p_delta`, in
+    order, and its triple; array-generic, like :func:`_canonical_checks`."""
+    checks = (
+        (1.0 / 3.0 - _PARAM_TOL <= p) & (p <= 0.5 + _PARAM_TOL),
+        delta >= -_PARAM_TOL,
+        delta <= 3.0 * p - 1.0 + _PARAM_TOL,
+        delta <= p + _PARAM_TOL,
+    )
+    return checks, (p + delta, p - delta, 1.0 - 2.0 * p)
 
 
 def _e2(a, b, c):

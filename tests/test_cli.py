@@ -25,20 +25,27 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def plant_two_outcome_fault(monkeypatch, p0):
+def plant_two_outcome_fault(monkeypatch, p0, single_row=True):
     """Fail the two-outcome cross-check of the sweep row whose p0 is ``p0``.
 
-    The fault is planted in the one expression that the sweep's columns and
-    the single row it then re-runs both evaluate.
+    The columns read the check from ``cli._p_correct_two``; the single row
+    that a sweep evaluates again where a column check fails reads it through
+    ``optimal_branch``, which raises ``planted`` there if ``single_row``.
     """
-    check = min_error._p_correct_two
+    forms, scalar = min_error._p_correct_two, min_error.p_correct_two_element
 
-    def planted(priors, guard):
-        guard(abs(priors.p0 - p0) > 1e-9, VerificationError, lambda: "planted")
-        return check(priors, guard)
+    def planted_forms(priors, sqrt):
+        value, alt, agree = forms(priors, sqrt)
+        return value, alt, agree & (abs(priors.p0 - p0) > 1e-9)
 
-    monkeypatch.setattr(min_error, "_p_correct_two", planted)
-    monkeypatch.setattr(cli, "_p_correct_two", planted)
+    def planted_scalar(priors):
+        if abs(priors.p0 - p0) <= 1e-9:
+            raise VerificationError("planted")
+        return scalar(priors)
+
+    monkeypatch.setattr(cli, "_p_correct_two", planted_forms)
+    if single_row:
+        monkeypatch.setattr(min_error, "p_correct_two_element", planted_scalar)
 
 
 def parse_csv(text):
@@ -154,6 +161,17 @@ class TestRegion:
         code, _, err = run(capsys, "region", "--grid", "5", "--out", str(out_file))
         assert (code, err) == (3, "internal verification failure: planted\n")
         assert not out_file.exists()
+
+    def test_column_check_that_the_row_passes_alone_is_an_error(self, capsys, monkeypatch):
+        # a row whose column check fails but whose single evaluation passes
+        # means the two disagree: the sweep stops there all the same
+        plant_two_outcome_fault(monkeypatch, p0=0.40625, single_row=False)
+        code, out, err = run(capsys, "region", "--grid", "5")
+        assert (code, out) == (3, "")
+        assert err == (
+            "internal verification failure: sweep row p=0.375, delta=0.03125 "
+            "fails its checks on columns only\n"
+        )
 
     def test_rejects_tiny_grid(self, capsys):
         code, _, _ = run(capsys, "region", "--grid", "1")

@@ -22,6 +22,7 @@ from trinedisc.min_error import (
     three_element_weights_raw,
 )
 from trinedisc.trine import (
+    _PriorColumns,
     antitrine_measurement,
     canonicalize_priors,
     priors_from_p_delta,
@@ -58,27 +59,23 @@ def two_element_measurement(priors):
     )
 
 
-class TestPower:
-    """min_error._power raises arrays with the bits of Python's ``**``.
+class TestColumnPower:
+    """Prior columns raise to a power with the bits of Python's ``**``.
 
     The sweeps compute their closed forms on numpy columns and must print
     what the single-row path prints.  numpy's own ``**`` on an array rounds
     differently on some inputs (on an AVX-512 host about 5% of these draws
-    for n = 3 and 4), so a helper built on it fails here.
+    for n = 3 and 4), so a column class that used it fails here.
     """
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_arrays_get_the_bits_of_python_power(self, n):
+    def test_columns_get_the_bits_of_python_power(self, n):
         rng = np.random.default_rng(20 + n)
         x = np.concatenate([rng.uniform(0.0, 1.0, 20000), rng.uniform(1 / 3, 1 / 2, 20000)])
         want = np.array([v**n for v in x.tolist()])
-        got = min_error._power(x, n)
+        got = np.asarray(_PriorColumns(x, x, x).p2 ** n)
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-    def test_floats_are_raised_by_python_power(self):
-        for v in np.random.default_rng(24).uniform(0.0, 1.0, 1000).tolist():
-            assert all(min_error._power(v, n) == v**n for n in (2, 3, 4))
 
 
 class TestTwoElement:
