@@ -96,26 +96,17 @@ def _posterior(priors: Priors, element, outcome_label) -> float:
     return min(1.0, joint[outcome_label] / ensemble_prob)
 
 
-def _limits(p_i, a, b) -> tuple:
-    """Where the closed form takes an exact limit: (undefined, 0, 1), first first.
-
-    Array-generic, like :func:`_closed_form_value`; the sweeps evaluate both
-    on prior columns (:func:`_closed_form_columns`).
-    """
-    return p_i >= 1.0, p_i == 0.0, (a == 0.0) | (b == 0.0)
-
-
 def _closed_form_value(p_i, a, b):
+    """The closed form away from its limits; array-generic, for the sweeps' columns."""
     return 1.0 / (1.0 + (a * b) / (p_i * (a + b)))
 
 
 def _closed_form(p_i: float, a: float, b: float) -> Optional[float]:
-    undefined, never, certain = _limits(p_i, a, b)
-    if undefined:
+    if p_i >= 1.0:
         return None
-    if never:
+    if p_i == 0.0:
         return 0.0
-    if certain:
+    if a == 0.0 or b == 0.0:
         return 1.0
     return _closed_form_value(p_i, a, b)
 
@@ -128,15 +119,15 @@ def _each_state(q) -> tuple:
 
 def _closed_form_columns(priors) -> list:
     """:func:`mc_confidence_closed_form` of prior columns: per state, the
-    values and where they are None."""
+    values and where they are None, with :func:`_closed_form`'s limits."""
     import numpy as np
 
     out = []
     for p_i, a, b in _each_state(priors.original):
-        undefined, never, certain = _limits(p_i, a, b)
         with np.errstate(divide="ignore", invalid="ignore"):  # where a limit applies
             value = _closed_form_value(p_i, a, b)
-        out.append((np.where(never, 0.0, np.where(certain, 1.0, value)), undefined))
+        value = np.where(p_i == 0.0, 0.0, np.where((a == 0.0) | (b == 0.0), 1.0, value))
+        out.append((value, p_i >= 1.0))
     return out
 
 
