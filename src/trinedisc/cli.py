@@ -10,12 +10,13 @@ failure, 4 I/O error, 5 certificate mismatch.  Numbers are serialized with 12
 significant digits; CSV data carries no timestamps, only a ``#`` metadata
 header with the package version and the invoking flags.
 
-``region`` and ``curves`` compute their rows as numpy columns, with the
-same closed-form expressions as a single query, and run every check a
-single row runs as a mask over the columns; where a row fails, that row
-alone is evaluated again, so the sweep stops with the error a single
-evaluation gives.  ``confidence --sweep`` builds a POVM per row and stays
-row by row.  Every sweep computes all its rows before ``--out`` is opened.
+``region`` and ``curves`` compute their rows as numpy columns
+(:mod:`trinedisc._sweeps`, which only they import), with the same
+closed-form expressions as a single query, and run every check a single
+row runs as a mask over the columns; where a row fails, that row alone is
+evaluated again, so the sweep stops with the error a single evaluation
+gives.  ``confidence --sweep`` builds a POVM per row and stays row by row.
+Every sweep computes all its rows before ``--out`` is opened.
 numpy is imported only by the sweeps, by ``verify`` to draw its priors
 and through the sampler, so single queries run without loading it.
 :func:`main` builds its parser on the first call and reuses it, so it can
@@ -37,37 +38,19 @@ from .errors import (
     DomainError,
     PureStateError,
     TrineError,
-    UndefinedError,
     VerificationError,
-    ZeroPriorError,
 )
 from .max_confidence import (
-    _closed_form_columns,
     confidence,
     confidence_report,
     mc_confidence_closed_form,
     min_error_confidence,
 )
-from .min_error import (
-    _branch,
-    _p_correct_two,
-    _positive,
-    _three_element_agree,
-    _three_element_terms,
-    check_helstrom,
-    critical_delta,
-    optimal_branch,
-    optimal_measurement,
-    p_correct_three_element,
-    p_correct_two_element,
-)
+from .min_error import check_helstrom, optimal_measurement
 from .oracle import certify_max_confidence, certify_min_error
 from .simulate import estimate_confidence, estimate_success
 from .trine import (
     Priors,
-    _canonical_checks,
-    _from_p_delta,
-    _PriorColumns,
     antitrine_measurement,
     canonicalize_priors,
     priors_from_p_delta,
@@ -213,88 +196,6 @@ def _p_axis(delta: float, steps: int):
     return np.linspace(max(1.0 / 3.0, (1.0 + delta) / 3.0, delta), 0.5, steps)
 
 
-def _first(mask) -> int:
-    """The index of the first true entry of ``mask``, or its length if none is."""
-    return int(mask.argmax()) if mask.any() else len(mask)
-
-
-class _Sweep:
-    """The rows of a (p, delta) sweep with both branches' closed forms, as numpy columns.
-
-    Each check is a mask of the rows that fail it.  Rows are evaluated up
-    to the first that the range checks refuse, as they would be one by one.
-    """
-
-    def __init__(self, p, delta):
-        import numpy as np
-
-        self.p, self.delta = p, delta
-        # refused rows and zero priors overflow or divide by zero; no such value is printed
-        with np.errstate(all="ignore"):
-            checks, triple = _from_p_delta(p, delta)
-            self.admitted = _first(~np.logical_and.reduce([*checks, *_canonical_checks(*triple)]))
-            self.priors = pr = _PriorColumns(*(c[: self.admitted] for c in triple))
-            self.det, self.two = _branch(pr)
-            self.p2el, _, agree = _p_correct_two(pr, np.sqrt)
-            self.two_failed = ~agree
-            num, den, alt_num, alt_den, off_pole = _three_element_terms(pr)
-            self.p3el = num / den
-            # p_3el is undefined at a zero prior or at the pole (4/9, 4/9, 1/9)
-            self.undefined = ~(_positive(pr.canonical) & off_pole)
-            agree = _three_element_agree(self.p3el, alt_num / alt_den)
-            self.three_failed = ~self.undefined & ~agree
-
-    def stop_at_first_failure(self, failed, row_checks) -> None:
-        """Raise what the first failing row raises alone, through ``row_checks(p, delta)``.
-
-        ``failed`` marks the admitted rows whose checks fail.
-        """
-        first = min(_first(failed), self.admitted)
-        if first < len(self.p):
-            p, delta = self.p[first].item(), self.delta[first].item()
-            row_checks(p, delta)
-            raise VerificationError(
-                f"sweep row p={p!r}, delta={delta!r} fails its checks on columns only"
-            )
-
-
-def _cells(values, missing=None) -> list[str]:
-    """A float column as :func:`_fmt` prints each value; "" where ``missing``."""
-    import numpy as np
-
-    cells = [f"{x:.12g}" for x in values.tolist()]
-    if missing is not None:
-        for i in np.flatnonzero(missing).tolist():
-            cells[i] = ""
-    return cells
-
-
-def _cells_per_value(values, cell) -> list[str]:
-    """``cell(v)`` for each entry v of ``values``, computed once per distinct v."""
-    import numpy as np
-
-    # -0.0 would share the cell of 0.0; no column printed this way holds it
-    distinct, index = np.unique(values, return_inverse=True)
-    table = [cell(v) for v in distinct.tolist()]
-    return [table[i] for i in index.tolist()]
-
-
-def _critical_delta_cell(p: float) -> str:
-    """critical_delta at a row's ``priors.p``, clamped into [1/3, 1/2] against rounding."""
-    return _fmt(critical_delta(min(max(p, 1.0 / 3.0), 0.5)))
-
-
-def _prior_cells(priors) -> list[list[str]]:
-    """The PRIOR_COLUMNS cells of prior columns; p and p2 take few distinct values."""
-    return [
-        _cells_per_value(priors.p, _fmt),
-        _cells(priors.delta),
-        _cells(priors.p0),
-        _cells(priors.p1),
-        _cells_per_value(priors.p2, _fmt),
-    ]
-
-
 def _write_csv(stream, command: str, flags: str, columns, rows):
     """Write the metadata line, then ``columns`` and ``rows`` of formatted cells."""
     stream.write(f"# trinedisc {__version__} {command} {flags}\n")
@@ -354,27 +255,15 @@ def cmd_region(args) -> int:
     _require_at_least("--grid", args.grid, 2)
     import numpy as np
 
+    from . import _sweeps
+
     ps = _p_axis(0.0, args.grid)
-    sweep = _Sweep(
+    rows = _sweeps.region(
         np.repeat(ps, args.grid),
         np.concatenate([_delta_axis(p, args.grid) for p in ps.tolist()]),
     )
-    two = sweep.two
-    sweep.stop_at_first_failure(
-        np.where(two, sweep.two_failed, sweep.three_failed | sweep.undefined),
-        lambda p, delta: optimal_branch(priors_from_p_delta(p, delta)),
-    )
-    priors = sweep.priors
-    cells = [
-        *_prior_cells(priors),
-        np.where(two, "two_element", "three_element").tolist(),
-        _cells(np.where(two, sweep.p2el, sweep.p3el)),
-        _cells(sweep.det),
-        *(_cells(*confidences) for confidences in _closed_form_columns(priors)),
-        _cells_per_value(priors.p, _critical_delta_cell),
-    ]
     with _open_out(args.out) as fh:
-        _write_csv(fh, "region", f"--grid {args.grid}", SWEEP_COLUMNS, zip(*cells))
+        _write_csv(fh, "region", f"--grid {args.grid}", SWEEP_COLUMNS, rows)
     return EXIT_OK
 
 
@@ -399,68 +288,29 @@ CURVE_COLUMNS = [
 ]
 
 
-def _curve_row_checks(p: float, delta: float) -> None:
-    priors = priors_from_p_delta(p, delta)
-    optimal_branch(priors)
-    p_correct_two_element(priors)
-    try:
-        p_correct_three_element(priors)
-    except (ZeroPriorError, UndefinedError):
-        pass  # printed as an empty p_3el cell
-
-
-def _curve_columns(p, delta) -> list:
-    """The CURVE_COLUMNS values of one --p-values or --delta-values entry.
-
-    An undefined p_3el is an error only where the three-outcome branch is taken.
-    """
-    import numpy as np
-
-    sweep = _Sweep(p, delta)
-    two, undefined = sweep.two, sweep.undefined
-    sweep.stop_at_first_failure(
-        sweep.two_failed | sweep.three_failed | (~two & undefined), _curve_row_checks
-    )
-    pr = sweep.priors
-    p_correct = np.where(two, sweep.p2el, sweep.p3el)
-    return [pr.p0, pr.p1, pr.p2, sweep.p2el, sweep.p3el, undefined, p_correct, sweep.det]
-
-
 def cmd_curves(args) -> int:
     if (args.p_values is None) == (args.delta_values is None):
         raise DomainError("specify exactly one of --p-values or --delta-values")
     _require_at_least("--steps", args.steps, 1)
     import numpy as np
 
+    from . import _sweeps
+
     entries = []
     if args.p_values is not None:
         for p in _parse_values("--p-values", args.p_values):
             deltas = _delta_axis(p, args.steps)
-            entries.append(_curve_columns(np.full(len(deltas), p), deltas))
+            entries.append(_sweeps.curve_columns(np.full(len(deltas), p), deltas))
         flags = f"--p-values {args.p_values} --steps {args.steps}"
     else:
         for delta in _parse_values("--delta-values", args.delta_values):
             _require_delta("--delta-values", delta)
             ps = _p_axis(delta, args.steps)
-            entries.append(_curve_columns(ps, np.full(len(ps), delta)))
+            entries.append(_sweeps.curve_columns(ps, np.full(len(ps), delta)))
         flags = f"--delta-values {args.delta_values} --steps {args.steps}"
-    # no values at all print the header alone
-    columns = [np.concatenate(column) for column in zip(*entries)] or [np.empty(0)] * 8
-    unsorted = _PriorColumns(*columns[:3])
-    order = np.lexsort((unsorted.delta, unsorted.p))  # a stable sort by (p, delta)
-    p0, p1, p2, p2el, p3el, undefined, p_correct, det = (column[order] for column in columns)
-    priors = _PriorColumns(p0, p1, p2)
-    cells = [
-        *_prior_cells(priors),
-        _cells(p2el),
-        _cells(p3el, undefined),
-        np.where(det < 0.0, "1", "0").tolist(),
-        _cells(p_correct),
-        _cells(det),
-        _cells_per_value(priors.p, _critical_delta_cell),
-    ]
+    rows = _sweeps.curves(entries)
     with _open_out(args.out) as fh:
-        _write_csv(fh, "curves", flags, CURVE_COLUMNS, zip(*cells))
+        _write_csv(fh, "curves", flags, CURVE_COLUMNS, rows)
     return EXIT_OK
 
 

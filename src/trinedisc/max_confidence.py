@@ -117,20 +117,6 @@ def _each_state(q) -> tuple:
     return (q0, q1, q2), (q1, q0, q2), (q2, q0, q1)
 
 
-def _closed_form_columns(priors) -> list:
-    """:func:`mc_confidence_closed_form` of prior columns: per state, the
-    values and where they are None, with :func:`_closed_form`'s limits."""
-    import numpy as np
-
-    out = []
-    for p_i, a, b in _each_state(priors.original):
-        with np.errstate(divide="ignore", invalid="ignore"):  # where a limit applies
-            value = _closed_form_value(p_i, a, b)
-        value = np.where(p_i == 0.0, 0.0, np.where((a == 0.0) | (b == 0.0), 1.0, value))
-        out.append((value, p_i >= 1.0))
-    return out
-
-
 def mc_confidence_closed_form(priors: Priors) -> tuple[Optional[float], ...]:
     """Closed-form maximum confidence for identifying each state.
 

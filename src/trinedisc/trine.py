@@ -8,10 +8,8 @@ ordering while callers keep their own state indexing.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError, PureStateError
@@ -143,42 +141,6 @@ def _canonical_checks(p0, p1, p2) -> tuple:
         abs(p0 + p1 + p2 - 1.0) <= _SUM_TOL,
         (p0 >= p1 - _PARAM_TOL) & (p1 - _PARAM_TOL >= p2 - 2 * _PARAM_TOL),
     )
-
-
-@functools.cache
-def _column_class():
-    """The numpy array class of prior columns, made on first use (only the sweeps load numpy).
-
-    Its ``**`` has the bits of Python's float ``**``, so a closed form
-    prints the same digits on columns as on one Priors: numpy's own
-    ``**`` rounds differently from the C library's pow on some inputs
-    (about 5% of uniform draws for exponents 3 and 4 on an AVX-512 host).
-    """
-    import numpy as np
-
-    class Column(np.ndarray):
-        def __pow__(self, n):
-            return np.fromiter(map(pow, self.tolist(), repeat(n)), float, len(self)).view(Column)
-
-    return Column
-
-
-class _PriorColumns:
-    """Canonical prior triples as numpy columns, which read like a Priors in caller order.
-
-    The array-generic closed forms take them where they take a Priors; the
-    caller runs the range checks, with :func:`_canonical_checks`.
-    """
-
-    p = Priors.p
-    delta = Priors.delta
-    canonical = original = Priors.canonical
-
-    def __init__(self, p0, p1, p2):
-        import numpy as np
-
-        column = _column_class()
-        self.p0, self.p1, self.p2 = (np.asarray(c, dtype=float).view(column) for c in (p0, p1, p2))
 
 
 def canonicalize_priors(q0: float, q1: float, q2: float) -> Priors:

@@ -7,7 +7,7 @@ import json
 import pytest
 from numpy.random import default_rng
 
-from trinedisc import cli, min_error, trine
+from trinedisc import _sweeps, cli, min_error, trine
 from trinedisc.cli import _entries, _json_ready, main, sig12
 from trinedisc.errors import VerificationError
 from trinedisc.max_confidence import confidence_report, mc_confidence_closed_form
@@ -28,7 +28,7 @@ def run(capsys, *argv):
 def plant_two_outcome_fault(monkeypatch, p0, single_row=True):
     """Fail the two-outcome cross-check of the sweep row whose p0 is ``p0``.
 
-    The columns read the check from ``cli._p_correct_two``; the single row
+    The columns read the check from ``_sweeps._p_correct_two``; the single row
     that a sweep evaluates again where a column check fails reads it through
     ``optimal_branch``, which raises ``planted`` there if ``single_row``.
     """
@@ -43,7 +43,7 @@ def plant_two_outcome_fault(monkeypatch, p0, single_row=True):
             raise VerificationError("planted")
         return scalar(priors)
 
-    monkeypatch.setattr(cli, "_p_correct_two", planted_forms)
+    monkeypatch.setattr(_sweeps, "_p_correct_two", planted_forms)
     if single_row:
         monkeypatch.setattr(min_error, "p_correct_two_element", planted_scalar)
 

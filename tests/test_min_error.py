@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trinedisc import cli, min_error, qubit
+from trinedisc._sweeps import PriorColumns
 from trinedisc.errors import VerificationError, ZeroPriorError
 from trinedisc.min_error import (
     BREAKDOWN_P,
@@ -22,7 +23,6 @@ from trinedisc.min_error import (
     three_element_weights_raw,
 )
 from trinedisc.trine import (
-    _PriorColumns,
     antitrine_measurement,
     canonicalize_priors,
     priors_from_p_delta,
@@ -73,7 +73,7 @@ class TestColumnPower:
         rng = np.random.default_rng(20 + n)
         x = np.concatenate([rng.uniform(0.0, 1.0, 20000), rng.uniform(1 / 3, 1 / 2, 20000)])
         want = np.array([v**n for v in x.tolist()])
-        got = np.asarray(_PriorColumns(x, x, x).p2 ** n)
+        got = np.asarray(PriorColumns(x, x, x).p2 ** n)
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

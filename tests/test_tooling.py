@@ -125,7 +125,7 @@ def test_branch_test_and_prior_draws_are_made_in_one_place():
     # optimal_branch and the sweeps' columns share, and priors are drawn
     # from numpy in one function, which verify and the tests share
     assert call_sites("boundary_determinant") == [("min_error", "_branch")]
-    assert call_sites("_branch") == [("cli", "__init__"), ("min_error", "optimal_branch")]
+    assert call_sites("_branch") == [("_sweeps", "__init__"), ("min_error", "optimal_branch")]
     assert call_sites("dirichlet") == [("trine", "random_priors")]
 
 
