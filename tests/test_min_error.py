@@ -23,6 +23,7 @@ from trinedisc.min_error import (
     three_element_weights_raw,
 )
 from trinedisc.trine import (
+    _from_p_delta,
     antitrine_measurement,
     canonicalize_priors,
     priors_from_p_delta,
@@ -59,6 +60,26 @@ def two_element_measurement(priors):
     )
 
 
+def _region_columns(grid):
+    """The prior columns of ``region --grid``, built as the sweep builds them."""
+    ps = cli._p_axis(0.0, grid)
+    _, triple = _from_p_delta(
+        np.repeat(ps, grid), np.concatenate([cli._delta_axis(p, grid) for p in ps.tolist()])
+    )
+    return PriorColumns(*triple)
+
+
+def _column(values):
+    x = np.asarray(values, dtype=float)
+    return PriorColumns(x, x, x).p2
+
+
+def _long_runs():
+    # runs of equal values, as the per-p columns of a sweep hold them
+    rng = np.random.default_rng(24)
+    return _column(np.repeat(rng.uniform(0.0, 1.0, 500), rng.integers(1, 400, 500)))
+
+
 class TestColumnPower:
     """Prior columns raise to a power with the bits of Python's ``**``.
 
@@ -75,6 +96,27 @@ class TestColumnPower:
         want = np.array([v**n for v in x.tolist()])
         got = np.asarray(PriorColumns(x, x, x).p2 ** n)
         assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "column",
+        [
+            _long_runs,
+            lambda: _region_columns(100).p,
+            lambda: _region_columns(100).p2,
+            # (-0.0)**3 is -0.0: a column that merged signed zeros would print 0
+            lambda: _column([0.0, -0.0, -0.0, 0.0, math.nan, math.nan, math.inf, -math.inf, -0.0]),
+            lambda: _column([]),
+        ],
+        ids=["long_runs", "region_p", "region_p2", "zeros_nan_inf", "empty"],
+    )
+    def test_runs_and_special_values_get_the_bits_of_python_power(self, column, n):
+        x = column()
+        want = np.array([v**n for v in x.tolist()], dtype=float)
+        got = np.asarray(x**n)
+        assert got.dtype == np.float64
+        assert len(got) == len(x)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
