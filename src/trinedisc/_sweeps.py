@@ -7,6 +7,10 @@ query's own expressions, evaluated on columns of priors that read like a
 fail it.  Where a row fails, the single-row functions run again on the
 first failing row, so a sweep stops with exactly the error that row gives
 alone.  Every row is computed before anything is written.
+
+A power on a column calls Python's pow once per run of equal entries
+(:class:`Column`).  The cross-checks write their delta powers, which have
+no runs, as products, which round alike on floats and on columns.
 """
 
 from __future__ import annotations
@@ -32,17 +36,31 @@ from .min_error import (
 from .trine import Priors, _canonical_checks, _from_p_delta, priors_from_p_delta
 
 
+def _pow_each(x, n):
+    return np.fromiter(map(pow, x.tolist(), repeat(n)), float, len(x))
+
+
 class Column(np.ndarray):
     """A float column whose ``**`` has the bits of Python's float ``**``.
 
     numpy's own ``**`` rounds differently from the C library's pow on some
     inputs (about 5% of uniform draws for exponents 3 and 4 on an AVX-512
     host), and a closed form must print the same digits on a column as on
-    one Priors.
+    one Priors.  Python's pow runs once per run of equal entries: the closed
+    forms raise only p and p2 to powers, and those repeat along a sweep's
+    delta axis.
     """
 
     def __pow__(self, n):
-        return np.fromiter(map(pow, self.tolist(), repeat(n)), float, len(self)).view(Column)
+        x = self.view(np.ndarray)
+        bits = x.view(np.int64)  # equal bits, so -0.0 and 0.0 stay apart
+        new = np.empty(len(x), dtype=bool)
+        new[:1] = True
+        np.not_equal(bits[1:], bits[:-1], out=new[1:])
+        if new.all():  # no runs, as along p in ``curves --delta-values``
+            return _pow_each(x, n).view(Column)
+        starts = np.flatnonzero(new)
+        return _pow_each(x[starts], n).repeat(np.diff(starts, append=len(x))).view(Column)
 
 
 class PriorColumns:

@@ -41,7 +41,6 @@ __all__ = [
     "boundary_determinant",
     "critical_delta",
     "gamma_three_element",
-    "three_element_weights_raw",
     "p_correct_three_element",
     "check_helstrom",
     "optimal_branch",
@@ -83,11 +82,13 @@ def p_correct_two_element(priors: Priors) -> float:
 def _p_correct_two(priors, sqrt=math.sqrt) -> tuple:
     """The two-outcome value, its (p, delta) form and whether they agree.
 
-    Array-generic: the sweeps pass prior columns and ``numpy.sqrt``.
+    Array-generic: the sweeps pass prior columns and ``numpy.sqrt``.  Only
+    p is raised with ``**`` (see ``_sweeps.Column``); delta's square is a
+    product.
     """
-    p0, p1 = priors.p0, priors.p1
+    p0, p1, d = priors.p0, priors.p1, priors.delta
     value = 0.5 * (p0 + p1 + sqrt(p0 * p0 + p0 * p1 + p1 * p1))
-    alt = priors.p + 0.5 * sqrt(3.0 * priors.p**2 + priors.delta**2)
+    alt = priors.p + 0.5 * sqrt(3.0 * priors.p**2 + d * d)
     return value, alt, abs(value - alt) <= 1e-12
 
 
@@ -188,7 +189,7 @@ def _outcomes(q: Sequence[float], sol: GammaSolution) -> tuple[list, list[float]
     return directions, [2.0 * c / total for c in cross]
 
 
-def three_element_weights_raw(priors: Priors) -> tuple[list, list[float]]:
+def _three_element_weights_raw(priors: Priors) -> tuple[list, list[float]]:
     """Outcome directions and weights of the three-outcome construction.
 
     Returns ``(directions, weights)``: for each j the unit equator vector
@@ -250,14 +251,16 @@ def _three_element_terms(priors) -> tuple:
     delta) form, for positive priors, and whether neither denominator is 0.
 
     Array-generic, like the other closed forms the sweeps evaluate on columns.
+    Only p is raised with ``**`` (see ``_sweeps.Column``); delta's powers
+    are products.
     """
     p0, p1, p2 = priors.canonical
     num = 2.0 * _e2(p0, p1, p2)
     den = 2.0 - (p0 * p1 / p2 + p0 * p2 / p1 + p1 * p2 / p0)
     p, d = priors.p, priors.delta
-    d2 = d**2
-    alt_num = 2.0 * (1.0 - 2.0 * p) * (p * p - d * d) * (3.0 * p * p + d * d - 2.0 * p)
-    alt_den = 9.0 * p**4 - 4.0 * p**3 + 6.0 * p**2 * d2 - 12.0 * p * d2 + 4.0 * d2 + d**4
+    d2 = d * d
+    alt_num = 2.0 * (1.0 - 2.0 * p) * (p * p - d2) * (3.0 * p * p + d2 - 2.0 * p)
+    alt_den = 9.0 * p**4 - 4.0 * p**3 + 6.0 * p**2 * d2 - 12.0 * p * d2 + 4.0 * d2 + d2 * d2
     return num, den, alt_num, alt_den, (den != 0.0) & (alt_den != 0.0)
 
 

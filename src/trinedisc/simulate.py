@@ -28,9 +28,9 @@ from .errors import DomainError, InsufficientDataError
 from .qubit import Measurement, born, povm_validity
 from .trine import TRINE_BLOCH, Priors
 
-__all__ = ["RNG_ALGORITHM", "EmpiricalResult", "estimate_success", "estimate_confidence"]
+__all__ = ["EmpiricalResult", "estimate_success", "estimate_confidence"]
 
-RNG_ALGORITHM = "numpy-pcg64"
+_RNG_ALGORITHM = "numpy-pcg64"
 
 np = None  # numpy, bound by _bind_numpy
 
@@ -51,7 +51,7 @@ class EmpiricalResult:
     standard_error: float
     per_outcome_counts: dict
     seed: int
-    algorithm: str = RNG_ALGORITHM
+    algorithm: str = _RNG_ALGORITHM
     total_shots: Optional[int] = None  # set for conditional estimates
 
 

@@ -19,7 +19,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "TRINE_ANGLES",
     "TRINE_BLOCH",
     "Priors",
     "trine_measurement",
@@ -31,9 +30,9 @@ __all__ = [
     "transform_to_original",
 ]
 
-TRINE_ANGLES = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
+_TRINE_ANGLES = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
 #: Bloch forms (1, cos a, sin a, 0) of the three signal states.
-TRINE_BLOCH = tuple(equator_element(1.0, a) for a in TRINE_ANGLES)
+TRINE_BLOCH = tuple(equator_element(1.0, a) for a in _TRINE_ANGLES)
 
 _SUM_TOL = 1e-9
 _PARAM_TOL = 1e-12
@@ -44,14 +43,14 @@ _PURITY_TOL = 1e-9
 def trine_measurement() -> Measurement:
     """The symmetric measurement along the signal states themselves."""
     return Measurement(
-        (j, equator_element(2.0 / 3.0, a)) for j, a in enumerate(TRINE_ANGLES)
+        (j, equator_element(2.0 / 3.0, a)) for j, a in enumerate(_TRINE_ANGLES)
     )
 
 
 def antitrine_measurement() -> Measurement:
     """Eliminatory measurement: outcome j rules out signal state j."""
     return Measurement(
-        (j, equator_element(2.0 / 3.0, a + math.pi)) for j, a in enumerate(TRINE_ANGLES)
+        (j, equator_element(2.0 / 3.0, a + math.pi)) for j, a in enumerate(_TRINE_ANGLES)
     )
 
 
@@ -233,7 +232,7 @@ def _permutation_map(permutation) -> tuple[int, float]:
     a, b, c = permutation
     even = (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     eps = 1 if even else -1
-    alpha = TRINE_ANGLES[a]
+    alpha = _TRINE_ANGLES[a]
     return eps, alpha
 
 

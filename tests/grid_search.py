@@ -33,9 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from trinedisc.errors import DomainError
-from trinedisc.trine import TRINE_ANGLES, Priors, mixed_e2
+from trinedisc.trine import _TRINE_ANGLES, Priors, mixed_e2
 
-_STATE_ANGLES = np.array(TRINE_ANGLES)
+_STATE_ANGLES = np.array(_TRINE_ANGLES)
 _LABEL_PAIRS = [(a, b) for a in range(3) for b in range(3) if a != b]
 _DEGENERATE_TOL = 1e-12
 #: Priors searched in lockstep, which bounds a search's working memory

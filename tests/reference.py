@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from trinedisc import qubit
-from trinedisc.min_error import theta_two_element, three_element_weights_raw
-from trinedisc.trine import TRINE_ANGLES
+from trinedisc.min_error import _three_element_weights_raw, theta_two_element
+from trinedisc.trine import _TRINE_ANGLES
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -49,7 +49,7 @@ def projector(psi):
 
 
 def trine_states():
-    return [ket(a) for a in TRINE_ANGLES]
+    return [ket(a) for a in _TRINE_ANGLES]
 
 
 def trine_projectors():
@@ -83,7 +83,7 @@ def boundary_matrix(priors):
 
 def three_element_measurement(priors):
     """The three-outcome POVM k_j |phi_j><phi_j| (canonical frame), unchecked."""
-    directions, weights = three_element_weights_raw(priors)
+    directions, weights = _three_element_weights_raw(priors)
     return measurement(
         (j, k * projector(ket(math.atan2(dy, dx))))
         for j, (k, (dx, dy)) in enumerate(zip(weights, directions))

@@ -19,6 +19,7 @@ from trinedisc.max_confidence import (
     mc_povm,
 )
 from trinedisc.min_error import (
+    _three_element_weights_raw,
     BREAKDOWN_P,
     boundary_determinant,
     check_helstrom,
@@ -27,7 +28,6 @@ from trinedisc.min_error import (
     p_correct_three_element,
     p_correct_two_element,
     theta_two_element,
-    three_element_weights_raw,
 )
 from trinedisc.max_confidence import min_error_confidence
 from trinedisc.simulate import estimate_confidence, estimate_success
@@ -164,7 +164,7 @@ def test_criterion_05_breakdown_point():
     start = time.perf_counter()
 
     def weight2(p):
-        _, weights = three_element_weights_raw(priors_from_p_delta(p, 0.0))
+        _, weights = _three_element_weights_raw(priors_from_p_delta(p, 0.0))
         return float(weights[2])
 
     lo, hi = 0.35, 0.39

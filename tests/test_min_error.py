@@ -10,6 +10,7 @@ from trinedisc import cli, min_error, qubit
 from trinedisc._sweeps import PriorColumns
 from trinedisc.errors import VerificationError, ZeroPriorError
 from trinedisc.min_error import (
+    _three_element_weights_raw,
     BREAKDOWN_P,
     boundary_determinant,
     check_helstrom,
@@ -20,7 +21,6 @@ from trinedisc.min_error import (
     p_correct_three_element,
     p_correct_two_element,
     theta_two_element,
-    three_element_weights_raw,
 )
 from trinedisc.trine import (
     _from_p_delta,
@@ -348,7 +348,7 @@ class TestThreeElement:
         # at delta = 0 the state-2 weight is 1 - 3p^2/(4-9p)^2; bisection on
         # the raw weight must reproduce the closed-form breakdown point
         def weight2(p):
-            _, weights = three_element_weights_raw(priors_from_p_delta(p, 0.0))
+            _, weights = _three_element_weights_raw(priors_from_p_delta(p, 0.0))
             return float(weights[2])
 
         lo, hi = 0.34, 0.39
@@ -365,7 +365,7 @@ class TestThreeElement:
 
     def test_weight_closed_form_at_zero_delta(self):
         for p in (0.34, 0.35, 0.36, 0.37):
-            _, weights = three_element_weights_raw(priors_from_p_delta(p, 0.0))
+            _, weights = _three_element_weights_raw(priors_from_p_delta(p, 0.0))
             a = math.sqrt(3.0) * p / (4.0 - 9.0 * p)
             assert float(weights[2]) == pytest.approx(1.0 - a * a, abs=1e-10)
 
@@ -417,14 +417,20 @@ class TestOptimal:
         assert len(calls) == 1
 
     def test_dispatch_matches_determinant_sign(self):
+        # the whole dispatch path against the exact rule, as
+        # test_branch_follows_the_exact_determinant checks the branch alone
         rng = np.random.default_rng(43)
+        tie = Fraction(-1e-12)
+        wrong = []
         for pr in random_priors(rng, 200):
             res = optimal_measurement(pr)
-            det = boundary_determinant(pr)
-            if det > 1e-10 or pr.p2 <= 0:
-                assert res.strategy == "two_element"
-            elif det < -1e-10:
-                assert res.strategy == "three_element"
+            exact = exact_determinant(pr)
+            assert abs(Fraction(res.boundary_determinant) - exact) <= rounding_allowance(pr)
+            if abs(exact - tie) > rounding_allowance(pr):
+                want = "two_element" if exact >= tie or pr.p2 <= 0.0 else "three_element"
+                if res.strategy != want:
+                    wrong.append(pr.canonical)
+        assert wrong == []
 
     def test_dispatched_beats_fixed_strategies(self):
         rng = np.random.default_rng(47)

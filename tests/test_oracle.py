@@ -9,7 +9,7 @@ from trinedisc.errors import DomainError, PureStateError
 from trinedisc.max_confidence import mc_confidence_closed_form
 from trinedisc.min_error import boundary_determinant, critical_delta, optimal_measurement
 from trinedisc.trine import (
-    TRINE_ANGLES,
+    _TRINE_ANGLES,
     canonicalize_priors,
     priors_from_p_delta,
     random_priors,
@@ -27,7 +27,7 @@ from reference import trine_projectors
 # must reproduce bit for bit.  Each t0 slice evaluates every sine and
 # overlap over a meshgrid, and each incumbent is refined on its own.
 
-_STATE_ANGLES = np.array(TRINE_ANGLES)
+_STATE_ANGLES = np.array(_TRINE_ANGLES)
 _LABEL_PAIRS = [(a, b) for a in range(3) for b in range(3) if a != b]
 
 

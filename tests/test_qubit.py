@@ -11,7 +11,7 @@ from trinedisc.errors import DomainError, PureStateError
 from trinedisc.max_confidence import mc_povm
 from trinedisc.min_error import optimal_measurement
 from trinedisc.trine import (
-    TRINE_ANGLES,
+    _TRINE_ANGLES,
     TRINE_BLOCH,
     antitrine_measurement,
     canonicalize_priors,
@@ -83,7 +83,7 @@ class TestPureStates:
             perp = ket(a + np.pi)
             assert abs(np.vdot(psi, perp)) < 1e-12
             assert abs(np.linalg.norm(perp) - 1.0) < 1e-12
-        for s, a in zip(trine_states(), TRINE_ANGLES):
+        for s, a in zip(trine_states(), _TRINE_ANGLES):
             perp = ket(a + math.pi)
             assert abs(np.vdot(s, perp)) < 1e-12
 

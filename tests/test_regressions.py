@@ -61,9 +61,9 @@ from trinedisc.max_confidence import (
     min_error_confidence,
 )
 from trinedisc.min_error import (
+    _three_element_weights_raw,
     gamma_three_element,
     optimal_measurement,
-    three_element_weights_raw,
 )
 from trinedisc.trine import Priors, canonicalize_priors, priors_from_p_delta
 
@@ -161,7 +161,11 @@ def test_curves_near_half_p_three_outcome_cross_check(capsys):
 
 
 @pytest.mark.parametrize("e", [1e-7, 1e-9])
-@pytest.mark.parametrize("fn", [gamma_three_element, three_element_weights_raw])
+@pytest.mark.parametrize(
+    "fn",
+    [gamma_three_element, _three_element_weights_raw],
+    ids=["gamma_three_element", "three_element_weights_raw"],
+)
 def test_gamma_inverse_check_on_the_tie_edge(fn, e):
     # outside the three-outcome region, but public callers reach it
     fn(canonicalize_priors(1.0 - 2.0 * e, e, e))
@@ -170,10 +174,14 @@ def test_gamma_inverse_check_on_the_tie_edge(fn, e):
 def test_three_outcome_weights_on_the_tie_edge_raise_a_trine_error():
     for e in np.logspace(-12, -2, 400).tolist():
         with contextlib.suppress(UndefinedError):
-            three_element_weights_raw(canonicalize_priors(1.0 - 2.0 * e, e, e))
+            _three_element_weights_raw(canonicalize_priors(1.0 - 2.0 * e, e, e))
 
 
-@pytest.mark.parametrize("fn", [gamma_three_element, three_element_weights_raw])
+@pytest.mark.parametrize(
+    "fn",
+    [gamma_three_element, _three_element_weights_raw],
+    ids=["gamma_three_element", "three_element_weights_raw"],
+)
 def test_gamma_on_the_deep_tie_edge_raises_a_trine_error(fn):
     undefined = 0
     for e in np.logspace(-17, -14, 400).tolist():

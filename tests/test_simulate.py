@@ -8,7 +8,7 @@ from trinedisc.errors import DomainError, InsufficientDataError
 from trinedisc.max_confidence import mc_povm, mc_confidence_closed_form
 from trinedisc.min_error import optimal_measurement
 from trinedisc.simulate import (
-    RNG_ALGORITHM,
+    _RNG_ALGORITHM,
     _sample_counts,
     estimate_confidence,
     estimate_success,
@@ -27,7 +27,7 @@ class TestEstimateSuccess:
         a = estimate_success(EQUAL, m, shots=10_000, seed=7)
         b = estimate_success(EQUAL, m, shots=10_000, seed=7)
         assert a == b
-        assert a.algorithm == RNG_ALGORITHM
+        assert a.algorithm == _RNG_ALGORITHM
 
     def test_different_seeds_differ(self):
         m = trine_measurement()

@@ -129,6 +129,29 @@ def test_branch_test_and_prior_draws_are_made_in_one_place():
     assert call_sites("dirichlet") == [("trine", "random_priors")]
 
 
+def test_sweep_powers_are_of_p_and_p2_only():
+    # on a sweep column, ** calls Python's pow once per run of equal values;
+    # p and p2 repeat along the delta axis, delta and the priors do not, so
+    # a power of any other base is written as products
+    tree = ast.parse((SRC / "trinedisc" / "min_error.py").read_text(encoding="utf-8"))
+    shared = ("_p_correct_two", "_three_element_terms", "boundary_determinant")
+    bases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in shared:
+            bases[node.name] = [
+                ast.unparse(power.left)
+                for power in ast.walk(node)
+                if isinstance(power, ast.BinOp) and isinstance(power.op, ast.Pow)
+                and not isinstance(power.left, ast.Constant)
+            ]
+    assert sorted(bases) == sorted(shared)
+    assert all(bases.values())
+    allowed = {"p", "p2", "priors.p", "priors.p2"}
+    assert {name: [b for b in found if b not in allowed] for name, found in bases.items()} == {
+        name: [] for name in shared
+    }
+
+
 def test_cli_import_loads_every_layer():
     code = (
         "import json, sys, trinedisc.cli; "

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from trinedisc import qubit
 from trinedisc.errors import DomainError
 from trinedisc.trine import (
-    TRINE_ANGLES,
+    _TRINE_ANGLES,
     TRINE_BLOCH,
     Priors,
     antitrine_measurement,
@@ -34,7 +34,7 @@ from reference import (
 
 def trine_perps():
     """The states orthogonal to the signals: antipodal on the equator."""
-    return [ket(a + math.pi) for a in TRINE_ANGLES]
+    return [ket(a + math.pi) for a in _TRINE_ANGLES]
 
 
 def ensemble_density(probabilities):
