@@ -86,7 +86,9 @@ class TestColumnPower:
     The sweeps compute their closed forms on numpy columns and must print
     what the single-row path prints.  numpy's own ``**`` on an array rounds
     differently on some inputs (on an AVX-512 host about 5% of these draws
-    for n = 3 and 4), so a column class that used it fails here.
+    for n = 3 and 4), so a column class that used it fails here.  A column
+    raises each run of equal entries once, so runs, signed zeros and an
+    empty column are covered too.
     """
 
     @pytest.mark.parametrize("n", [2, 3, 4])
