@@ -36,10 +36,6 @@ from .min_error import (
 from .trine import Priors, _canonical_checks, _from_p_delta, priors_from_p_delta
 
 
-def _pow_each(x, n):
-    return np.fromiter(map(pow, x.tolist(), repeat(n)), float, len(x))
-
-
 class Column(np.ndarray):
     """A float column whose ``**`` has the bits of Python's float ``**``.
 
@@ -57,10 +53,9 @@ class Column(np.ndarray):
         new = np.empty(len(x), dtype=bool)
         new[:1] = True
         np.not_equal(bits[1:], bits[:-1], out=new[1:])
-        if new.all():  # no runs, as along p in ``curves --delta-values``
-            return _pow_each(x, n).view(Column)
         starts = np.flatnonzero(new)
-        return _pow_each(x[starts], n).repeat(np.diff(starts, append=len(x))).view(Column)
+        firsts = np.fromiter(map(pow, x[starts].tolist(), repeat(n)), float, len(starts))
+        return firsts.repeat(np.diff(starts, append=len(x))).view(Column)
 
 
 class PriorColumns:

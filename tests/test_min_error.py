@@ -91,14 +91,19 @@ class TestColumnPower:
     empty column are covered too.
     """
 
+    @staticmethod
+    def assert_bits_of_python_power(x, n):
+        want = np.array([v**n for v in x.tolist()], dtype=float)
+        got = np.asarray(x**n)
+        assert got.dtype == np.float64
+        assert len(got) == len(x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_columns_get_the_bits_of_python_power(self, n):
         rng = np.random.default_rng(20 + n)
         x = np.concatenate([rng.uniform(0.0, 1.0, 20000), rng.uniform(1 / 3, 1 / 2, 20000)])
-        want = np.array([v**n for v in x.tolist()])
-        got = np.asarray(PriorColumns(x, x, x).p2 ** n)
-        assert got.dtype == np.float64
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        self.assert_bits_of_python_power(PriorColumns(x, x, x).p2, n)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize(
@@ -114,12 +119,7 @@ class TestColumnPower:
         ids=["long_runs", "region_p", "region_p2", "zeros_nan_inf", "empty"],
     )
     def test_runs_and_special_values_get_the_bits_of_python_power(self, column, n):
-        x = column()
-        want = np.array([v**n for v in x.tolist()], dtype=float)
-        got = np.asarray(x**n)
-        assert got.dtype == np.float64
-        assert len(got) == len(x)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        self.assert_bits_of_python_power(column(), n)
 
 
 class TestTwoElement:
