@@ -3,6 +3,7 @@ import inspect
 import io
 import itertools
 import json
+import sys
 
 import pytest
 from numpy.random import default_rng
@@ -275,6 +276,32 @@ class TestConfidence:
         code, _, err = run(capsys, "confidence", "--delta", "0.05", "--sweep", sweep)
         assert code == 2
         assert err.startswith("error: --sweep")
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts its ``write`` calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["region", "--grid", "20"],
+        ["curves", "--p-values", "0.4", "--steps", "20"],
+        ["confidence", "--delta", "0.05", "--sweep", "10"],
+    ],
+)
+def test_sweep_writes_its_csv_in_one_call(monkeypatch, argv):
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([*argv, "--out", "-"]) == 0
+    assert stdout.writes == 1
+    assert stdout.getvalue().startswith(f"# trinedisc {cli.__version__} {argv[0]} ")
 
 
 class TestVerify:

@@ -156,6 +156,24 @@ def test_curves_are_the_row_by_row_sweep(capsys, flag, text, steps):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        # the last row, the pure corner, has an empty confidence_0 cell
+        ["region", "--grid", "100"],
+        # the rows at p = 1/2 have an empty p_3el cell
+        ["curves", "--delta-values", "0,0.3", "--steps", "40"],
+    ],
+)
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    code, out, err = cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert ",," in out
+    path = tmp_path / "sweep.csv"
+    assert cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize(
     "argv, reference",
     [
         # the three-outcome cross-check trips (ROADMAP P1(a)); each sweep
