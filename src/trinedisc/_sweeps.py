@@ -8,6 +8,10 @@ fail it.  Where a row fails, the single-row functions run again on the
 first failing row, so a sweep stops with exactly the error that row gives
 alone.  Every row is computed before anything is written.
 
+:func:`csv_body` prints the rows as text with one ``%`` per row, from a
+template that prints each float column with ``%.12g`` and each column
+already held as cells with ``%s``; ``cli`` writes that text in one call.
+
 A power on a column calls Python's pow once per run of equal entries
 (:class:`Column`).  The cross-checks write their delta powers, which have
 no runs, as products, which round alike on floats and on columns.
@@ -59,14 +63,17 @@ class Column(np.ndarray):
 
 
 class PriorColumns:
-    """Canonical prior triples as columns, which read like a Priors in caller order."""
+    """Canonical prior triples as columns, which read like a Priors in caller order.
 
-    p = Priors.p
-    delta = Priors.delta
+    p and delta are computed once, by Priors' own definitions.
+    """
+
     canonical = original = Priors.canonical
 
     def __init__(self, p0, p1, p2):
         self.p0, self.p1, self.p2 = (np.asarray(c, dtype=float).view(Column) for c in (p0, p1, p2))
+        self.p = Priors.p.fget(self)
+        self.delta = Priors.delta.fget(self)
 
 
 def first(mask) -> int:
@@ -124,12 +131,28 @@ def confidence_columns(priors) -> list:
     return out
 
 
-def cells(values, missing=None) -> list[str]:
-    """A float column as ``_fmt`` prints each value; "" where ``missing``."""
+def csv_body(columns) -> str:
+    """The CSV rows of ``columns``, one ``%`` per row, each ending in "\\r\\n".
+
+    A float column is given as the array itself and printed with ``%.12g``,
+    the text ``_fmt`` gives each float, ``inf``, ``nan`` and ``-0`` included.
+    A column given as a list of cells is printed with ``%s``.
+    """
+    template = ",".join("%.12g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\r\n"
+    lists = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns)
+    # only the zip holds the lists of floats, so they are freed before the join
+    rows = [template % row for row in zip(*lists)]
+    return "".join(rows)
+
+
+def with_missing(values, missing):
+    """``values`` for :func:`csv_body`; where any entry is ``missing``, its
+    cells as ``_fmt`` prints them, with "" there."""
+    if not missing.any():
+        return values
     out = [f"{x:.12g}" for x in values.tolist()]
-    if missing is not None:
-        for i in np.flatnonzero(missing).tolist():
-            out[i] = ""
+    for i in np.flatnonzero(missing).tolist():
+        out[i] = ""
     return out
 
 
@@ -146,19 +169,19 @@ def critical_delta_cell(p: float) -> str:
     return _fmt(critical_delta(min(max(p, 1.0 / 3.0), 0.5)))
 
 
-def prior_cells(priors) -> list[list[str]]:
-    """The cells of p, delta, p0, p1 and p2; p and p2 take few distinct values."""
+def prior_columns(priors) -> list:
+    """The columns of p, delta, p0, p1 and p2; p and p2 take few distinct values."""
     return [
         cells_per_value(priors.p, _fmt),
-        cells(priors.delta),
-        cells(priors.p0),
-        cells(priors.p1),
+        priors.delta,
+        priors.p0,
+        priors.p1,
         cells_per_value(priors.p2, _fmt),
     ]
 
 
-def region(p, delta):
-    """The rows of ``region``, as tuples of cells, for the grid rows (p, delta)."""
+def region(p, delta) -> str:
+    """The CSV rows of ``region`` for the grid rows (p, delta)."""
     sweep = Sweep(p, delta)
     two = sweep.two
     sweep.stop_at_first_failure(
@@ -166,14 +189,14 @@ def region(p, delta):
         lambda p, delta: optimal_branch(priors_from_p_delta(p, delta)),
     )
     priors = sweep.priors
-    return zip(
-        *prior_cells(priors),
+    return csv_body([
+        *prior_columns(priors),
         np.where(two, "two_element", "three_element").tolist(),
-        cells(np.where(two, sweep.p2el, sweep.p3el)),
-        cells(sweep.det),
-        *(cells(*confidences) for confidences in confidence_columns(priors)),
+        np.where(two, sweep.p2el, sweep.p3el),
+        sweep.det,
+        *(with_missing(*confidences) for confidences in confidence_columns(priors)),
         cells_per_value(priors.p, critical_delta_cell),
-    )
+    ])
 
 
 def _curve_row_checks(p: float, delta: float) -> None:
@@ -201,21 +224,20 @@ def curve_columns(p, delta) -> list:
     return [pr.p0, pr.p1, pr.p2, sweep.p2el, sweep.p3el, undefined, p_correct, sweep.det]
 
 
-def curves(entries):
-    """The rows of ``curves``, as tuples of cells, from its entries' values,
-    sorted by (p, delta)."""
+def curves(entries) -> str:
+    """The CSV rows of ``curves`` from its entries' values, sorted by (p, delta)."""
     # no values at all print the header alone
     columns = [np.concatenate(column) for column in zip(*entries)] or [np.empty(0)] * 8
     unsorted = PriorColumns(*columns[:3])
     order = np.lexsort((unsorted.delta, unsorted.p))  # a stable sort by (p, delta)
     p0, p1, p2, p2el, p3el, undefined, p_correct, det = (column[order] for column in columns)
     priors = PriorColumns(p0, p1, p2)
-    return zip(
-        *prior_cells(priors),
-        cells(p2el),
-        cells(p3el, undefined),
+    return csv_body([
+        *prior_columns(priors),
+        p2el,
+        with_missing(p3el, undefined),
         np.where(det < 0.0, "1", "0").tolist(),
-        cells(p_correct),
-        cells(det),
+        p_correct,
+        det,
         cells_per_value(priors.p, critical_delta_cell),
-    )
+    ])

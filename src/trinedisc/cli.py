@@ -16,7 +16,9 @@ closed-form expressions as a single query, and run every check a single
 row runs as a mask over the columns; where a row fails, that row alone is
 evaluated again, so the sweep stops with the error a single evaluation
 gives.  ``confidence --sweep`` builds a POVM per row and stays row by row.
-Every sweep computes all its rows before ``--out`` is opened.
+Every sweep computes all its rows before ``--out`` is opened, and writes
+its whole CSV text in one call; ``region`` and ``curves`` print it with
+one ``%`` per row.
 numpy is imported only by the sweeps, by ``verify`` to draw its priors
 and through the sampler, so single queries run without loading it.
 :func:`main` builds its parser on the first call and reuses it, so it can
@@ -182,11 +184,21 @@ def _require_delta(flag: str, delta: float) -> None:
         raise DomainError(f"{flag} must lie in [0, 1/2], got {delta}")
 
 
-def _delta_axis(p: float, steps: int):
-    """``steps`` deltas from 0 to the admissible bound min(p, 3p - 1), as an array."""
+def _delta_axes(ps, steps: int):
+    """For each p of ``ps``, ``steps`` deltas from 0 to the admissible bound
+    min(p, 3p - 1): one row per p, with the bits of np.linspace(0.0, bound, steps).
+
+    This is linspace's own arithmetic, on all rows at once.  np.linspace
+    with an array of bounds is not used: where one bound is 0, at p = 1/3,
+    it takes its zero-step path on every row, whose bits differ.
+    """
     import numpy as np
 
-    return np.linspace(0.0, min(p, 3.0 * p - 1.0), steps)
+    stops = np.array([min(p, 3.0 * p - 1.0) for p in ps], dtype=float)
+    axes = np.arange(steps) * (stops / max(steps - 1, 1))[:, None] + 0.0
+    if steps > 1:
+        axes[:, -1] = stops
+    return axes
 
 
 def _p_axis(delta: float, steps: int):
@@ -196,10 +208,10 @@ def _p_axis(delta: float, steps: int):
     return np.linspace(max(1.0 / 3.0, (1.0 + delta) / 3.0, delta), 0.5, steps)
 
 
-def _write_csv(stream, command: str, flags: str, columns, rows):
-    """Write the metadata line, then ``columns`` and ``rows`` of formatted cells."""
-    stream.write(f"# trinedisc {__version__} {command} {flags}\n")
-    stream.writelines(",".join(row) + "\r\n" for row in [columns, *rows])
+def _write_csv(stream, command: str, flags: str, columns, body: str):
+    """Write the metadata line, the header of ``columns`` and the finished
+    rows ``body`` in one ``write``."""
+    stream.write(f"# trinedisc {__version__} {command} {flags}\n{','.join(columns)}\r\n{body}")
 
 
 def cmd_optimal(args) -> int:
@@ -258,12 +270,9 @@ def cmd_region(args) -> int:
     from . import _sweeps
 
     ps = _p_axis(0.0, args.grid)
-    rows = _sweeps.region(
-        np.repeat(ps, args.grid),
-        np.concatenate([_delta_axis(p, args.grid) for p in ps.tolist()]),
-    )
+    body = _sweeps.region(np.repeat(ps, args.grid), _delta_axes(ps.tolist(), args.grid).ravel())
     with _open_out(args.out) as fh:
-        _write_csv(fh, "region", f"--grid {args.grid}", SWEEP_COLUMNS, rows)
+        _write_csv(fh, "region", f"--grid {args.grid}", SWEEP_COLUMNS, body)
     return EXIT_OK
 
 
@@ -298,9 +307,9 @@ def cmd_curves(args) -> int:
 
     entries = []
     if args.p_values is not None:
-        for p in _parse_values("--p-values", args.p_values):
-            deltas = _delta_axis(p, args.steps)
-            entries.append(_sweeps.curve_columns(np.full(len(deltas), p), deltas))
+        values = _parse_values("--p-values", args.p_values)
+        for p, deltas in zip(values, _delta_axes(values, args.steps)):
+            entries.append(_sweeps.curve_columns(np.full(args.steps, p), deltas))
         flags = f"--p-values {args.p_values} --steps {args.steps}"
     else:
         for delta in _parse_values("--delta-values", args.delta_values):
@@ -308,9 +317,9 @@ def cmd_curves(args) -> int:
             ps = _p_axis(delta, args.steps)
             entries.append(_sweeps.curve_columns(ps, np.full(len(ps), delta)))
         flags = f"--delta-values {args.delta_values} --steps {args.steps}"
-    rows = _sweeps.curves(entries)
+    body = _sweeps.curves(entries)
     with _open_out(args.out) as fh:
-        _write_csv(fh, "curves", flags, CURVE_COLUMNS, rows)
+        _write_csv(fh, "curves", flags, CURVE_COLUMNS, body)
     return EXIT_OK
 
 
@@ -351,16 +360,17 @@ def cmd_confidence(args) -> int:
         rows = []
         for p in _p_axis(args.delta, args.sweep).tolist():
             try:
-                rows.append(list(map(_fmt, _confidence_row(priors_from_p_delta(p, args.delta)))))
+                row = _confidence_row(priors_from_p_delta(p, args.delta))
             except PureStateError:
                 continue  # pure ensemble density: confidence undefined
+            rows.append(",".join(map(_fmt, row)) + "\r\n")
         with _open_out(args.out) as fh:
             _write_csv(
                 fh,
                 "confidence",
                 f"--delta {args.delta} --sweep {args.sweep}",
                 CONFIDENCE_COLUMNS,
-                rows,
+                "".join(rows),
             )
         return EXIT_OK
     priors = _priors_from_args(args)

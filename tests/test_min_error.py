@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trinedisc import cli, min_error, qubit
-from trinedisc._sweeps import PriorColumns
+from trinedisc._sweeps import Column, PriorColumns
 from trinedisc.errors import VerificationError, ZeroPriorError
 from trinedisc.min_error import (
     _three_element_weights_raw,
@@ -63,15 +63,13 @@ def two_element_measurement(priors):
 def _region_columns(grid):
     """The prior columns of ``region --grid``, built as the sweep builds them."""
     ps = cli._p_axis(0.0, grid)
-    _, triple = _from_p_delta(
-        np.repeat(ps, grid), np.concatenate([cli._delta_axis(p, grid) for p in ps.tolist()])
-    )
+    _, triple = _from_p_delta(np.repeat(ps, grid), cli._delta_axes(ps.tolist(), grid).ravel())
     return PriorColumns(*triple)
 
 
 def _column(values):
-    x = np.asarray(values, dtype=float)
-    return PriorColumns(x, x, x).p2
+    # a Column itself: PriorColumns would compute p and delta on inf - inf
+    return np.asarray(values, dtype=float).view(Column)
 
 
 def _long_runs():
@@ -190,10 +188,11 @@ def determinant_family(name):
     [1e-17, 1e-1], points within 1e-9 of det M = 0 and the rows of
     ``region --grid 100``."""
     if name == "region_grid100":
+        ps = cli._p_axis(0.0, 100).tolist()
         return [
             priors_from_p_delta(p, delta)
-            for p in cli._p_axis(0.0, 100)
-            for delta in cli._delta_axis(p, 100)
+            for p, deltas in zip(ps, cli._delta_axes(ps, 100).tolist())
+            for delta in deltas
         ]
     if name == "uniform":
         rng = np.random.default_rng(53)

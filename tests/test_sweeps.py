@@ -8,11 +8,13 @@ stdout, stderr and exit code, including the row at which a sweep stops.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from trinedisc import __version__
-from trinedisc.cli import main
+from trinedisc import __version__, _sweeps
+from trinedisc.cli import _delta_axes, main
 from trinedisc.errors import (
     DomainError,
     TrineError,
@@ -135,6 +137,29 @@ def test_region_is_the_row_by_row_sweep(capsys, grid):
     want = region_reference(grid)
     assert want[0] == 0
     assert cli(capsys, "region", "--grid", str(grid)) == want
+
+
+def test_csv_body_prints_each_float_as_a_cell_does():
+    x = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1 / 3, 1e16, 0.1 + 0.2])
+    text = ["two_element", "", "1", "0", "a b", "x", "y", "z", "0.5"]
+    missing = np.arange(len(x)) % 3 == 0
+    columns = [x, text, _sweeps.with_missing(x, missing), _sweeps.with_missing(x, ~np.ones(9, bool))]
+    want = "".join(
+        f"{cell(v)},{t},{'' if m else cell(v)},{cell(v)}\r\n"
+        for v, t, m in zip(x.tolist(), text, missing.tolist())
+    )
+    assert _sweeps.csv_body(columns) == want
+    assert _sweeps.csv_body([x[:0], []]) == ""
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 20, 60, 100, 400])
+def test_delta_axes_are_each_p_own_linspace(steps):
+    # p = 1/3 has the bound 0; 0.3 and 0.6 are refused later, by the sweep
+    ps = [*p_axis(0.0, max(steps, 2)), 0.3, 0.6]
+    want = np.array([delta_axis(p, steps) for p in ps])
+    got = _delta_axes(ps, steps)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize(
