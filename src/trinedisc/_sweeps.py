@@ -99,10 +99,11 @@ class Sweep:
             self.p2el, _, agree = _p_correct_two(pr, np.sqrt)
             self.two_failed = ~agree
             num, den, alt_num, alt_den, off_pole = _three_element_terms(pr)
-            self.p3el = num / den
+            # divided in place, which keeps two columns fewer alive at the cross-check
+            self.p3el = np.divide(num, den, out=num)
             # p_3el is undefined at a zero prior or at the pole (4/9, 4/9, 1/9)
             self.undefined = ~(_positive(pr.canonical) & off_pole)
-            agree = _three_element_agree(self.p3el, alt_num / alt_den)
+            agree = _three_element_agree(self.p3el, np.divide(alt_num, alt_den, out=alt_num))
             self.three_failed = ~self.undefined & ~agree
 
     def stop_at_first_failure(self, failed, row_checks) -> None:
