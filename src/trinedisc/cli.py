@@ -33,7 +33,6 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 
 from . import __version__
 from .errors import (
@@ -45,7 +44,6 @@ from .errors import (
 from .max_confidence import (
     confidence,
     confidence_report,
-    mc_confidence_closed_form,
     min_error_confidence,
 )
 from .min_error import check_helstrom, optimal_measurement
@@ -140,6 +138,19 @@ def _measurement_payload(m):
     return out
 
 
+def _gamma_payload(g):
+    return {"a": g.a, "b_x": g.b_x, "b_y": g.b_y, "p_corr": g.p_corr}
+
+
+def _helstrom_payload(h):
+    return {
+        "max_offdiag_residual": h.max_offdiag_residual,
+        "min_global_eigenvalue": h.min_global_eigenvalue,
+        "passes": h.passes,
+        "success_probability": h.success_probability,
+    }
+
+
 def _priors_from_args(args) -> Priors:
     triple = (args.p0, args.p1, args.p2)
     has_triple = all(v is not None for v in triple)
@@ -230,9 +241,9 @@ def cmd_optimal(args) -> int:
         "p_correct": result.p_correct,
         "determinant": result.boundary_determinant,
         "theta": result.theta,
-        "gamma": None if result.gamma is None else asdict(result.gamma),
+        "gamma": None if result.gamma is None else _gamma_payload(result.gamma),
         "elements": _measurement_payload(result.measurement),
-        "helstrom": asdict(result.helstrom),
+        "helstrom": _helstrom_payload(result.helstrom),
     }
     if args.json:
         _emit_json(payload, sys.stdout)
@@ -393,7 +404,8 @@ def cmd_verify(args) -> int:
 
     Each prior's minimum-error answer is certified from the Helstrom report
     :func:`~trinedisc.min_error.optimal_measurement` made on it, and its
-    three maximum confidences from :func:`confidence_report`; the payload
+    three maximum confidences from the closed forms that
+    :func:`confidence_report` checked its posteriors against; the payload
     names the largest distance from a closed form to its bounds.
     """
     _require_at_least("--samples", args.samples, 1)
@@ -407,9 +419,10 @@ def cmd_verify(args) -> int:
         result = optimal_measurement(priors)
         checked = [("min_error", result.p_correct,
                     certify_min_error(priors.original, result.measurement, result.helstrom))]
-        bounds = certify_max_confidence(priors, confidence_report(priors))
+        report = confidence_report(priors)
+        bounds = certify_max_confidence(priors, report)
         checked += [(f"confidence_{i}", closed, bound) for i, (closed, bound)
-                    in enumerate(zip(mc_confidence_closed_form(priors), bounds))]
+                    in enumerate(zip(report.closed_form, bounds))]
         for kind, closed, (lower, upper) in checked:
             # the largest distance from the closed form to any value the
             # certificate leaves possible

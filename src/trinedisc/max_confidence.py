@@ -8,11 +8,10 @@ chosen maximal subject to the inconclusive completion staying positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import UndefinedError, VerificationError, ZeroOutcomeError
-from .qubit import INCONCLUSIVE, PSD_TOL, Measurement, born, rank_one
+from .qubit import INCONCLUSIVE, PSD_TOL, Measurement, _Record, born, rank_one
 from .min_error import optimal_measurement
 from .trine import TRINE_BLOCH, Priors, mixed_e2
 
@@ -129,18 +128,35 @@ def mc_confidence_closed_form(priors: Priors) -> tuple[Optional[float], ...]:
     return _closed_form(*s0), _closed_form(*s1), _closed_form(*s2)
 
 
-@dataclass(frozen=True)
-class ConfidenceReport:
+class ConfidenceReport(_Record):
     """Maximum-confidence summary for one prior triple.
 
     ``per_state_confidence`` is indexed by the caller's original state
     order; ``inconclusive_probability`` depends on the maximal-strength
     scaling convention and is labeled as such in CLI output.
+    ``closed_form`` holds the :func:`mc_confidence_closed_form` values the
+    posteriors were checked against, when the report was built by
+    :func:`confidence_report`, and is None otherwise.
     """
 
-    per_state_confidence: tuple[float, float, float]
-    inconclusive_probability: float
-    measurement: Measurement
+    __slots__ = _fields = (
+        "per_state_confidence",
+        "inconclusive_probability",
+        "measurement",
+        "closed_form",
+    )
+
+    def __init__(
+        self,
+        per_state_confidence: tuple[float, float, float],
+        inconclusive_probability: float,
+        measurement: Measurement,
+        closed_form: Optional[tuple[float, float, float]] = None,
+    ):
+        object.__setattr__(self, "per_state_confidence", per_state_confidence)
+        object.__setattr__(self, "inconclusive_probability", inconclusive_probability)
+        object.__setattr__(self, "measurement", measurement)
+        object.__setattr__(self, "closed_form", closed_form)
 
 
 def confidence_report(priors: Priors) -> ConfidenceReport:
@@ -148,7 +164,8 @@ def confidence_report(priors: Priors) -> ConfidenceReport:
     m = mc_povm(priors)
     forms = dict(m.forms)
     per_state = []
-    for i, closed in enumerate(mc_confidence_closed_form(priors)):
+    closed_form = mc_confidence_closed_form(priors)
+    for i, closed in enumerate(closed_form):
         bayes = _posterior(priors, forms[i], i)
         if closed is None:
             raise UndefinedError("confidence is undefined for a pure ensemble (p_i = 1)")
@@ -158,7 +175,7 @@ def confidence_report(priors: Priors) -> ConfidenceReport:
             )
         per_state.append(bayes)
     inconclusive = sum(_joint(priors, forms[INCONCLUSIVE])) if INCONCLUSIVE in forms else 0.0
-    return ConfidenceReport(tuple(per_state), inconclusive, m)
+    return ConfidenceReport(tuple(per_state), inconclusive, m, closed_form)
 
 
 def min_error_confidence(priors: Priors) -> tuple[Optional[float], ...]:

@@ -16,12 +16,12 @@ Gamma - p_j rho_j >= 0 is the scalar test g - p_j >= |c - p_j n_j|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DomainError, UndefinedError, VerificationError, ZeroPriorError
 from .qubit import (
     Measurement,
+    _Record,
     born,
     bloch_product,
     equator_element,
@@ -123,8 +123,7 @@ def critical_delta(p: float) -> Optional[float]:
     return math.sqrt(radicand)
 
 
-@dataclass(frozen=True)
-class GammaSolution:
+class GammaSolution(_Record):
     """Lagrangian operator Gamma of the three-outcome branch, in Bloch components.
 
     ``(a, b_x, b_y)`` are the Bloch components of Gamma^{-1} = (a I + b.sigma)/2;
@@ -132,10 +131,13 @@ class GammaSolution:
     (p_corr I + c.sigma)/2 with c = -(p_corr / a) b.
     """
 
-    a: float
-    b_x: float
-    b_y: float
-    p_corr: float
+    __slots__ = _fields = ("a", "b_x", "b_y", "p_corr")
+
+    def __init__(self, a: float, b_x: float, b_y: float, p_corr: float):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b_x", b_x)
+        object.__setattr__(self, "b_y", b_y)
+        object.__setattr__(self, "p_corr", p_corr)
 
 
 def gamma_three_element(priors: Priors) -> GammaSolution:
@@ -272,14 +274,27 @@ def _three_element_agree(value, alt):
     return (diff <= 1e-8) | (diff <= 1e-8 * abs(value))
 
 
-@dataclass(frozen=True)
-class HelstromReport:
+class HelstromReport(_Record):
     """Worst-case residuals of the two Helstrom optimality conditions."""
 
-    max_offdiag_residual: float
-    min_global_eigenvalue: float
-    passes: bool
-    success_probability: float
+    __slots__ = _fields = (
+        "max_offdiag_residual",
+        "min_global_eigenvalue",
+        "passes",
+        "success_probability",
+    )
+
+    def __init__(
+        self,
+        max_offdiag_residual: float,
+        min_global_eigenvalue: float,
+        passes: bool,
+        success_probability: float,
+    ):
+        object.__setattr__(self, "max_offdiag_residual", max_offdiag_residual)
+        object.__setattr__(self, "min_global_eigenvalue", min_global_eigenvalue)
+        object.__setattr__(self, "passes", passes)
+        object.__setattr__(self, "success_probability", success_probability)
 
 
 def _gamma(q: Sequence[float], elements) -> list[float]:
@@ -326,8 +341,7 @@ def check_helstrom(probabilities: Sequence[float], m: Measurement) -> HelstromRe
     )
 
 
-@dataclass(frozen=True)
-class OptimalResult:
+class OptimalResult(_Record):
     """Dispatched minimum-error answer for one prior triple.
 
     ``measurement`` carries labels in the caller's original state order;
@@ -335,13 +349,33 @@ class OptimalResult:
     three-outcome branch.
     """
 
-    strategy: str  # "two_element" | "three_element"
-    measurement: Measurement
-    p_correct: float
-    boundary_determinant: float
-    helstrom: HelstromReport
-    theta: Optional[float] = None
-    gamma: Optional[GammaSolution] = None
+    __slots__ = _fields = (
+        "strategy",
+        "measurement",
+        "p_correct",
+        "boundary_determinant",
+        "helstrom",
+        "theta",
+        "gamma",
+    )
+
+    def __init__(
+        self,
+        strategy: str,  # "two_element" | "three_element"
+        measurement: Measurement,
+        p_correct: float,
+        boundary_determinant: float,
+        helstrom: HelstromReport,
+        theta: Optional[float] = None,
+        gamma: Optional[GammaSolution] = None,
+    ):
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "measurement", measurement)
+        object.__setattr__(self, "p_correct", p_correct)
+        object.__setattr__(self, "boundary_determinant", boundary_determinant)
+        object.__setattr__(self, "helstrom", helstrom)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "gamma", gamma)
 
 
 def optimal_branch(priors: Priors) -> tuple[str, float, float]:

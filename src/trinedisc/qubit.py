@@ -20,8 +20,7 @@ numpy only when called, so the closed forms run without loading it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError
 
@@ -119,17 +118,59 @@ def _smaller_eigenvalue(b: Sequence[float]) -> float:
     return 0.5 * (b[0] - math.hypot(b[1], b[2], b[3]))
 
 
-@dataclass(frozen=True)
-class PovmValidity:
+class _Record:
+    """Base of the immutable result records: value semantics over ``_fields``.
+
+    A record's fields are set once, by its ``__init__`` through
+    ``object.__setattr__``; assigning or deleting an attribute afterwards
+    raises AttributeError.  Two records are equal when they are of the same
+    class and their fields are equal; the hash, the repr and pickling read
+    the same fields.  Plain classes, not dataclasses: building the
+    dataclass machinery was most of the package's import time.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class PovmValidity(_Record):
     """Diagnostic report on positivity and completeness of a POVM."""
 
-    is_valid: bool
-    min_element_eigenvalue: float
-    completeness_deviation: float
+    __slots__ = _fields = ("is_valid", "min_element_eigenvalue", "completeness_deviation")
+
+    def __init__(
+        self, is_valid: bool, min_element_eigenvalue: float, completeness_deviation: float
+    ):
+        object.__setattr__(self, "is_valid", is_valid)
+        object.__setattr__(self, "min_element_eigenvalue", min_element_eigenvalue)
+        object.__setattr__(self, "completeness_deviation", completeness_deviation)
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(_Record):
     """Labeled POVM: pairs of (label, Bloch form).
 
     Labels are trine state indices 0/1/2 (the outcome identifies that
@@ -137,10 +178,10 @@ class Measurement:
     such pairs.
     """
 
-    forms: tuple[tuple[object, tuple], ...]
+    __slots__ = _fields = ("forms",)
 
-    def __post_init__(self):
-        forms = tuple((label, tuple(b)) for label, b in self.forms)
+    def __init__(self, forms: Iterable[tuple[object, Sequence[float]]]):
+        forms = tuple((label, tuple(b)) for label, b in forms)
         if any(len(b) != 4 for _, b in forms):
             raise DomainError("Measurement takes (label, Bloch form (t, x, y, z)) pairs")
         object.__setattr__(self, "forms", forms)

@@ -21,11 +21,10 @@ import, and the sampler reaches ``np.random`` through that global.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, InsufficientDataError
-from .qubit import Measurement, born, povm_validity
+from .qubit import Measurement, _Record, born, povm_validity
 from .trine import TRINE_BLOCH, Priors
 
 __all__ = ["EmpiricalResult", "estimate_success", "estimate_confidence"]
@@ -41,18 +40,39 @@ def _bind_numpy() -> None:
         import numpy as np
 
 
-@dataclass(frozen=True)
-class EmpiricalResult:
+class EmpiricalResult(_Record):
     """Counts and frequency estimate from one Monte Carlo run."""
 
-    shots: int
-    successes: int
-    estimate: float
-    standard_error: float
-    per_outcome_counts: dict
-    seed: int
-    algorithm: str = _RNG_ALGORITHM
-    total_shots: Optional[int] = None  # set for conditional estimates
+    __slots__ = _fields = (
+        "shots",
+        "successes",
+        "estimate",
+        "standard_error",
+        "per_outcome_counts",
+        "seed",
+        "algorithm",
+        "total_shots",
+    )
+
+    def __init__(
+        self,
+        shots: int,
+        successes: int,
+        estimate: float,
+        standard_error: float,
+        per_outcome_counts: dict,
+        seed: int,
+        algorithm: str = _RNG_ALGORITHM,
+        total_shots: Optional[int] = None,  # set for conditional estimates
+    ):
+        object.__setattr__(self, "shots", shots)
+        object.__setattr__(self, "successes", successes)
+        object.__setattr__(self, "estimate", estimate)
+        object.__setattr__(self, "standard_error", standard_error)
+        object.__setattr__(self, "per_outcome_counts", per_outcome_counts)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "algorithm", algorithm)
+        object.__setattr__(self, "total_shots", total_shots)
 
 
 def _outcome_table(m: Measurement) -> np.ndarray:

@@ -9,11 +9,10 @@ ordering while callers keep their own state indexing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError, PureStateError
-from .qubit import Measurement, equator_element
+from .qubit import Measurement, _Record, equator_element
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,22 +77,21 @@ class _computed_once:
         return value
 
 
-@dataclass(frozen=True)
-class Priors:
+class Priors(_Record):
     """Prior triple in canonical descending order plus the caller mapping.
 
     ``permutation[c]`` is the caller's original index of canonical slot c,
     so a measurement element labeled c in the canonical frame identifies
-    the caller's state ``permutation[c]``.
+    the caller's state ``permutation[c]``.  Unlike the other records it
+    keeps a ``__dict__``, where :attr:`original` is kept once computed.
     """
 
-    p0: float
-    p1: float
-    p2: float
-    permutation: tuple[int, int, int] = (0, 1, 2)
+    _fields = ("p0", "p1", "p2", "permutation")
 
-    def __post_init__(self):
-        triple = (self.p0, self.p1, self.p2)
+    def __init__(
+        self, p0: float, p1: float, p2: float, permutation: tuple[int, int, int] = (0, 1, 2)
+    ):
+        triple = (p0, p1, p2)
         nonnegative, sums_to_one, descending = _canonical_checks(*triple)
         if not nonnegative:
             raise DomainError(f"priors must be nonnegative, got {triple}")
@@ -101,8 +99,12 @@ class Priors:
             raise DomainError(f"priors must sum to 1, got {triple}")
         if not descending:
             raise DomainError(f"canonical order requires p0 >= p1 >= p2, got {triple}")
-        if sorted(self.permutation) != [0, 1, 2]:
-            raise DomainError(f"invalid permutation {self.permutation}")
+        if sorted(permutation) != [0, 1, 2]:
+            raise DomainError(f"invalid permutation {permutation}")
+        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "p2", p2)
+        object.__setattr__(self, "permutation", permutation)
 
     @property
     def p(self) -> float:

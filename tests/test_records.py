@@ -53,7 +53,7 @@ RECORDS = {
         ConfidenceReport,
         ("per_state_confidence", "inconclusive_probability", "measurement"),
         ((0.8, 0.7, 0.5), 0.25, Measurement(FORMS)),
-        {},
+        {"closed_form": None},
     ),
     "EmpiricalResult": (
         EmpiricalResult,

@@ -16,8 +16,9 @@ from numpy.random import default_rng
 
 import trinedisc
 import trinedisc.cli
-from trinedisc import min_error, oracle
+from trinedisc import max_confidence, min_error, oracle
 from trinedisc.cli import main
+from trinedisc.max_confidence import mc_confidence_closed_form
 from trinedisc.min_error import check_helstrom
 from trinedisc.trine import random_priors
 
@@ -164,6 +165,31 @@ def test_cli_import_loads_every_layer():
     assert {f"trinedisc.{m}" for m in LAYERS} <= loaded
 
 
+def test_no_module_imports_dataclasses():
+    # the records are plain classes: the dataclasses module and the class
+    # processing it does were most of the package's import time
+    offenders = [
+        path.name
+        for path in sorted((SRC / "trinedisc").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert offenders == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # -S runs no site hooks, which may import either module themselves
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import trinedisc.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_cli_builds_its_parser_once_on_first_use():
     code = (
         "import contextlib, io, json, trinedisc.cli as cli\n"
@@ -267,6 +293,35 @@ def test_verify_checks_helstrom_once_per_prior(monkeypatch):
         assert probabilities == pr.original
         assert helstrom is made
         assert helstrom == check_helstrom(pr.original, m)
+
+
+def test_verify_computes_the_closed_form_confidences_once_per_prior(monkeypatch):
+    # cmd_verify reads the closed forms that confidence_report checked its
+    # posteriors against, and computes no second copy
+    made = []
+
+    def record(priors):
+        made.append(mc_confidence_closed_form(priors))
+        return made[-1]
+
+    reports = []
+    certify = oracle.certify_max_confidence
+
+    def record_certify(priors, report):
+        reports.append(report)
+        return certify(priors, report)
+
+    for module in (max_confidence, trinedisc.cli, trinedisc):
+        if hasattr(module, "mc_confidence_closed_form"):
+            monkeypatch.setattr(module, "mc_confidence_closed_form", record)
+    monkeypatch.setattr(trinedisc.cli, "certify_max_confidence", record_certify)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--samples", "5"]) == 0
+    draws = list(random_priors(default_rng(0), 5))
+    assert len(made) == len(reports) == 5
+    for pr, closed, report in zip(draws, made, reports):
+        assert report.closed_form is closed
+        assert closed == mc_confidence_closed_form(pr)
 
 
 def test_every_benchmark_layer_is_a_module_of_the_package():
