@@ -11,7 +11,7 @@ import math
 from typing import Optional
 
 from .errors import UndefinedError, VerificationError, ZeroOutcomeError
-from .qubit import INCONCLUSIVE, PSD_TOL, Measurement, _Record, born, rank_one
+from .qubit import INCONCLUSIVE, PSD_TOL, Measurement, _Record, _set_field, born, rank_one
 from .min_error import optimal_measurement
 from .trine import TRINE_BLOCH, Priors, mixed_e2
 
@@ -153,10 +153,10 @@ class ConfidenceReport(_Record):
         measurement: Measurement,
         closed_form: Optional[tuple[float, float, float]] = None,
     ):
-        object.__setattr__(self, "per_state_confidence", per_state_confidence)
-        object.__setattr__(self, "inconclusive_probability", inconclusive_probability)
-        object.__setattr__(self, "measurement", measurement)
-        object.__setattr__(self, "closed_form", closed_form)
+        _set_field(self, "per_state_confidence", per_state_confidence)
+        _set_field(self, "inconclusive_probability", inconclusive_probability)
+        _set_field(self, "measurement", measurement)
+        _set_field(self, "closed_form", closed_form)
 
 
 def confidence_report(priors: Priors) -> ConfidenceReport:

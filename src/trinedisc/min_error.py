@@ -22,6 +22,7 @@ from .errors import DomainError, UndefinedError, VerificationError, ZeroPriorErr
 from .qubit import (
     Measurement,
     _Record,
+    _set_field,
     born,
     bloch_product,
     equator_element,
@@ -134,10 +135,10 @@ class GammaSolution(_Record):
     __slots__ = _fields = ("a", "b_x", "b_y", "p_corr")
 
     def __init__(self, a: float, b_x: float, b_y: float, p_corr: float):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b_x", b_x)
-        object.__setattr__(self, "b_y", b_y)
-        object.__setattr__(self, "p_corr", p_corr)
+        _set_field(self, "a", a)
+        _set_field(self, "b_x", b_x)
+        _set_field(self, "b_y", b_y)
+        _set_field(self, "p_corr", p_corr)
 
 
 def gamma_three_element(priors: Priors) -> GammaSolution:
@@ -291,10 +292,10 @@ class HelstromReport(_Record):
         passes: bool,
         success_probability: float,
     ):
-        object.__setattr__(self, "max_offdiag_residual", max_offdiag_residual)
-        object.__setattr__(self, "min_global_eigenvalue", min_global_eigenvalue)
-        object.__setattr__(self, "passes", passes)
-        object.__setattr__(self, "success_probability", success_probability)
+        _set_field(self, "max_offdiag_residual", max_offdiag_residual)
+        _set_field(self, "min_global_eigenvalue", min_global_eigenvalue)
+        _set_field(self, "passes", passes)
+        _set_field(self, "success_probability", success_probability)
 
 
 def _gamma(q: Sequence[float], elements) -> list[float]:
@@ -333,12 +334,8 @@ def check_helstrom(probabilities: Sequence[float], m: Measurement) -> HelstromRe
         0.5 * (g - qj - math.hypot(cx - qj * n[1], cy - qj * n[2], cz - qj * n[3]))
         for qj, n in zip(q, TRINE_BLOCH)
     )
-    return HelstromReport(
-        max_offdiag_residual=offdiag,
-        min_global_eigenvalue=min_eig,
-        passes=(offdiag <= _HELSTROM_TOL and min_eig >= -_HELSTROM_TOL),
-        success_probability=g,
-    )
+    passes = offdiag <= _HELSTROM_TOL and min_eig >= -_HELSTROM_TOL
+    return HelstromReport(offdiag, min_eig, passes, g)
 
 
 class OptimalResult(_Record):
@@ -369,13 +366,13 @@ class OptimalResult(_Record):
         theta: Optional[float] = None,
         gamma: Optional[GammaSolution] = None,
     ):
-        object.__setattr__(self, "strategy", strategy)
-        object.__setattr__(self, "measurement", measurement)
-        object.__setattr__(self, "p_correct", p_correct)
-        object.__setattr__(self, "boundary_determinant", boundary_determinant)
-        object.__setattr__(self, "helstrom", helstrom)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "gamma", gamma)
+        _set_field(self, "strategy", strategy)
+        _set_field(self, "measurement", measurement)
+        _set_field(self, "p_correct", p_correct)
+        _set_field(self, "boundary_determinant", boundary_determinant)
+        _set_field(self, "helstrom", helstrom)
+        _set_field(self, "theta", theta)
+        _set_field(self, "gamma", gamma)
 
 
 def optimal_branch(priors: Priors) -> tuple[str, float, float]:
@@ -425,12 +422,4 @@ def optimal_measurement(priors: Priors) -> OptimalResult:
             "closed-form success probability disagrees with the Born sum: "
             f"{p_correct} vs {report.success_probability}"
         )
-    return OptimalResult(
-        strategy=strategy,
-        measurement=measurement,
-        p_correct=p_correct,
-        boundary_determinant=det,
-        helstrom=report,
-        theta=theta,
-        gamma=gamma,
-    )
+    return OptimalResult(strategy, measurement, p_correct, det, report, theta, gamma)

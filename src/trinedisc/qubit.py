@@ -118,11 +118,16 @@ def _smaller_eigenvalue(b: Sequence[float]) -> float:
     return 0.5 * (b[0] - math.hypot(b[1], b[2], b[3]))
 
 
+#: ``object.__setattr__``, bound once: each record's ``__init__`` sets its
+#: fields through it, past :meth:`_Record.__setattr__`.
+_set_field = object.__setattr__
+
+
 class _Record:
     """Base of the immutable result records: value semantics over ``_fields``.
 
     A record's fields are set once, by its ``__init__`` through
-    ``object.__setattr__``; assigning or deleting an attribute afterwards
+    :data:`_set_field`; assigning or deleting an attribute afterwards
     raises AttributeError.  Two records are equal when they are of the same
     class and their fields are equal; the hash, the repr and pickling read
     the same fields.  Plain classes, not dataclasses: building the
@@ -165,9 +170,9 @@ class PovmValidity(_Record):
     def __init__(
         self, is_valid: bool, min_element_eigenvalue: float, completeness_deviation: float
     ):
-        object.__setattr__(self, "is_valid", is_valid)
-        object.__setattr__(self, "min_element_eigenvalue", min_element_eigenvalue)
-        object.__setattr__(self, "completeness_deviation", completeness_deviation)
+        _set_field(self, "is_valid", is_valid)
+        _set_field(self, "min_element_eigenvalue", min_element_eigenvalue)
+        _set_field(self, "completeness_deviation", completeness_deviation)
 
 
 class Measurement(_Record):
@@ -184,7 +189,7 @@ class Measurement(_Record):
         forms = tuple((label, tuple(b)) for label, b in forms)
         if any(len(b) != 4 for _, b in forms):
             raise DomainError("Measurement takes (label, Bloch form (t, x, y, z)) pairs")
-        object.__setattr__(self, "forms", forms)
+        _set_field(self, "forms", forms)
 
     @property
     def elements(self) -> tuple[tuple[object, np.ndarray], ...]:
@@ -214,8 +219,5 @@ def povm_validity(forms: Sequence[Sequence[float]]) -> PovmValidity:
     # sum - I = ((T - 2) I + V.sigma)/2 has norm (|T - 2| + |V|)/2
     t, x, y, z = (sum(c) for c in zip(*forms))
     deviation = 0.5 * (abs(t - 2.0) + math.hypot(x, y, z))
-    return PovmValidity(
-        is_valid=(min_eig >= -PSD_TOL and deviation <= PSD_TOL),
-        min_element_eigenvalue=min_eig,
-        completeness_deviation=deviation,
-    )
+    is_valid = min_eig >= -PSD_TOL and deviation <= PSD_TOL
+    return PovmValidity(is_valid, min_eig, deviation)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import DomainError, InsufficientDataError
-from .qubit import Measurement, _Record, born, povm_validity
+from .qubit import Measurement, _Record, _set_field, born, povm_validity
 from .trine import TRINE_BLOCH, Priors
 
 __all__ = ["EmpiricalResult", "estimate_success", "estimate_confidence"]
@@ -65,14 +65,14 @@ class EmpiricalResult(_Record):
         algorithm: str = _RNG_ALGORITHM,
         total_shots: Optional[int] = None,  # set for conditional estimates
     ):
-        object.__setattr__(self, "shots", shots)
-        object.__setattr__(self, "successes", successes)
-        object.__setattr__(self, "estimate", estimate)
-        object.__setattr__(self, "standard_error", standard_error)
-        object.__setattr__(self, "per_outcome_counts", per_outcome_counts)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "algorithm", algorithm)
-        object.__setattr__(self, "total_shots", total_shots)
+        _set_field(self, "shots", shots)
+        _set_field(self, "successes", successes)
+        _set_field(self, "estimate", estimate)
+        _set_field(self, "standard_error", standard_error)
+        _set_field(self, "per_outcome_counts", per_outcome_counts)
+        _set_field(self, "seed", seed)
+        _set_field(self, "algorithm", algorithm)
+        _set_field(self, "total_shots", total_shots)
 
 
 def _outcome_table(m: Measurement) -> np.ndarray:

@@ -12,7 +12,7 @@ import math
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError, PureStateError
-from .qubit import Measurement, _Record, equator_element
+from .qubit import Measurement, _Record, _set_field, equator_element
 
 if TYPE_CHECKING:
     import numpy as np
@@ -101,10 +101,10 @@ class Priors(_Record):
             raise DomainError(f"canonical order requires p0 >= p1 >= p2, got {triple}")
         if sorted(permutation) != [0, 1, 2]:
             raise DomainError(f"invalid permutation {permutation}")
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
-        object.__setattr__(self, "permutation", permutation)
+        _set_field(self, "p0", p0)
+        _set_field(self, "p1", p1)
+        _set_field(self, "p2", p2)
+        _set_field(self, "permutation", permutation)
 
     @property
     def p(self) -> float:
