@@ -138,19 +138,6 @@ def _measurement_payload(m):
     return out
 
 
-def _gamma_payload(g):
-    return {"a": g.a, "b_x": g.b_x, "b_y": g.b_y, "p_corr": g.p_corr}
-
-
-def _helstrom_payload(h):
-    return {
-        "max_offdiag_residual": h.max_offdiag_residual,
-        "min_global_eigenvalue": h.min_global_eigenvalue,
-        "passes": h.passes,
-        "success_probability": h.success_probability,
-    }
-
-
 def _priors_from_args(args) -> Priors:
     triple = (args.p0, args.p1, args.p2)
     has_triple = all(v is not None for v in triple)
@@ -228,6 +215,7 @@ def _write_csv(stream, command: str, flags: str, columns, body: str):
 def cmd_optimal(args) -> int:
     priors = _priors_from_args(args)
     result = optimal_measurement(priors)
+    g, h = result.gamma, result.helstrom
     payload = {
         "priors": {
             "p0": priors.p0,
@@ -241,9 +229,14 @@ def cmd_optimal(args) -> int:
         "p_correct": result.p_correct,
         "determinant": result.boundary_determinant,
         "theta": result.theta,
-        "gamma": None if result.gamma is None else _gamma_payload(result.gamma),
+        "gamma": None if g is None else {"a": g.a, "b_x": g.b_x, "b_y": g.b_y, "p_corr": g.p_corr},
         "elements": _measurement_payload(result.measurement),
-        "helstrom": _helstrom_payload(result.helstrom),
+        "helstrom": {
+            "max_offdiag_residual": h.max_offdiag_residual,
+            "min_global_eigenvalue": h.min_global_eigenvalue,
+            "passes": h.passes,
+            "success_probability": h.success_probability,
+        },
     }
     if args.json:
         _emit_json(payload, sys.stdout)
