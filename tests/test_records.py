@@ -127,8 +127,7 @@ def test_measurement_keeps_its_forms_as_tuples():
 def test_equal_to_a_copy_and_to_nothing_else(name):
     a, b = build(name), build(name)
     assert a == b and not a != b
-    cls, names, values, _ = RECORDS[name]
-    assert a != values
+    assert a != RECORDS[name][2]
     assert a != object()
     if name in UNHASHABLE:
         with pytest.raises(TypeError):
@@ -166,7 +165,7 @@ def test_repr_text():
 @pytest.mark.parametrize("name", RECORDS)
 def test_fields_cannot_be_assigned_or_deleted(name):
     record = build(name)
-    cls, names, values, defaults = RECORDS[name]
+    _, names, values, defaults = RECORDS[name]
     for field, value in [*zip(names, values), *defaults.items()]:
         with pytest.raises(AttributeError):
             setattr(record, field, value)
