@@ -130,8 +130,9 @@ class _Record:
     :data:`_set_field`; assigning or deleting an attribute afterwards
     raises AttributeError.  Two records are equal when they are of the same
     class and their fields are equal; the hash, the repr and pickling read
-    the same fields.  Plain classes, not dataclasses: building the
-    dataclass machinery was most of the package's import time.
+    the same fields.  Plain classes rather than dataclasses, because
+    importing ``dataclasses`` and generating their methods would be most of
+    the package's import time.
     """
 
     __slots__ = ()
