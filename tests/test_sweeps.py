@@ -1,4 +1,5 @@
-"""``region`` and ``curves`` against a row-by-row reference, byte for byte.
+"""``region``, ``curves`` and ``confidence --sweep`` against a row-by-row
+reference, byte for byte.
 
 The reference below rebuilds each sweep's CSV one row at a time from the
 public scalar functions, the way the sweeps were first written, and renders
@@ -17,12 +18,17 @@ from trinedisc import __version__, _sweeps
 from trinedisc.cli import _delta_axes, main
 from trinedisc.errors import (
     DomainError,
+    PureStateError,
     TrineError,
     UndefinedError,
     VerificationError,
     ZeroPriorError,
 )
-from trinedisc.max_confidence import mc_confidence_closed_form
+from trinedisc.max_confidence import (
+    confidence_report,
+    mc_confidence_closed_form,
+    min_error_confidence,
+)
 from trinedisc.min_error import (
     critical_delta,
     optimal_branch,
@@ -70,6 +76,9 @@ REGION_COLUMNS = ["p", "delta", "p0", "p1", "p2", "strategy", "p_correct", "dete
                   "confidence_0", "confidence_1", "confidence_2", "critical_delta"]
 CURVE_COLUMNS = ["p", "delta", "p0", "p1", "p2", "p_2el", "p_3el", "p_3el_valid",
                  "p_correct", "determinant", "critical_delta"]
+CONFIDENCE_COLUMNS = ["p", "delta", "p0", "p1", "p2", "mc_confidence_0", "mc_confidence_1",
+                      "mc_confidence_2", "me_confidence_0", "me_confidence_1", "me_confidence_2",
+                      "inconclusive_probability"]
 
 
 def region_row(p: float, delta: float) -> list:
@@ -126,6 +135,24 @@ def curves_reference(flag: str, text: str, steps: int):
     return expected(build)
 
 
+def confidence_reference(delta: float, steps: int):
+    def build():
+        if not 0.0 <= delta <= 0.5:
+            raise DomainError(f"--delta must lie in [0, 1/2], got {delta}")
+        rows = []
+        for p in p_axis(delta, steps):
+            pr = priors_from_p_delta(p, delta)
+            try:
+                report = confidence_report(pr)
+            except PureStateError:
+                continue  # no confidence at a pure ensemble
+            rows.append([*prior_cells(pr), *report.per_state_confidence,
+                         *min_error_confidence(pr), report.inconclusive_probability])
+        return csv_text("confidence", f"--delta {delta} --sweep {steps}", CONFIDENCE_COLUMNS, rows)
+
+    return expected(build)
+
+
 def cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -178,6 +205,15 @@ def test_curves_are_the_row_by_row_sweep(capsys, flag, text, steps):
     want = curves_reference(flag, text, steps)
     assert want[0] == 0
     assert cli(capsys, "curves", flag, text, "--steps", str(steps)) == want
+
+
+@pytest.mark.parametrize("steps", [1, 7, 50])
+@pytest.mark.parametrize("delta", [0.0, 0.05, 0.49, 0.5, 0.6])
+def test_confidence_sweep_is_the_row_by_row_sweep(capsys, delta, steps):
+    # the p axis at delta = 1/2 holds only the pure corner; 0.6 is refused
+    want = confidence_reference(delta, steps)
+    assert want[0] == (2 if delta > 0.5 else 0)
+    assert cli(capsys, "confidence", "--delta", str(delta), "--sweep", str(steps)) == want
 
 
 @pytest.mark.parametrize(
