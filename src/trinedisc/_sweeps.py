@@ -1,16 +1,19 @@
-"""The ``region`` and ``curves`` sweeps, computed on numpy columns.
+"""The CSV sweeps ``region``, ``curves`` and ``confidence --sweep``: their
+axes, headers and rows.
 
-Only those two commands import this module, so a single query neither
-compiles it nor loads numpy.  The closed forms and checks are the single
-query's own expressions, evaluated on columns of priors that read like a
-:class:`~trinedisc.trine.Priors`; each check gives a mask of the rows that
-fail it.  Where a row fails, the single-row functions run again on the
-first failing row, so a sweep stops with exactly the error that row gives
-alone.  Every row is computed before anything is written.
+Only those commands import this module, so a single query neither
+compiles it nor loads numpy.  Each returns its header and rows as one
+text, computing every row before anything is written.  ``region`` and
+``curves`` evaluate the single query's own closed forms and checks on
+columns of priors that read like a :class:`~trinedisc.trine.Priors`; each
+check gives a mask of the rows that fail it.  Where a row fails, the
+single-row functions run again on the first failing row, so a sweep
+stops with exactly the error that row gives alone.  ``confidence --sweep``
+builds a POVM per row, so it computes row by row.
 
-:func:`csv_body` prints the rows as text with one ``%`` per row, from a
-template that prints each float column with ``%.12g`` and each column
-already held as cells with ``%s``; ``cli`` writes that text in one call.
+:func:`csv_body` prints the rows of all three as text with one ``%`` per
+row, from a template that prints each float column with ``%.12g`` and
+each column already held as cells with ``%s``.
 
 A power on a column calls Python's pow once per run of equal entries
 (:class:`Column`).  The cross-checks write their delta powers, which have
@@ -23,8 +26,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .cli import _fmt
-from .errors import UndefinedError, VerificationError, ZeroPriorError
+from . import max_confidence, trine
+from .errors import DomainError, PureStateError, UndefinedError, VerificationError, ZeroPriorError
 from .max_confidence import _closed_form_value, _each_state
 from .min_error import (
     _branch,
@@ -38,6 +41,42 @@ from .min_error import (
     p_correct_two_element,
 )
 from .trine import Priors, _canonical_checks, _from_p_delta, priors_from_p_delta
+
+#: The header of each sweep.  Every row starts with the prior coordinates.
+PRIOR_COLUMNS = ["p", "delta", "p0", "p1", "p2"]
+SWEEP_COLUMNS = [*PRIOR_COLUMNS, "strategy", "p_correct", "determinant",
+                 "confidence_0", "confidence_1", "confidence_2", "critical_delta"]
+CURVE_COLUMNS = [*PRIOR_COLUMNS, "p_2el", "p_3el", "p_3el_valid", "p_correct", "determinant",
+                 "critical_delta"]
+CONFIDENCE_COLUMNS = [*PRIOR_COLUMNS, "mc_confidence_0", "mc_confidence_1", "mc_confidence_2",
+                      "me_confidence_0", "me_confidence_1", "me_confidence_2",
+                      "inconclusive_probability"]
+
+
+def require_delta(flag: str, delta: float) -> None:
+    """Refuse a delta outside [0, 1/2] before :func:`p_axis` starts an axis at it."""
+    if not 0.0 <= delta <= 0.5:
+        raise DomainError(f"{flag} must lie in [0, 1/2], got {delta}")
+
+
+def delta_axes(ps, steps: int):
+    """For each p of ``ps``, ``steps`` deltas from 0 to the admissible bound
+    min(p, 3p - 1): one row per p, with the bits of np.linspace(0.0, bound, steps).
+
+    This is linspace's own arithmetic, on all rows at once.  np.linspace
+    with an array of bounds is not used: where one bound is 0, at p = 1/3,
+    it takes its zero-step path on every row, whose bits differ.
+    """
+    stops = np.array([min(p, 3.0 * p - 1.0) for p in ps], dtype=float)
+    axes = np.arange(steps) * (stops / max(steps - 1, 1))[:, None] + 0.0
+    if steps > 1:
+        axes[:, -1] = stops
+    return axes
+
+
+def p_axis(delta: float, steps: int):
+    """``steps`` values of p from the smallest admissible at ``delta`` to 1/2, as an array."""
+    return np.linspace(max(1.0 / 3.0, (1.0 + delta) / 3.0, delta), 0.5, steps)
 
 
 class Column(np.ndarray):
@@ -132,12 +171,17 @@ def confidence_columns(priors) -> list:
     return out
 
 
+def cell(x) -> str:
+    """A CSV cell: a float with 12 significant digits, None as an empty cell."""
+    return "" if x is None else f"{x:.12g}"
+
+
 def csv_body(columns) -> str:
     """The CSV rows of ``columns``, one ``%`` per row, each ending in "\\r\\n".
 
     A float column is given as the array itself and printed with ``%.12g``,
-    the text ``_fmt`` gives each float, ``inf``, ``nan`` and ``-0`` included.
-    A column given as a list of cells is printed with ``%s``.
+    the text :func:`cell` gives each float, ``inf``, ``nan`` and ``-0``
+    included.  A column given as a list of cells is printed with ``%s``.
     """
     template = ",".join("%.12g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\r\n"
     lists = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns)
@@ -146,51 +190,58 @@ def csv_body(columns) -> str:
     return "".join(rows)
 
 
+def csv_text(header, columns) -> str:
+    """The line of the column names ``header``, then :func:`csv_body` of ``columns``."""
+    return ",".join(header) + "\r\n" + csv_body(columns)
+
+
 def with_missing(values, missing):
     """``values`` for :func:`csv_body`; where any entry is ``missing``, its
-    cells as ``_fmt`` prints them, with "" there."""
+    cells as :func:`cell` prints them, with "" there."""
     if not missing.any():
         return values
-    out = [f"{x:.12g}" for x in values.tolist()]
-    for i in np.flatnonzero(missing).tolist():
-        out[i] = ""
-    return out
+    return ["" if m else cell(x) for x, m in zip(values.tolist(), missing.tolist())]
 
 
-def cells_per_value(values, cell) -> list[str]:
-    """``cell(v)`` for each entry v of ``values``, computed once per distinct v."""
-    # -0.0 would share the cell of 0.0; no column printed this way holds it
-    distinct, index = np.unique(values, return_inverse=True)
-    table = [cell(v) for v in distinct.tolist()]
-    return [table[i] for i in index.tolist()]
+def cells_per_value(values, to_cell) -> list[str]:
+    """``to_cell(v)`` for each entry v of ``values``, computed once per distinct v.
+
+    Entries are distinct when their bits are, so -0.0 and 0.0 stay apart.
+    Not once per run: region's p, 0.5 (p0 + p1), changes in its last bit
+    along a delta row, and has about seven runs per distinct value.
+    """
+    distinct, index = np.unique(np.asarray(values).view(np.int64), return_inverse=True)
+    cells = [to_cell(v) for v in distinct.view(float).tolist()]
+    return [cells[i] for i in index.tolist()]
 
 
 def critical_delta_cell(p: float) -> str:
     """critical_delta at a row's ``priors.p``, clamped into [1/3, 1/2] against rounding."""
-    return _fmt(critical_delta(min(max(p, 1.0 / 3.0), 0.5)))
+    return cell(critical_delta(min(max(p, 1.0 / 3.0), 0.5)))
 
 
 def prior_columns(priors) -> list:
-    """The columns of p, delta, p0, p1 and p2; p and p2 take few distinct values."""
+    """The columns of p, delta, p0, p1 and p2; p and p2 run in few distinct values."""
     return [
-        cells_per_value(priors.p, _fmt),
+        cells_per_value(priors.p, cell),
         priors.delta,
         priors.p0,
         priors.p1,
-        cells_per_value(priors.p2, _fmt),
+        cells_per_value(priors.p2, cell),
     ]
 
 
-def region(p, delta) -> str:
-    """The CSV rows of ``region`` for the grid rows (p, delta)."""
-    sweep = Sweep(p, delta)
+def region(grid: int) -> str:
+    """The CSV text of ``region``: ``grid`` values of p, each with ``grid`` deltas."""
+    ps = p_axis(0.0, grid)
+    sweep = Sweep(np.repeat(ps, grid), delta_axes(ps.tolist(), grid).ravel())
     two = sweep.two
     sweep.stop_at_first_failure(
         np.where(two, sweep.two_failed, sweep.three_failed | sweep.undefined),
         lambda p, delta: optimal_branch(priors_from_p_delta(p, delta)),
     )
     priors = sweep.priors
-    return csv_body([
+    return csv_text(SWEEP_COLUMNS, [
         *prior_columns(priors),
         np.where(two, "two_element", "three_element").tolist(),
         np.where(two, sweep.p2el, sweep.p3el),
@@ -210,35 +261,67 @@ def _curve_row_checks(p: float, delta: float) -> None:
         pass  # printed as an empty p_3el cell
 
 
-def curve_columns(p, delta) -> list:
-    """The values of one ``curves`` entry, its rows (p, delta).
+def curves(steps: int, p_values=(), delta_values=()) -> str:
+    """The CSV text of ``curves``, its rows sorted by (p, delta).
 
-    An undefined p_3el is an error only where the three-outcome branch is taken.
+    Each p of ``p_values`` gives ``steps`` rows along delta, then each delta
+    of ``delta_values`` ``steps`` rows along p.  A delta outside [0, 1/2] is
+    refused once the rows before it pass their checks.  An undefined p_3el
+    is an error only where the three-outcome branch is taken.
     """
-    sweep = Sweep(p, delta)
+    p, delta = [np.repeat(p_values, steps)], [delta_axes(p_values, steps).ravel()]
+    refused = None  # raised once the rows before it pass their checks
+    for value in delta_values:
+        try:
+            require_delta("--delta-values", value)
+        except DomainError as exc:
+            refused = exc
+            break
+        p.append(p_axis(value, steps))
+        delta.append(np.full(steps, value))
+    sweep = Sweep(np.concatenate(p), np.concatenate(delta))
     two, undefined = sweep.two, sweep.undefined
     sweep.stop_at_first_failure(
         sweep.two_failed | sweep.three_failed | (~two & undefined), _curve_row_checks
     )
+    if refused is not None:
+        raise refused
     pr = sweep.priors
-    p_correct = np.where(two, sweep.p2el, sweep.p3el)
-    return [pr.p0, pr.p1, pr.p2, sweep.p2el, sweep.p3el, undefined, p_correct, sweep.det]
-
-
-def curves(entries) -> str:
-    """The CSV rows of ``curves`` from its entries' values, sorted by (p, delta)."""
-    # no values at all print the header alone
-    columns = [np.concatenate(column) for column in zip(*entries)] or [np.empty(0)] * 8
-    unsorted = PriorColumns(*columns[:3])
-    order = np.lexsort((unsorted.delta, unsorted.p))  # a stable sort by (p, delta)
-    p0, p1, p2, p2el, p3el, undefined, p_correct, det = (column[order] for column in columns)
-    priors = PriorColumns(p0, p1, p2)
-    return csv_body([
+    order = np.lexsort((pr.delta, pr.p))  # a stable sort by (p, delta)
+    priors = PriorColumns(pr.p0[order], pr.p1[order], pr.p2[order])
+    p2el, p3el, undefined, two, det = (
+        column[order] for column in (sweep.p2el, sweep.p3el, undefined, two, sweep.det)
+    )
+    return csv_text(CURVE_COLUMNS, [
         *prior_columns(priors),
         p2el,
         with_missing(p3el, undefined),
         np.where(det < 0.0, "1", "0").tolist(),
-        p_correct,
+        np.where(two, p2el, p3el),
         det,
         cells_per_value(priors.p, critical_delta_cell),
+    ])
+
+
+def confidence(delta: float, steps: int) -> str:
+    """The CSV text of ``confidence --sweep``: ``steps`` values of p at ``delta``.
+
+    Each row builds its own POVM.  A pure ensemble has no confidence, so
+    its row is left out.
+    """
+    rows = []
+    for p in p_axis(delta, steps).tolist():
+        # called through their modules, where bench/tracing.py counts them
+        try:
+            priors = trine.priors_from_p_delta(p, delta)
+            report = max_confidence.confidence_report(priors)
+            rows.append((*priors.canonical, *report.per_state_confidence,
+                         *max_confidence.min_error_confidence(priors),  # None where unnamed
+                         report.inconclusive_probability))
+        except PureStateError:
+            continue
+    p0, p1, p2, *values = list(zip(*rows)) or [()] * 10
+    return csv_text(CONFIDENCE_COLUMNS, [
+        *prior_columns(PriorColumns(p0, p1, p2)),
+        *(with_missing(np.array(v, dtype=float), np.equal(v, None)) for v in values),
     ])

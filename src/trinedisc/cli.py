@@ -10,15 +10,11 @@ failure, 4 I/O error, 5 certificate mismatch.  Numbers are serialized with 12
 significant digits; CSV data carries no timestamps, only a ``#`` metadata
 header with the package version and the invoking flags.
 
-``region`` and ``curves`` compute their rows as numpy columns
-(:mod:`trinedisc._sweeps`, which only they import), with the same
-closed-form expressions as a single query, and run every check a single
-row runs as a mask over the columns; where a row fails, that row alone is
-evaluated again, so the sweep stops with the error a single evaluation
-gives.  ``confidence --sweep`` builds a POVM per row and stays row by row.
-Every sweep computes all its rows before ``--out`` is opened, and writes
-its whole CSV text in one call; ``region`` and ``curves`` print it with
-one ``%`` per row.
+The CSV sweeps, ``region``, ``curves`` and ``confidence --sweep``, are
+each one call to :mod:`trinedisc._sweeps`, which only they import: it
+holds their axes, headers and rows, and returns the finished text.  Here
+they check their flags, and write the ``#`` metadata line and that text
+in one call, once every row is computed and ``--out`` is opened.
 numpy is imported only by the sweeps, by ``verify`` to draw its priors
 and through the sampler, so single queries run without loading it.
 :func:`main` builds its parser on the first call and reuses it, so it can
@@ -35,12 +31,7 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__
-from .errors import (
-    DomainError,
-    PureStateError,
-    TrineError,
-    VerificationError,
-)
+from .errors import DomainError, TrineError, VerificationError
 from .max_confidence import (
     confidence,
     confidence_report,
@@ -48,6 +39,7 @@ from .max_confidence import (
 )
 from .min_error import check_helstrom, optimal_measurement
 from .oracle import certify_max_confidence, certify_min_error
+from .qubit import _entries
 from .simulate import estimate_confidence, estimate_success
 from .trine import (
     Priors,
@@ -64,32 +56,10 @@ EXIT_VERIFICATION = 3
 EXIT_IO = 4
 EXIT_MISMATCH = 5
 
-#: The prior coordinates every CSV row starts with.
-PRIOR_COLUMNS = ["p", "delta", "p0", "p1", "p2"]
-
-SWEEP_COLUMNS = [
-    *PRIOR_COLUMNS,
-    "strategy",
-    "p_correct",
-    "determinant",
-    "confidence_0",
-    "confidence_1",
-    "confidence_2",
-    "critical_delta",
-]
-
 
 def sig12(x: float) -> float:
     """Round to 12 significant digits (the serialization precision)."""
     return float(f"{x:.12g}")
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
 
 
 def _json_ready(obj):
@@ -105,23 +75,6 @@ def _json_ready(obj):
 def _emit_json(payload, stream):
     json.dump(_json_ready(payload), stream, indent=2)
     stream.write("\n")
-
-
-def _entries(b):
-    """The (real, imaginary) entries of ``from_bloch(b)``, signed zeros included.
-
-    from_bloch scales [[t + z, x - iy], [x + iy, t - z]] by 0.5 as complex
-    products, so the sign of a zero part follows the other part:
-    iy = (0.0 * y - 0.0, y), and (re, im) scales to
-    (0.5 * re - 0.0 * im, 0.5 * im + 0.0 * re).
-    """
-    t, x, y, z = b
-    iy_re, iy_im = 0.0 * y - 0.0, y
-    rows = (
-        ((t + z, 0.0), (x - iy_re, 0.0 - iy_im)),
-        ((x + iy_re, 0.0 + iy_im), (t - z, 0.0)),
-    )
-    return [[(0.5 * re - 0.0 * im, 0.5 * im + 0.0 * re) for re, im in row] for row in rows]
 
 
 def _measurement_payload(m):
@@ -176,40 +129,10 @@ def _require_finite(flag: str, value: float) -> None:
         raise DomainError(f"{flag} must be finite, got {value}")
 
 
-def _require_delta(flag: str, delta: float) -> None:
-    """Refuse a delta outside [0, 1/2] before :func:`_p_axis` starts an axis at it."""
-    if not 0.0 <= delta <= 0.5:
-        raise DomainError(f"{flag} must lie in [0, 1/2], got {delta}")
-
-
-def _delta_axes(ps, steps: int):
-    """For each p of ``ps``, ``steps`` deltas from 0 to the admissible bound
-    min(p, 3p - 1): one row per p, with the bits of np.linspace(0.0, bound, steps).
-
-    This is linspace's own arithmetic, on all rows at once.  np.linspace
-    with an array of bounds is not used: where one bound is 0, at p = 1/3,
-    it takes its zero-step path on every row, whose bits differ.
-    """
-    import numpy as np
-
-    stops = np.array([min(p, 3.0 * p - 1.0) for p in ps], dtype=float)
-    axes = np.arange(steps) * (stops / max(steps - 1, 1))[:, None] + 0.0
-    if steps > 1:
-        axes[:, -1] = stops
-    return axes
-
-
-def _p_axis(delta: float, steps: int):
-    """``steps`` values of p from the smallest admissible at ``delta`` to 1/2, as an array."""
-    import numpy as np
-
-    return np.linspace(max(1.0 / 3.0, (1.0 + delta) / 3.0, delta), 0.5, steps)
-
-
-def _write_csv(stream, command: str, flags: str, columns, body: str):
-    """Write the metadata line, the header of ``columns`` and the finished
-    rows ``body`` in one ``write``."""
-    stream.write(f"# trinedisc {__version__} {command} {flags}\n{','.join(columns)}\r\n{body}")
+def _write_csv(path, command: str, flags: str, text: str):
+    """Write the metadata line and a sweep's finished ``text`` to ``path``, in one ``write``."""
+    with _open_out(path) as stream:
+        stream.write(f"# trinedisc {__version__} {command} {flags}\n{text}")
 
 
 def cmd_optimal(args) -> int:
@@ -242,14 +165,14 @@ def cmd_optimal(args) -> int:
         _emit_json(payload, sys.stdout)
     else:
         print(f"strategy: {result.strategy}")
-        print(f"p_correct: {_fmt(result.p_correct)}")
-        print(f"determinant: {_fmt(result.boundary_determinant)}")
+        print(f"p_correct: {result.p_correct:.12g}")
+        print(f"determinant: {result.boundary_determinant:.12g}")
         if result.theta is not None:
-            print(f"theta: {_fmt(result.theta)}")
+            print(f"theta: {result.theta:.12g}")
         if result.gamma is not None:
             print(
-                f"gamma: a={_fmt(result.gamma.a)} "
-                f"b_x={_fmt(result.gamma.b_x)} b_y={_fmt(result.gamma.b_y)}"
+                f"gamma: a={result.gamma.a:.12g} "
+                f"b_x={result.gamma.b_x:.12g} b_y={result.gamma.b_y:.12g}"
             )
         for item in payload["elements"]:
             print(f"element {item['label']}:")
@@ -260,8 +183,8 @@ def cmd_optimal(args) -> int:
                 print(f"  {rendered}")
         print(
             "helstrom: offdiag="
-            f"{_fmt(result.helstrom.max_offdiag_residual)} "
-            f"min_eig={_fmt(result.helstrom.min_global_eigenvalue)} "
+            f"{result.helstrom.max_offdiag_residual:.12g} "
+            f"min_eig={result.helstrom.min_global_eigenvalue:.12g} "
             f"passes={bool(result.helstrom.passes)}"
         )
     return EXIT_OK
@@ -269,14 +192,9 @@ def cmd_optimal(args) -> int:
 
 def cmd_region(args) -> int:
     _require_at_least("--grid", args.grid, 2)
-    import numpy as np
-
     from . import _sweeps
 
-    ps = _p_axis(0.0, args.grid)
-    body = _sweeps.region(np.repeat(ps, args.grid), _delta_axes(ps.tolist(), args.grid).ravel())
-    with _open_out(args.out) as fh:
-        _write_csv(fh, "region", f"--grid {args.grid}", SWEEP_COLUMNS, body)
+    _write_csv(args.out, "region", f"--grid {args.grid}", _sweeps.region(args.grid))
     return EXIT_OK
 
 
@@ -290,68 +208,21 @@ def _parse_values(flag: str, text: str) -> list[float]:
     return values
 
 
-CURVE_COLUMNS = [
-    *PRIOR_COLUMNS,
-    "p_2el",
-    "p_3el",
-    "p_3el_valid",
-    "p_correct",
-    "determinant",
-    "critical_delta",
-]
-
-
 def cmd_curves(args) -> int:
     if (args.p_values is None) == (args.delta_values is None):
         raise DomainError("specify exactly one of --p-values or --delta-values")
     _require_at_least("--steps", args.steps, 1)
-    import numpy as np
-
     from . import _sweeps
 
-    entries = []
     if args.p_values is not None:
-        values = _parse_values("--p-values", args.p_values)
-        for p, deltas in zip(values, _delta_axes(values, args.steps)):
-            entries.append(_sweeps.curve_columns(np.full(args.steps, p), deltas))
-        flags = f"--p-values {args.p_values} --steps {args.steps}"
+        flags = f"--p-values {args.p_values}"
+        text = _sweeps.curves(args.steps, p_values=_parse_values("--p-values", args.p_values))
     else:
-        for delta in _parse_values("--delta-values", args.delta_values):
-            _require_delta("--delta-values", delta)
-            ps = _p_axis(delta, args.steps)
-            entries.append(_sweeps.curve_columns(ps, np.full(len(ps), delta)))
-        flags = f"--delta-values {args.delta_values} --steps {args.steps}"
-    body = _sweeps.curves(entries)
-    with _open_out(args.out) as fh:
-        _write_csv(fh, "curves", flags, CURVE_COLUMNS, body)
+        flags = f"--delta-values {args.delta_values}"
+        values = _parse_values("--delta-values", args.delta_values)
+        text = _sweeps.curves(args.steps, delta_values=values)
+    _write_csv(args.out, "curves", f"{flags} --steps {args.steps}", text)
     return EXIT_OK
-
-
-CONFIDENCE_COLUMNS = [
-    *PRIOR_COLUMNS,
-    "mc_confidence_0",
-    "mc_confidence_1",
-    "mc_confidence_2",
-    "me_confidence_0",
-    "me_confidence_1",
-    "me_confidence_2",
-    "inconclusive_probability",
-]
-
-
-def _confidence_row(priors: Priors):
-    report = confidence_report(priors)
-    me_conf = min_error_confidence(priors)
-    return [
-        priors.p,
-        priors.delta,
-        priors.p0,
-        priors.p1,
-        priors.p2,
-        *report.per_state_confidence,
-        *me_conf,
-        report.inconclusive_probability,
-    ]
 
 
 def cmd_confidence(args) -> int:
@@ -359,23 +230,12 @@ def cmd_confidence(args) -> int:
         if args.delta is None:
             raise DomainError("--sweep needs --delta (sweeps p at fixed delta)")
         _require_finite("--delta", args.delta)
-        _require_delta("--delta", args.delta)
+        from . import _sweeps
+
+        _sweeps.require_delta("--delta", args.delta)
         _require_at_least("--sweep", args.sweep, 1)
-        rows = []
-        for p in _p_axis(args.delta, args.sweep).tolist():
-            try:
-                row = _confidence_row(priors_from_p_delta(p, args.delta))
-            except PureStateError:
-                continue  # pure ensemble density: confidence undefined
-            rows.append(",".join(map(_fmt, row)) + "\r\n")
-        with _open_out(args.out) as fh:
-            _write_csv(
-                fh,
-                "confidence",
-                f"--delta {args.delta} --sweep {args.sweep}",
-                CONFIDENCE_COLUMNS,
-                "".join(rows),
-            )
+        text = _sweeps.confidence(args.delta, args.sweep)
+        _write_csv(args.out, "confidence", f"--delta {args.delta} --sweep {args.sweep}", text)
         return EXIT_OK
     priors = _priors_from_args(args)
     report = confidence_report(priors)

@@ -114,6 +114,27 @@ def from_bloch(b: Sequence[float]) -> np.ndarray:
     return 0.5 * np.array([[t + z, x - 1j * y], [x + 1j * y, t - z]], dtype=complex)
 
 
+def _entries(b: Sequence[float]) -> list:
+    """The (real, imaginary) entries of ``from_bloch(b)``, signed zeros
+    included, without numpy.
+
+    from_bloch scales [[t + z, x - iy], [x + iy, t - z]] by 0.5 as complex
+    products, so the sign of a zero part follows the other part:
+    iy = (0.0 * y - 0.0, y), and (re, im) scales to
+    (0.5 * re - 0.0 * im, 0.5 * im + 0.0 * re).  from_bloch keeps numpy's
+    own expression: built from these entries, it made the benchmark's
+    ``query`` read slower, though that workload reads matrices only after
+    its timer stops.
+    """
+    t, x, y, z = b
+    iy_re, iy_im = 0.0 * y - 0.0, y
+    rows = (
+        ((t + z, 0.0), (x - iy_re, 0.0 - iy_im)),
+        ((x + iy_re, 0.0 + iy_im), (t - z, 0.0)),
+    )
+    return [[(0.5 * re - 0.0 * im, 0.5 * im + 0.0 * re) for re, im in row] for row in rows]
+
+
 def _smaller_eigenvalue(b: Sequence[float]) -> float:
     return 0.5 * (b[0] - math.hypot(b[1], b[2], b[3]))
 

@@ -16,11 +16,13 @@ always gives the same counts; they differ from the counts of versions
 that sampled shot by shot.
 
 numpy is bound to the module global ``np`` by the first draw, not at
-import, and the sampler reaches ``np.random`` through that global.
+import, and the sampler reaches ``np.random`` through that global, which
+the benchmark's tracer (``bench/tracing.py``) replaces to count the draws.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from .errors import DomainError, InsufficientDataError
@@ -126,7 +128,7 @@ def estimate_success(
         shots=shots,
         successes=successes,
         estimate=estimate,
-        standard_error=float(np.sqrt(estimate * (1.0 - estimate) / shots)),
+        standard_error=math.sqrt(estimate * (1.0 - estimate) / shots),
         per_outcome_counts={
             lab: int(counts[:, k].sum()) for k, lab in enumerate(m.labels)
         },
@@ -161,7 +163,7 @@ def estimate_confidence(
         shots=on_outcome,
         successes=matches,
         estimate=estimate,
-        standard_error=float(np.sqrt(estimate * (1.0 - estimate) / on_outcome)),
+        standard_error=math.sqrt(estimate * (1.0 - estimate) / on_outcome),
         per_outcome_counts={outcome_label: on_outcome},
         seed=seed,
         total_shots=shots,

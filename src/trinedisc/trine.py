@@ -53,40 +53,19 @@ def antitrine_measurement() -> Measurement:
     )
 
 
-class _computed_once:
-    """A read-only attribute computed on its first read and then kept.
-
-    The value goes into the instance's ``__dict__``, which Python reads
-    ahead of a non-data descriptor like this one, so later reads cost a
-    dict lookup.  ``functools.cached_property`` does the same, but on
-    Python 3.11 its first read also takes a lock, which made it slower
-    than recomputing for a ``Priors`` read only once.
-    """
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
-
-
 class Priors(_Record):
     """Prior triple in canonical descending order plus the caller mapping.
 
     ``permutation[c]`` is the caller's original index of canonical slot c,
     so a measurement element labeled c in the canonical frame identifies
-    the caller's state ``permutation[c]``.  Unlike the other records it
-    keeps a ``__dict__``, where :attr:`original` is kept once computed.
+    the caller's state ``permutation[c]``.  ``original`` is the triple in
+    the caller's state order, computed once here: nearly every Priors built
+    is read in that order.  It is not a field, so equality, the hash, the
+    repr and pickling read the four fields alone.
     """
 
     _fields = ("p0", "p1", "p2", "permutation")
+    __slots__ = (*_fields, "original")
 
     def __init__(
         self, p0: float, p1: float, p2: float, permutation: tuple[int, int, int] = (0, 1, 2)
@@ -105,6 +84,10 @@ class Priors(_Record):
         _set_field(self, "p1", p1)
         _set_field(self, "p2", p2)
         _set_field(self, "permutation", permutation)
+        a, b, c = permutation
+        original = [0.0, 0.0, 0.0]
+        original[a], original[b], original[c] = p0, p1, p2
+        _set_field(self, "original", tuple(original))
 
     @property
     def p(self) -> float:
@@ -117,18 +100,6 @@ class Priors(_Record):
     @property
     def canonical(self) -> tuple[float, float, float]:
         return (self.p0, self.p1, self.p2)
-
-    @_computed_once
-    def original(self) -> tuple[float, float, float]:
-        """The triple in the caller's original state order.
-
-        Computed on the first read and kept: the sweeps build many Priors
-        that never read it, and ``verify`` reads it about ten times each.
-        """
-        a, b, c = self.permutation
-        out = [0.0, 0.0, 0.0]
-        out[a], out[b], out[c] = self.p0, self.p1, self.p2
-        return tuple(out)
 
 
 def _canonical_checks(p0, p1, p2) -> tuple:

@@ -9,12 +9,12 @@ import pytest
 from numpy.random import default_rng
 
 from trinedisc import _sweeps, cli, min_error, trine
-from trinedisc.cli import _entries, _json_ready, main, sig12
+from trinedisc.cli import _json_ready, main, sig12
 from trinedisc.errors import VerificationError
 from trinedisc.max_confidence import confidence_report, mc_confidence_closed_form
 from trinedisc.min_error import check_helstrom, optimal_measurement
 from trinedisc.oracle import certify_max_confidence
-from trinedisc.qubit import from_bloch
+from trinedisc.qubit import _entries, from_bloch
 from trinedisc.trine import canonicalize_priors, random_priors
 
 from grid_search import brute_force_max_confidence, brute_force_min_error

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trinedisc import cli, min_error, qubit
+from trinedisc import _sweeps, min_error, qubit
 from trinedisc._sweeps import Column, PriorColumns
 from trinedisc.errors import VerificationError, ZeroPriorError
 from trinedisc.min_error import (
@@ -62,8 +62,8 @@ def two_element_measurement(priors):
 
 def _region_columns(grid):
     """The prior columns of ``region --grid``, built as the sweep builds them."""
-    ps = cli._p_axis(0.0, grid)
-    _, triple = _from_p_delta(np.repeat(ps, grid), cli._delta_axes(ps.tolist(), grid).ravel())
+    ps = _sweeps.p_axis(0.0, grid)
+    _, triple = _from_p_delta(np.repeat(ps, grid), _sweeps.delta_axes(ps.tolist(), grid).ravel())
     return PriorColumns(*triple)
 
 
@@ -188,10 +188,10 @@ def determinant_family(name):
     [1e-17, 1e-1], points within 1e-9 of det M = 0 and the rows of
     ``region --grid 100``."""
     if name == "region_grid100":
-        ps = cli._p_axis(0.0, 100).tolist()
+        ps = _sweeps.p_axis(0.0, 100).tolist()
         return [
             priors_from_p_delta(p, delta)
-            for p, deltas in zip(ps, cli._delta_axes(ps, 100).tolist())
+            for p, deltas in zip(ps, _sweeps.delta_axes(ps, 100).tolist())
             for delta in deltas
         ]
     if name == "uniform":

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from trinedisc import __version__, _sweeps
-from trinedisc.cli import _delta_axes, main
+from trinedisc._sweeps import delta_axes
+from trinedisc.cli import main
 from trinedisc.errors import (
     DomainError,
     PureStateError,
@@ -179,12 +180,24 @@ def test_csv_body_prints_each_float_as_a_cell_does():
     assert _sweeps.csv_body([x[:0], []]) == ""
 
 
+def test_cells_per_value_formats_each_distinct_value_once():
+    values = np.array([0.0, -0.0, 0.0, 1.5, -0.0, 1.5, math.nan])
+    seen = []
+
+    def to_cell(v):
+        seen.append(v)
+        return repr(v)
+
+    assert _sweeps.cells_per_value(values, to_cell) == [repr(v) for v in values.tolist()]
+    assert len(seen) == 4  # -0.0 apart from 0.0
+
+
 @pytest.mark.parametrize("steps", [1, 2, 3, 20, 60, 100, 400])
 def test_delta_axes_are_each_p_own_linspace(steps):
     # p = 1/3 has the bound 0; 0.3 and 0.6 are refused later, by the sweep
     ps = [*p_axis(0.0, max(steps, 2)), 0.3, 0.6]
     want = np.array([delta_axis(p, steps) for p in ps])
-    got = _delta_axes(ps, steps)
+    got = delta_axes(ps, steps)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

@@ -130,6 +130,22 @@ def test_branch_test_and_prior_draws_are_made_in_one_place():
     assert call_sites("dirichlet") == [("trine", "random_priors")]
 
 
+def test_sweeps_import_nothing_from_the_cli():
+    # cli imports _sweeps on first use; an import back would be a cycle
+    tree = ast.parse((SRC / "trinedisc" / "_sweeps.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative to the package
+                module = f"trinedisc.{module}".rstrip(".")
+            imported += [module, *(f"{module}.{alias.name}" for alias in node.names)]
+    assert "trinedisc.max_confidence" in imported
+    assert "trinedisc.cli" not in imported
+
+
 def test_sweep_powers_are_of_p_and_p2_only():
     # on a sweep column, ** calls Python's pow once per run of equal values;
     # p and p2 repeat along the delta axis, delta and the priors do not, so
