@@ -221,7 +221,7 @@ def critical_delta_cell(p: float) -> str:
 
 
 def prior_columns(priors) -> list:
-    """The columns of p, delta, p0, p1 and p2; p and p2 run in few distinct values."""
+    """The columns of p, delta, p0, p1 and p2; p and p2 take few distinct values."""
     return [
         cells_per_value(priors.p, cell),
         priors.delta,
@@ -270,7 +270,7 @@ def curves(steps: int, p_values=(), delta_values=()) -> str:
     is an error only where the three-outcome branch is taken.
     """
     p, delta = [np.repeat(p_values, steps)], [delta_axes(p_values, steps).ravel()]
-    refused = None  # raised once the rows before it pass their checks
+    refused = None
     for value in delta_values:
         try:
             require_delta("--delta-values", value)
