@@ -84,8 +84,8 @@ def _measurement_payload(m):
         out.append(
             {
                 "label": label,
-                "entries_real": [[sig12(re) for re, _ in row] for row in entries],
-                "entries_imag": [[sig12(im) for _, im in row] for row in entries],
+                "entries_real": [[re for re, _ in row] for row in entries],
+                "entries_imag": [[im for _, im in row] for row in entries],
             }
         )
     return out

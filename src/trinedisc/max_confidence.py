@@ -55,8 +55,8 @@ def mc_povm(priors: Priors) -> Measurement:
     rx = sum(qj * n[1] for qj, n in zip(q, TRINE_BLOCH))
     ry = sum(qj * n[2] for qj, n in zip(q, TRINE_BLOCH))
     raw = []
-    for i, n in enumerate(TRINE_BLOCH):
-        o = q[(i + 1) % 3] + q[(i + 2) % 3]
+    for n, (_, a, b) in zip(TRINE_BLOCH, _each_state(q)):
+        o = a + b
         raw.append((e2 * n[1] - o * rx, e2 * n[2] - o * ry))
     x, y = sum(v[0] for v in raw), sum(v[1] for v in raw)
     # the sum of the rank-1 forms has largest eigenvalue (sum_i |v_i| + |V|)/2

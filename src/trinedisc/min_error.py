@@ -30,7 +30,7 @@ from .qubit import (
     povm_validity,
     trace_product,
 )
-from .trine import TRINE_BLOCH, Priors, _e2, transform_to_original
+from .trine import _PARAM_TOL, TRINE_BLOCH, Priors, _e2, transform_to_original
 
 __all__ = [
     "GammaSolution",
@@ -113,7 +113,7 @@ def critical_delta(p: float) -> Optional[float]:
     Returns None when the root is complex, i.e. the three-outcome strategy
     is optimal for the whole admissible delta range at this p.
     """
-    if not (1.0 / 3.0 - 1e-12 <= p <= 0.5 + 1e-12):
+    if not (1.0 / 3.0 - _PARAM_TOL <= p <= 0.5 + _PARAM_TOL):
         raise DomainError(f"p must lie in [1/3, 1/2], got {p!r}")
     inner = 1.0 - 6.0 * p + 16.0 * p**2 - 24.0 * p**3 + 16.0 * p**4
     if inner < 0.0:
@@ -172,6 +172,19 @@ def gamma_three_element(priors: Priors) -> GammaSolution:
 
 
 def _outcomes(q: Sequence[float], sol: GammaSolution) -> tuple[list, list[float]]:
+    """Outcome directions and weights of the three-outcome construction.
+
+    Returns ``(directions, weights)`` for the canonical priors ``q`` and
+    the Gamma ``sol`` that :func:`gamma_three_element` solved from them:
+    for each j the unit equator vector of the outcome state, which spans
+    the kernel of the rank-1 operator N_j = Gamma - p_j rho_j and so points
+    against its Bloch vector c - p_j n_j, and the weight k_j solving
+    completeness.  This is the unchecked construction: outside the
+    three-outcome region some weight goes negative, and the breakdown-point
+    tests bisect on that sign.  It raises UndefinedError where the
+    directions round to collinear (on the tie edge), as
+    :func:`gamma_three_element` does where Gamma^{-1} rounds to singular.
+    """
     # Gamma = (p_corr I + c.sigma)/2 with c = -(p_corr / a) b
     cx, cy = -sol.p_corr / sol.a * sol.b_x, -sol.p_corr / sol.a * sol.b_y
     directions = []
@@ -190,21 +203,6 @@ def _outcomes(q: Sequence[float], sol: GammaSolution) -> tuple[list, list[float]
     if total == 0.0:
         raise UndefinedError(f"three-outcome directions are collinear at {tuple(q)}")
     return directions, [2.0 * c / total for c in cross]
-
-
-def _three_element_weights_raw(priors: Priors) -> tuple[list, list[float]]:
-    """Outcome directions and weights of the three-outcome construction.
-
-    Returns ``(directions, weights)``: for each j the unit equator vector
-    of the outcome state, which spans the kernel of the rank-1 operator
-    N_j = Gamma - p_j rho_j and so points against its Bloch vector
-    c - p_j n_j, and the weight k_j solving completeness.  This is the
-    unchecked construction: outside the three-outcome region some weight
-    goes negative, and the breakdown-point tests bisect on that sign.  It
-    raises UndefinedError where Gamma^{-1} rounds to singular or the
-    directions round to collinear (both on the tie edge).
-    """
-    return _outcomes(priors.canonical, gamma_three_element(priors))
 
 
 def _three_element(priors: Priors, sol: GammaSolution) -> list:

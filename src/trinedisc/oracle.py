@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .max_confidence import ConfidenceReport
+from .max_confidence import ConfidenceReport, _each_state
 from .min_error import HelstromReport
 from .qubit import Measurement, povm_validity
 from .trine import Priors, mixed_e2
@@ -111,17 +111,16 @@ def certify_max_confidence(
     term is 0.  Raises PureStateError for a pure ensemble.
     """
     e2 = mixed_e2(priors)
-    q = priors.original
     forms = dict(report.measurement.forms)
     bounds = []
-    for i, posterior in enumerate(report.per_state_confidence):
+    for i, (q_i, a, b) in enumerate(_each_state(priors.original)):
         t, x, y, z = forms[i]
         r = math.hypot(x, y, z)
         slack = (48.0 / math.sqrt(e2) + 24.0) * _U
         if r > 0.0:
             slack += 2.0 * abs(t - r) / (e2 * r)
-        lower = max(0.0, math.nextafter(posterior - slack, -math.inf))
-        value = q[i] * (q[(i + 1) % 3] + q[(i + 2) % 3]) / e2
+        lower = max(0.0, math.nextafter(report.per_state_confidence[i] - slack, -math.inf))
+        value = q_i * (a + b) / e2
         upper = min(1.0, math.nextafter(value * (1.0 + 8.0 * _U), math.inf))
         bounds.append((lower, upper))
     return bounds

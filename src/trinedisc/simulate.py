@@ -110,6 +110,17 @@ def _sample_counts(priors: Priors, m: Measurement, shots: int, seed: int, partit
     return counts.reshape(joint.shape)
 
 
+def _frequency(
+    successes: int, n: int, per_outcome_counts: dict, seed: int, total_shots: Optional[int] = None
+) -> EmpiricalResult:
+    """The frequency of ``successes`` in ``n`` shots, with its binomial standard error."""
+    estimate = successes / n
+    return EmpiricalResult(
+        n, successes, estimate, math.sqrt(estimate * (1.0 - estimate) / n),
+        per_outcome_counts, seed, _RNG_ALGORITHM, total_shots,
+    )
+
+
 def estimate_success(
     priors: Priors,
     m: Measurement,
@@ -123,17 +134,8 @@ def estimate_success(
     """
     counts = _sample_counts(priors, m, shots, seed, partitions)
     successes = sum(int(counts[lab, k]) for k, lab, _ in m.state_outcomes())
-    estimate = successes / shots
-    return EmpiricalResult(
-        shots=shots,
-        successes=successes,
-        estimate=estimate,
-        standard_error=math.sqrt(estimate * (1.0 - estimate) / shots),
-        per_outcome_counts={
-            lab: int(counts[:, k].sum()) for k, lab in enumerate(m.labels)
-        },
-        seed=seed,
-    )
+    per_outcome = {lab: int(counts[:, k].sum()) for k, lab in enumerate(m.labels)}
+    return _frequency(successes, shots, per_outcome, seed)
 
 
 def estimate_confidence(
@@ -158,13 +160,4 @@ def estimate_confidence(
             f"only {on_outcome} of {shots} shots landed on outcome {outcome_label!r}"
         )
     matches = int(counts[outcome_label, k])
-    estimate = matches / on_outcome
-    return EmpiricalResult(
-        shots=on_outcome,
-        successes=matches,
-        estimate=estimate,
-        standard_error=math.sqrt(estimate * (1.0 - estimate) / on_outcome),
-        per_outcome_counts={outcome_label: on_outcome},
-        seed=seed,
-        total_shots=shots,
-    )
+    return _frequency(matches, on_outcome, {outcome_label: on_outcome}, seed, shots)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from trinedisc import qubit
-from trinedisc.min_error import _three_element_weights_raw, theta_two_element
+from trinedisc.min_error import _outcomes, gamma_three_element, theta_two_element
 from trinedisc.trine import _TRINE_ANGLES
 
 IDENTITY = np.eye(2, dtype=complex)
@@ -81,9 +81,14 @@ def boundary_matrix(priors):
     return 0.5 * (g + g.conj().T) - priors.p2 * rhos[2]
 
 
+def three_element_weights_raw(priors):
+    """The library's unchecked three-outcome directions and weights (canonical frame)."""
+    return _outcomes(priors.canonical, gamma_three_element(priors))
+
+
 def three_element_measurement(priors):
     """The three-outcome POVM k_j |phi_j><phi_j| (canonical frame), unchecked."""
-    directions, weights = _three_element_weights_raw(priors)
+    directions, weights = three_element_weights_raw(priors)
     return measurement(
         (j, k * projector(ket(math.atan2(dy, dx))))
         for j, (k, (dx, dy)) in enumerate(zip(weights, directions))

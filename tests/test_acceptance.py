@@ -19,7 +19,6 @@ from trinedisc.max_confidence import (
     mc_povm,
 )
 from trinedisc.min_error import (
-    _three_element_weights_raw,
     BREAKDOWN_P,
     boundary_determinant,
     check_helstrom,
@@ -40,7 +39,7 @@ from trinedisc.trine import (
 )
 
 from grid_search import brute_force_max_confidence, brute_force_min_error
-from reference import boundary_matrix, element
+from reference import boundary_matrix, element, three_element_weights_raw
 
 
 _PENDING_LINES = []
@@ -164,7 +163,7 @@ def test_criterion_05_breakdown_point():
     start = time.perf_counter()
 
     def weight2(p):
-        _, weights = _three_element_weights_raw(priors_from_p_delta(p, 0.0))
+        _, weights = three_element_weights_raw(priors_from_p_delta(p, 0.0))
         return float(weights[2])
 
     lo, hi = 0.35, 0.39

@@ -504,6 +504,22 @@ class TestSimulate:
         assert payload["analytic"] == pytest.approx(0.0, abs=1e-9)
         assert payload["estimate"] == 0.0
 
+    @pytest.mark.parametrize(
+        "triple", [("0.34", "0.33", "0.33"), ("0.7", "0.2", "0.1"), ("0.1", "0.25", "0.65")]
+    )
+    def test_trine_strategy(self, capsys, triple):
+        # the trine measurement succeeds with 2/3 whatever the priors
+        p0, p1, p2 = triple
+        code, out, _ = run(
+            capsys, "simulate", "--p0", p0, "--p1", p1, "--p2", p2,
+            "--strategy", "trine", "--shots", "50000", "--seed", "4",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["strategy"], payload["quantity"]) == ("trine", "success_probability")
+        assert payload["analytic"] == sig12(2.0 / 3.0)
+        assert abs(payload["estimate"] - payload["analytic"]) < 5 * payload["standard_error"]
+
     def test_optimal_analytic_is_the_helstrom_success_probability(self, capsys):
         pr = canonicalize_priors(0.2, 0.5, 0.3)
         code, out, _ = run(

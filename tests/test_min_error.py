@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from trinedisc import _sweeps, min_error, qubit
 from trinedisc._sweeps import Column, PriorColumns
+from trinedisc.cli import main
 from trinedisc.errors import VerificationError, ZeroPriorError
 from trinedisc.min_error import (
-    _three_element_weights_raw,
     BREAKDOWN_P,
+    HelstromReport,
     boundary_determinant,
     check_helstrom,
     critical_delta,
@@ -37,6 +38,7 @@ from reference import (
     gamma_matrix,
     measurement,
     three_element_measurement,
+    three_element_weights_raw,
     trine_projectors,
     trine_states,
 )
@@ -345,11 +347,15 @@ class TestThreeElement:
         with pytest.raises(ZeroPriorError):
             p_correct_three_element(canonicalize_priors(0.5, 0.5, 0.0))
 
+    def test_gamma_rejects_zero_prior(self):
+        with pytest.raises(ZeroPriorError):
+            gamma_three_element(canonicalize_priors(0.5, 0.5, 0.0))
+
     def test_breakdown_weight_sign_change(self):
         # at delta = 0 the state-2 weight is 1 - 3p^2/(4-9p)^2; bisection on
         # the raw weight must reproduce the closed-form breakdown point
         def weight2(p):
-            _, weights = _three_element_weights_raw(priors_from_p_delta(p, 0.0))
+            _, weights = three_element_weights_raw(priors_from_p_delta(p, 0.0))
             return float(weights[2])
 
         lo, hi = 0.34, 0.39
@@ -366,7 +372,7 @@ class TestThreeElement:
 
     def test_weight_closed_form_at_zero_delta(self):
         for p in (0.34, 0.35, 0.36, 0.37):
-            _, weights = _three_element_weights_raw(priors_from_p_delta(p, 0.0))
+            _, weights = three_element_weights_raw(priors_from_p_delta(p, 0.0))
             a = math.sqrt(3.0) * p / (4.0 - 9.0 * p)
             assert float(weights[2]) == pytest.approx(1.0 - a * a, abs=1e-10)
 
@@ -472,3 +478,73 @@ class TestOptimal:
         assert lo.strategy == "two_element"
         assert hi.strategy == "three_element"
         assert abs(lo.p_correct - hi.p_correct) < 1e-7
+
+
+TWO_OUTCOME, THREE_OUTCOME = (0.5, 0.3, 0.2), (0.34, 0.33, 0.33)
+
+
+class TestPlantedFaults:
+    """Each verification guard of the dispatch path trips on a planted fault.
+
+    One layer function is replaced per case.  The guard must raise
+    VerificationError, and ``optimal`` must report it and exit 3, so that
+    no later speedup can drop a check unnoticed.
+    """
+
+    @staticmethod
+    def assert_caught(capsys, triple, message):
+        with pytest.raises(VerificationError, match=message):
+            optimal_measurement(canonicalize_priors(*triple))
+        p0, p1, p2 = map(str, triple)
+        code = main(["optimal", "--p0", p0, "--p1", p1, "--p2", p2])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith(f"internal verification failure: {message}")
+
+    def test_two_outcome_cross_check(self, monkeypatch, capsys):
+        forms = min_error._p_correct_two
+
+        def disagreeing(priors, sqrt=math.sqrt):
+            value, alt, _ = forms(priors, sqrt)
+            return value, alt, False
+
+        monkeypatch.setattr(min_error, "_p_correct_two", disagreeing)
+        self.assert_caught(capsys, TWO_OUTCOME, "two-element success probability forms disagree")
+
+    def test_three_outcome_invalid_povm(self, monkeypatch, capsys):
+        outcomes = min_error._outcomes
+
+        def negative_weight(q, sol):
+            directions, (k0, k1, k2) = outcomes(q, sol)
+            return directions, [k0, k1, -k2]
+
+        monkeypatch.setattr(min_error, "_outcomes", negative_weight)
+        self.assert_caught(capsys, THREE_OUTCOME, "three-outcome POVM inside its region is invalid")
+
+    @pytest.mark.parametrize("triple", [TWO_OUTCOME, THREE_OUTCOME], ids=["two", "three"])
+    def test_helstrom_failure(self, monkeypatch, capsys, triple):
+        def failing(probabilities, m):
+            report = check_helstrom(probabilities, m)
+            return HelstromReport(
+                report.max_offdiag_residual, -1e-6, False, report.success_probability
+            )
+
+        monkeypatch.setattr(min_error, "check_helstrom", failing)
+        self.assert_caught(capsys, triple, "dispatched measurement fails the Helstrom conditions")
+
+    @pytest.mark.parametrize("triple", [TWO_OUTCOME, THREE_OUTCOME], ids=["two", "three"])
+    def test_born_sum_mismatch(self, monkeypatch, capsys, triple):
+        # the guard allows 1e-9
+        def shifted(probabilities, m):
+            report = check_helstrom(probabilities, m)
+            return HelstromReport(
+                report.max_offdiag_residual,
+                report.min_global_eigenvalue,
+                report.passes,
+                report.success_probability + 2e-9,
+            )
+
+        monkeypatch.setattr(min_error, "check_helstrom", shifted)
+        self.assert_caught(
+            capsys, triple, "closed-form success probability disagrees with the Born sum"
+        )

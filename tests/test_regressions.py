@@ -60,14 +60,11 @@ from trinedisc.max_confidence import (
     mc_povm,
     min_error_confidence,
 )
-from trinedisc.min_error import (
-    _three_element_weights_raw,
-    gamma_three_element,
-    optimal_measurement,
-)
+from trinedisc.min_error import gamma_three_element, optimal_measurement
 from trinedisc.trine import Priors, canonicalize_priors, priors_from_p_delta
 
 from grid_search import brute_force_max_confidence
+from reference import three_element_weights_raw
 
 NEAR_CORNER = [
     (0.998, 0.001, 0.001),
@@ -163,7 +160,7 @@ def test_curves_near_half_p_three_outcome_cross_check(capsys):
 @pytest.mark.parametrize("e", [1e-7, 1e-9])
 @pytest.mark.parametrize(
     "fn",
-    [gamma_three_element, _three_element_weights_raw],
+    [gamma_three_element, three_element_weights_raw],
     ids=["gamma_three_element", "three_element_weights_raw"],
 )
 def test_gamma_inverse_check_on_the_tie_edge(fn, e):
@@ -174,12 +171,12 @@ def test_gamma_inverse_check_on_the_tie_edge(fn, e):
 def test_three_outcome_weights_on_the_tie_edge_raise_a_trine_error():
     for e in np.logspace(-12, -2, 400).tolist():
         with contextlib.suppress(UndefinedError):
-            _three_element_weights_raw(canonicalize_priors(1.0 - 2.0 * e, e, e))
+            three_element_weights_raw(canonicalize_priors(1.0 - 2.0 * e, e, e))
 
 
 @pytest.mark.parametrize(
     "fn",
-    [gamma_three_element, _three_element_weights_raw],
+    [gamma_three_element, three_element_weights_raw],
     ids=["gamma_three_element", "three_element_weights_raw"],
 )
 def test_gamma_on_the_deep_tie_edge_raises_a_trine_error(fn):

@@ -130,6 +130,47 @@ def test_branch_test_and_prior_draws_are_made_in_one_place():
     assert call_sites("dirichlet") == [("trine", "random_priors")]
 
 
+def test_every_src_function_has_a_src_caller():
+    # a module-level function or class that no package code names, apart
+    # from its own def, and no __all__ exports is test-only code
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "trinedisc").glob("*.py"))
+    }
+    exported, named = set(), set()
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    named.add((module, owner, getattr(node, "id", None) or node.attr))
+            if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "__all__":
+                exported |= set(ast.literal_eval(stmt.value))
+    unused = [
+        f"{module}.{stmt.name}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name not in exported
+        and not any(
+            name == stmt.name and (where, owner) != (module, stmt.name)
+            for where, owner, name in named
+        )
+    ]
+    assert unused == []
+
+
+def test_the_other_two_priors_are_taken_in_one_place():
+    # the closed form, the POVM, the certificate and the sweep columns all
+    # read p_i and the other two priors from max_confidence._each_state
+    assert sorted(call_sites("_each_state")) == [
+        ("_sweeps", "confidence_columns"),
+        ("max_confidence", "mc_confidence_closed_form"),
+        ("max_confidence", "mc_povm"),
+        ("oracle", "certify_max_confidence"),
+    ]
+
+
 def test_sweeps_import_nothing_from_the_cli():
     # cli imports _sweeps on first use; an import back would be a cycle
     tree = ast.parse((SRC / "trinedisc" / "_sweeps.py").read_text(encoding="utf-8"))

@@ -122,6 +122,22 @@ class TestCanonicalization:
         with pytest.raises(DomainError):
             canonicalize_priors(0.5, 0.3, 0.3)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.5, 0.3, 0.3), "must sum to 1"),
+            ((0.3, 0.5, 0.2), "requires p0 >= p1 >= p2"),
+            ((0.5, 0.2, 0.3), "requires p0 >= p1 >= p2"),
+            ((0.5, 0.3, 0.2, (0, 1, 1)), "invalid permutation"),
+            ((0.5, 0.3, 0.2, (0, 1, 3)), "invalid permutation"),
+        ],
+        ids=["bad_sum", "p0_below_p1", "p1_below_p2", "repeated_index", "index_out_of_range"],
+    )
+    def test_priors_refuse_a_non_canonical_triple(self, args, message):
+        # Priors checks what canonicalize_priors would have established
+        with pytest.raises(DomainError, match=message):
+            Priors(*args)
+
     def test_renormalizes_within_tolerance(self):
         eps = 5e-10
         pr = canonicalize_priors(0.5 + eps, 0.3, 0.2)
