@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from trinedisc import _sweeps, min_error, qubit
 from trinedisc._sweeps import Column, PriorColumns
 from trinedisc.cli import main
-from trinedisc.errors import VerificationError, ZeroPriorError
+from trinedisc.errors import DomainError, VerificationError, ZeroPriorError
 from trinedisc.min_error import (
     BREAKDOWN_P,
     HelstromReport,
@@ -270,6 +271,27 @@ class TestBoundaryDeterminant:
 
     def test_critical_delta_none_at_equal_p(self):
         assert critical_delta(1 / 3) is None
+
+    def test_critical_delta_takes_the_nearest_end_within_tolerance(self):
+        assert critical_delta(0.5 + 5e-13) == 0.5
+        assert critical_delta(1 / 3 - 5e-13) is None
+
+    def test_critical_delta_refuses_p_outside_tolerance(self):
+        with pytest.raises(DomainError, match="p must lie in"):
+            critical_delta(0.3299)
+
+    @pytest.mark.parametrize("p", [0.49999999500099995, 0.499999997501])
+    def test_critical_delta_has_a_root_where_the_discriminant_rounds_below_0(self, p):
+        # 1 - 6p + 16p^2 - 24p^3 + 16p^4 = (1 - 2p)^2 (4p^2 - 2p + 1) >= 0, yet
+        # its float value is negative at these p
+        with localcontext() as ctx:
+            ctx.prec = 50
+            q = Decimal(p)
+            inner = 1 - 6 * q + 16 * q**2 - 24 * q**3 + 16 * q**4
+            root = float((2 - 6 * q + 5 * q**2 - 2 * inner.sqrt()).sqrt())
+        dc = critical_delta(p)
+        assert dc is not None
+        assert abs(dc - root) < 1e-7
 
     def test_critical_delta_bisection_oracle(self):
         # locate the sign change of det M by bisection and compare

@@ -187,6 +187,11 @@ class TestPDelta:
         with pytest.raises(DomainError):
             priors_from_p_delta(p, delta)
 
+    def test_rejects_delta_above_p(self):
+        # p and delta lie within tolerance of 1/2, and delta <= 3p - 1 holds
+        with pytest.raises(DomainError, match="violates delta <= p$"):
+            priors_from_p_delta(0.5 + 9e-13, 0.5 + 2.4e-12)
+
     def test_region_boundary_accepted(self):
         pr = priors_from_p_delta(0.4, 3 * 0.4 - 1.0)
         assert pr.p2 == pytest.approx(pr.p1, abs=1e-12)
