@@ -215,11 +215,6 @@ def cells_per_value(values, to_cell) -> list[str]:
     return [cells[i] for i in index.tolist()]
 
 
-def critical_delta_cell(p: float) -> str:
-    """critical_delta at a row's ``priors.p``, clamped into [1/3, 1/2] against rounding."""
-    return cell(critical_delta(min(max(p, 1.0 / 3.0), 0.5)))
-
-
 def prior_columns(priors) -> list:
     """The columns of p, delta, p0, p1 and p2; p and p2 take few distinct values."""
     return [
@@ -247,7 +242,7 @@ def region(grid: int) -> str:
         np.where(two, sweep.p2el, sweep.p3el),
         sweep.det,
         *(with_missing(*confidences) for confidences in confidence_columns(priors)),
-        cells_per_value(priors.p, critical_delta_cell),
+        cells_per_value(priors.p, lambda p: cell(critical_delta(p))),
     ])
 
 
@@ -299,7 +294,7 @@ def curves(steps: int, p_values=(), delta_values=()) -> str:
         np.where(det < 0.0, "1", "0").tolist(),
         np.where(two, p2el, p3el),
         det,
-        cells_per_value(priors.p, critical_delta_cell),
+        cells_per_value(priors.p, lambda p: cell(critical_delta(p))),
     ])
 
 

@@ -146,7 +146,7 @@ def cmd_optimal(args) -> int:
             "p2": priors.p2,
             "p": priors.p,
             "delta": priors.delta,
-            "permutation": list(priors.permutation),
+            "permutation": priors.permutation,
         },
         "strategy": result.strategy,
         "p_correct": result.p_correct,
@@ -239,11 +239,10 @@ def cmd_confidence(args) -> int:
         return EXIT_OK
     priors = _priors_from_args(args)
     report = confidence_report(priors)
-    me_conf = min_error_confidence(priors)
     payload = {
         "priors": {"p0": priors.p0, "p1": priors.p1, "p2": priors.p2},
-        "max_confidence": list(report.per_state_confidence),
-        "min_error_confidence": [c for c in me_conf],
+        "max_confidence": report.per_state_confidence,
+        "min_error_confidence": min_error_confidence(priors),
         "inconclusive_probability": report.inconclusive_probability,
         "inconclusive_convention": "maximal common element scale",
     }
@@ -281,14 +280,14 @@ def cmd_verify(args) -> int:
             # certificate leaves possible
             diff = max(upper - closed, closed - lower)
             if diff > worst["difference"]:
-                worst = {"kind": kind, "priors": list(priors.original), "difference": diff}
+                worst = {"kind": kind, "priors": priors.original, "difference": diff}
     ok = worst["difference"] <= args.tolerance
     payload = {
         "samples": args.samples,
         "seed": args.seed,
         "tolerance": args.tolerance,
         "worst": worst,
-        "ok": bool(ok),
+        "ok": ok,
     }
     _emit_json(payload, sys.stdout)
     return EXIT_OK if ok else EXIT_MISMATCH
@@ -303,9 +302,7 @@ def _strategy_measurement(args, priors: Priors):
         return trine_measurement(), None
     if args.strategy == "antitrine":
         return antitrine_measurement(), None
-    if args.strategy == "maxconf":
-        return confidence_report(priors).measurement, None
-    raise DomainError(f"unknown strategy {args.strategy!r}")
+    return confidence_report(priors).measurement, None  # "maxconf", the last choice
 
 
 def cmd_simulate(args) -> int:
@@ -334,7 +331,7 @@ def cmd_simulate(args) -> int:
         "successes": result.successes,
         "estimate": result.estimate,
         "standard_error": se,
-        "per_outcome_counts": {str(k): v for k, v in result.per_outcome_counts.items()},
+        "per_outcome_counts": result.per_outcome_counts,
         "seed": result.seed,
         "rng_algorithm": result.algorithm,
         "analytic": analytic,

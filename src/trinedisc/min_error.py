@@ -54,7 +54,7 @@ BREAKDOWN_P = 4.0 / (9.0 + math.sqrt(3.0))
 
 _TIE_TOL = 1e-12
 _HELSTROM_TOL = 1e-9
-_UNIT_ROUNDOFF = 2.0**-53
+_U = 2.0**-53  # the unit roundoff
 
 
 def theta_two_element(priors: Priors) -> float:
@@ -110,15 +110,17 @@ def boundary_determinant(priors: Priors) -> float:
 def critical_delta(p: float) -> Optional[float]:
     """Boundary delta_c- separating two- from three-outcome optimality.
 
-    Returns None when the root is complex, i.e. the three-outcome strategy
-    is optimal for the whole admissible delta range at this p.
+    A p within ``_PARAM_TOL`` of [1/3, 1/2] is moved to the nearest end.
+    The inner discriminant equals (1 - 2p)^2 (4p^2 - 2p + 1) >= 0, so only
+    rounding makes it negative, and it is then taken as 0.  Returns None
+    when the outer radicand is negative, i.e. the three-outcome strategy is
+    optimal for the whole admissible delta range at this p.
     """
     if not (1.0 / 3.0 - _PARAM_TOL <= p <= 0.5 + _PARAM_TOL):
         raise DomainError(f"p must lie in [1/3, 1/2], got {p!r}")
+    p = min(max(p, 1.0 / 3.0), 0.5)
     inner = 1.0 - 6.0 * p + 16.0 * p**2 - 24.0 * p**3 + 16.0 * p**4
-    if inner < 0.0:
-        return None
-    radicand = 2.0 - 6.0 * p + 5.0 * p**2 - 2.0 * math.sqrt(inner)
+    radicand = 2.0 - 6.0 * p + 5.0 * p**2 - 2.0 * math.sqrt(max(inner, 0.0))
     if radicand < 0.0:
         return None
     return math.sqrt(radicand)
@@ -166,7 +168,7 @@ def gamma_three_element(priors: Priors) -> GammaSolution:
     for n, qj in zip(TRINE_BLOCH, q):
         val = trace_product(n, (a, b_x, b_y, 0.0))
         scale = 0.5 * (abs(a) + abs(n[1] * b_x) + abs(n[2] * b_y))
-        if abs(val - 1.0 / qj) > 16.0 * _UNIT_ROUNDOFF * scale:
+        if abs(val - 1.0 / qj) > 16.0 * _U * scale:
             raise VerificationError("Gamma^{-1} expectation does not match 1/p_j")
     return GammaSolution(a, b_x, b_y, p_corr)
 

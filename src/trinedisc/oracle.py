@@ -30,13 +30,11 @@ import math
 from typing import Sequence
 
 from .max_confidence import ConfidenceReport, _each_state
-from .min_error import HelstromReport
+from .min_error import _U, HelstromReport
 from .qubit import Measurement, povm_validity
 from .trine import Priors, mixed_e2
 
 __all__ = ["certify_min_error", "certify_max_confidence"]
-
-_U = 2.0**-53
 
 
 def certify_min_error(
@@ -112,11 +110,12 @@ def certify_max_confidence(
     """
     e2 = mixed_e2(priors)
     forms = dict(report.measurement.forms)
+    rounding = (48.0 / math.sqrt(e2) + 24.0) * _U
     bounds = []
     for i, (q_i, a, b) in enumerate(_each_state(priors.original)):
         t, x, y, z = forms[i]
         r = math.hypot(x, y, z)
-        slack = (48.0 / math.sqrt(e2) + 24.0) * _U
+        slack = rounding
         if r > 0.0:
             slack += 2.0 * abs(t - r) / (e2 * r)
         lower = max(0.0, math.nextafter(report.per_state_confidence[i] - slack, -math.inf))

@@ -65,10 +65,6 @@ def p_axis(delta: float, steps: int) -> list[float]:
     return np.linspace(max(1.0 / 3.0, (1.0 + delta) / 3.0, delta), 0.5, steps).tolist()
 
 
-def critical_cell(p: float):
-    return critical_delta(min(max(p, 1.0 / 3.0), 0.5))
-
-
 def prior_cells(pr) -> list:
     return [pr.p, pr.delta, pr.p0, pr.p1, pr.p2]
 
@@ -86,7 +82,7 @@ def region_row(p: float, delta: float) -> list:
     pr = priors_from_p_delta(p, delta)
     strategy, p_correct, det = optimal_branch(pr)
     return [*prior_cells(pr), strategy, p_correct, det, *mc_confidence_closed_form(pr),
-            critical_cell(pr.p)]
+            critical_delta(pr.p)]
 
 
 def curve_row(p: float, delta: float) -> list:
@@ -97,7 +93,7 @@ def curve_row(p: float, delta: float) -> list:
         p3el = p_correct_three_element(pr)
     except (ZeroPriorError, UndefinedError):
         p3el = None
-    return [*prior_cells(pr), p2el, p3el, int(det < 0.0), p_correct, det, critical_cell(pr.p)]
+    return [*prior_cells(pr), p2el, p3el, int(det < 0.0), p_correct, det, critical_delta(pr.p)]
 
 
 def expected(build) -> tuple[int, str, str]:

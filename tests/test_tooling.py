@@ -103,6 +103,18 @@ def test_purity_is_tested_in_one_place():
     assert [name for name, tree in trees.items() if "np.trace" in ast.unparse(tree)] == []
 
 
+def test_unit_roundoff_is_defined_in_one_place():
+    # min_error._U alone writes u = 2^-53, and oracle imports it
+    written = [
+        path.name
+        for path in sorted((SRC / "trinedisc").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.BinOp) and ast.unparse(node) in ("2.0 ** (-53)", "2 ** (-53)")
+    ]
+    assert written == ["min_error.py"]
+    assert oracle._U is min_error._U
+
+
 def call_sites(name: str) -> list[tuple[str, str | None]]:
     """(module, enclosing function) of each call to ``name`` in the package;
     the function is None for a call at module level."""
