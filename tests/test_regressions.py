@@ -39,6 +39,9 @@
 - ``optimal`` printed det M next to the region boundary from an expanded
   quartic, whose twelve terms cancel to 1e-10 and leave it wrong from the
   sixth digit.
+- ``curves`` admits a p within tolerance below 1/3, but ran its delta axis
+  from 0 to 3p - 1 < 0, so every row after the first had p0 < p1 and the
+  sweep stopped on a canonical-order error.
 """
 
 import contextlib
@@ -287,3 +290,11 @@ def test_boundary_determinant_prints_its_exact_digits(capsys):
     assert main(["optimal", "--p", "0.42", "--delta", "0.253534207"]) == 0
     [line] = [x for x in capsys.readouterr().out.splitlines() if x.startswith("determinant:")]
     assert float(line.split()[1]) == pytest.approx(7.78765927733e-11, rel=1e-9, abs=0)
+
+
+def test_curves_at_a_p_just_below_a_third_runs_delta_at_0(capsys):
+    assert main(["curves", "--p-values", "0.3333333333330,0.34", "--steps", "3"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out.split("\n", 1)[1])))
+    third = [r for r in rows if r["p"] == "0.333333333333"]
+    assert len(rows) == 6 and len(third) == 3
+    assert [float(r["delta"]) for r in third] == [0.0, 0.0, 0.0]
