@@ -61,13 +61,15 @@ def require_delta(flag: str, delta: float) -> None:
 
 def delta_axes(ps, steps: int):
     """For each p of ``ps``, ``steps`` deltas from 0 to the admissible bound
-    min(p, 3p - 1): one row per p, with the bits of np.linspace(0.0, bound, steps).
+    max(0, min(p, 3p - 1)): one row per p, with the bits of
+    np.linspace(0.0, bound, steps).  The bound is 0, not 3p - 1 < 0, for a p
+    that the tolerance admits just below 1/3.
 
     This is linspace's own arithmetic, on all rows at once.  np.linspace
     with an array of bounds is not used: where one bound is 0, at p = 1/3,
     it takes its zero-step path on every row, whose bits differ.
     """
-    stops = np.array([min(p, 3.0 * p - 1.0) for p in ps], dtype=float)
+    stops = np.array([max(0.0, min(p, 3.0 * p - 1.0)) for p in ps], dtype=float)
     axes = np.arange(steps) * (stops / max(steps - 1, 1))[:, None] + 0.0
     if steps > 1:
         axes[:, -1] = stops

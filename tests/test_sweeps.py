@@ -58,7 +58,7 @@ def csv_text(command: str, flags: str, columns: list[str], rows) -> str:
 
 
 def delta_axis(p: float, steps: int) -> list[float]:
-    return np.linspace(0.0, min(p, 3.0 * p - 1.0), steps).tolist()
+    return np.linspace(0.0, max(0.0, min(p, 3.0 * p - 1.0)), steps).tolist()
 
 
 def p_axis(delta: float, steps: int) -> list[float]:
