@@ -61,9 +61,8 @@ def require_delta(flag: str, delta: float) -> None:
 
 def delta_axes(ps, steps: int):
     """For each p of ``ps``, ``steps`` deltas from 0 to the admissible bound
-    max(0, min(p, 3p - 1)): one row per p, with the bits of
-    np.linspace(0.0, bound, steps).  The bound is 0, not 3p - 1 < 0, for a p
-    that the tolerance admits just below 1/3.
+    max(0, min(p, 3p - 1)), which is 0 for a p admitted just below 1/3: one
+    row per p, with the bits of np.linspace(0.0, bound, steps).
 
     This is linspace's own arithmetic, on all rows at once.  np.linspace
     with an array of bounds is not used: where one bound is 0, at p = 1/3,
@@ -77,8 +76,8 @@ def delta_axes(ps, steps: int):
 
 
 def p_axis(delta: float, steps: int):
-    """``steps`` values of p from the smallest admissible at ``delta`` to 1/2, as an array."""
-    return np.linspace(max(1.0 / 3.0, (1.0 + delta) / 3.0, delta), 0.5, steps)
+    """``steps`` values of p from (1 + delta)/3, the smallest admissible at ``delta``, to 1/2."""
+    return np.linspace((1.0 + delta) / 3.0, 0.5, steps)
 
 
 class Column(np.ndarray):

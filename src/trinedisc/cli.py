@@ -39,7 +39,7 @@ from .max_confidence import (
 )
 from .min_error import check_helstrom, optimal_measurement
 from .oracle import certify_max_confidence, certify_min_error
-from .qubit import _entries
+from .qubit import _Record, _entries
 from .simulate import estimate_confidence, estimate_success
 from .trine import (
     Priors,
@@ -69,6 +69,8 @@ def _json_ready(obj):
         return {str(k): _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
+    if isinstance(obj, _Record):
+        return {name: _json_ready(getattr(obj, name)) for name in obj._fields}
     return obj
 
 
@@ -112,7 +114,7 @@ def _add_prior_flags(parser):
 
 @contextmanager
 def _open_out(path):
-    if path == "-" or path is None:
+    if path == "-":
         yield sys.stdout
     else:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -152,14 +154,9 @@ def cmd_optimal(args) -> int:
         "p_correct": result.p_correct,
         "determinant": result.boundary_determinant,
         "theta": result.theta,
-        "gamma": None if g is None else {"a": g.a, "b_x": g.b_x, "b_y": g.b_y, "p_corr": g.p_corr},
+        "gamma": g,
         "elements": _measurement_payload(result.measurement),
-        "helstrom": {
-            "max_offdiag_residual": h.max_offdiag_residual,
-            "min_global_eigenvalue": h.min_global_eigenvalue,
-            "passes": h.passes,
-            "success_probability": h.success_probability,
-        },
+        "helstrom": h,
     }
     if args.json:
         _emit_json(payload, sys.stdout)
@@ -169,11 +166,8 @@ def cmd_optimal(args) -> int:
         print(f"determinant: {result.boundary_determinant:.12g}")
         if result.theta is not None:
             print(f"theta: {result.theta:.12g}")
-        if result.gamma is not None:
-            print(
-                f"gamma: a={result.gamma.a:.12g} "
-                f"b_x={result.gamma.b_x:.12g} b_y={result.gamma.b_y:.12g}"
-            )
+        if g is not None:
+            print(f"gamma: a={g.a:.12g} b_x={g.b_x:.12g} b_y={g.b_y:.12g}")
         for item in payload["elements"]:
             print(f"element {item['label']}:")
             for r_row, i_row in zip(item["entries_real"], item["entries_imag"]):
@@ -182,10 +176,8 @@ def cmd_optimal(args) -> int:
                 )
                 print(f"  {rendered}")
         print(
-            "helstrom: offdiag="
-            f"{result.helstrom.max_offdiag_residual:.12g} "
-            f"min_eig={result.helstrom.min_global_eigenvalue:.12g} "
-            f"passes={bool(result.helstrom.passes)}"
+            f"helstrom: offdiag={h.max_offdiag_residual:.12g} "
+            f"min_eig={h.min_global_eigenvalue:.12g} passes={h.passes}"
         )
     return EXIT_OK
 

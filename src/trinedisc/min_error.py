@@ -207,19 +207,6 @@ def _outcomes(q: Sequence[float], sol: GammaSolution) -> tuple[list, list[float]
     return directions, [2.0 * c / total for c in cross]
 
 
-def _three_element(priors: Priors, sol: GammaSolution) -> list:
-    # optimal_branch has already put det M below -1e-12
-    directions, weights = _outcomes(priors.canonical, sol)
-    elements = [
-        (j, (k, k * dx, k * dy, 0.0)) for j, (k, (dx, dy)) in enumerate(zip(weights, directions))
-    ]
-    # a negative weight is a negative element eigenvalue
-    validity = povm_validity([b for _, b in elements])
-    if not validity.is_valid:
-        raise VerificationError(f"three-outcome POVM inside its region is invalid: {validity}")
-    return elements
-
-
 def p_correct_three_element(priors: Priors) -> float:
     """Success probability of the three-outcome formula.
 
@@ -408,7 +395,15 @@ def optimal_measurement(priors: Priors) -> OptimalResult:
         canonical = [(0, equator_element(1.0, theta)), (1, equator_element(1.0, theta + math.pi))]
     else:
         theta, gamma = None, gamma_three_element(priors)
-        canonical = _three_element(priors, gamma)
+        # optimal_branch has already put det M below -1e-12
+        directions, weights = _outcomes(priors.canonical, gamma)
+        canonical = [
+            (j, (k, k * dx, k * dy, 0.0)) for j, (k, (dx, dy)) in enumerate(zip(weights, directions))
+        ]
+        # a negative weight is a negative element eigenvalue
+        validity = povm_validity([b for _, b in canonical])
+        if not validity.is_valid:
+            raise VerificationError(f"three-outcome POVM inside its region is invalid: {validity}")
     measurement = transform_to_original(canonical, priors.permutation)
     report = check_helstrom(priors.original, measurement)
     if not report.passes:

@@ -135,10 +135,6 @@ def _entries(b: Sequence[float]) -> list:
     return [[(0.5 * re - 0.0 * im, 0.5 * im + 0.0 * re) for re, im in row] for row in rows]
 
 
-def _smaller_eigenvalue(b: Sequence[float]) -> float:
-    return 0.5 * (b[0] - math.hypot(b[1], b[2], b[3]))
-
-
 #: ``object.__setattr__``, bound once: each record's ``__init__`` sets its
 #: fields through it, past :meth:`_Record.__setattr__`.
 _set_field = object.__setattr__
@@ -237,7 +233,7 @@ def povm_validity(forms: Sequence[Sequence[float]]) -> PovmValidity:
     """Positivity and completeness, within PSD_TOL, of POVM elements given as Bloch forms."""
     if not forms:
         raise DomainError("a POVM needs at least one element")
-    min_eig = min(_smaller_eigenvalue(b) for b in forms)
+    min_eig = min(0.5 * (b[0] - math.hypot(b[1], b[2], b[3])) for b in forms)
     # sum - I = ((T - 2) I + V.sigma)/2 has norm (|T - 2| + |V|)/2
     t, x, y, z = (sum(c) for c in zip(*forms))
     deviation = 0.5 * (abs(t - 2.0) + math.hypot(x, y, z))

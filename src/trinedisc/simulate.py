@@ -15,8 +15,8 @@ the partition tables are summed.  A fixed ``(seed, partitions)`` pair
 always gives the same counts; they differ from the counts of versions
 that sampled shot by shot.
 
-numpy is bound to the module global ``np`` by the first draw, not at
-import, and the sampler reaches ``np.random`` through that global, which
+numpy is bound to the module global ``np`` by :func:`_sample_counts`, not
+at import, and the sampler reaches ``np.random`` through that global, which
 the benchmark's tracer (``bench/tracing.py``) replaces to count the draws.
 """
 
@@ -33,13 +33,7 @@ __all__ = ["EmpiricalResult", "estimate_success", "estimate_confidence"]
 
 _RNG_ALGORITHM = "numpy-pcg64"
 
-np = None  # numpy, bound by _bind_numpy
-
-
-def _bind_numpy() -> None:
-    global np
-    if np is None:
-        import numpy as np
+np = None  # numpy, bound by _sample_counts; bench/tracing.py replaces it
 
 
 class EmpiricalResult(_Record):
@@ -96,7 +90,9 @@ def _outcome_table(m: Measurement) -> np.ndarray:
 
 def _sample_counts(priors: Priors, m: Measurement, shots: int, seed: int, partitions: int):
     """Joint (state, outcome) counts, drawn as documented above."""
-    _bind_numpy()
+    global np
+    if np is None:
+        import numpy as np
     if shots < 1:
         raise DomainError(f"shots must be positive, got {shots}")
     if partitions < 1 or partitions > shots:

@@ -12,7 +12,12 @@ from trinedisc import _sweeps, cli, min_error, trine
 from trinedisc.cli import _json_ready, main, sig12
 from trinedisc.errors import VerificationError
 from trinedisc.max_confidence import confidence_report, mc_confidence_closed_form
-from trinedisc.min_error import check_helstrom, optimal_measurement
+from trinedisc.min_error import (
+    GammaSolution,
+    HelstromReport,
+    check_helstrom,
+    optimal_measurement,
+)
 from trinedisc.oracle import certify_max_confidence
 from trinedisc.qubit import _entries, from_bloch
 from trinedisc.trine import canonicalize_priors, random_priors
@@ -65,6 +70,20 @@ class TestSerialization:
         got = _json_ready({"x": 2 / 3, "n": 3, "ok": True, "k": (1, None, "s")})
         assert got == {"x": 0.666666666667, "n": 3, "ok": True, "k": [1, None, "s"]}
         assert type(got["n"]) is int and type(got["ok"]) is bool
+        # a record becomes an object of its fields, in order
+        gamma = _json_ready(GammaSolution(2 / 3, -1 / 3, 0.1, 1 / 7))
+        assert list(gamma.items()) == [
+            ("a", 0.666666666667), ("b_x", -0.333333333333), ("b_y", 0.1),
+            ("p_corr", 0.142857142857),
+        ]
+        report = _json_ready(HelstromReport(1e-17 / 3, -2e-11 / 3, True, 2 / 3))
+        assert list(report.items()) == [
+            ("max_offdiag_residual", 3.33333333333e-18),
+            ("min_global_eigenvalue", -6.66666666667e-12),
+            ("passes", True),
+            ("success_probability", 0.666666666667),
+        ]
+        assert type(report["passes"]) is bool
 
     def test_entries_keep_the_signed_zeros_of_from_bloch(self):
         # matrix entries are printed from the Bloch forms; the sign of every
@@ -171,6 +190,16 @@ class TestRegion:
         assert (code, out) == (3, "")
         assert err == (
             "internal verification failure: sweep row p=0.375, delta=0.03125 "
+            "fails its checks on columns only\n"
+        )
+        # curves' row checks pass over an undefined p_3el: this row has
+        # p2 = 0, where the three-outcome value raises ZeroPriorError
+        monkeypatch.undo()
+        plant_two_outcome_fault(monkeypatch, p0=0.5, single_row=False)
+        code, out, err = run(capsys, "curves", "--p-values", "0.5", "--steps", "3")
+        assert (code, out) == (3, "")
+        assert err == (
+            "internal verification failure: sweep row p=0.5, delta=0.0 "
             "fails its checks on columns only\n"
         )
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trinedisc import qubit
+from trinedisc import qubit, simulate
 from trinedisc.errors import DomainError, InsufficientDataError
 from trinedisc.max_confidence import mc_povm, mc_confidence_closed_form
 from trinedisc.min_error import optimal_measurement
@@ -128,6 +128,24 @@ class TestSampler:
             tracemalloc.stop()
         assert res.shots == 10**7
         assert peak < 1_000_000
+
+    def test_numpy_is_read_through_the_module_global(self, monkeypatch):
+        # bench/tracing.py counts the draws by replacing simulate.np with a
+        # stand-in; the sampler must read numpy through it and keep it bound
+        read = set()
+
+        class Forwarding:
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(np, name)
+
+        m = trine_measurement()
+        want = estimate_success(EQUAL, m, shots=1000, seed=5)
+        stand_in = Forwarding()
+        monkeypatch.setattr(simulate, "np", stand_in)
+        assert estimate_success(EQUAL, m, shots=1000, seed=5) == want
+        assert {"random", "asarray", "zeros"} <= read
+        assert simulate.np is stand_in
 
 
 class TestEstimateConfidence:
