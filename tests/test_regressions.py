@@ -42,6 +42,10 @@
 - ``curves`` admits a p within tolerance below 1/3, but ran its delta axis
   from 0 to 3p - 1 < 0, so every row after the first had p0 < p1 and the
   sweep stopped on a canonical-order error.
+- Below about 1/3 - 3.3e-13 the p tolerance still admitted a p at which
+  no delta is admissible, not even 0: ``curves`` stopped with a
+  ``delta <= 3p - 1`` error at its first row while ``critical_delta``
+  answered at that p.  Such a p must be refused as out of range.
 """
 
 import contextlib
@@ -49,6 +53,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -63,7 +68,7 @@ from trinedisc.max_confidence import (
     mc_povm,
     min_error_confidence,
 )
-from trinedisc.min_error import gamma_three_element, optimal_measurement
+from trinedisc.min_error import critical_delta, gamma_three_element, optimal_measurement
 from trinedisc.trine import Priors, canonicalize_priors, priors_from_p_delta
 
 from grid_search import brute_force_max_confidence
@@ -298,3 +303,13 @@ def test_curves_at_a_p_just_below_a_third_runs_delta_at_0(capsys):
     third = [r for r in rows if r["p"] == "0.333333333333"]
     assert len(rows) == 6 and len(third) == 3
     assert [float(r["delta"]) for r in third] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("p", [0.3333333333325, 0.33333333333295])
+def test_a_p_below_a_third_that_admits_no_delta_is_out_of_range(capsys, p):
+    message = f"p must lie in [1/3, 1/2], got {p!r}"
+    argv = ["curves", "--p-values", repr(p), "--steps", "3"]
+    assert (main(argv), capsys.readouterr().err) == (2, f"error: {message}\n")
+    for refused in (lambda: critical_delta(p), lambda: priors_from_p_delta(p, 0.0)):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            refused()
