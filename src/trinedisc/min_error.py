@@ -30,7 +30,7 @@ from .qubit import (
     povm_validity,
     trace_product,
 )
-from .trine import _PARAM_TOL, TRINE_BLOCH, Priors, _e2, transform_to_original
+from .trine import TRINE_BLOCH, Priors, _e2, _p_in_range, transform_to_original
 
 __all__ = [
     "GammaSolution",
@@ -110,13 +110,14 @@ def boundary_determinant(priors: Priors) -> float:
 def critical_delta(p: float) -> Optional[float]:
     """Boundary delta_c- separating two- from three-outcome optimality.
 
-    A p within ``_PARAM_TOL`` of [1/3, 1/2] is moved to the nearest end.
+    A p that :func:`~trinedisc.trine.priors_from_p_delta` admits is moved
+    into [1/3, 1/2] first.
     The inner discriminant equals (1 - 2p)^2 (4p^2 - 2p + 1) >= 0, so only
     rounding makes it negative, and it is then taken as 0.  Returns None
     when the outer radicand is negative, i.e. the three-outcome strategy is
     optimal for the whole admissible delta range at this p.
     """
-    if not (1.0 / 3.0 - _PARAM_TOL <= p <= 0.5 + _PARAM_TOL):
+    if not _p_in_range(p):
         raise DomainError(f"p must lie in [1/3, 1/2], got {p!r}")
     p = min(max(p, 1.0 / 3.0), 0.5)
     inner = 1.0 - 6.0 * p + 16.0 * p**2 - 24.0 * p**3 + 16.0 * p**4

@@ -152,12 +152,21 @@ def _from_p_delta(p, delta) -> tuple:
     """Whether (p, delta) passes each check of :func:`priors_from_p_delta`, in
     order, and its triple; array-generic, like :func:`_canonical_checks`."""
     checks = (
-        (1.0 / 3.0 - _PARAM_TOL <= p) & (p <= 0.5 + _PARAM_TOL),
+        _p_in_range(p),
         delta >= -_PARAM_TOL,
         delta <= 3.0 * p - 1.0 + _PARAM_TOL,
         delta <= p + _PARAM_TOL,
     )
     return checks, (p + delta, p - delta, 1.0 - 2.0 * p)
+
+
+def _p_in_range(p):
+    """Whether p lies in [1/3, 1/2] within ``_PARAM_TOL``; array-generic.
+
+    The lower bound is the test that admits delta = 0, so every admitted p
+    admits some delta.
+    """
+    return (3.0 * p - 1.0 + _PARAM_TOL >= 0.0) & (p <= 0.5 + _PARAM_TOL)
 
 
 def _e2(a, b, c):

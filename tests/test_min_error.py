@@ -274,7 +274,10 @@ class TestBoundaryDeterminant:
 
     def test_critical_delta_takes_the_nearest_end_within_tolerance(self):
         assert critical_delta(0.5 + 5e-13) == 0.5
-        assert critical_delta(1 / 3 - 5e-13) is None
+        # below 1/3 the tolerance is on 3p - 1, the test that admits delta = 0
+        assert critical_delta(1 / 3 - 3e-13) is None
+        with pytest.raises(DomainError, match="p must lie in"):
+            critical_delta(1 / 3 - 5e-13)
 
     def test_critical_delta_refuses_p_outside_tolerance(self):
         with pytest.raises(DomainError, match="p must lie in"):
