@@ -11,7 +11,7 @@ import math
 from typing import Optional
 
 from .errors import UndefinedError, VerificationError, ZeroOutcomeError
-from .qubit import INCONCLUSIVE, PSD_TOL, Measurement, _Record, _set_field, born, rank_one
+from .qubit import INCONCLUSIVE, PSD_TOL, Measurement, _born_row, _Record, _set_field, rank_one
 from .min_error import optimal_measurement
 from .trine import TRINE_BLOCH, Priors, mixed_e2
 
@@ -70,7 +70,9 @@ def mc_povm(priors: Priors) -> Measurement:
 
 def _joint(priors: Priors, element) -> list[float]:
     """p_j Tr(rho_j pi) for each state j, caller's order."""
-    return [qj * born(n, element) for qj, n in zip(priors.original, TRINE_BLOCH)]
+    q0, q1, q2 = priors.original
+    b0, b1, b2 = _born_row(element, TRINE_BLOCH)
+    return [q0 * b0, q1 * b1, q2 * b2]
 
 
 def confidence(priors: Priors, m: Measurement, outcome_label) -> float:
@@ -89,9 +91,7 @@ def _posterior(priors: Priors, element, outcome_label) -> float:
     joint = _joint(priors, element)
     ensemble_prob = sum(joint)
     if ensemble_prob <= _OUTCOME_TOL * element[0]:
-        raise ZeroOutcomeError(
-            f"outcome {outcome_label!r} has vanishing ensemble probability"
-        )
+        raise ZeroOutcomeError(f"outcome {outcome_label!r} has vanishing ensemble probability")
     return min(1.0, joint[outcome_label] / ensemble_prob)
 
 
@@ -162,19 +162,20 @@ class ConfidenceReport(_Record):
 def confidence_report(priors: Priors) -> ConfidenceReport:
     """Assemble the POVM and evaluate per-state confidence both ways."""
     m = mc_povm(priors)
-    forms = dict(m.forms)
     per_state = []
+    inconclusive = 0.0
     closed_form = mc_confidence_closed_form(priors)
-    for i, closed in enumerate(closed_form):
-        bayes = _posterior(priors, forms[i], i)
+    for label, element in m.forms:  # states 0, 1, 2, then any inconclusive outcome
+        if label == INCONCLUSIVE:
+            inconclusive = sum(_joint(priors, element))
+            continue
+        bayes = _posterior(priors, element, label)
+        closed = closed_form[label]
         if closed is None:
             raise UndefinedError("confidence is undefined for a pure ensemble (p_i = 1)")
         if abs(bayes - closed) > 1e-10:
-            raise VerificationError(
-                f"Bayes confidence {bayes} disagrees with closed form {closed}"
-            )
+            raise VerificationError(f"Bayes confidence {bayes} disagrees with closed form {closed}")
         per_state.append(bayes)
-    inconclusive = sum(_joint(priors, forms[INCONCLUSIVE])) if INCONCLUSIVE in forms else 0.0
     return ConfidenceReport(tuple(per_state), inconclusive, m, closed_form)
 
 
@@ -184,5 +185,5 @@ def min_error_confidence(priors: Priors) -> tuple[Optional[float], ...]:
     None for states without an outcome (the two-outcome branch never
     identifies the least likely state).
     """
-    m = optimal_measurement(priors).measurement
-    return tuple(confidence(priors, m, i) if i in m.labels else None for i in range(3))
+    forms = dict(optimal_measurement(priors).measurement.forms)
+    return tuple(_posterior(priors, forms[i], i) if i in forms else None for i in range(3))

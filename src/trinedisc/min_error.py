@@ -22,11 +22,10 @@ from .errors import DomainError, UndefinedError, VerificationError, ZeroPriorErr
 from .qubit import (
     Measurement,
     _Record,
+    _product_norm,
     _set_field,
     born,
-    bloch_product,
     equator_element,
-    operator_norm,
     povm_validity,
     trace_product,
 )
@@ -316,7 +315,7 @@ def check_helstrom(probabilities: Sequence[float], m: Measurement) -> HelstromRe
     for i, (li, bi) in enumerate(labeled):
         for lj, bj in labeled[i + 1 :]:
             diff = [q[li] * x - q[lj] * y for x, y in zip(TRINE_BLOCH[li], TRINE_BLOCH[lj])]
-            offdiag = max(offdiag, operator_norm(bloch_product(bloch_product(bi, diff), bj)))
+            offdiag = max(offdiag, _product_norm(bi, diff, bj))
     g, cx, cy, cz = _gamma(q, labeled)
     min_eig = min(
         0.5 * (g - qj - math.hypot(cx - qj * n[1], cy - qj * n[2], cz - qj * n[3]))

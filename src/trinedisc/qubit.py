@@ -9,12 +9,15 @@ closed forms need nothing beyond these tuples:
 - Tr(A B) = (a . b)/2 over all four components; for a pure state with
   Bloch vector n this is the Born probability (t + v . n)/2;
 - the eigenvalues of b are (t - |v|)/2 and (t + |v|)/2;
-- a rotation or reflection of the equator acts on (x, y) alone.
+- a rotation or reflection of the equator acts on (x, y) alone;
+- a product A B C, which need not be Hermitian, has real and imaginary
+  Bloch parts, from which its operator norm follows in reals.
 
 A :class:`Measurement` is built from, and holds, (label, Bloch form) pairs,
-which every layer reads directly.  Complex matrices exist only on the way
-out: :func:`from_bloch` builds them when a caller reads them, and imports
-numpy only when called, so the closed forms run without loading it.
+which every layer reads directly.  Complex numbers exist only on the way
+out, in the matrices of ``Measurement.elements``: :func:`from_bloch` builds
+them when a caller reads them, and imports numpy only when called, so the
+closed forms run without loading it.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ __all__ = [
     "trace_product",
     "born",
     "rank_one",
-    "bloch_product",
-    "operator_norm",
     "from_bloch",
     "povm_validity",
 ]
@@ -58,21 +59,31 @@ def trace_product(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def born(state: Sequence[float], element: Sequence[float]) -> float:
-    """Born probability Tr(rho pi) of a pure state, clamped into [0, 1].
+    """Born probability Tr(rho pi) of a pure state, clamped into [0, 1]; see :func:`_born_row`."""
+    return _born_row(element, (state,))[0]
+
+
+def _born_row(element: Sequence[float], states: Sequence[Sequence[float]]) -> list[float]:
+    """Born probabilities Tr(rho pi) of one element for each pure state, clamped into [0, 1].
 
     For a state with unit Bloch vector n this is (t + v.n)/2, evaluated as
     (t - |v|)/2 + |v + |v| n|^2 / (4 |v|): the element's smaller eigenvalue
     plus its rank-1 part.  Nothing cancels when the element is nearly
     orthogonal to the state, so a small probability keeps its relative
-    accuracy.
+    accuracy.  |v| is computed once per row; the clamp is min(1.0, max(0.0, p))
+    written out, in a third of the time.
     """
     t, x, y, z = element
     r = math.hypot(x, y, z)
-    p = 0.5 * t
-    if r > 0.0:
-        _, nx, ny, nz = state
-        p = 0.5 * (t - r) + ((x + r * nx) ** 2 + (y + r * ny) ** 2 + (z + r * nz) ** 2) / (4.0 * r)
-    return min(1.0, max(0.0, p))
+    if not r > 0.0:
+        return [min(1.0, max(0.0, 0.5 * t))] * len(states)
+    low, scale = 0.5 * (t - r), 4.0 * r
+    row = []
+    for _, nx, ny, nz in states:
+        p = low + ((x + r * nx) ** 2 + (y + r * ny) ** 2 + (z + r * nz) ** 2) / scale
+        p = p if p > 0.0 else 0.0
+        row.append(p if p < 1.0 else 1.0)
+    return row
 
 
 def rank_one(x: float, y: float) -> tuple:
@@ -80,29 +91,31 @@ def rank_one(x: float, y: float) -> tuple:
     return (math.hypot(x, y, 0.0), x, y, 0.0)
 
 
-def bloch_product(a: Sequence, b: Sequence) -> tuple:
-    """Bloch form of the matrix product A B; complex, as A B need not be Hermitian.
+def _product_norm(a: Sequence[float], b: Sequence[float], c: Sequence[float]) -> float:
+    """Largest singular value of the product A B C of three Bloch forms, in reals.
 
-    (a0 + a.sigma)(b0 + b.sigma) = a0 b0 + a.b + (a0 b + b0 a + i a x b).sigma.
+    (a0 + a.sigma)(b0 + b.sigma) = a0 b0 + a.b + (a0 b + b0 a + i a x b).sigma gives
+    A B = (s + (v + i w).sigma)/2, then A B C = (r0 + i i0 + (r + i i).sigma)/2, whose
+    Frobenius norm and determinant give the norm.  On the equator each entry is
+    real or imaginary, and the steps are complex arithmetic's, in its order, so the
+    result has its bits: a complex square is ``r * r``, never pow's ``r ** 2``.
     """
     a0, ax, ay, az = a
     b0, bx, by, bz = b
-    return (
-        0.5 * (a0 * b0 + ax * bx + ay * by + az * bz),
-        0.5 * (a0 * bx + b0 * ax + 1j * (ay * bz - az * by)),
-        0.5 * (a0 * by + b0 * ay + 1j * (az * bx - ax * bz)),
-        0.5 * (a0 * bz + b0 * az + 1j * (ax * by - ay * bx)),
-    )
-
-
-def operator_norm(b: Sequence) -> float:
-    """Largest singular value of a (possibly complex) Bloch form.
-
-    From the Frobenius norm and the determinant of the 2x2 matrix.
-    """
-    frob_sq = 0.5 * sum(abs(c) ** 2 for c in b)
-    det = 0.25 * (b[0] ** 2 - b[1] ** 2 - b[2] ** 2 - b[3] ** 2)
-    gap = math.sqrt(max(0.0, frob_sq * frob_sq - 4.0 * abs(det) ** 2))
+    c0, cx, cy, cz = c
+    s = 0.5 * (a0 * b0 + ax * bx + ay * by + az * bz)
+    vx, wx = 0.5 * (a0 * bx + b0 * ax), 0.5 * (ay * bz - az * by)
+    vy, wy = 0.5 * (a0 * by + b0 * ay), 0.5 * (az * bx - ax * bz)
+    vz, wz = 0.5 * (a0 * bz + b0 * az), 0.5 * (ax * by - ay * bx)
+    r0, i0 = 0.5 * (s * c0 + vx * cx + vy * cy + vz * cz), 0.5 * (wx * cx + wy * cy + wz * cz)
+    r1, i1 = 0.5 * (s * cx + c0 * vx - (wy * cz - wz * cy)), 0.5 * (c0 * wx + (vy * cz - vz * cy))
+    r2, i2 = 0.5 * (s * cy + c0 * vy - (wz * cx - wx * cz)), 0.5 * (c0 * wy + (vz * cx - vx * cz))
+    r3, i3 = 0.5 * (s * cz + c0 * vz - (wx * cy - wy * cx)), 0.5 * (c0 * wz + (vx * cy - vy * cx))
+    h = math.hypot
+    frob_sq = 0.5 * sum((h(r0, i0) ** 2, h(r1, i1) ** 2, h(r2, i2) ** 2, h(r3, i3) ** 2))
+    det_r = 0.25 * (r0 * r0 - i0 * i0 - r1 * r1 + i1 * i1 - r2 * r2 + i2 * i2 - r3 * r3 + i3 * i3)
+    det_i = 0.5 * (r0 * i0 - r1 * i1 - r2 * i2 - r3 * i3)
+    gap = math.sqrt(max(0.0, frob_sq * frob_sq - 4.0 * h(det_r, det_i) ** 2))
     return math.sqrt(0.5 * (frob_sq + gap))
 
 

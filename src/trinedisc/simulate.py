@@ -26,7 +26,7 @@ import math
 from typing import Optional
 
 from .errors import DomainError, InsufficientDataError
-from .qubit import Measurement, _Record, _set_field, born, povm_validity
+from .qubit import Measurement, _born_row, _Record, _set_field, povm_validity
 from .trine import TRINE_BLOCH, Priors
 
 __all__ = ["EmpiricalResult", "estimate_success", "estimate_confidence"]
@@ -81,7 +81,7 @@ def _outcome_table(m: Measurement) -> np.ndarray:
     validity = povm_validity(forms)
     if not validity.is_valid:
         raise DomainError(f"measurement is not a valid POVM: {validity}")
-    table = np.array([[born(n, b) for b in forms] for n in TRINE_BLOCH])
+    table = np.array([_born_row(b, TRINE_BLOCH) for b in forms]).T
     sums = table.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > 1e-10:
         raise DomainError("outcome probabilities do not sum to 1")

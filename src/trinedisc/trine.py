@@ -8,6 +8,7 @@ ordering while callers keep their own state indexing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING, Iterator
 
@@ -121,17 +122,15 @@ def canonicalize_priors(q0: float, q1: float, q2: float) -> Priors:
     The sort is stable, so equal priors keep their original relative order.
     Triples whose sum is within 1e-9 of 1 are renormalized.
     """
-    triple = [float(q0), float(q1), float(q2)]
-    if not all(q >= 0.0 for q in triple):
-        raise DomainError(f"priors must be nonnegative, got {tuple(triple)}")
+    q0, q1, q2 = triple = (float(q0), float(q1), float(q2))
+    if not (q0 >= 0.0 and q1 >= 0.0 and q2 >= 0.0):
+        raise DomainError(f"priors must be nonnegative, got {triple}")
     total = sum(triple)
     if not abs(total - 1.0) <= _SUM_TOL:
         raise DomainError(f"priors must sum to 1 within 1e-9, got sum {total!r}")
-    triple = [q / total for q in triple]
-    order = sorted(range(3), key=lambda i: -triple[i])
-    return Priors(
-        triple[order[0]], triple[order[1]], triple[order[2]], tuple(order)
-    )
+    triple = (q0 / total, q1 / total, q2 / total)
+    a, b, c = order = tuple(sorted((0, 1, 2), key=triple.__getitem__, reverse=True))
+    return Priors(triple[a], triple[b], triple[c], order)
 
 
 def priors_from_p_delta(p: float, delta: float) -> Priors:
@@ -161,11 +160,7 @@ def _from_p_delta(p, delta) -> tuple:
 
 
 def _p_in_range(p):
-    """Whether p lies in [1/3, 1/2] within ``_PARAM_TOL``; array-generic.
-
-    The lower bound is the test that admits delta = 0, so every admitted p
-    admits some delta.
-    """
+    """Whether p is in [1/3, 1/2], below by the test that admits delta = 0; array-generic."""
     return (3.0 * p - 1.0 + _PARAM_TOL >= 0.0) & (p <= 0.5 + _PARAM_TOL)
 
 
@@ -205,17 +200,14 @@ def random_priors(rng: np.random.Generator, samples: int) -> Iterator[Priors]:
             yield canonicalize_priors(*q)
 
 
-def _permutation_map(permutation) -> tuple[int, float]:
-    """The equator symmetry phi -> eps*phi + alpha realizing a permutation.
-
-    Even permutations are rotations by a multiple of 2pi/3; odd ones add a
-    reflection.  The map sends trine angle c to trine angle permutation[c].
-    """
-    a, b, c = permutation
-    even = (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    eps = 1 if even else -1
-    alpha = _TRINE_ANGLES[a]
-    return eps, alpha
+#: (eps, cos alpha, sin alpha) of the equator symmetry phi -> eps*phi + alpha that
+#: sends trine angle c to trine angle permutation[c], for each permutation: the
+#: even ones are rotations by a multiple of 2pi/3, the odd ones add a reflection.
+_PERMUTATION_MAPS = {
+    (a, b, c): (1 if (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1,
+                math.cos(_TRINE_ANGLES[a]), math.sin(_TRINE_ANGLES[a]))
+    for a, b, c in itertools.permutations(range(3))
+}
 
 
 def transform_to_original(elements, permutation) -> Measurement:
@@ -228,8 +220,7 @@ def transform_to_original(elements, permutation) -> Measurement:
     carried over exactly, so a rank-1 element stays exactly rank-1.
     Returns the Measurement the caller sees.
     """
-    eps, alpha = _permutation_map(permutation)
-    cos_a, sin_a = math.cos(alpha), math.sin(alpha)
+    eps, cos_a, sin_a = _PERMUTATION_MAPS[tuple(permutation)]
     out = []
     for label, (t, x, y, z) in elements:
         gap = t - math.hypot(x, y, z)

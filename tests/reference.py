@@ -93,3 +93,32 @@ def three_element_measurement(priors):
         (j, k * projector(ket(math.atan2(dy, dx))))
         for j, (k, (dx, dy)) in enumerate(zip(weights, directions))
     )
+
+
+def bloch_product(a, b):
+    """Bloch form of the matrix product A B, in complex arithmetic.
+
+    (a0 + a.sigma)(b0 + b.sigma) = a0 b0 + a.b + (a0 b + b0 a + i a x b).sigma.
+    """
+    a0, ax, ay, az = a
+    b0, bx, by, bz = b
+    return (
+        0.5 * (a0 * b0 + ax * bx + ay * by + az * bz),
+        0.5 * (a0 * bx + b0 * ax + 1j * (ay * bz - az * by)),
+        0.5 * (a0 * by + b0 * ay + 1j * (az * bx - ax * bz)),
+        0.5 * (a0 * bz + b0 * az + 1j * (ax * by - ay * bx)),
+    )
+
+
+def operator_norm(b):
+    """Largest singular value of a complex Bloch form, from its Frobenius
+    norm and its determinant."""
+    frob_sq = 0.5 * sum(abs(c) ** 2 for c in b)
+    det = 0.25 * (b[0] ** 2 - b[1] ** 2 - b[2] ** 2 - b[3] ** 2)
+    gap = math.sqrt(max(0.0, frob_sq * frob_sq - 4.0 * abs(det) ** 2))
+    return math.sqrt(0.5 * (frob_sq + gap))
+
+
+def product_norm(a, b, c):
+    """Largest singular value of A B C, through two complex Bloch products."""
+    return operator_norm(bloch_product(bloch_product(a, b), c))

@@ -29,6 +29,7 @@ from reference import (
     trine_projectors,
     trine_states,
 )
+from reference import product_norm as reference_product_norm
 
 
 def validate_povm(elements):
@@ -111,6 +112,38 @@ class TestBornProbability:
         assert qubit.born(n, (1.0 + 1e-15, 1.0 + 1e-15, 0.0, 0.0)) == 1.0
         assert qubit.born(n, (1.0, -1.0 - 1e-15, 0.0, 0.0)) == 0.0
 
+    @staticmethod
+    def born_reference(state, element):
+        """The Born probability of one state alone: (t - |v|)/2 + |v + |v| n|^2 / (4 |v|)."""
+        t, x, y, z = element
+        r = math.hypot(x, y, z)
+        p = 0.5 * t
+        if r > 0.0:
+            _, nx, ny, nz = state
+            p = 0.5 * (t - r) + ((x + r * nx) ** 2 + (y + r * ny) ** 2 + (z + r * nz) ** 2) / (
+                4.0 * r
+            )
+        return min(1.0, max(0.0, p))
+
+    def test_row_equals_born_state_by_state_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        elements = [tuple(v) for v in rng.normal(size=(2000, 4)).tolist()]
+        elements += [tuple(v) for v in (0.3 * rng.normal(size=(2000, 4))).tolist()]
+        # r = 0 inside and on both sides of [0, 1], and the two clamp cases above
+        elements += [(t, 0.0, 0.0, 0.0) for t in (0.0, 0.5, 1.0, 2.5, -0.25)]
+        elements += [(1.0 + 1e-15, 1.0 + 1e-15, 0.0, 0.0), (1.0, -1.0 - 1e-15, 0.0, 0.0)]
+        psi = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
+        states = list(TRINE_BLOCH) + [bloch_form(projector(v / np.linalg.norm(v))) for v in psi]
+        clamped = set()
+        for e in elements:
+            row = qubit._born_row(e, states)
+            assert len(row) == len(states)
+            for n, p in zip(states, row):
+                assert p.hex() == qubit.born(n, e).hex() == self.born_reference(n, e).hex()
+                if p in (0.0, 1.0):
+                    clamped.add(p)
+        assert clamped == {0.0, 1.0}
+
     def test_rejects_non_hermitian(self):
         # the reference decoder keeps only the Hermitian part, so it refuses the rest
         bad = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -179,15 +212,31 @@ class TestEigenvalues:
             assert min_eigenvalue(m) == pytest.approx(ref[0], abs=1e-12)
             assert -min_eigenvalue(-m) == pytest.approx(ref[1], abs=1e-12)
 
-    def test_operator_norm_of_products(self):
+
+class TestProductNorm:
+    """The real residual norm ||A B C|| of check_helstrom."""
+
+    def test_equals_the_complex_products_bit_for_bit_on_the_equator(self):
+        # independent oracle: the same steps in Python's complex arithmetic
+        rng = np.random.default_rng(20)
+        n = 100_000
+        forms = rng.normal(size=(3, n, 4)) * 10.0 ** rng.uniform(-8.0, 2.0, size=(3, n, 1))
+        forms[:, :, 3] = 0.0
+        a, b, c = (f.tolist() for f in forms)
+        mismatched = [
+            (x, y, z)
+            for x, y, z in zip(a, b, c)
+            if qubit._product_norm(x, y, z).hex() != reference_product_norm(x, y, z).hex()
+        ]
+        assert mismatched == []
+
+    def test_matches_the_svd_off_the_equator(self):
         # independent oracle: numpy's SVD of the matrix product
         rng = np.random.default_rng(6)
-        for _ in range(200):
-            a, b = random_hermitian(rng), random_hermitian(rng)
-            prod = qubit.bloch_product(bloch_form(a), bloch_form(b))
-            assert qubit.operator_norm(prod) == pytest.approx(
-                np.linalg.norm(a @ b, 2), rel=1e-12, abs=1e-12
-            )
+        for _ in range(2000):
+            a, b, c = (random_hermitian(rng) for _ in range(3))
+            got = qubit._product_norm(bloch_form(a), bloch_form(b), bloch_form(c))
+            assert got == pytest.approx(np.linalg.norm(a @ b @ c, 2), rel=1e-12, abs=1e-12)
 
 
 class TestInversion:

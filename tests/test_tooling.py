@@ -71,6 +71,34 @@ def test_no_module_decodes_matrices():
     assert offenders == []
 
 
+def test_complex_numbers_appear_only_where_matrices_go_out():
+    # every layer computes in real Bloch forms; only the 2x2 matrices a
+    # caller reads (qubit.from_bloch, and qubit._entries, which the CLI
+    # prints) hold complex numbers: no imaginary constant and no ``complex``
+    # name anywhere else
+    sites = []
+    for path in sorted((SRC / "trinedisc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for fn in tree.body
+            if path.stem == "qubit"
+            and isinstance(fn, ast.FunctionDef)
+            and fn.name in ("from_bloch", "_entries")
+            for node in ast.walk(fn)
+        }
+        sites += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in allowed
+            and (
+                (isinstance(node, ast.Constant) and isinstance(node.value, complex))
+                or (isinstance(node, ast.Name) and node.id == "complex")
+            )
+        ]
+    assert sites == []
+
+
 def test_no_module_reads_the_environment():
     # every setting is a command-line flag or a keyword, never an environment variable
     offenders = [
