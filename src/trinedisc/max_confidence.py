@@ -91,7 +91,9 @@ def _posterior(priors: Priors, element, outcome_label) -> float:
     joint = _joint(priors, element)
     ensemble_prob = sum(joint)
     if ensemble_prob <= _OUTCOME_TOL * element[0]:
-        raise ZeroOutcomeError(f"outcome {outcome_label!r} has vanishing ensemble probability")
+        raise ZeroOutcomeError(
+            f"outcome {outcome_label!r} has vanishing ensemble probability"
+        )
     return min(1.0, joint[outcome_label] / ensemble_prob)
 
 
