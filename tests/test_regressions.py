@@ -46,6 +46,11 @@
   no delta is admissible, not even 0: ``curves`` stopped with a
   ``delta <= 3p - 1`` error at its first row while ``critical_delta``
   answered at that p.  Such a p must be refused as out of range.
+- A confidence asked of an outcome label that names no trine state (the
+  inconclusive label, a float, a state with no outcome) failed with a bare
+  TypeError, KeyError or numpy IndexError; both the analytic and the Monte
+  Carlo confidence must refuse it with a DomainError, and take a numpy-int
+  state label as its int.
 """
 
 import contextlib
@@ -69,6 +74,7 @@ from trinedisc.max_confidence import (
     min_error_confidence,
 )
 from trinedisc.min_error import critical_delta, gamma_three_element, optimal_measurement
+from trinedisc.simulate import estimate_confidence
 from trinedisc.trine import Priors, canonicalize_priors, priors_from_p_delta
 
 from grid_search import brute_force_max_confidence
@@ -313,3 +319,36 @@ def test_a_p_below_a_third_that_admits_no_delta_is_out_of_range(capsys, p):
     for refused in (lambda: critical_delta(p), lambda: priors_from_p_delta(p, 0.0)):
         with pytest.raises(DomainError, match=re.escape(message)):
             refused()
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("?", "outcome label '?' names no trine state"),
+        (1.0, "outcome label 1.0 names no trine state"),
+        (7, "measurement has no outcome labeled 7"),
+        (np.int64(7), "measurement has no outcome labeled 7"),
+    ],
+    ids=["inconclusive", "float", "absent", "numpy_absent"],
+)
+def test_a_confidence_label_that_names_no_state_is_refused(label, message):
+    priors = canonicalize_priors(0.5, 0.3, 0.2)
+    m = confidence_report(priors).measurement
+    assert "?" in m.labels
+    for refused in (
+        lambda: confidence(priors, m, label),
+        lambda: estimate_confidence(priors, m, label, 10000, 1),
+    ):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            refused()
+
+
+def test_a_numpy_int_confidence_label_is_its_state():
+    priors = canonicalize_priors(0.5, 0.3, 0.2)
+    m = confidence_report(priors).measurement
+    for state in range(3):
+        label = np.int64(state)
+        assert confidence(priors, m, label) == confidence(priors, m, state)
+        assert estimate_confidence(priors, m, label, 10000, 1) == estimate_confidence(
+            priors, m, state, 10000, 1
+        )

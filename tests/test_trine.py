@@ -130,13 +130,27 @@ class TestCanonicalization:
             ((0.5, 0.2, 0.3), "requires p0 >= p1 >= p2"),
             ((0.5, 0.3, 0.2, (0, 1, 1)), "invalid permutation"),
             ((0.5, 0.3, 0.2, (0, 1, 3)), "invalid permutation"),
+            ((0.5, 0.3, 0.2, (0.0, 1.0, 2.0)), "invalid permutation"),
+            ((0.5, 0.3, 0.2, (0, 1)), "invalid permutation"),
         ],
-        ids=["bad_sum", "p0_below_p1", "p1_below_p2", "repeated_index", "index_out_of_range"],
+        ids=[
+            "bad_sum", "p0_below_p1", "p1_below_p2", "repeated_index", "index_out_of_range",
+            "float_indices", "two_indices",
+        ],
     )
     def test_priors_refuse_a_non_canonical_triple(self, args, message):
         # Priors checks what canonicalize_priors would have established
         with pytest.raises(DomainError, match=message):
             Priors(*args)
+
+    def test_priors_keep_the_permutation_as_a_tuple_of_ints(self):
+        as_tuple = Priors(0.5, 0.3, 0.2, (1, 0, 2))
+        for given in ([1, 0, 2], np.array([1, 0, 2]), (np.int64(1), np.int64(0), np.int64(2))):
+            priors = Priors(0.5, 0.3, 0.2, given)
+            assert priors == as_tuple and hash(priors) == hash(as_tuple)
+            assert type(priors.permutation) is tuple
+            assert [type(i) for i in priors.permutation] == [int, int, int]
+            assert priors.original == as_tuple.original
 
     def test_renormalizes_within_tolerance(self):
         eps = 5e-10
