@@ -11,7 +11,7 @@ import math
 from typing import Optional
 
 from .errors import UndefinedError, VerificationError, ZeroOutcomeError
-from .qubit import INCONCLUSIVE, PSD_TOL, Measurement, _born_row, _Record, _set_field, rank_one
+from .qubit import INCONCLUSIVE, PSD_TOL, Measurement, _born_row, _Record, rank_one
 from .min_error import optimal_measurement
 from .trine import TRINE_BLOCH, Priors, mixed_e2
 
@@ -83,7 +83,8 @@ def confidence(priors: Priors, m: Measurement, outcome_label) -> float:
     rescaling of the element.  Clamped into [0, 1].  The zero-outcome test
     is relative to Tr(pi), since Tr(rho pi) >= lambda_min(rho) Tr(pi).
     """
-    return _posterior(priors, dict(m.forms)[outcome_label], outcome_label)
+    _, state, element = m._state_outcome(outcome_label)
+    return _posterior(priors, element, state)
 
 
 def _posterior(priors: Priors, element, outcome_label) -> float:
@@ -147,18 +148,7 @@ class ConfidenceReport(_Record):
         "measurement",
         "closed_form",
     )
-
-    def __init__(
-        self,
-        per_state_confidence: tuple[float, float, float],
-        inconclusive_probability: float,
-        measurement: Measurement,
-        closed_form: Optional[tuple[float, float, float]] = None,
-    ):
-        _set_field(self, "per_state_confidence", per_state_confidence)
-        _set_field(self, "inconclusive_probability", inconclusive_probability)
-        _set_field(self, "measurement", measurement)
-        _set_field(self, "closed_form", closed_form)
+    _defaults = {"closed_form": None}
 
 
 def confidence_report(priors: Priors) -> ConfidenceReport:

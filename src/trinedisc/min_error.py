@@ -23,7 +23,6 @@ from .qubit import (
     Measurement,
     _Record,
     _product_norm,
-    _set_field,
     born,
     equator_element,
     povm_validity,
@@ -135,12 +134,6 @@ class GammaSolution(_Record):
     """
 
     __slots__ = _fields = ("a", "b_x", "b_y", "p_corr")
-
-    def __init__(self, a: float, b_x: float, b_y: float, p_corr: float):
-        _set_field(self, "a", a)
-        _set_field(self, "b_x", b_x)
-        _set_field(self, "b_y", b_y)
-        _set_field(self, "p_corr", p_corr)
 
 
 def gamma_three_element(priors: Priors) -> GammaSolution:
@@ -272,18 +265,6 @@ class HelstromReport(_Record):
         "success_probability",
     )
 
-    def __init__(
-        self,
-        max_offdiag_residual: float,
-        min_global_eigenvalue: float,
-        passes: bool,
-        success_probability: float,
-    ):
-        _set_field(self, "max_offdiag_residual", max_offdiag_residual)
-        _set_field(self, "min_global_eigenvalue", min_global_eigenvalue)
-        _set_field(self, "passes", passes)
-        _set_field(self, "success_probability", success_probability)
-
 
 def _gamma(q: Sequence[float], elements) -> list[float]:
     """Bloch form of Gamma = sum_l q_l rho_l pi_l (its Hermitian part).
@@ -328,9 +309,9 @@ def check_helstrom(probabilities: Sequence[float], m: Measurement) -> HelstromRe
 class OptimalResult(_Record):
     """Dispatched minimum-error answer for one prior triple.
 
-    ``measurement`` carries labels in the caller's original state order;
-    ``theta`` is set for the two-outcome branch, ``gamma`` for the
-    three-outcome branch.
+    ``strategy`` is "two_element" or "three_element"; ``measurement``
+    carries labels in the caller's original state order; ``theta`` is set
+    for the two-outcome branch, ``gamma`` for the three-outcome branch.
     """
 
     __slots__ = _fields = (
@@ -342,24 +323,7 @@ class OptimalResult(_Record):
         "theta",
         "gamma",
     )
-
-    def __init__(
-        self,
-        strategy: str,  # "two_element" | "three_element"
-        measurement: Measurement,
-        p_correct: float,
-        boundary_determinant: float,
-        helstrom: HelstromReport,
-        theta: Optional[float] = None,
-        gamma: Optional[GammaSolution] = None,
-    ):
-        _set_field(self, "strategy", strategy)
-        _set_field(self, "measurement", measurement)
-        _set_field(self, "p_correct", p_correct)
-        _set_field(self, "boundary_determinant", boundary_determinant)
-        _set_field(self, "helstrom", helstrom)
-        _set_field(self, "theta", theta)
-        _set_field(self, "gamma", gamma)
+    _defaults = {"theta": None, "gamma": None}
 
 
 def optimal_branch(priors: Priors) -> tuple[str, float, float]:

@@ -156,17 +156,28 @@ _set_field = object.__setattr__
 class _Record:
     """Base of the immutable result records: value semantics over ``_fields``.
 
-    A record's fields are set once, by its ``__init__`` through
-    :data:`_set_field`; assigning or deleting an attribute afterwards
-    raises AttributeError.  Two records are equal when they are of the same
-    class and their fields are equal; the hash, the repr and pickling read
-    the same fields.  Plain classes rather than dataclasses, because
-    importing ``dataclasses`` and generating their methods would be most of
-    the package's import time.
+    A record lists its fields in ``_fields`` and ``__slots__``, and the
+    defaults of trailing ones in ``_defaults``; unless it writes its own
+    ``__init__``, one that sets each field once through :data:`_set_field`
+    is built with the class.  Assigning or deleting a field raises
+    AttributeError.  Equality (same class, equal fields), the hash, the
+    repr and pickling read the fields.  Not dataclasses: importing them and
+    generating their methods would be most of the package's import time.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        # compiled in a class of the record's name: a wrong-arity TypeError names it
+        if "__init__" not in cls.__dict__:
+            fields, defaults = cls._fields, cls._defaults
+            params = ", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields)
+            body = "".join(f"\n        _set_field(self, {f!r}, {f})" for f in fields)
+            ns = {"__name__": cls.__module__, "_set_field": _set_field, "_defaults": defaults}
+            exec(f"class {cls.__name__}:\n    def __init__(self, {params}):{body}\n", ns)
+            cls.__init__ = ns[cls.__name__].__init__
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -197,13 +208,6 @@ class PovmValidity(_Record):
     """Diagnostic report on positivity and completeness of a POVM."""
 
     __slots__ = _fields = ("is_valid", "min_element_eigenvalue", "completeness_deviation")
-
-    def __init__(
-        self, is_valid: bool, min_element_eigenvalue: float, completeness_deviation: float
-    ):
-        _set_field(self, "is_valid", is_valid)
-        _set_field(self, "min_element_eigenvalue", min_element_eigenvalue)
-        _set_field(self, "completeness_deviation", completeness_deviation)
 
 
 class Measurement(_Record):
@@ -237,6 +241,15 @@ class Measurement(_Record):
         The state labels are 0, 1 and 2; :data:`INCONCLUSIVE` is not one.
         """
         return [(k, lab, b) for k, (lab, b) in enumerate(self.forms) if lab in (0, 1, 2)]
+
+    def _state_outcome(self, label) -> tuple[int, int, tuple]:
+        """(outcome index, state, form) of the first outcome of state ``label``, an int."""
+        if not hasattr(label, "__index__"):  # a Python or numpy int
+            raise DomainError(f"outcome label {label!r} names no trine state")
+        for k, lab, b in self.state_outcomes():
+            if lab == label:
+                return k, int(label), b
+        raise DomainError(f"measurement has no outcome labeled {int(label)}")
 
     def validity(self) -> PovmValidity:
         return povm_validity([b for _, b in self.forms])

@@ -26,7 +26,7 @@ import math
 from typing import Optional
 
 from .errors import DomainError, InsufficientDataError
-from .qubit import Measurement, _born_row, _Record, _set_field, povm_validity
+from .qubit import Measurement, _born_row, _Record, povm_validity
 from .trine import TRINE_BLOCH, Priors
 
 __all__ = ["EmpiricalResult", "estimate_success", "estimate_confidence"]
@@ -37,7 +37,8 @@ np = None  # numpy, bound by _sample_counts; bench/tracing.py replaces it
 
 
 class EmpiricalResult(_Record):
-    """Counts and frequency estimate from one Monte Carlo run."""
+    """Counts and frequency estimate from one Monte Carlo run; ``total_shots``
+    is set for a conditional estimate, of which ``shots`` landed on the outcome."""
 
     __slots__ = _fields = (
         "shots",
@@ -49,26 +50,7 @@ class EmpiricalResult(_Record):
         "algorithm",
         "total_shots",
     )
-
-    def __init__(
-        self,
-        shots: int,
-        successes: int,
-        estimate: float,
-        standard_error: float,
-        per_outcome_counts: dict,
-        seed: int,
-        algorithm: str = _RNG_ALGORITHM,
-        total_shots: Optional[int] = None,  # set for conditional estimates
-    ):
-        _set_field(self, "shots", shots)
-        _set_field(self, "successes", successes)
-        _set_field(self, "estimate", estimate)
-        _set_field(self, "standard_error", standard_error)
-        _set_field(self, "per_outcome_counts", per_outcome_counts)
-        _set_field(self, "seed", seed)
-        _set_field(self, "algorithm", algorithm)
-        _set_field(self, "total_shots", total_shots)
+    _defaults = {"algorithm": _RNG_ALGORITHM, "total_shots": None}
 
 
 def _outcome_table(m: Measurement) -> np.ndarray:
@@ -146,14 +128,12 @@ def estimate_confidence(
 
     Requires at least 100 shots to land on the outcome.
     """
-    if outcome_label not in m.labels:
-        raise DomainError(f"measurement has no outcome labeled {outcome_label!r}")
+    k, state, _ = m._state_outcome(outcome_label)
     counts = _sample_counts(priors, m, shots, seed, partitions)
-    k = m.labels.index(outcome_label)
     on_outcome = int(counts[:, k].sum())
     if on_outcome < 100:
         raise InsufficientDataError(
-            f"only {on_outcome} of {shots} shots landed on outcome {outcome_label!r}"
+            f"only {on_outcome} of {shots} shots landed on outcome {state!r}"
         )
-    matches = int(counts[outcome_label, k])
-    return _frequency(matches, on_outcome, {outcome_label: on_outcome}, seed, shots)
+    matches = int(counts[state, k])
+    return _frequency(matches, on_outcome, {state: on_outcome}, seed, shots)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError, PureStateError
@@ -59,10 +60,11 @@ class Priors(_Record):
 
     ``permutation[c]`` is the caller's original index of canonical slot c,
     so a measurement element labeled c in the canonical frame identifies
-    the caller's state ``permutation[c]``.  ``original`` is the triple in
-    the caller's state order, computed once here: nearly every Priors built
-    is read in that order.  It is not a field, so equality, the hash, the
-    repr and pickling read the four fields alone.
+    the caller's state ``permutation[c]``, a tuple of Python ints however
+    it was given.  ``original`` is the triple in the caller's state order,
+    computed once here: nearly every Priors built is read in that order.
+    It is not a field, so equality, the hash, the repr and pickling read
+    the four fields alone.
     """
 
     _fields = ("p0", "p1", "p2", "permutation")
@@ -79,13 +81,16 @@ class Priors(_Record):
             raise DomainError(f"priors must sum to 1, got {triple}")
         if not descending:
             raise DomainError(f"canonical order requires p0 >= p1 >= p2, got {triple}")
-        if sorted(permutation) != [0, 1, 2]:
+        try:
+            a, b, c = indices = tuple(map(operator.index, permutation))
+        except (TypeError, ValueError):
+            indices = None
+        if indices not in _PERMUTATION_MAPS:
             raise DomainError(f"invalid permutation {permutation}")
         _set_field(self, "p0", p0)
         _set_field(self, "p1", p1)
         _set_field(self, "p2", p2)
-        _set_field(self, "permutation", permutation)
-        a, b, c = permutation
+        _set_field(self, "permutation", indices)
         original = [0.0, 0.0, 0.0]
         original[a], original[b], original[c] = p0, p1, p2
         _set_field(self, "original", tuple(original))

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -30,6 +31,7 @@ from reference import (
     trine_states,
 )
 from reference import product_norm as reference_product_norm
+from test_records import RECORDS
 
 
 def validate_povm(elements):
@@ -345,3 +347,53 @@ class TestMeasurementBoundary:
         half = (1.0, 0.0, 0.0, 0.0)
         m = qubit.Measurement(((np.int64(1), half), (qubit.INCONCLUSIVE, half), (2, half)))
         assert [(k, int(lab)) for k, lab, _ in m.state_outcomes()] == [(0, 1), (2, 2)]
+
+
+#: record name -> the TypeError text of a call with no arguments
+MISSING_ARGUMENTS = {
+    "Priors": "Priors.__init__() missing 3 required positional arguments: 'p0', 'p1', and 'p2'",
+    "PovmValidity": (
+        "PovmValidity.__init__() missing 3 required positional arguments: 'is_valid', "
+        "'min_element_eigenvalue', and 'completeness_deviation'"
+    ),
+    "Measurement": "Measurement.__init__() missing 1 required positional argument: 'forms'",
+    "GammaSolution": (
+        "GammaSolution.__init__() missing 4 required positional arguments: 'a', 'b_x', 'b_y', "
+        "and 'p_corr'"
+    ),
+    "HelstromReport": (
+        "HelstromReport.__init__() missing 4 required positional arguments: "
+        "'max_offdiag_residual', 'min_global_eigenvalue', 'passes', and 'success_probability'"
+    ),
+    "OptimalResult": (
+        "OptimalResult.__init__() missing 5 required positional arguments: 'strategy', "
+        "'measurement', 'p_correct', 'boundary_determinant', and 'helstrom'"
+    ),
+    "ConfidenceReport": (
+        "ConfidenceReport.__init__() missing 3 required positional arguments: "
+        "'per_state_confidence', 'inconclusive_probability', and 'measurement'"
+    ),
+    "EmpiricalResult": (
+        "EmpiricalResult.__init__() missing 6 required positional arguments: 'shots', "
+        "'successes', 'estimate', 'standard_error', 'per_outcome_counts', and 'seed'"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_constructors_take_their_fields_in_order(name):
+    cls, names, _, defaults = RECORDS[name]
+    params = list(inspect.signature(cls).parameters.values())
+    assert tuple(p.name for p in params) == cls._fields == (*names, *defaults)
+    assert {p.name: p.default for p in params if p.default is not p.empty} == defaults
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    with pytest.raises(TypeError) as missing:
+        cls()
+    assert str(missing.value) == MISSING_ARGUMENTS[name]
+    arity = len(params) + 1
+    taken = f"{arity}" if not defaults else f"from {arity - len(defaults)} to {arity}"
+    with pytest.raises(TypeError) as extra:
+        cls(*range(len(params) + 1))
+    assert str(extra.value) == (
+        f"{name}.__init__() takes {taken} positional arguments but {arity + 1} were given"
+    )
