@@ -172,10 +172,9 @@ class _Record:
     def __init_subclass__(cls):
         # compiled in a class of the record's name: a wrong-arity TypeError names it
         if "__init__" not in cls.__dict__:
-            fields, defaults = cls._fields, cls._defaults
-            params = ", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields)
-            body = "".join(f"\n        _set_field(self, {f!r}, {f})" for f in fields)
-            ns = {"__name__": cls.__module__, "_set_field": _set_field, "_defaults": defaults}
+            params = ", ".join(f"{f}=_d[{f!r}]" if f in cls._defaults else f for f in cls._fields)
+            body = "".join(f"\n        _set_field(self, {f!r}, {f})" for f in cls._fields)
+            ns = {"__name__": cls.__module__, "_set_field": _set_field, "_d": cls._defaults}
             exec(f"class {cls.__name__}:\n    def __init__(self, {params}):{body}\n", ns)
             cls.__init__ = ns[cls.__name__].__init__
 

@@ -82,7 +82,8 @@ class Priors(_Record):
         if not descending:
             raise DomainError(f"canonical order requires p0 >= p1 >= p2, got {triple}")
         try:
-            a, b, c = indices = tuple(map(operator.index, permutation))
+            a, b, c = permutation
+            a, b, c = indices = (operator.index(a), operator.index(b), operator.index(c))
         except (TypeError, ValueError):
             indices = None
         if indices not in _PERMUTATION_MAPS:
