@@ -170,7 +170,7 @@ class _Record:
     _defaults: dict = {}
 
     def __init_subclass__(cls):
-        # compiled in a class of the record's name: a wrong-arity TypeError names it
+        # compiled in a class of the record's name: a wrong-arity TypeError names Record.__init__
         if "__init__" not in cls.__dict__:
             params = ", ".join(f"{f}=_d[{f!r}]" if f in cls._defaults else f for f in cls._fields)
             body = "".join(f"\n        _set_field(self, {f!r}, {f})" for f in cls._fields)
