@@ -51,6 +51,13 @@
   TypeError, KeyError or numpy IndexError; both the analytic and the Monte
   Carlo confidence must refuse it with a DomainError, and take a numpy-int
   state label as its int.
+- ``verify`` compared each certificate's distance with ``>``, which is never
+  true for NaN, so a NaN bound passed as ``"ok": true``; it must fail the
+  run and be named as the worst.
+- ``check_helstrom`` took the smallest eigenvalue with ``min``, which skips
+  a NaN after the first, so a NaN prior of a state the measurement does not
+  name passed; and it zipped the priors with the states, so two or four
+  priors passed too.  ``certify_min_error`` read the same report.
 """
 
 import contextlib
@@ -64,7 +71,8 @@ import warnings
 import numpy as np
 import pytest
 
-from trinedisc.cli import main
+import trinedisc.cli
+from trinedisc.cli import main, sig12
 from trinedisc.errors import DomainError, PureStateError, UndefinedError, VerificationError
 from trinedisc.max_confidence import (
     confidence,
@@ -73,9 +81,15 @@ from trinedisc.max_confidence import (
     mc_povm,
     min_error_confidence,
 )
-from trinedisc.min_error import critical_delta, gamma_three_element, optimal_measurement
+from trinedisc.min_error import (
+    check_helstrom,
+    critical_delta,
+    gamma_three_element,
+    optimal_measurement,
+)
+from trinedisc.oracle import certify_min_error
 from trinedisc.simulate import estimate_confidence
-from trinedisc.trine import Priors, canonicalize_priors, priors_from_p_delta
+from trinedisc.trine import Priors, canonicalize_priors, priors_from_p_delta, random_priors
 
 from grid_search import brute_force_max_confidence
 from reference import three_element_weights_raw
@@ -352,3 +366,55 @@ def test_a_numpy_int_confidence_label_is_its_state():
         assert estimate_confidence(priors, m, label, 10000, 1) == estimate_confidence(
             priors, m, state, 10000, 1
         )
+
+
+@pytest.mark.parametrize("planted", ["both", "lower", "upper"])
+@pytest.mark.parametrize("at", [None, 1], ids=["every_prior", "second_prior"])
+def test_a_nan_certificate_fails_verify(capsys, monkeypatch, planted, at):
+    calls = []
+    certify = trinedisc.cli.certify_min_error
+
+    def nan_bounds(probabilities, m, helstrom):
+        lower, upper = certify(probabilities, m, helstrom)
+        calls.append(probabilities)
+        if at is None or len(calls) == at + 1:
+            lower = math.nan if planted in ("both", "lower") else lower
+            upper = math.nan if planted in ("both", "upper") else upper
+        return lower, upper
+
+    monkeypatch.setattr(trinedisc.cli, "certify_min_error", nan_bounds)
+    code = main(["verify", "--samples", "3"])
+    out = capsys.readouterr().out
+    assert code == 5
+    payload = json.loads(out)
+    named = list(random_priors(np.random.default_rng(0), 3))[at or 0]
+    assert payload["ok"] is False
+    assert payload["worst"] == {
+        "kind": "min_error",
+        "priors": [sig12(q) for q in named.original],
+        "difference": None,
+    }
+    assert '"difference": null' in out
+
+
+@pytest.mark.parametrize("unnamed", [0, 1, 2])
+def test_check_helstrom_fails_a_nan_prior_of_a_state_it_does_not_name(unnamed):
+    triple = [0.6, 0.4]
+    triple.insert(unnamed, 0.0)
+    m = optimal_measurement(canonicalize_priors(*triple)).measurement
+    assert unnamed not in m.labels
+    triple[unnamed] = math.nan
+    report = check_helstrom(triple, m)
+    assert math.isnan(report.min_global_eigenvalue)
+    assert report.passes is False
+    lower, upper = certify_min_error(triple, m, report)
+    assert math.isnan(upper)
+
+
+@pytest.mark.parametrize("probabilities", [(0.6, 0.4), (0.6, 0.4, 0.0, 0.0)], ids=["two", "four"])
+def test_check_helstrom_takes_exactly_three_priors(probabilities):
+    result = optimal_measurement(canonicalize_priors(0.6, 0.4, 0.0))
+    with pytest.raises(DomainError, match="three trine states"):
+        check_helstrom(probabilities, result.measurement)
+    with pytest.raises(DomainError, match="three trine states"):
+        certify_min_error(probabilities, result.measurement, result.helstrom)
