@@ -7,6 +7,13 @@ the library: the two-outcome angle, Gamma's components and the raw
 three-outcome directions and weights.  Matrices become Bloch forms through
 Pauli traces (:func:`bloch_form`), and so reach a :class:`Measurement`
 without going through the code under test.
+
+The loop forms at the end are the per-prior functions as they were
+written before they worked on the three states' scalars: the
+maximum-confidence POVM, Gamma's Bloch form, the smallest Helstrom
+eigenvalue and the two min-error checks built on them, all through
+generators and ``zip`` over ``TRINE_BLOCH``.  The library must return
+their bits.
 """
 
 import math
@@ -14,8 +21,17 @@ import math
 import numpy as np
 
 from trinedisc import qubit
-from trinedisc.min_error import _outcomes, gamma_three_element, theta_two_element
-from trinedisc.trine import _TRINE_ANGLES
+from trinedisc.max_confidence import _each_state
+from trinedisc.min_error import (
+    _HELSTROM_TOL,
+    _U,
+    HelstromReport,
+    _outcomes,
+    gamma_three_element,
+    theta_two_element,
+)
+from trinedisc.qubit import INCONCLUSIVE, PSD_TOL, _product_norm, born, povm_validity, rank_one
+from trinedisc.trine import _TRINE_ANGLES, TRINE_BLOCH, mixed_e2
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -122,3 +138,76 @@ def operator_norm(b):
 def product_norm(a, b, c):
     """Largest singular value of A B C, through two complex Bloch products."""
     return operator_norm(bloch_product(bloch_product(a, b), c))
+
+
+def mc_povm_loops(priors):
+    """``max_confidence.mc_povm`` with its sums over generators."""
+    e2 = mixed_e2(priors)
+    q = priors.original
+    rx = sum(qj * n[1] for qj, n in zip(q, TRINE_BLOCH))
+    ry = sum(qj * n[2] for qj, n in zip(q, TRINE_BLOCH))
+    raw = []
+    for n, (_, a, b) in zip(TRINE_BLOCH, _each_state(q)):
+        o = a + b
+        raw.append((e2 * n[1] - o * rx, e2 * n[2] - o * ry))
+    x, y = sum(v[0] for v in raw), sum(v[1] for v in raw)
+    scale = 2.0 / (sum(math.hypot(*v) for v in raw) + math.hypot(x, y))
+    elements = [(i, rank_one(scale * vx, scale * vy)) for i, (vx, vy) in enumerate(raw)]
+    leftover = rank_one(-scale * x, -scale * y)
+    if leftover[0] > PSD_TOL:
+        elements.append((INCONCLUSIVE, leftover))
+    return qubit.Measurement(elements)
+
+
+def gamma_loops(q, elements):
+    """Bloch form of Gamma = sum_l q_l rho_l pi_l (its Hermitian part), accumulated in a list."""
+    g = [0.0, 0.0, 0.0, 0.0]
+    for lab, b in elements:
+        n = TRINE_BLOCH[lab]
+        g[0] += q[lab] * born(n, b)
+        for k in (1, 2, 3):
+            g[k] += q[lab] * 0.5 * (b[k] + b[0] * n[k])
+    return g
+
+
+def min_eigenvalue_loops(q, g, cx, cy, cz):
+    """Smallest eigenvalue of the Gamma - q_j rho_j, over a generator (which skips a later NaN)."""
+    return min(
+        0.5 * (g - qj - math.hypot(cx - qj * n[1], cy - qj * n[2], cz - qj * n[3]))
+        for qj, n in zip(q, TRINE_BLOCH)
+    )
+
+
+def check_helstrom_loops(probabilities, m):
+    """``min_error.check_helstrom`` over lists, pairs and :func:`gamma_loops`."""
+    q = [float(x) for x in probabilities]
+    labeled = [(lab, b) for _, lab, b in m.state_outcomes()]
+    offdiag = 0.0
+    for i, (li, bi) in enumerate(labeled):
+        for lj, bj in labeled[i + 1 :]:
+            diff = [q[li] * x - q[lj] * y for x, y in zip(TRINE_BLOCH[li], TRINE_BLOCH[lj])]
+            offdiag = max(offdiag, _product_norm(bi, diff, bj))
+    g, cx, cy, cz = gamma_loops(q, labeled)
+    min_eig = min_eigenvalue_loops(q, g, cx, cy, cz)
+    passes = offdiag <= _HELSTROM_TOL and min_eig >= -_HELSTROM_TOL
+    return HelstromReport(offdiag, min_eig, passes, g)
+
+
+def certify_min_error_loops(probabilities, measurement, helstrom):
+    """``oracle.certify_min_error`` over lists and a generator."""
+    q = [float(p) for p in probabilities]
+    g, m = helstrom.success_probability, helstrom.min_global_eigenvalue
+    upper = g - 2.0 * min(0.0, m)
+    upper = math.nextafter(upper + 16.0 * _U * (abs(g) + abs(upper) + max(q)), math.inf)
+    forms = [b for _, b in measurement.forms]
+    sizes = [abs(t) + math.hypot(x, y, z) for t, x, y, z in forms]
+    outcomes = measurement.state_outcomes()
+    born_error = (len(outcomes) + 32) * _U * sum(q[label] * sizes[k] for k, label, _ in outcomes)
+    validity = povm_validity(forms)
+    x = (
+        validity.completeness_deviation
+        + len(forms) * max(0.0, -validity.min_element_eigenvalue)
+        + 4 * (len(forms) + 1) * _U * sum(sizes)
+    )
+    lower = (g - born_error) / (1.0 + x)
+    return math.nextafter(lower - 4.0 * _U * abs(lower), -math.inf), upper

@@ -250,6 +250,31 @@ def test_sweep_powers_are_of_p_and_p2_only():
     }
 
 
+def test_single_query_hot_path_builds_no_generators():
+    # each prior runs these once or more; over the three fixed states a
+    # generator, zip or comprehension cost more than the arithmetic, so they
+    # work on the states' scalars (tests/test_loop_forms.py holds their bits)
+    hot = (
+        ("max_confidence", "mc_povm"),
+        ("min_error", "check_helstrom"),
+        ("oracle", "certify_min_error"),
+        ("trine", "transform_to_original"),
+    )
+    found = {}
+    for module, name in hot:
+        tree = ast.parse((SRC / "trinedisc" / f"{module}.py").read_text(encoding="utf-8"))
+        (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+        found[name] = [
+            ast.unparse(node)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.GeneratorExp)
+            or (isinstance(node, ast.Call) and ast.unparse(node.func) == "zip")
+            or (isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp))
+                and "TRINE_BLOCH" in ast.unparse(node))
+        ]
+    assert found == {name: [] for _, name in hot}
+
+
 def test_cli_import_loads_every_layer():
     code = (
         "import json, sys, trinedisc.cli; "
