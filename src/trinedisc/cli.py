@@ -269,11 +269,13 @@ def cmd_verify(args) -> int:
                     in enumerate(zip(report.closed_form, bounds))]
         for kind, closed, (lower, upper) in checked:
             # the largest distance from the closed form to any value the
-            # certificate leaves possible
+            # certificate leaves possible; the first NaN certifies nothing and is the worst
             diff = max(upper - closed, closed - lower)
-            if diff > worst["difference"]:
+            if math.isnan(diff) or math.isnan(lower) or math.isnan(upper):
+                diff = None
+            if worst["difference"] is not None and (diff is None or diff > worst["difference"]):
                 worst = {"kind": kind, "priors": priors.original, "difference": diff}
-    ok = worst["difference"] <= args.tolerance
+    ok = worst["difference"] is not None and worst["difference"] <= args.tolerance
     payload = {
         "samples": args.samples,
         "seed": args.seed,

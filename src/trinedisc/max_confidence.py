@@ -51,17 +51,21 @@ def mc_povm(priors: Priors) -> Measurement:
     PureStateError when the ensemble is pure (:func:`~trinedisc.trine.mixed_e2`).
     """
     e2 = mixed_e2(priors)
-    q = priors.original
-    rx = sum(qj * n[1] for qj, n in zip(q, TRINE_BLOCH))
-    ry = sum(qj * n[2] for qj, n in zip(q, TRINE_BLOCH))
-    raw = []
-    for n, (_, a, b) in zip(TRINE_BLOCH, _each_state(q)):
-        o = a + b
-        raw.append((e2 * n[1] - o * rx, e2 * n[2] - o * ry))
-    x, y = sum(v[0] for v in raw), sum(v[1] for v in raw)
+    q0, q1, q2 = q = priors.original
+    (_, x0, y0, _), (_, x1, y1, _), (_, x2, y2, _) = TRINE_BLOCH
+    rx = sum((q0 * x0, q1 * x1, q2 * x2))
+    ry = sum((q0 * y0, q1 * y1, q2 * y2))
+    (_, a0, b0), (_, a1, b1), (_, a2, b2) = _each_state(q)
+    o0, o1, o2 = a0 + b0, a1 + b1, a2 + b2
+    vx0, vy0 = e2 * x0 - o0 * rx, e2 * y0 - o0 * ry
+    vx1, vy1 = e2 * x1 - o1 * rx, e2 * y1 - o1 * ry
+    vx2, vy2 = e2 * x2 - o2 * rx, e2 * y2 - o2 * ry
+    x, y = sum((vx0, vx1, vx2)), sum((vy0, vy1, vy2))
+    h = math.hypot
     # the sum of the rank-1 forms has largest eigenvalue (sum_i |v_i| + |V|)/2
-    scale = 2.0 / (sum(math.hypot(*v) for v in raw) + math.hypot(x, y))
-    elements = [(i, rank_one(scale * vx, scale * vy)) for i, (vx, vy) in enumerate(raw)]
+    scale = 2.0 / (sum((h(vx0, vy0), h(vx1, vy1), h(vx2, vy2))) + h(x, y))
+    elements = [(0, rank_one(scale * vx0, scale * vy0)), (1, rank_one(scale * vx1, scale * vy1)),
+                (2, rank_one(scale * vx2, scale * vy2))]
     leftover = rank_one(-scale * x, -scale * y)
     if leftover[0] > PSD_TOL:
         elements.append((INCONCLUSIVE, leftover))

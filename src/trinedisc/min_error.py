@@ -266,19 +266,12 @@ class HelstromReport(_Record):
     )
 
 
-def _gamma(q: Sequence[float], elements) -> list[float]:
-    """Bloch form of Gamma = sum_l q_l rho_l pi_l (its Hermitian part).
-
-    rho pi has Hermitian part ((t + n.v)/2 I + ((v + t n)/2).sigma)/2 for
-    rho = (1, n) and pi = (t, v); the trace is the Born probability.
-    """
-    g = [0.0, 0.0, 0.0, 0.0]
-    for lab, b in elements:
-        n = TRINE_BLOCH[lab]
-        g[0] += q[lab] * born(n, b)
-        for k in (1, 2, 3):
-            g[k] += q[lab] * 0.5 * (b[k] + b[0] * n[k])
-    return g
+def _three_priors(probabilities) -> tuple[float, float, float]:
+    """The priors of the three trine states as floats; DomainError for any other count."""
+    if len(probabilities) != 3:
+        raise DomainError(f"expected the priors of the three trine states, got {probabilities!r}")
+    q0, q1, q2 = probabilities
+    return float(q0), float(q1), float(q2)
 
 
 def check_helstrom(probabilities: Sequence[float], m: Measurement) -> HelstromReport:
@@ -288,20 +281,34 @@ def check_helstrom(probabilities: Sequence[float], m: Measurement) -> HelstromRe
     refer to the same indexing.  Reports the largest operator norm of
     pi_i (p_i rho_i - p_j rho_j) pi_j over pairs, the smallest eigenvalue
     ((g - p_j) - |c - p_j n_j|)/2 of Gamma - p_j rho_j over j, with
-    Gamma = (g I + c.sigma)/2, and the success probability Tr(Gamma).
+    Gamma = (g I + c.sigma)/2, and the success probability Tr(Gamma).  A
+    NaN eigenvalue is the smallest, so it fails the check.
     """
-    q = [float(x) for x in probabilities]
-    labeled = [(lab, b) for _, lab, b in m.state_outcomes()]
-    offdiag = 0.0
-    for i, (li, bi) in enumerate(labeled):
-        for lj, bj in labeled[i + 1 :]:
-            diff = [q[li] * x - q[lj] * y for x, y in zip(TRINE_BLOCH[li], TRINE_BLOCH[lj])]
+    q = q0, q1, q2 = _three_priors(probabilities)
+    outcomes = m.state_outcomes()
+    offdiag = g = cx = cy = cz = 0.0
+    for i, (_, li, bi) in enumerate(outcomes):
+        # Gamma = sum_l q_l rho_l pi_l; for rho = (1, n) and pi = (t, v), rho pi has
+        # Hermitian part ((t + n.v)/2 I + ((v + t n)/2).sigma)/2, of trace Tr(rho pi)
+        _, nx, ny, nz = n = TRINE_BLOCH[li]
+        t, bx, by, bz = bi
+        ql = q[li]
+        g += ql * born(n, bi)
+        cx += ql * 0.5 * (bx + t * nx)
+        cy += ql * 0.5 * (by + t * ny)
+        cz += ql * 0.5 * (bz + t * nz)
+        for _, lj, bj in outcomes[i + 1 :]:
+            _, mx, my, mz = TRINE_BLOCH[lj]
+            qj = q[lj]  # each state's Bloch form has trace 1
+            diff = (ql - qj, ql * nx - qj * mx, ql * ny - qj * my, ql * nz - qj * mz)
             offdiag = max(offdiag, _product_norm(bi, diff, bj))
-    g, cx, cy, cz = _gamma(q, labeled)
-    min_eig = min(
-        0.5 * (g - qj - math.hypot(cx - qj * n[1], cy - qj * n[2], cz - qj * n[3]))
-        for qj, n in zip(q, TRINE_BLOCH)
-    )
+    (_, x0, y0, z0), (_, x1, y1, z1), (_, x2, y2, z2) = TRINE_BLOCH
+    h = math.hypot
+    e0 = 0.5 * (g - q0 - h(cx - q0 * x0, cy - q0 * y0, cz - q0 * z0))
+    e1 = 0.5 * (g - q1 - h(cx - q1 * x1, cy - q1 * y1, cz - q1 * z1))
+    e2 = 0.5 * (g - q2 - h(cx - q2 * x2, cy - q2 * y2, cz - q2 * z2))
+    # min keeps a NaN only where it comes first
+    min_eig = min(e0, e1, e2) if e0 == e0 and e1 == e1 and e2 == e2 else math.nan
     passes = offdiag <= _HELSTROM_TOL and min_eig >= -_HELSTROM_TOL
     return HelstromReport(offdiag, min_eig, passes, g)
 

@@ -30,7 +30,7 @@ import math
 from typing import Sequence
 
 from .max_confidence import ConfidenceReport, _each_state
-from .min_error import _U, HelstromReport
+from .min_error import _U, HelstromReport, _three_priors
 from .qubit import Measurement, povm_validity
 from .trine import Priors, mixed_e2
 
@@ -49,7 +49,7 @@ def certify_min_error(
     ``helstrom`` of the :class:`~trinedisc.min_error.OptimalResult` that
     returned the measurement; its g and smallest eigenvalue m give both
     bounds, and a report made on other inputs gives bounds that hold for
-    nothing.  The upper bound holds for
+    nothing; a NaN m gives a NaN upper bound.  The upper bound holds for
     any measurement; the lower bound is the measurement's Born sum,
     lowered to what the measurement achieves once repaired into a valid
     POVM, so it holds for any measurement too and is tight for one that
@@ -69,14 +69,14 @@ def certify_min_error(
     inconclusive element they are a POVM, whose Born sum is at least the
     lowered g over 1 + x, rounded down.
     """
-    q = [float(p) for p in probabilities]
+    q = _three_priors(probabilities)
     g, m = helstrom.success_probability, helstrom.min_global_eigenvalue
-    upper = g - 2.0 * min(0.0, m)
+    upper = g - 2.0 * (0.0 if m >= 0.0 else m)  # min(0.0, m), but NaN stays NaN
     upper = math.nextafter(upper + 16.0 * _U * (abs(g) + abs(upper) + max(q)), math.inf)
     forms = [b for _, b in measurement.forms]
     sizes = [abs(t) + math.hypot(x, y, z) for t, x, y, z in forms]
     outcomes = measurement.state_outcomes()
-    born_error = (len(outcomes) + 32) * _U * sum(q[label] * sizes[k] for k, label, _ in outcomes)
+    born_error = (len(outcomes) + 32) * _U * sum([q[lab] * sizes[k] for k, lab, _ in outcomes])
     validity = povm_validity(forms)
     x = (
         validity.completeness_deviation

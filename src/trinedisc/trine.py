@@ -233,5 +233,5 @@ def transform_to_original(elements, permutation) -> Measurement:
         y = eps * y
         x, y = cos_a * x - sin_a * y, sin_a * x + cos_a * y
         out.append((permutation[label], (gap + math.hypot(x, y, z), x, y, z)))
-    out.sort(key=lambda pair: pair[0])
+    out.sort(key=operator.itemgetter(0))
     return Measurement(out)
