@@ -304,11 +304,11 @@ def check_helstrom(probabilities: Sequence[float], m: Measurement) -> HelstromRe
             offdiag = max(offdiag, _product_norm(bi, diff, bj))
     (_, x0, y0, z0), (_, x1, y1, z1), (_, x2, y2, z2) = TRINE_BLOCH
     h = math.hypot
-    e0 = 0.5 * (g - q0 - h(cx - q0 * x0, cy - q0 * y0, cz - q0 * z0))
-    e1 = 0.5 * (g - q1 - h(cx - q1 * x1, cy - q1 * y1, cz - q1 * z1))
-    e2 = 0.5 * (g - q2 - h(cx - q2 * x2, cy - q2 * y2, cz - q2 * z2))
+    eig0 = 0.5 * (g - q0 - h(cx - q0 * x0, cy - q0 * y0, cz - q0 * z0))
+    eig1 = 0.5 * (g - q1 - h(cx - q1 * x1, cy - q1 * y1, cz - q1 * z1))
+    eig2 = 0.5 * (g - q2 - h(cx - q2 * x2, cy - q2 * y2, cz - q2 * z2))
     # min keeps a NaN only where it comes first
-    min_eig = min(e0, e1, e2) if e0 == e0 and e1 == e1 and e2 == e2 else math.nan
+    min_eig = min(eig0, eig1, eig2) if eig0 == eig0 and eig1 == eig1 and eig2 == eig2 else math.nan
     passes = offdiag <= _HELSTROM_TOL and min_eig >= -_HELSTROM_TOL
     return HelstromReport(offdiag, min_eig, passes, g)
 

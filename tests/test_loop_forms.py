@@ -1,9 +1,10 @@
 """The per-prior path returns the bits of its loop forms.
 
-``max_confidence.mc_povm``, ``min_error.check_helstrom`` (through
-``optimal_measurement`` too), ``confidence_report`` and
-``oracle.certify_min_error`` work on the three states' scalars; the loop
-forms in ``reference`` are the same arithmetic over generators and ``zip``.
+``max_confidence.mc_povm`` (whose measurement ``confidence_report``
+returns), ``min_error.check_helstrom`` (through ``optimal_measurement``
+too), ``confidence_report`` and ``oracle.certify_min_error`` work on the
+three states' scalars; the loop forms in ``reference`` are the same
+arithmetic over generators and ``zip``.
 Every field is compared by ``float.hex``, and every exception by its type
 and message, on seeded priors: uniform ones and the benchmark's edge, tie,
 corner and boundary families.  The draws and the records use the standard
@@ -68,12 +69,13 @@ def seeded_priors(samples: int = SAMPLES, seed: int = 0) -> list:
 def hexed(value):
     """``value`` with every float as its ``float.hex`` and every record as
     (class name, fields)."""
-    if isinstance(value, float):
+    kind = type(value)
+    if kind is float:
         return value.hex()
-    if isinstance(value, (tuple, list)):
-        return tuple(map(hexed, value))
+    if kind is tuple or kind is list:
+        return tuple([hexed(v) for v in value])
     if isinstance(value, _Record):
-        return type(value).__name__, hexed(value._values())
+        return kind.__name__, hexed(value._values())
     return value
 
 
@@ -92,13 +94,12 @@ TRINE, ANTITRINE = trine_measurement(), antitrine_measurement()
 
 def records(priors, certify) -> list:
     """Each compared row for one prior, the library called through its modules."""
-    mc_row, mc = attempt(max_confidence.mc_povm, priors)
-    report_row, _ = attempt(max_confidence.confidence_report, priors)
+    report_row, report = attempt(max_confidence.confidence_report, priors)
     optimal_row, result = attempt(min_error.optimal_measurement, priors)
-    rows = [mc_row, report_row, optimal_row]
+    rows = [report_row, optimal_row]
     if result is not None:
         rows.append(attempt(certify, priors.original, result.measurement, result.helstrom)[0])
-    for m in (TRINE, ANTITRINE) + ((mc,) if mc is not None else ()):
+    for m in (TRINE, ANTITRINE) + ((report.measurement,) if report is not None else ()):
         rows.append(attempt(min_error.check_helstrom, priors.original, m)[0])
     return rows
 
@@ -121,12 +122,13 @@ def test_the_per_prior_path_returns_the_bits_of_its_loop_forms(monkeypatch):
         for rows in got:
             compared += len(rows)
             failures |= {kind for kind, _ in rows if kind is not True}
-            mc, _, optimal = rows[:3]
-            inconclusive += mc[0] is True and "?" in [label for label, _ in mc[1][1][0]]
-            strategies.add(optimal[1][1][0] if optimal[0] is True else None)
+            (found, report), (solved, optimal) = rows[:2]
+            # a report's fields are (confidences, inconclusive, ("Measurement", (forms,)), ...)
+            inconclusive += found is True and "?" in [label for label, _ in report[1][2][1][0]]
+            strategies.add(optimal[1][0] if solved is True else None)
     # the draws reach both branches, both kinds of max-confidence POVM and the
     # errors of the corner and the tie edge
-    assert compared > 6 * SAMPLES
+    assert compared > 5 * SAMPLES
     assert strategies == {"two_element", "three_element", None}
     assert 0 < inconclusive < SAMPLES
     assert {"PureStateError", "VerificationError"} <= failures
