@@ -86,22 +86,22 @@ def _measurement_payload(m):
         out.append(
             {
                 "label": label,
-                "entries_real": [[re for re, _ in row] for row in entries],
-                "entries_imag": [[im for _, im in row] for row in entries],
+                "entries_real": [[v.real for v in row] for row in entries],
+                "entries_imag": [[v.imag for v in row] for row in entries],
             }
         )
     return out
 
 
 def _priors_from_args(args) -> Priors:
-    triple = (args.p0, args.p1, args.p2)
-    has_triple = all(v is not None for v in triple)
-    has_pdelta = args.p is not None and args.delta is not None
-    if has_triple == has_pdelta:
-        raise DomainError("specify either --p0/--p1/--p2 or --p/--delta")
-    if has_triple:
+    """The priors of exactly one complete form, --p0/--p1/--p2 or
+    --p/--delta; a flag of the other form is refused, never ignored."""
+    triple, pdelta = (args.p0, args.p1, args.p2), (args.p, args.delta)
+    if None not in triple and pdelta == (None, None):
         return canonicalize_priors(*triple)
-    return priors_from_p_delta(args.p, args.delta)
+    if None not in pdelta and triple == (None, None, None):
+        return priors_from_p_delta(*pdelta)
+    raise DomainError("specify exactly one of --p0/--p1/--p2 or --p/--delta")
 
 
 def _add_prior_flags(parser):
@@ -221,6 +221,8 @@ def cmd_confidence(args) -> int:
     if args.sweep is not None:
         if args.delta is None:
             raise DomainError("--sweep needs --delta (sweeps p at fixed delta)")
+        if (args.p0, args.p1, args.p2, args.p) != (None, None, None, None):
+            raise DomainError("--sweep takes --delta alone, not --p0/--p1/--p2/--p")
         _require_finite("--delta", args.delta)
         from . import _sweeps
 

@@ -95,8 +95,9 @@ def certify_max_confidence(
     Indexed by the caller's original state order, like
     ``report.per_state_confidence``, the posteriors that
     :func:`~trinedisc.max_confidence.confidence_report` found; each is the
-    lower bound once lowered by its forward error.  The upper bound
-    p_i o_i / e2 is evaluated to within 6u and raised by 8u.
+    lower bound once lowered by its forward error; a NaN posterior gives a
+    NaN lower bound.  The upper bound p_i o_i / e2 is evaluated to within
+    6u and raised by 8u.
 
     Rounding: the reference element is the rank-1 part (|v|, v) of each
     returned element (t, v), which is positive.  Its Born probabilities
@@ -118,8 +119,10 @@ def certify_max_confidence(
         slack = rounding
         if r > 0.0:
             slack += 2.0 * abs(t - r) / (e2 * r)
-        lower = max(0.0, math.nextafter(report.per_state_confidence[i] - slack, -math.inf))
-        value = q_i * (a + b) / e2
-        upper = min(1.0, math.nextafter(value * (1.0 + 8.0 * _U), math.inf))
+        # clamped into [0, 1], but NaN stays NaN
+        lower = math.nextafter(report.per_state_confidence[i] - slack, -math.inf)
+        lower = 0.0 if lower < 0.0 else lower
+        upper = math.nextafter(q_i * (a + b) / e2 * (1.0 + 8.0 * _U), math.inf)
+        upper = 1.0 if upper > 1.0 else upper
         bounds.append((lower, upper))
     return bounds

@@ -119,33 +119,28 @@ def _product_norm(a: Sequence[float], b: Sequence[float], c: Sequence[float]) ->
     return math.sqrt(0.5 * (frob_sq + gap))
 
 
+def _rows(b: Sequence[float]) -> list:
+    """The rows of twice the 2x2 matrix of a Bloch form (t, x, y, z)."""
+    t, x, y, z = b
+    return [[t + z, x - 1j * y], [x + 1j * y, t - z]]
+
+
 def from_bloch(b: Sequence[float]) -> np.ndarray:
     """The 2x2 complex matrix (t I + v.sigma)/2 of a Bloch form."""
     import numpy as np
 
-    t, x, y, z = b
-    return 0.5 * np.array([[t + z, x - 1j * y], [x + 1j * y, t - z]], dtype=complex)
+    return 0.5 * np.array(_rows(b), dtype=complex)
 
 
 def _entries(b: Sequence[float]) -> list:
-    """The (real, imaginary) entries of ``from_bloch(b)``, signed zeros
-    included, without numpy.
-
-    from_bloch scales [[t + z, x - iy], [x + iy, t - z]] by 0.5 as complex
-    products, so the sign of a zero part follows the other part:
-    iy = (0.0 * y - 0.0, y), and (re, im) scales to
-    (0.5 * re - 0.0 * im, 0.5 * im + 0.0 * re).  from_bloch keeps numpy's
-    own expression: built from these entries, it made the benchmark's
+    """The entries of ``from_bloch(b)`` as complex numbers, signed zeros
+    included, without numpy: the same rows, each entry scaled by the
+    complex product (0.5 + 0j) * entry that numpy takes too.  from_bloch
+    does not build its array from these: that made the benchmark's
     ``query`` read slower, though that workload reads matrices only after
     its timer stops.
     """
-    t, x, y, z = b
-    iy_re, iy_im = 0.0 * y - 0.0, y
-    rows = (
-        ((t + z, 0.0), (x - iy_re, 0.0 - iy_im)),
-        ((x + iy_re, 0.0 + iy_im), (t - z, 0.0)),
-    )
-    return [[(0.5 * re - 0.0 * im, 0.5 * im + 0.0 * re) for re, im in row] for row in rows]
+    return [[(0.5 + 0.0j) * complex(v) for v in row] for row in _rows(b)]
 
 
 #: ``object.__setattr__``, bound once: each record's ``__init__`` sets its

@@ -3,8 +3,10 @@ import inspect
 import io
 import itertools
 import json
+import math
 import sys
 
+import numpy as np
 import pytest
 from numpy.random import default_rng
 
@@ -88,15 +90,17 @@ class TestSerialization:
     def test_entries_keep_the_signed_zeros_of_from_bloch(self):
         # matrix entries are printed from the Bloch forms; the sign of every
         # zero part must be the one the 2x2 matrix carries
-        values = (0.7, -0.7, 0.0, -0.0, 1e-300, -1e-300)
+        inf = math.inf
+        values = (0.7, -0.7, 0.0, -0.0, 1e-300, -1e-300, inf, -inf, math.nan)
         for b in itertools.product(values, repeat=4):
-            op = from_bloch(b)
+            with np.errstate(invalid="ignore"):  # inf times zero
+                op = from_bloch(b)
             want = [
                 (repr(float(op[i, j].real)), repr(float(op[i, j].imag)))
                 for i in range(2)
                 for j in range(2)
             ]
-            got = [(repr(re), repr(im)) for row in _entries(b) for re, im in row]
+            got = [(repr(v.real), repr(v.imag)) for row in _entries(b) for v in row]
             assert got == want, b
 
 

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -8,36 +7,16 @@ from trinedisc import qubit
 from trinedisc.errors import DomainError, PureStateError
 from trinedisc.max_confidence import mc_confidence_closed_form
 from trinedisc.min_error import boundary_determinant, critical_delta, optimal_measurement
-from trinedisc.trine import (
-    _TRINE_ANGLES,
-    canonicalize_priors,
-    priors_from_p_delta,
-    random_priors,
-)
+from trinedisc.trine import canonicalize_priors, priors_from_p_delta, random_priors
 
-import grid_search
 from grid_search import (
     OracleResult,
     brute_force_max_confidence,
     brute_force_min_error,
+    planar_weights,
 )
 from reference import trine_projectors
-
-# Reference oracle: the straightforward evaluation the table-driven one
-# must reproduce bit for bit.  Each t0 slice evaluates every sine and
-# overlap over a meshgrid, and each incumbent is refined on its own.
-
-_STATE_ANGLES = np.array(_TRINE_ANGLES)
-_LABEL_PAIRS = [(a, b) for a in range(3) for b in range(3) if a != b]
-
-
-def _planar_weights(t0, t1, t2):
-    d = np.sin(t2 - t1) + np.sin(t0 - t2) + np.sin(t1 - t0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k0 = 2.0 * np.sin(t2 - t1) / d
-        k1 = 2.0 * np.sin(t0 - t2) / d
-        k2 = 2.0 * np.sin(t1 - t0) / d
-    return d, k0, k1, k2
+from test_certificate import exact_max_confidence, exact_optimum
 
 
 def measurement_from_parameters(result: OracleResult) -> qubit.Measurement:
@@ -46,178 +25,38 @@ def measurement_from_parameters(result: OracleResult) -> qubit.Measurement:
         (t,), (a, b) = result.best_parameters, result.labels
         elements = ((a, 1.0, t), (b, 1.0, t + math.pi))
     else:
-        _, *weights = _planar_weights(*result.best_parameters)
+        _, *weights = planar_weights(*result.best_parameters)
         elements = zip(result.labels, map(float, weights), result.best_parameters)
     return qubit.Measurement((j, qubit.equator_element(k, t)) for j, k, t in elements)
 
 
-def _overlap_sq(state_angle, t):
-    return np.cos(0.5 * (state_angle - t)) ** 2
-
-
-def _three_outcome_values(q, t0, t1, t2):
-    d, k0, k1, k2 = _planar_weights(t0, t1, t2)
-    with np.errstate(invalid="ignore"):
-        value = (
-            q[0] * k0 * _overlap_sq(_STATE_ANGLES[0], t0)
-            + q[1] * k1 * _overlap_sq(_STATE_ANGLES[1], t1)
-            + q[2] * k2 * _overlap_sq(_STATE_ANGLES[2], t2)
-        )
-    bad = (
-        (np.abs(d) < 1e-12)
-        | (k0 < 0.0)
-        | (k1 < 0.0)
-        | (k2 < 0.0)
-        | ~np.isfinite(value)
-    )
-    return np.where(bad, -np.inf, value)
-
-
-def _refine(value_fn, incumbent, start_step, refinements):
-    point = np.asarray(incumbent, dtype=float)
-    ndim = point.size
-    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    grids = np.meshgrid(*([offsets] * ndim), indexing="ij")
-    stencil = np.stack([g.ravel() for g in grids], axis=-1)
-    step = start_step
-    for _ in range(refinements):
-        step *= 0.5
-        candidates = point[None, :] + step * stencil
-        values = value_fn(candidates)
-        point = candidates[int(np.argmax(values))]
-    return point, float(value_fn(point[None, :])[0])
-
-
-@functools.lru_cache(maxsize=None)
-def _reference_slices(q, resolution):
-    """Best grid point of every t0 slice, strongest first (stable order)."""
-    grid = 2.0 * np.pi * np.arange(resolution) / resolution
-    t1g, t2g = np.meshgrid(grid, grid, indexing="ij")
-    slice_best = []
-    for t0 in grid:
-        vals = _three_outcome_values(q, t0, t1g, t2g)
-        j = int(np.argmax(vals))
-        v = vals.flat[j]
-        if np.isfinite(v):
-            slice_best.append((float(v), (t0, t1g.flat[j], t2g.flat[j])))
-    slice_best.sort(key=lambda pair: -pair[0])
-    return slice_best
-
-
-def reference_min_error(priors, resolution, refinements):
-    q = tuple(np.asarray(priors.canonical))
-    grid = 2.0 * np.pi * np.arange(resolution) / resolution
-    step = 2.0 * np.pi / resolution
-
-    c = _overlap_sq(_STATE_ANGLES[:, None], grid[None, :])
-    best = np.full(grid.shape, -np.inf)
-    best_pair = np.zeros(grid.shape, dtype=int)
-    for idx, (a, b) in enumerate(_LABEL_PAIRS):
-        v = q[a] * c[a] + q[b] * (1.0 - c)[b]
-        improve = v > best
-        best = np.where(improve, v, best)
-        best_pair = np.where(improve, idx, best_pair)
-    i_best = int(np.argmax(best))
-    a, b = labels = _LABEL_PAIRS[best_pair[i_best]]
-
-    def proj_fn(pts):
-        t = pts[:, 0]
-        return q[a] * _overlap_sq(_STATE_ANGLES[a], t) + q[b] * (
-            1.0 - _overlap_sq(_STATE_ANGLES[b], t)
-        )
-
-    proj_point, proj_value = _refine(proj_fn, [grid[i_best]], step, refinements)
-
-    def triple_fn(pts):
-        return _three_outcome_values(q, pts[:, 0], pts[:, 1], pts[:, 2])
-
-    tri_point, tri_value = None, -np.inf
-    for _, start in _reference_slices(q, resolution)[:8]:
-        point, value = _refine(triple_fn, start, step, refinements)
-        if value > tri_value:
-            tri_point, tri_value = point, value
-    if tri_value > proj_value:
-        return OracleResult(
-            tri_value, tuple(float(t) for t in tri_point), "three_outcome", (0, 1, 2),
-        )
-    return OracleResult(
-        proj_value, (float(proj_point[0]),), "projective", labels,
-    )
-
-
-def reference_max_confidence(priors, i, resolution, refinements):
-    q = np.asarray(priors.original)
-
-    def conf_fn(pts):
-        c = _overlap_sq(_STATE_ANGLES[:, None], pts[:, 0][None, :])
-        denom = q[0] * c[0] + q[1] * c[1] + q[2] * c[2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = q[i] * c[i] / denom
-        return np.where(denom > 1e-14, out, -np.inf)
-
-    grid = 2.0 * np.pi * np.arange(resolution) / resolution
-    i_best = int(np.argmax(conf_fn(grid[:, None])))
-    point, value = _refine(
-        conf_fn, [grid[i_best]], 2.0 * np.pi / resolution, refinements
-    )
-    return OracleResult(
-        value, (float(point[0]),), "single_element", (i,)
-    )
-
-
-def _equivalence_priors():
-    rng = np.random.default_rng(83)
+def hard_priors():
+    """The tie edges (1 - 2e, e, e) at e = 1e-3 and 1e-6, a point on the
+    det M = 0 boundary, the near corner, the uniform triple, (1/2, 1/2, 0)
+    and, last, the pure ensemble (1, 0, 0)."""
     boundary = priors_from_p_delta(0.42, critical_delta(0.42))
     assert abs(boundary_determinant(boundary)) < 1e-9
     edges = [(1.0 - 2.0 * e, e, e) for e in (1e-3, 1e-6)]
     edges += [boundary.canonical, (1.0 - 1e-6, 5e-7, 5e-7)]
-    # the pure ensemble stays last: the max-confidence test leaves it out
     edges += [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0)]
-    return [*random_priors(rng, 30), *(canonicalize_priors(*p) for p in edges)]
+    return [canonicalize_priors(*p) for p in edges]
 
 
-class TestMatchesReference:
-    # 37 is odd and not a multiple of 4
-    @pytest.mark.parametrize("resolution", [16, 37, 48, 72])
-    def test_min_error_equals_reference(self, resolution):
-        for pr in _equivalence_priors():
-            for refinements in (0, 5, 24):
-                [got] = brute_force_min_error([pr], resolution, refinements)
-                assert got == reference_min_error(pr, resolution, refinements), (
-                    pr.original, refinements,
-                )
-
-    @pytest.mark.parametrize("resolution", [16, 360])
-    def test_max_confidence_equals_reference(self, resolution):
-        for pr in _equivalence_priors()[:-1]:  # (1, 0, 0) is a pure ensemble
-            for i in range(3):
-                for refinements in (0, 5, 24):
-                    [got] = brute_force_max_confidence([pr], [i], resolution, refinements)
-                    want = reference_max_confidence(pr, i, resolution, refinements)
-                    assert got == want, (pr.original, i, refinements)
-
-    # one batch call over every prior: 37 of them, three chunks, the last
-    # one short
-    @pytest.mark.parametrize("resolution", [16, 37, 72])
-    def test_min_error_batch_equals_reference(self, resolution):
-        priors = _equivalence_priors()
-        assert len(priors) % grid_search._CHUNK_PRIORS
-        for refinements in (0, 24):
-            got = brute_force_min_error(priors, resolution, refinements)
-            assert got == [reference_min_error(pr, resolution, refinements) for pr in priors]
-
-    @pytest.mark.parametrize("resolution", [16, 37, 360])
-    def test_max_confidence_batch_equals_reference(self, resolution):
-        priors = _equivalence_priors()[:-1]  # (1, 0, 0) is a pure ensemble
-        assert len(priors) % grid_search._CHUNK_PRIORS
-        states = [n % 3 for n in range(len(priors))]
-        for refinements in (0, 24):
-            got = brute_force_max_confidence(priors, states, resolution, refinements)
-            assert got == [
-                reference_max_confidence(pr, i, resolution, refinements)
-                for pr, i in zip(priors, states)
-            ]
-
+def test_grid_search_reaches_the_exact_optima_on_the_hard_priors():
+    # min error: above the exact optimum's bracket by rounding at most (the
+    # Born sum of a float POVM lands up to a few ulps above it), and within
+    # 1e-6 of its lower end; confidence: within 1e-7 of p_i o_i / e2
+    priors = hard_priors()
+    for pr, found in zip(priors, brute_force_min_error(priors)):
+        lower, upper = exact_optimum(pr.original)
+        assert found.best_value - upper <= 1e-14, pr.original
+        assert lower - found.best_value <= 1e-6, pr.original
+    mixed = priors[:-1]  # (1, 0, 0) is a pure ensemble
+    for i in range(3):
+        for pr, found in zip(mixed, brute_force_max_confidence(mixed, [i] * len(mixed))):
+            assert abs(found.best_value - exact_max_confidence(pr.original, i)) <= 1e-7, (
+                pr.original, i,
+            )
 
 
 class TestMinErrorOracle:
@@ -329,7 +168,7 @@ def random_planar_povm(rng: np.random.Generator):
     """
     basis = np.linalg.qr(rng.normal(size=(3, 3)))[0][:, :2]
     angles = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    d, k0, k1, k2 = _planar_weights(*angles)
+    d, k0, k1, k2 = planar_weights(*angles)
     weights = (k0, k1, k2)
     if abs(d) < 1e-9 or min(weights) < 0.0:
         return None

@@ -75,6 +75,7 @@ import trinedisc.cli
 from trinedisc.cli import main, sig12
 from trinedisc.errors import DomainError, PureStateError, UndefinedError, VerificationError
 from trinedisc.max_confidence import (
+    ConfidenceReport,
     confidence,
     confidence_report,
     mc_confidence_closed_form,
@@ -368,21 +369,40 @@ def test_a_numpy_int_confidence_label_is_its_state():
         )
 
 
-@pytest.mark.parametrize("planted", ["both", "lower", "upper"])
+@pytest.mark.parametrize("planted", ["both", "lower", "upper", "posterior"])
 @pytest.mark.parametrize("at", [None, 1], ids=["every_prior", "second_prior"])
 def test_a_nan_certificate_fails_verify(capsys, monkeypatch, planted, at):
     calls = []
-    certify = trinedisc.cli.certify_min_error
 
-    def nan_bounds(probabilities, m, helstrom):
-        lower, upper = certify(probabilities, m, helstrom)
-        calls.append(probabilities)
-        if at is None or len(calls) == at + 1:
-            lower = math.nan if planted in ("both", "lower") else lower
-            upper = math.nan if planted in ("both", "upper") else upper
-        return lower, upper
+    def planted_here(priors):
+        calls.append(priors)
+        return at is None or len(calls) == at + 1
 
-    monkeypatch.setattr(trinedisc.cli, "certify_min_error", nan_bounds)
+    if planted == "posterior":
+        # a NaN posterior of state 0 must reach verify as a NaN lower bound
+        report_for = trinedisc.cli.confidence_report
+
+        def nan_posterior(priors):
+            report = report_for(priors)
+            if planted_here(priors):
+                posteriors = [math.nan, *report.per_state_confidence[1:]]
+                report = ConfidenceReport(posteriors, *(
+                    getattr(report, name) for name in ConfidenceReport._fields[1:]
+                ))
+            return report
+
+        monkeypatch.setattr(trinedisc.cli, "confidence_report", nan_posterior)
+    else:
+        certify = trinedisc.cli.certify_min_error
+
+        def nan_bounds(probabilities, m, helstrom):
+            lower, upper = certify(probabilities, m, helstrom)
+            if planted_here(probabilities):
+                lower = math.nan if planted in ("both", "lower") else lower
+                upper = math.nan if planted in ("both", "upper") else upper
+            return lower, upper
+
+        monkeypatch.setattr(trinedisc.cli, "certify_min_error", nan_bounds)
     code = main(["verify", "--samples", "3"])
     out = capsys.readouterr().out
     assert code == 5
@@ -390,11 +410,25 @@ def test_a_nan_certificate_fails_verify(capsys, monkeypatch, planted, at):
     named = list(random_priors(np.random.default_rng(0), 3))[at or 0]
     assert payload["ok"] is False
     assert payload["worst"] == {
-        "kind": "min_error",
+        "kind": "confidence_0" if planted == "posterior" else "min_error",
         "priors": [sig12(q) for q in named.original],
         "difference": None,
     }
     assert '"difference": null' in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimal", "--p0", "0.5", "--p1", "0.3", "--p2", "0.2", "--delta", "0.1"],
+    ["optimal", "--p0", "0.5", "--p", "0.4", "--delta", "0.1"],
+    ["simulate", "--p", "0.4", "--delta", "0.1", "--p2", "0.7", "--shots", "1000"],
+    ["confidence", "--delta", "0.05", "--sweep", "2", "--p0", "0.9"],
+], ids=["triple_and_delta", "p_delta_and_p0", "p_delta_and_p2", "sweep_and_p0"])
+def test_a_prior_flag_of_the_other_form_is_refused(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("unnamed", [0, 1, 2])

@@ -74,8 +74,8 @@ def test_no_module_decodes_matrices():
 def test_complex_numbers_appear_only_where_matrices_go_out():
     # every layer computes in real Bloch forms; only the 2x2 matrices a
     # caller reads (qubit.from_bloch, and qubit._entries, which the CLI
-    # prints) hold complex numbers: no imaginary constant and no ``complex``
-    # name anywhere else
+    # prints, both from qubit._rows) hold complex numbers: no imaginary
+    # constant and no ``complex`` name anywhere else
     sites = []
     for path in sorted((SRC / "trinedisc").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -84,7 +84,7 @@ def test_complex_numbers_appear_only_where_matrices_go_out():
             for fn in tree.body
             if path.stem == "qubit"
             and isinstance(fn, ast.FunctionDef)
-            and fn.name in ("from_bloch", "_entries")
+            and fn.name in ("_rows", "from_bloch", "_entries")
             for node in ast.walk(fn)
         }
         sites += [
@@ -347,60 +347,34 @@ def test_cli_builds_its_parser_once_on_first_use():
     assert json.loads(out) == [0, 1, 1]
 
 
-def test_oracle_builds_its_grid_table_once_per_resolution():
-    # verify certifies each answer from its own bounds and loads no grid
-    # search; the grid search, now the tests' reference, builds its table
-    # once per resolution
+def test_verify_imports_and_refines_no_grid_search(monkeypatch):
+    # verify certifies each answer from its own bounds: a process that runs
+    # it loads no grid search, and with the grid search loaded it refines
+    # nothing
     code = (
         "import contextlib, io, json, sys, trinedisc.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    cli.main(['verify', '--samples', '2'])\n"
-        "searched = sorted(m for m in sys.modules if 'grid_search' in m)\n"
-        "import grid_search\n"
-        "from trinedisc.trine import canonicalize_priors\n"
-        "table = grid_search._three_outcome_table\n"
-        "built = [table.cache_info().misses]\n"
-        "priors = [canonicalize_priors(0.5, 0.3, 0.2), canonicalize_priors(0.2, 0.3, 0.5)]\n"
-        "for _ in range(2):\n"
-        "    grid_search.brute_force_min_error(priors)\n"
-        "    built.append(table.cache_info().misses)\n"
-        "nbytes = sum(a.nbytes for a in table(72))\n"
-        "built.append(table.cache_info().misses)\n"
-        "print(json.dumps([searched, built, nbytes]))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if 'grid_search' in m)))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=src_env(TESTS), capture_output=True, text=True, check=True
     ).stdout
-    searched, built, nbytes = json.loads(out)
-    assert searched == []
-    # none at import, one on the first search, none after, and the one
-    # cached is the default r = 72
-    assert built == [0, 1, 1, 1]
-    assert nbytes <= 3_000_000
-
-
-def test_oracle_refines_a_bounded_number_of_starts(monkeypatch):
-    # the grid search takes forty priors in one call and searches them a
-    # chunk at a time, so no refinement holds more than eight starts per
-    # prior of one chunk; verify refines nothing
-    rows = []
+    assert json.loads(out) == []
+    refined = []
     refine = grid_search._refine
 
-    def record(value_fn, starts, *args):
-        rows.append(len(starts))
-        return refine(value_fn, starts, *args)
+    def record(*args):
+        refined.append(args)
+        return refine(*args)
 
     monkeypatch.setattr(grid_search, "_refine", record)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--samples", "40"]) == 0
-    assert rows == []
-    rng = default_rng(0)
-    priors = list(random_priors(rng, 40))
-    grid_search.brute_force_min_error(priors)
-    grid_search.brute_force_max_confidence(priors, [n % 3 for n in range(40)])
-    # two calls, so more than three refinements means chunks
-    assert len(rows) > 3
-    assert max(rows) <= 8 * grid_search._CHUNK_PRIORS
+    assert refined == []
+    # the recorder sees the grid search's own refinements
+    grid_search.brute_force_max_confidence(list(random_priors(default_rng(0), 1)), [0], 16, 0)
+    assert len(refined) == 1
 
 
 def test_verify_checks_helstrom_once_per_prior(monkeypatch):
