@@ -59,6 +59,44 @@ def test_grid_search_reaches_the_exact_optima_on_the_hard_priors():
             )
 
 
+class TestCoarseGrids:
+    """Any resolution and refinement count, down to the coarsest grid:
+    every incumbent is a real measurement, so it never beats the exact
+    optimum by more than rounding, and refining only moves it up (each
+    stencil holds the current point)."""
+
+    @pytest.mark.parametrize("resolution", [16, 37, 48, 72])
+    def test_min_error_is_feasible_and_refines_upward(self, resolution):
+        priors = hard_priors()
+        previous = None
+        for refinements in (0, 5, 24):
+            results = brute_force_min_error(priors, resolution, refinements)
+            for pr, found in zip(priors, results):
+                assert found.best_value - exact_optimum(pr.original)[1] <= 1e-14, pr.original
+                assert measurement_from_parameters(found).validity().is_valid, pr.original
+            if previous is not None:
+                for before, after in zip(previous, results):
+                    assert after.best_value >= before.best_value
+            previous = results
+
+    @pytest.mark.parametrize("resolution", [16, 37, 360])
+    def test_max_confidence_is_feasible_and_refines_upward(self, resolution):
+        mixed = hard_priors()[:-1]  # (1, 0, 0) is a pure ensemble
+        for i in range(3):
+            previous = None
+            for refinements in (0, 5, 24):
+                results = brute_force_max_confidence(
+                    mixed, [i] * len(mixed), resolution, refinements
+                )
+                for pr, found in zip(mixed, results):
+                    excess = found.best_value - exact_max_confidence(pr.original, i)
+                    assert excess <= 1e-14, (pr.original, i)
+                if previous is not None:
+                    for before, after in zip(previous, results):
+                        assert after.best_value >= before.best_value
+                previous = results
+
+
 class TestMinErrorOracle:
     def test_equal_priors(self):
         pr = canonicalize_priors(1 / 3, 1 / 3, 1 / 3)
