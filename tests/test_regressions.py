@@ -58,6 +58,10 @@
   a NaN after the first, so a NaN prior of a state the measurement does not
   name passed; and it zipped the priors with the states, so two or four
   priors passed too.  ``certify_min_error`` read the same report.
+- ``simulate`` added its counts in int64 cells: 2**63 shots overflowed
+  numpy's multinomial with a traceback, and 2**64 - 2 shots in two
+  partitions printed negative counts.  Shots beyond 2**63 - 1 must be
+  refused.
 """
 
 import contextlib
@@ -89,7 +93,7 @@ from trinedisc.min_error import (
     optimal_measurement,
 )
 from trinedisc.oracle import certify_min_error
-from trinedisc.simulate import estimate_confidence
+from trinedisc.simulate import estimate_confidence, estimate_success
 from trinedisc.trine import Priors, canonicalize_priors, priors_from_p_delta, random_priors
 
 from grid_search import brute_force_max_confidence
@@ -452,3 +456,24 @@ def test_check_helstrom_takes_exactly_three_priors(probabilities):
         check_helstrom(probabilities, result.measurement)
     with pytest.raises(DomainError, match="three trine states"):
         certify_min_error(probabilities, result.measurement, result.helstrom)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--shots", str(2**63)],
+    ["--shots", str(2**64 - 2), "--partitions", "2"],
+], ids=["2**63", "2**64-2_in_two"])
+def test_simulate_refuses_shots_its_counts_cannot_hold(capsys, argv):
+    code = main(["simulate", "--p0", "0.5", "--p1", "0.3", "--p2", "0.2", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_estimate_success_takes_at_most_2_to_the_63_minus_1_shots():
+    priors = canonicalize_priors(0.5, 0.3, 0.2)
+    m = optimal_measurement(priors).measurement
+    with pytest.raises(DomainError, match="shots"):
+        estimate_success(priors, m, 2**63, 0)
+    result = estimate_success(priors, m, 2**63 - 1, 0, partitions=2)
+    assert result.shots == sum(result.per_outcome_counts.values()) == 2**63 - 1
