@@ -26,7 +26,8 @@ class ZeroOutcomeError(TrineError):
 
 
 class UndefinedError(TrineError):
-    """Closed-form confidence is undefined for this prior configuration."""
+    """A closed form is undefined at these priors: the confidence at p_i = 1, a singular
+    Gamma^{-1} on the tie edge, collinear three-outcome directions, or a pole."""
 
 
 class InsufficientDataError(TrineError):

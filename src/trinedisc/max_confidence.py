@@ -52,7 +52,7 @@ def mc_povm(priors: Priors) -> Measurement:
     """
     e2 = mixed_e2(priors)
     q0, q1, q2 = q = priors.original
-    (_, x0, y0, _), (_, x1, y1, _), (_, x2, y2, _) = TRINE_BLOCH
+    (_, x0, y0), (_, x1, y1), (_, x2, y2) = TRINE_BLOCH
     rx = sum((q0 * x0, q1 * x1, q2 * x2))
     ry = sum((q0 * y0, q1 * y1, q2 * y2))
     (_, a0, b0), (_, a1, b1), (_, a2, b2) = _each_state(q)

@@ -159,7 +159,7 @@ def gamma_three_element(priors: Priors) -> GammaSolution:
         raise UndefinedError(f"Gamma^{{-1}} rounds to a singular operator at {q}")
     p_corr = 4.0 * a / den
     for n, qj in zip(TRINE_BLOCH, q):
-        val = trace_product(n, (a, b_x, b_y, 0.0))
+        val = trace_product(n, (a, b_x, b_y))
         scale = 0.5 * (abs(a) + abs(n[1] * b_x) + abs(n[2] * b_y))
         if abs(val - 1.0 / qj) > 16.0 * _U * scale:
             raise VerificationError("Gamma^{-1} expectation does not match 1/p_j")
@@ -286,27 +286,26 @@ def check_helstrom(probabilities: Sequence[float], m: Measurement) -> HelstromRe
     """
     q = q0, q1, q2 = _three_priors(probabilities)
     outcomes = m.state_outcomes()
-    offdiag = g = cx = cy = cz = 0.0
+    offdiag = g = cx = cy = 0.0
     for i, (_, li, bi) in enumerate(outcomes):
         # Gamma = sum_l q_l rho_l pi_l; for rho = (1, n) and pi = (t, v), rho pi has
         # Hermitian part ((t + n.v)/2 I + ((v + t n)/2).sigma)/2, of trace Tr(rho pi)
-        _, nx, ny, nz = n = TRINE_BLOCH[li]
-        t, bx, by, bz = bi
+        _, nx, ny = n = TRINE_BLOCH[li]
+        t, bx, by = bi
         ql = q[li]
         g += ql * born(n, bi)
         cx += ql * 0.5 * (bx + t * nx)
         cy += ql * 0.5 * (by + t * ny)
-        cz += ql * 0.5 * (bz + t * nz)
         for _, lj, bj in outcomes[i + 1 :]:
-            _, mx, my, mz = TRINE_BLOCH[lj]
+            _, mx, my = TRINE_BLOCH[lj]
             qj = q[lj]  # each state's Bloch form has trace 1
-            diff = (ql - qj, ql * nx - qj * mx, ql * ny - qj * my, ql * nz - qj * mz)
+            diff = (ql - qj, ql * nx - qj * mx, ql * ny - qj * my)
             offdiag = max(offdiag, _product_norm(bi, diff, bj))
-    (_, x0, y0, z0), (_, x1, y1, z1), (_, x2, y2, z2) = TRINE_BLOCH
+    (_, x0, y0), (_, x1, y1), (_, x2, y2) = TRINE_BLOCH
     h = math.hypot
-    eig0 = 0.5 * (g - q0 - h(cx - q0 * x0, cy - q0 * y0, cz - q0 * z0))
-    eig1 = 0.5 * (g - q1 - h(cx - q1 * x1, cy - q1 * y1, cz - q1 * z1))
-    eig2 = 0.5 * (g - q2 - h(cx - q2 * x2, cy - q2 * y2, cz - q2 * z2))
+    eig0 = 0.5 * (g - q0 - h(cx - q0 * x0, cy - q0 * y0))
+    eig1 = 0.5 * (g - q1 - h(cx - q1 * x1, cy - q1 * y1))
+    eig2 = 0.5 * (g - q2 - h(cx - q2 * x2, cy - q2 * y2))
     # min keeps a NaN only where it comes first
     min_eig = min(eig0, eig1, eig2) if eig0 == eig0 and eig1 == eig1 and eig2 == eig2 else math.nan
     passes = offdiag <= _HELSTROM_TOL and min_eig >= -_HELSTROM_TOL
@@ -369,7 +368,7 @@ def optimal_measurement(priors: Priors) -> OptimalResult:
         # optimal_branch has already put det M below -1e-12
         directions, weights = _outcomes(priors.canonical, gamma)
         canonical = [
-            (j, (k, k * dx, k * dy, 0.0)) for j, (k, (dx, dy)) in enumerate(zip(weights, directions))
+            (j, (k, k * dx, k * dy)) for j, (k, (dx, dy)) in enumerate(zip(weights, directions))
         ]
         # a negative weight is a negative element eigenvalue
         validity = povm_validity([b for _, b in canonical])

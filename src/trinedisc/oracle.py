@@ -74,7 +74,7 @@ def certify_min_error(
     upper = g - 2.0 * (0.0 if m >= 0.0 else m)  # min(0.0, m), but NaN stays NaN
     upper = math.nextafter(upper + 16.0 * _U * (abs(g) + abs(upper) + max(q)), math.inf)
     forms = [b for _, b in measurement.forms]
-    sizes = [abs(t) + math.hypot(x, y, z) for t, x, y, z in forms]
+    sizes = [abs(t) + math.hypot(x, y) for t, x, y in forms]
     outcomes = measurement.state_outcomes()
     born_error = (len(outcomes) + 32) * _U * sum([q[lab] * sizes[k] for k, lab, _ in outcomes])
     validity = povm_validity(forms)
@@ -114,8 +114,8 @@ def certify_max_confidence(
     rounding = (48.0 / math.sqrt(e2) + 24.0) * _U
     bounds = []
     for i, (q_i, a, b) in enumerate(_each_state(priors.original)):
-        t, x, y, z = forms[i]
-        r = math.hypot(x, y, z)
+        t, x, y = forms[i]
+        r = math.hypot(x, y)
         slack = rounding
         if r > 0.0:
             slack += 2.0 * abs(t - r) / (e2 * r)

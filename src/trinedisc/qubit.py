@@ -1,12 +1,12 @@
 """Real Bloch algebra for qubit operators, and the Measurement boundary.
 
-Every Hermitian 2x2 operator is carried as a real 4-tuple b = (t, x, y, z)
-read as (t I + x sigma_x + y sigma_y + z sigma_z)/2: t is the trace and
-v = (x, y, z) the Bloch vector.  The trine states, the POVM elements and
-the Lagrange operator Gamma all lie in the equator plane (z = 0), so the
-closed forms need nothing beyond these tuples:
+The trine states, the POVM elements and the Lagrange operator Gamma all
+lie in the equator plane, so every Hermitian 2x2 operator here is carried
+as a real 3-tuple b = (t, x, y) read as (t I + x sigma_x + y sigma_y)/2:
+t is the trace and v = (x, y) the Bloch vector.  The closed forms need
+nothing beyond these tuples:
 
-- Tr(A B) = (a . b)/2 over all four components; for a pure state with
+- Tr(A B) = (a . b)/2 over all three components; for a pure state with
   Bloch vector n this is the Born probability (t + v . n)/2;
 - the eigenvalues of b are (t - |v|)/2 and (t + |v|)/2;
 - a rotation or reflection of the equator acts on (x, y) alone;
@@ -50,12 +50,12 @@ PSD_TOL = 1e-10
 
 def equator_element(weight: float, angle: float) -> tuple:
     """weight times the projector on the equator state at ``angle``."""
-    return (weight, weight * math.cos(angle), weight * math.sin(angle), 0.0)
+    return (weight, weight * math.cos(angle), weight * math.sin(angle))
 
 
 def trace_product(a: Sequence[float], b: Sequence[float]) -> float:
     """Tr(A B) = (a . b)/2 for two Bloch forms."""
-    return 0.5 * (a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3])
+    return 0.5 * (a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
 
 
 def born(state: Sequence[float], element: Sequence[float]) -> float:
@@ -73,56 +73,52 @@ def _born_row(element: Sequence[float], states: Sequence[Sequence[float]]) -> li
     accuracy.  |v| is computed once per row; the clamp is min(1.0, max(0.0, p))
     written out, in a third of the time.
     """
-    t, x, y, z = element
-    r = math.hypot(x, y, z)
+    t, x, y = element
+    r = math.hypot(x, y)
     if not r > 0.0:
         return [min(1.0, max(0.0, 0.5 * t))] * len(states)
     low, scale = 0.5 * (t - r), 4.0 * r
     row = []
-    for _, nx, ny, nz in states:
-        p = low + ((x + r * nx) ** 2 + (y + r * ny) ** 2 + (z + r * nz) ** 2) / scale
+    for _, nx, ny in states:
+        p = low + ((x + r * nx) ** 2 + (y + r * ny) ** 2) / scale
         p = p if p > 0.0 else 0.0
         row.append(p if p < 1.0 else 1.0)
     return row
 
 
 def rank_one(x: float, y: float) -> tuple:
-    """Equatorial rank-1 Bloch form (|v|, x, y, 0); its smaller eigenvalue is exactly 0."""
-    return (math.hypot(x, y, 0.0), x, y, 0.0)
+    """Rank-1 Bloch form (|v|, x, y); its smaller eigenvalue is exactly 0."""
+    return (math.hypot(x, y), x, y)
 
 
 def _product_norm(a: Sequence[float], b: Sequence[float], c: Sequence[float]) -> float:
     """Largest singular value of the product A B C of three Bloch forms, in reals.
 
-    (a0 + a.sigma)(b0 + b.sigma) = a0 b0 + a.b + (a0 b + b0 a + i a x b).sigma gives
-    A B = (s + (v + i w).sigma)/2, then A B C = (r0 + i i0 + (r + i i).sigma)/2, whose
-    Frobenius norm and determinant give the norm.  On the equator each entry is
-    real or imaginary, and the steps are complex arithmetic's, in its order, so the
-    result has its bits: a complex square is ``r * r``, never pow's ``r ** 2``.
+    (a0 + a.sigma)(b0 + b.sigma) = a0 b0 + a.b + (a0 b + b0 a + i a x b).sigma gives, on the
+    equator, A B = (s + v.sigma + i wz sigma_z)/2 and A B C = (r0 + r1 sigma_x + r2 sigma_y +
+    i i3 sigma_z)/2, whose Frobenius norm and determinant give the norm.  The steps are complex
+    arithmetic's, in its order, so the result has its bits: a complex square is ``r * r``.
     """
-    a0, ax, ay, az = a
-    b0, bx, by, bz = b
-    c0, cx, cy, cz = c
-    s = 0.5 * (a0 * b0 + ax * bx + ay * by + az * bz)
-    vx, wx = 0.5 * (a0 * bx + b0 * ax), 0.5 * (ay * bz - az * by)
-    vy, wy = 0.5 * (a0 * by + b0 * ay), 0.5 * (az * bx - ax * bz)
-    vz, wz = 0.5 * (a0 * bz + b0 * az), 0.5 * (ax * by - ay * bx)
-    r0, i0 = 0.5 * (s * c0 + vx * cx + vy * cy + vz * cz), 0.5 * (wx * cx + wy * cy + wz * cz)
-    r1, i1 = 0.5 * (s * cx + c0 * vx - (wy * cz - wz * cy)), 0.5 * (c0 * wx + (vy * cz - vz * cy))
-    r2, i2 = 0.5 * (s * cy + c0 * vy - (wz * cx - wx * cz)), 0.5 * (c0 * wy + (vz * cx - vx * cz))
-    r3, i3 = 0.5 * (s * cz + c0 * vz - (wx * cy - wy * cx)), 0.5 * (c0 * wz + (vx * cy - vy * cx))
-    h = math.hypot
-    frob_sq = 0.5 * sum((h(r0, i0) ** 2, h(r1, i1) ** 2, h(r2, i2) ** 2, h(r3, i3) ** 2))
-    det_r = 0.25 * (r0 * r0 - i0 * i0 - r1 * r1 + i1 * i1 - r2 * r2 + i2 * i2 - r3 * r3 + i3 * i3)
-    det_i = 0.5 * (r0 * i0 - r1 * i1 - r2 * i2 - r3 * i3)
-    gap = math.sqrt(max(0.0, frob_sq * frob_sq - 4.0 * h(det_r, det_i) ** 2))
+    a0, ax, ay = a
+    b0, bx, by = b
+    c0, cx, cy = c
+    s = 0.5 * (a0 * b0 + ax * bx + ay * by)
+    vx, vy = 0.5 * (a0 * bx + b0 * ax), 0.5 * (a0 * by + b0 * ay)
+    wz = 0.5 * (ax * by - ay * bx)
+    r0 = 0.5 * (s * c0 + vx * cx + vy * cy)
+    r1 = 0.5 * (s * cx + c0 * vx + wz * cy)
+    r2 = 0.5 * (s * cy + c0 * vy - wz * cx)
+    i3 = 0.5 * (c0 * wz + (vx * cy - vy * cx))
+    frob_sq = 0.5 * sum((abs(r0) ** 2, abs(r1) ** 2, abs(r2) ** 2, abs(i3) ** 2))
+    det = 0.25 * (r0 * r0 - r1 * r1 - r2 * r2 + i3 * i3)
+    gap = math.sqrt(max(0.0, frob_sq * frob_sq - 4.0 * abs(det) ** 2))
     return math.sqrt(0.5 * (frob_sq + gap))
 
 
 def _rows(b: Sequence[float]) -> list:
-    """The rows of twice the 2x2 matrix of a Bloch form (t, x, y, z)."""
-    t, x, y, z = b
-    return [[t + z, x - 1j * y], [x + 1j * y, t - z]]
+    """The rows of twice the 2x2 matrix of a Bloch form (t, x, y)."""
+    t, x, y = b
+    return [[t, x - 1j * y], [x + 1j * y, t]]
 
 
 def from_bloch(b: Sequence[float]) -> np.ndarray:
@@ -205,7 +201,7 @@ class PovmValidity(_Record):
 
 
 class Measurement(_Record):
-    """Labeled POVM: pairs of (label, Bloch form).
+    """Labeled POVM: pairs of (label, equatorial Bloch form (t, x, y)).
 
     Labels are trine state indices 0/1/2 (the outcome identifies that
     state) or :data:`INCONCLUSIVE`.  The constructor takes any iterable of
@@ -216,8 +212,8 @@ class Measurement(_Record):
 
     def __init__(self, forms: Iterable[tuple[object, Sequence[float]]]):
         forms = tuple((label, tuple(b)) for label, b in forms)
-        if any(len(b) != 4 for _, b in forms):
-            raise DomainError("Measurement takes (label, Bloch form (t, x, y, z)) pairs")
+        if any(len(b) != 3 for _, b in forms):
+            raise DomainError("Measurement takes (label, equatorial Bloch form (t, x, y)) pairs")
         _set_field(self, "forms", forms)
 
     @property
@@ -253,9 +249,9 @@ def povm_validity(forms: Sequence[Sequence[float]]) -> PovmValidity:
     """Positivity and completeness, within PSD_TOL, of POVM elements given as Bloch forms."""
     if not forms:
         raise DomainError("a POVM needs at least one element")
-    min_eig = min(0.5 * (b[0] - math.hypot(b[1], b[2], b[3])) for b in forms)
+    min_eig = min(0.5 * (b[0] - math.hypot(b[1], b[2])) for b in forms)
     # sum - I = ((T - 2) I + V.sigma)/2 has norm (|T - 2| + |V|)/2
-    t, x, y, z = (sum(c) for c in zip(*forms))
-    deviation = 0.5 * (abs(t - 2.0) + math.hypot(x, y, z))
+    t, x, y = (sum(c) for c in zip(*forms))
+    deviation = 0.5 * (abs(t - 2.0) + math.hypot(x, y))
     is_valid = min_eig >= -PSD_TOL and deviation <= PSD_TOL
     return PovmValidity(is_valid, min_eig, deviation)

@@ -75,8 +75,9 @@ def _sample_counts(priors: Priors, m: Measurement, shots: int, seed: int, partit
     global np
     if np is None:
         import numpy as np
-    if shots < 1:
-        raise DomainError(f"shots must be positive, got {shots}")
+    # the counts are int64: at most 2**63 - 1 shots keeps every cell and column sum exact
+    if not 1 <= shots <= 2**63 - 1:
+        raise DomainError(f"shots must be in [1, 2**63 - 1], got {shots}")
     if partitions < 1 or partitions > shots:
         raise DomainError(f"invalid partition count {partitions}")
     joint = np.asarray(priors.original)[:, None] * _outcome_table(m)

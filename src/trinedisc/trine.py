@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 _TRINE_ANGLES = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-#: Bloch forms (1, cos a, sin a, 0) of the three signal states.
+#: Bloch forms (1, cos a, sin a) of the three signal states.
 TRINE_BLOCH = tuple(equator_element(1.0, a) for a in _TRINE_ANGLES)
 
 _SUM_TOL = 1e-9
@@ -228,10 +228,10 @@ def transform_to_original(elements, permutation) -> Measurement:
     """
     eps, cos_a, sin_a = _PERMUTATION_MAPS[tuple(permutation)]
     out = []
-    for label, (t, x, y, z) in elements:
-        gap = t - math.hypot(x, y, z)
+    for label, (t, x, y) in elements:
+        gap = t - math.hypot(x, y)
         y = eps * y
         x, y = cos_a * x - sin_a * y, sin_a * x + cos_a * y
-        out.append((permutation[label], (gap + math.hypot(x, y, z), x, y, z)))
+        out.append((permutation[label], (gap + math.hypot(x, y), x, y)))
     out.sort(key=operator.itemgetter(0))
     return Measurement(out)

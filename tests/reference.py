@@ -4,9 +4,11 @@ The equator kets, their projectors, the Lagrange operator Gamma as a
 matrix, the two-outcome boundary matrix M and the unchecked three-outcome
 POVM are all built with numpy from state vectors.  Only scalars come from
 the library: the two-outcome angle, Gamma's components and the raw
-three-outcome directions and weights.  Matrices become Bloch forms through
-Pauli traces (:func:`bloch_form`), and so reach a :class:`Measurement`
-without going through the code under test.
+three-outcome directions and weights.  Matrices become equatorial Bloch
+forms (t, x, y) through Pauli traces (:func:`bloch_form`), and so reach a
+:class:`Measurement` without going through the code under test.  The
+complex product reference, :func:`product_norm`, takes general forms
+(t, x, y, z).
 
 The loop forms at the end are the per-prior functions as they were
 written before they worked on the three states' scalars: the
@@ -31,22 +33,30 @@ from trinedisc.min_error import (
     theta_two_element,
 )
 from trinedisc.qubit import INCONCLUSIVE, PSD_TOL, _product_norm, born, povm_validity, rank_one
-from trinedisc.trine import _TRINE_ANGLES, TRINE_BLOCH, mixed_e2
+from trinedisc.trine import _TRINE_ANGLES, TRINE_BLOCH, mixed_e2, priors_from_p_delta
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
+PAULIS = (IDENTITY, SIGMA_X, SIGMA_Y)
 
 
 def bloch_form(m):
-    """(Tr m, Tr m sigma_x, Tr m sigma_y, Tr m sigma_z) of a Hermitian 2x2 matrix."""
+    """(Tr m, Tr m sigma_x, Tr m sigma_y) of a Hermitian 2x2 matrix in the equator plane.
+
+    Tr m sigma_z must vanish to the rounding of the Hermitian check: the
+    two diagonal entries of a projector built from an equator ket differ
+    by up to 2.2e-16.
+    """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
+    tol = 1e-12 * max(1.0, np.max(np.abs(m)))
+    if np.max(np.abs(m - m.conj().T)) > tol:
         raise ValueError("matrix is not Hermitian")
+    if abs(np.trace(m @ SIGMA_Z).real) > tol:
+        raise ValueError("matrix is not in the equator plane")
     return tuple(float(np.trace(m @ s).real) for s in PAULIS)
 
 
@@ -97,6 +107,14 @@ def boundary_matrix(priors):
     return 0.5 * (g + g.conj().T) - priors.p2 * rhos[2]
 
 
+def two_element_measurement(priors):
+    """The optimal two-outcome measurement of states 0 and 1 (canonical frame), unchecked."""
+    theta = theta_two_element(priors)
+    return qubit.Measurement(
+        [(0, qubit.equator_element(1.0, theta)), (1, qubit.equator_element(1.0, theta + math.pi))]
+    )
+
+
 def three_element_weights_raw(priors):
     """The library's unchecked three-outcome directions and weights (canonical frame)."""
     return _outcomes(priors.canonical, gamma_three_element(priors))
@@ -109,6 +127,13 @@ def three_element_measurement(priors):
         (j, k * projector(ket(math.atan2(dy, dx))))
         for j, (k, (dx, dy)) in enumerate(zip(weights, directions))
     )
+
+
+def weight2(p):
+    """The unchecked three-outcome weight of state 2 at (p, p, 1 - 2p), whose sign
+    changes at the breakdown point."""
+    _, weights = three_element_weights_raw(priors_from_p_delta(p, 0.0))
+    return float(weights[2])
 
 
 def bloch_product(a, b):
@@ -161,19 +186,19 @@ def mc_povm_loops(priors):
 
 def gamma_loops(q, elements):
     """Bloch form of Gamma = sum_l q_l rho_l pi_l (its Hermitian part), accumulated in a list."""
-    g = [0.0, 0.0, 0.0, 0.0]
+    g = [0.0, 0.0, 0.0]
     for lab, b in elements:
         n = TRINE_BLOCH[lab]
         g[0] += q[lab] * born(n, b)
-        for k in (1, 2, 3):
+        for k in (1, 2):
             g[k] += q[lab] * 0.5 * (b[k] + b[0] * n[k])
     return g
 
 
-def min_eigenvalue_loops(q, g, cx, cy, cz):
+def min_eigenvalue_loops(q, g, cx, cy):
     """Smallest eigenvalue of the Gamma - q_j rho_j, over a generator (which skips a later NaN)."""
     return min(
-        0.5 * (g - qj - math.hypot(cx - qj * n[1], cy - qj * n[2], cz - qj * n[3]))
+        0.5 * (g - qj - math.hypot(cx - qj * n[1], cy - qj * n[2]))
         for qj, n in zip(q, TRINE_BLOCH)
     )
 
@@ -187,8 +212,8 @@ def check_helstrom_loops(probabilities, m):
         for lj, bj in labeled[i + 1 :]:
             diff = [q[li] * x - q[lj] * y for x, y in zip(TRINE_BLOCH[li], TRINE_BLOCH[lj])]
             offdiag = max(offdiag, _product_norm(bi, diff, bj))
-    g, cx, cy, cz = gamma_loops(q, labeled)
-    min_eig = min_eigenvalue_loops(q, g, cx, cy, cz)
+    g, cx, cy = gamma_loops(q, labeled)
+    min_eig = min_eigenvalue_loops(q, g, cx, cy)
     passes = offdiag <= _HELSTROM_TOL and min_eig >= -_HELSTROM_TOL
     return HelstromReport(offdiag, min_eig, passes, g)
 
@@ -200,7 +225,7 @@ def certify_min_error_loops(probabilities, measurement, helstrom):
     upper = g - 2.0 * min(0.0, m)
     upper = math.nextafter(upper + 16.0 * _U * (abs(g) + abs(upper) + max(q)), math.inf)
     forms = [b for _, b in measurement.forms]
-    sizes = [abs(t) + math.hypot(x, y, z) for t, x, y, z in forms]
+    sizes = [abs(t) + math.hypot(x, y) for t, x, y in forms]
     outcomes = measurement.state_outcomes()
     born_error = (len(outcomes) + 32) * _U * sum(q[label] * sizes[k] for k, label, _ in outcomes)
     validity = povm_validity(forms)

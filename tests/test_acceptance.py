@@ -39,7 +39,7 @@ from trinedisc.trine import (
 )
 
 from grid_search import brute_force_max_confidence, brute_force_min_error
-from reference import boundary_matrix, element, three_element_weights_raw
+from reference import boundary_matrix, element, weight2
 
 
 _PENDING_LINES = []
@@ -161,11 +161,6 @@ def test_criterion_04_boundary_continuity():
 
 def test_criterion_05_breakdown_point():
     start = time.perf_counter()
-
-    def weight2(p):
-        _, weights = three_element_weights_raw(priors_from_p_delta(p, 0.0))
-        return float(weights[2])
-
     lo, hi = 0.35, 0.39
     assert weight2(lo) > 0.0 > weight2(hi)
     while hi - lo > 1e-12:

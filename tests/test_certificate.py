@@ -21,10 +21,9 @@ from trinedisc.min_error import (
     check_helstrom,
     critical_delta,
     optimal_measurement,
-    theta_two_element,
 )
 from trinedisc.oracle import certify_max_confidence, certify_min_error
-from trinedisc.qubit import Measurement, equator_element
+from trinedisc.qubit import Measurement
 from trinedisc.trine import (
     TRINE_BLOCH,
     antitrine_measurement,
@@ -35,7 +34,7 @@ from trinedisc.trine import (
 )
 
 from grid_search import brute_force_min_error
-from reference import three_element_measurement
+from reference import three_element_measurement, two_element_measurement
 
 U = 2.0**-53
 _BITS = 200
@@ -82,7 +81,7 @@ def exact_max_confidence(q, i) -> Fraction:
 def exact_born_lower(q, measurement) -> Fraction:
     """Lower end of the bracket on the Born sum with the exact trine states."""
     total = Fraction(0)
-    for _, label, (t, x, y, _z) in measurement.state_outcomes():
+    for _, label, (t, x, y) in measurement.state_outcomes():
         t, x, y = Fraction(t), Fraction(x), Fraction(y)
         if label == 0:
             dot = x
@@ -93,19 +92,11 @@ def exact_born_lower(q, measurement) -> Fraction:
     return total
 
 
-def two_outcome_measurement(priors) -> Measurement:
-    """The optimal two-outcome measurement, canonical frame, unchecked."""
-    theta = theta_two_element(priors)
-    return Measurement(
-        [(0, equator_element(1.0, theta)), (1, equator_element(1.0, theta + math.pi))]
-    )
-
-
 def answers(priors):
     """(priors, measurement) pairs to certify: the dispatched answer in the
     caller's order, where it passes its own checks, and both unchecked
     constructions in the canonical frame."""
-    out = [(priors.canonical, two_outcome_measurement(priors))]
+    out = [(priors.canonical, two_element_measurement(priors))]
     for frame, build in ((priors.canonical, three_element_measurement),
                          (priors.original, lambda p: optimal_measurement(p).measurement)):
         try:
@@ -143,9 +134,8 @@ FAMILIES = {
 def test_trine_floats_within_the_assumed_10u():
     exact = [(Fraction(1), (Fraction(0),) * 2), (Fraction(-1, 2), HALF_SQRT3),
              (Fraction(-1, 2), tuple(-h for h in HALF_SQRT3))]
-    for (_, nx, ny, nz), (ex, ey) in zip(TRINE_BLOCH, exact):
+    for (_, nx, ny), (ex, ey) in zip(TRINE_BLOCH, exact):
         dy = max(abs(Fraction(ny) - e) for e in ey)
-        assert nz == 0.0
         assert (Fraction(nx) - ex) ** 2 + dy**2 <= Fraction(10 * U) ** 2
 
 
@@ -215,7 +205,7 @@ def rotated(m: Measurement, phi: float) -> Measurement:
     """Every element turned by ``phi`` about the equator's normal: a valid POVM."""
     c, s = math.cos(phi), math.sin(phi)
     return Measurement(
-        (label, (t, c * x - s * y, s * x + c * y, z)) for label, (t, x, y, z) in m.forms
+        (label, (t, c * x - s * y, s * x + c * y)) for label, (t, x, y) in m.forms
     )
 
 

@@ -92,7 +92,7 @@ class TestSerialization:
         # zero part must be the one the 2x2 matrix carries
         inf = math.inf
         values = (0.7, -0.7, 0.0, -0.0, 1e-300, -1e-300, inf, -inf, math.nan)
-        for b in itertools.product(values, repeat=4):
+        for b in itertools.product(values, repeat=3):
             with np.errstate(invalid="ignore"):  # inf times zero
                 op = from_bloch(b)
             want = [

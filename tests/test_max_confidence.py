@@ -188,7 +188,7 @@ class TestReport:
         # the report and confidence() share one zero-outcome test
         pr = canonicalize_priors(0.5, 0.3, 0.2)
         forms = dict(mc_povm(pr).forms)
-        forms[1] = (0.0, 0.0, 0.0, 0.0)
+        forms[1] = (0.0, 0.0, 0.0)
         m = qubit.Measurement(forms.items())
         monkeypatch.setattr(max_confidence, "mc_povm", lambda priors: m)
         with pytest.raises(ZeroOutcomeError):

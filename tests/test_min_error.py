@@ -37,11 +37,15 @@ from reference import (
     boundary_matrix,
     element,
     gamma_matrix,
+    ket,
     measurement,
+    projector,
     three_element_measurement,
     three_element_weights_raw,
     trine_projectors,
     trine_states,
+    two_element_measurement,
+    weight2,
 )
 
 
@@ -52,14 +56,6 @@ def born_success(probabilities, m):
         probabilities[lab] * float(np.trace(rhos[lab] @ op).real)
         for lab, op in m.elements
         if lab != qubit.INCONCLUSIVE
-    )
-
-
-def two_element_measurement(priors):
-    """Projective measurement identifying states 0 and 1 (canonical frame)."""
-    theta = theta_two_element(priors)
-    return qubit.Measurement(
-        [(0, qubit.equator_element(1.0, theta)), (1, qubit.equator_element(1.0, theta + math.pi))]
     )
 
 
@@ -379,10 +375,6 @@ class TestThreeElement:
     def test_breakdown_weight_sign_change(self):
         # at delta = 0 the state-2 weight is 1 - 3p^2/(4-9p)^2; bisection on
         # the raw weight must reproduce the closed-form breakdown point
-        def weight2(p):
-            _, weights = three_element_weights_raw(priors_from_p_delta(p, 0.0))
-            return float(weights[2])
-
         lo, hi = 0.34, 0.39
         assert weight2(lo) > 0.0 > weight2(hi)
         for _ in range(60):
@@ -416,10 +408,10 @@ class TestHelstrom:
 
     def test_suboptimal_projective_fails(self):
         pr = canonicalize_priors(0.5, 0.3, 0.2)
-        # measure along sigma_z: never optimal for equatorial states
-        up = np.array([1.0, 0.0], dtype=complex)
-        down = np.array([0.0, 1.0], dtype=complex)
-        m = measurement(((0, np.outer(up, up.conj())), (1, np.outer(down, down.conj()))))
+        # the optimal two-outcome projectors turned by 0.3 rad: projective, but not optimal
+        theta = theta_two_element(pr) + 0.3
+        m = measurement(((0, projector(ket(theta))), (1, projector(ket(theta + math.pi)))))
+        assert m.validity().is_valid
         assert not check_helstrom(pr.original, m).passes
 
 

@@ -15,7 +15,7 @@ from grid_search import (
     brute_force_min_error,
     planar_weights,
 )
-from reference import trine_projectors
+from reference import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, trine_projectors
 from test_certificate import exact_max_confidence, exact_optimum
 
 
@@ -235,7 +235,8 @@ class TestOffEquator:
                 trials += 1
                 value = 0.0
                 for lab, (w, v) in enumerate(povm):
-                    op = w * qubit.from_bloch((1.0, *v))
+                    # off the equator: a matrix the library cannot hold as a form
+                    op = 0.5 * w * (IDENTITY + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
                     # best relabeling of the three outcomes
                     probs = [
                         q[j] * float(np.trace(rhos[j] @ op).real) for j in range(3)

@@ -22,6 +22,8 @@ from trinedisc.trine import (
 
 from reference import (
     IDENTITY,
+    SIGMA_X,
+    SIGMA_Y,
     bloch_form,
     element,
     ket,
@@ -45,14 +47,14 @@ def min_eigenvalue(m):
 
 
 def random_hermitian(rng):
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    return 0.5 * (m + m.conj().T)
+    """A random Hermitian 2x2 matrix in the equator plane, built in numpy."""
+    t, x, y = rng.normal(size=3)
+    return 0.5 * (t * IDENTITY + x * SIGMA_X + y * SIGMA_Y)
 
 
 def random_mixed_density(rng, min_mixedness=0.05):
-    # convex mix of a random pure state with the maximally mixed state
-    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-    psi /= np.linalg.norm(psi)
+    # convex mix of a random equatorial pure state with the maximally mixed state
+    psi = ket(rng.uniform(0.0, 2.0 * np.pi))
     w = rng.uniform(min_mixedness, 1.0)
     return (1.0 - w) * projector(psi) + w * 0.5 * IDENTITY
 
@@ -111,31 +113,29 @@ class TestBornProbability:
     def test_clamps_into_unit_interval(self):
         # rounding never takes a probability outside [0, 1]
         n = TRINE_BLOCH[0]
-        assert qubit.born(n, (1.0 + 1e-15, 1.0 + 1e-15, 0.0, 0.0)) == 1.0
-        assert qubit.born(n, (1.0, -1.0 - 1e-15, 0.0, 0.0)) == 0.0
+        assert qubit.born(n, (1.0 + 1e-15, 1.0 + 1e-15, 0.0)) == 1.0
+        assert qubit.born(n, (1.0, -1.0 - 1e-15, 0.0)) == 0.0
 
     @staticmethod
     def born_reference(state, element):
         """The Born probability of one state alone: (t - |v|)/2 + |v + |v| n|^2 / (4 |v|)."""
-        t, x, y, z = element
-        r = math.hypot(x, y, z)
+        t, x, y = element
+        r = math.hypot(x, y)
         p = 0.5 * t
         if r > 0.0:
-            _, nx, ny, nz = state
-            p = 0.5 * (t - r) + ((x + r * nx) ** 2 + (y + r * ny) ** 2 + (z + r * nz) ** 2) / (
-                4.0 * r
-            )
+            _, nx, ny = state
+            p = 0.5 * (t - r) + ((x + r * nx) ** 2 + (y + r * ny) ** 2) / (4.0 * r)
         return min(1.0, max(0.0, p))
 
     def test_row_equals_born_state_by_state_bit_for_bit(self):
         rng = np.random.default_rng(21)
-        elements = [tuple(v) for v in rng.normal(size=(2000, 4)).tolist()]
-        elements += [tuple(v) for v in (0.3 * rng.normal(size=(2000, 4))).tolist()]
+        elements = [tuple(v) for v in rng.normal(size=(2000, 3)).tolist()]
+        elements += [tuple(v) for v in (0.3 * rng.normal(size=(2000, 3))).tolist()]
         # r = 0 inside and on both sides of [0, 1], and the two clamp cases above
-        elements += [(t, 0.0, 0.0, 0.0) for t in (0.0, 0.5, 1.0, 2.5, -0.25)]
-        elements += [(1.0 + 1e-15, 1.0 + 1e-15, 0.0, 0.0), (1.0, -1.0 - 1e-15, 0.0, 0.0)]
-        psi = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
-        states = list(TRINE_BLOCH) + [bloch_form(projector(v / np.linalg.norm(v))) for v in psi]
+        elements += [(t, 0.0, 0.0) for t in (0.0, 0.5, 1.0, 2.5, -0.25)]
+        elements += [(1.0 + 1e-15, 1.0 + 1e-15, 0.0), (1.0, -1.0 - 1e-15, 0.0)]
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=40)
+        states = list(TRINE_BLOCH) + [bloch_form(projector(ket(a))) for a in angles]
         clamped = set()
         for e in elements:
             row = qubit._born_row(e, states)
@@ -156,8 +156,7 @@ class TestBornProbability:
         rng = np.random.default_rng(11)
         m = trine_measurement()
         for _ in range(100):
-            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-            rho = projector(psi / np.linalg.norm(psi))
+            rho = projector(ket(rng.uniform(0.0, 2.0 * np.pi)))
             probs = [qubit.born(bloch_form(rho), b) for _, b in m.forms]
             # independent oracle: matrix traces
             direct = [float(np.trace(rho @ op).real) for _, op in m.elements]
@@ -173,14 +172,15 @@ class TestValidatePovm:
             assert v.completeness_deviation < 1e-12
 
     def test_single_identity_valid(self):
-        assert qubit.povm_validity([(2.0, 0.0, 0.0, 0.0)]).is_valid
+        assert qubit.povm_validity([(2.0, 0.0, 0.0)]).is_valid
         assert validate_povm([IDENTITY]).is_valid
 
     def test_oversized_sum_invalid(self):
-        forms = [(1.1, 0.0, 0.0, 1.1), (1.0, 0.0, 0.0, -1.0)]
+        # 1.1 times the projector on +x, and the projector on -x
+        forms = [(1.1, 1.1, 0.0), (1.0, -1.0, 0.0)]
         elements = [
-            1.1 * np.diag([1.0, 0.0]).astype(complex),
-            np.diag([0.0, 1.0]).astype(complex),
+            0.55 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex),
+            0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex),
         ]
         for v in (qubit.povm_validity(forms), validate_povm(elements)):
             assert not v.is_valid
@@ -196,7 +196,9 @@ class TestEigenvalues:
         assert min_eigenvalue(IDENTITY) == pytest.approx(1.0)
 
     def test_diagonal(self):
-        assert min_eigenvalue(np.diag([3.0, -2.0]).astype(complex)) == pytest.approx(-2.0)
+        # 3 |+x><+x| - 2 |-x><-x|, diagonal in the sigma_x eigenbasis
+        m = np.array([[0.5, 2.5], [2.5, 0.5]], dtype=complex)
+        assert min_eigenvalue(m) == pytest.approx(-2.0)
 
     def test_projector(self):
         rho = projector(trine_states()[0])
@@ -225,14 +227,16 @@ class TestProductNorm:
         forms = rng.normal(size=(3, n, 4)) * 10.0 ** rng.uniform(-8.0, 2.0, size=(3, n, 1))
         forms[:, :, 3] = 0.0
         a, b, c = (f.tolist() for f in forms)
+        # the library takes (t, x, y); the complex reference, (t, x, y, 0.0)
         mismatched = [
             (x, y, z)
             for x, y, z in zip(a, b, c)
-            if qubit._product_norm(x, y, z).hex() != reference_product_norm(x, y, z).hex()
+            if qubit._product_norm(x[:3], y[:3], z[:3]).hex()
+            != reference_product_norm(x, y, z).hex()
         ]
         assert mismatched == []
 
-    def test_matches_the_svd_off_the_equator(self):
+    def test_matches_the_svd_on_the_equator(self):
         # independent oracle: numpy's SVD of the matrix product
         rng = np.random.default_rng(6)
         for _ in range(2000):
@@ -287,12 +291,11 @@ class TestBloch:
         st.floats(-3, 3),
         st.floats(-3, 3),
         st.floats(-3, 3),
-        st.floats(-3, 3),
     )
     @settings(max_examples=100, deadline=None)
-    def test_roundtrip(self, t, x, y, z):
-        m = qubit.from_bloch((t, x, y, z))
-        np.testing.assert_allclose(bloch_form(m), [t, x, y, z], atol=1e-12)
+    def test_roundtrip(self, t, x, y):
+        m = qubit.from_bloch((t, x, y))
+        np.testing.assert_allclose(bloch_form(m), [t, x, y], atol=1e-12)
 
     def test_density_matrix_bloch_length(self):
         rng = np.random.default_rng(8)
@@ -343,10 +346,35 @@ class TestMeasurementBoundary:
         with pytest.raises(DomainError, match="Bloch form"):
             qubit.Measurement(((0, IDENTITY),))
 
+    def test_constructor_rejects_forms_off_the_equator(self):
+        # (t, x, y, z) is not a form: every operator here lies in the equator plane
+        for form in ((1.0, 0.0, 0.0, 0.0), (1.0, 0.5, 0.0, 0.5), (1.0, 0.5)):
+            with pytest.raises(DomainError, match=r"equatorial Bloch form \(t, x, y\)"):
+                qubit.Measurement(((0, form),))
+
     def test_state_outcomes_take_python_and_numpy_integer_labels(self):
-        half = (1.0, 0.0, 0.0, 0.0)
+        half = (1.0, 0.0, 0.0)
         m = qubit.Measurement(((np.int64(1), half), (qubit.INCONCLUSIVE, half), (2, half)))
         assert [(k, int(lab)) for k, lab, _ in m.state_outcomes()] == [(0, 1), (2, 2)]
+
+
+def test_every_form_the_library_builds_is_t_x_y():
+    forms = [*TRINE_BLOCH, qubit.equator_element(0.5, 1.0), qubit.rank_one(0.3, -0.4)]
+    measurements = [trine_measurement(), antitrine_measurement()]
+    # both branches of the min-error answer
+    branches = (((0.5, 0.3, 0.2), "two_element"), ((0.29, 0.38, 0.33), "three_element"))
+    for triple, strategy in branches:
+        result = optimal_measurement(canonicalize_priors(*triple))
+        assert result.strategy == strategy
+        measurements.append(result.measurement)
+    # with and without an inconclusive outcome
+    for triple in ((0.2, 0.3, 0.5), (1 / 3, 1 / 3, 1 / 3)):
+        measurements.append(mc_povm(canonicalize_priors(*triple)))
+    assert qubit.INCONCLUSIVE in measurements[-2].labels
+    assert qubit.INCONCLUSIVE not in measurements[-1].labels
+    forms += [b for m in measurements for _, b in m.forms]
+    assert {len(b) for b in forms} == {3}
+    assert all(type(v) is float for b in forms for v in b)
 
 
 #: record name -> the TypeError text of a call with no arguments

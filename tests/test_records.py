@@ -17,7 +17,7 @@ from trinedisc.qubit import INCONCLUSIVE, Measurement, PovmValidity
 from trinedisc.simulate import EmpiricalResult, estimate_confidence, estimate_success
 from trinedisc.trine import Priors, canonicalize_priors, trine_measurement
 
-FORMS = ((0, (1.0, 0.5, 0.0, 0.0)), (INCONCLUSIVE, (1.0, -0.5, 0.0, 0.0)))
+FORMS = ((0, (1.0, 0.5, 0.0)), (INCONCLUSIVE, (1.0, -0.5, 0.0)))
 HELSTROM = HelstromReport(1.5e-17, -2.5e-12, True, 0.75)
 GAMMA = GammaSolution(9.5, 1.25, -0.75, 0.4375)
 
@@ -118,7 +118,7 @@ def test_defaults_can_be_given():
 
 
 def test_measurement_keeps_its_forms_as_tuples():
-    m = Measurement([(0, [1.0, 0.5, 0.0, 0.0]), (INCONCLUSIVE, (1.0, -0.5, 0.0, 0.0))])
+    m = Measurement([(0, [1.0, 0.5, 0.0]), (INCONCLUSIVE, (1.0, -0.5, 0.0))])
     assert m.forms == FORMS
     assert Measurement(forms=iter(FORMS)).forms == FORMS
 

@@ -16,7 +16,6 @@ import pytest
 
 from trinedisc import __version__, _sweeps
 from trinedisc._sweeps import delta_axes
-from trinedisc.cli import main
 from trinedisc.errors import (
     DomainError,
     PureStateError,
@@ -37,6 +36,8 @@ from trinedisc.min_error import (
     p_correct_two_element,
 )
 from trinedisc.trine import priors_from_p_delta
+
+from test_cli import run
 
 #: numpy prints a RuntimeWarning for a division by zero; no sweep may
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -150,17 +151,11 @@ def confidence_reference(delta: float, steps: int):
     return expected(build)
 
 
-def cli(capsys, *argv) -> tuple[int, str, str]:
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 @pytest.mark.parametrize("grid", [2, 3, 20, 60, 100])
 def test_region_is_the_row_by_row_sweep(capsys, grid):
     want = region_reference(grid)
     assert want[0] == 0
-    assert cli(capsys, "region", "--grid", str(grid)) == want
+    assert run(capsys, "region", "--grid", str(grid)) == want
 
 
 def test_csv_body_prints_each_float_as_a_cell_does():
@@ -213,7 +208,7 @@ def test_delta_axes_are_each_p_own_linspace(steps):
 def test_curves_are_the_row_by_row_sweep(capsys, flag, text, steps):
     want = curves_reference(flag, text, steps)
     assert want[0] == 0
-    assert cli(capsys, "curves", flag, text, "--steps", str(steps)) == want
+    assert run(capsys, "curves", flag, text, "--steps", str(steps)) == want
 
 
 @pytest.mark.parametrize("steps", [1, 7, 50])
@@ -222,7 +217,7 @@ def test_confidence_sweep_is_the_row_by_row_sweep(capsys, delta, steps):
     # the p axis at delta = 1/2 holds only the pure corner; 0.6 is refused
     want = confidence_reference(delta, steps)
     assert want[0] == (2 if delta > 0.5 else 0)
-    assert cli(capsys, "confidence", "--delta", str(delta), "--sweep", str(steps)) == want
+    assert run(capsys, "confidence", "--delta", str(delta), "--sweep", str(steps)) == want
 
 
 @pytest.mark.parametrize(
@@ -235,11 +230,11 @@ def test_confidence_sweep_is_the_row_by_row_sweep(capsys, delta, steps):
     ],
 )
 def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
-    code, out, err = cli(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert ",," in out
     path = tmp_path / "sweep.csv"
-    assert cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
     assert path.read_bytes() == out.encode()
 
 
@@ -269,4 +264,4 @@ def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
 def test_failing_sweeps_stop_at_the_first_failing_row(capsys, argv, reference):
     want = reference()
     assert want[0] in (2, 3) and want[1] == ""
-    assert cli(capsys, *argv) == want
+    assert run(capsys, *argv) == want
