@@ -75,8 +75,8 @@ def _json_ready(obj):
 
 
 def _emit_json(payload, stream):
-    json.dump(_json_ready(payload), stream, indent=2)
-    stream.write("\n")
+    """Write ``payload`` as indented JSON and a newline, in one ``write``."""
+    stream.write(json.dumps(_json_ready(payload), indent=2) + "\n")
 
 
 def _measurement_payload(m):

@@ -72,13 +72,6 @@ def mc_povm(priors: Priors) -> Measurement:
     return Measurement(elements)
 
 
-def _joint(priors: Priors, element) -> list[float]:
-    """p_j Tr(rho_j pi) for each state j, caller's order."""
-    q0, q1, q2 = priors.original
-    b0, b1, b2 = _born_row(element, TRINE_BLOCH)
-    return [q0 * b0, q1 * b1, q2 * b2]
-
-
 def confidence(priors: Priors, m: Measurement, outcome_label) -> float:
     """Bayes posterior that the labeled outcome identified its state.
 
@@ -88,18 +81,27 @@ def confidence(priors: Priors, m: Measurement, outcome_label) -> float:
     is relative to Tr(pi), since Tr(rho pi) >= lambda_min(rho) Tr(pi).
     """
     _, state, element = m._state_outcome(outcome_label)
-    return _posterior(priors, element, state)
+    return _posterior(priors.original, element, state)
 
 
-def _posterior(priors: Priors, element, outcome_label) -> float:
-    """:func:`confidence` of one element, with its zero-outcome test."""
-    joint = _joint(priors, element)
-    ensemble_prob = sum(joint)
+def _posterior(q, element, state) -> float:
+    """:func:`confidence` of one element for ``state``, with its zero-outcome test.
+
+    For :data:`INCONCLUSIVE`, which names no state, it is the element's
+    ensemble probability sum_j q_j Tr(rho_j pi) instead, untested.  The
+    joint probabilities q_j Tr(rho_j pi) are three scalars, the Born row
+    computed once.
+    """
+    b0, b1, b2 = _born_row(element, TRINE_BLOCH)
+    q0, q1, q2 = q
+    j0, j1, j2 = q0 * b0, q1 * b1, q2 * b2
+    ensemble_prob = sum((j0, j1, j2))
+    if state == INCONCLUSIVE:
+        return ensemble_prob
     if ensemble_prob <= _OUTCOME_TOL * element[0]:
-        raise ZeroOutcomeError(
-            f"outcome {outcome_label!r} has vanishing ensemble probability"
-        )
-    return min(1.0, joint[outcome_label] / ensemble_prob)
+        raise ZeroOutcomeError(f"outcome {state!r} has vanishing ensemble probability")
+    x = (j0, j1, j2)[state] / ensemble_prob
+    return x if x < 1.0 else 1.0  # min(1.0, x), NaN included
 
 
 def _closed_form_value(p_i, a, b):
@@ -158,14 +160,15 @@ class ConfidenceReport(_Record):
 def confidence_report(priors: Priors) -> ConfidenceReport:
     """Assemble the POVM and evaluate per-state confidence both ways."""
     m = mc_povm(priors)
+    q = priors.original
     per_state = []
     inconclusive = 0.0
     closed_form = mc_confidence_closed_form(priors)
     for label, element in m.forms:  # states 0, 1, 2, then any inconclusive outcome
         if label == INCONCLUSIVE:
-            inconclusive = sum(_joint(priors, element))
+            inconclusive = _posterior(q, element, label)
             continue
-        bayes = _posterior(priors, element, label)
+        bayes = _posterior(q, element, label)
         closed = closed_form[label]
         if closed is None:
             raise UndefinedError("confidence is undefined for a pure ensemble (p_i = 1)")
@@ -182,4 +185,5 @@ def min_error_confidence(priors: Priors) -> tuple[Optional[float], ...]:
     identifies the least likely state).
     """
     forms = dict(optimal_measurement(priors).measurement.forms)
-    return tuple(_posterior(priors, forms[i], i) if i in forms else None for i in range(3))
+    q = priors.original
+    return tuple(_posterior(q, forms[i], i) if i in forms else None for i in range(3))

@@ -139,9 +139,11 @@ def _entries(b: Sequence[float]) -> list:
     return [[(0.5 + 0.0j) * complex(v) for v in row] for row in _rows(b)]
 
 
-#: ``object.__setattr__``, bound once: each record's ``__init__`` sets its
-#: fields through it, past :meth:`_Record.__setattr__`.
-_set_field = object.__setattr__
+def _slot_setters(cls, *names) -> tuple:
+    """The setter of each named slot of ``cls``: ``setter(record, value)``
+    sets that field past :meth:`_Record.__setattr__`.  Bound once per
+    class, it costs about a third less per field than ``object.__setattr__``."""
+    return tuple([getattr(cls, name).__set__ for name in names])
 
 
 class _Record:
@@ -149,11 +151,12 @@ class _Record:
 
     A record lists its fields in ``_fields`` and ``__slots__``, and the
     defaults of trailing ones in ``_defaults``; unless it writes its own
-    ``__init__``, one that sets each field once through :data:`_set_field`
-    is built with the class.  Assigning or deleting a field raises
-    AttributeError.  Equality (same class, equal fields), the hash, the
-    repr and pickling read the fields.  Not dataclasses: importing them and
-    generating their methods would be most of the package's import time.
+    ``__init__``, one that sets each field once through that slot's own
+    setter (:func:`_slot_setters`) is built with the class.  Assigning or
+    deleting a field raises AttributeError.  Equality (same class, equal
+    fields), the hash, the repr and pickling read the fields.  Not
+    dataclasses: importing them and generating their methods would be most
+    of the package's import time.
     """
 
     __slots__ = ()
@@ -164,8 +167,9 @@ class _Record:
         # compiled in a class of the record's name: a wrong-arity TypeError names Record.__init__
         if "__init__" not in cls.__dict__:
             params = ", ".join(f"{f}=_d[{f!r}]" if f in cls._defaults else f for f in cls._fields)
-            body = "".join(f"\n        _set_field(self, {f!r}, {f})" for f in cls._fields)
-            ns = {"__name__": cls.__module__, "_set_field": _set_field, "_d": cls._defaults}
+            body = "".join(f"\n        _set_{f}(self, {f})" for f in cls._fields)
+            ns = {"__name__": cls.__module__, "_d": cls._defaults}
+            ns.update(zip([f"_set_{f}" for f in cls._fields], _slot_setters(cls, *cls._fields)))
             exec(f"class {cls.__name__}:\n    def __init__(self, {params}):{body}\n", ns)
             cls.__init__ = ns[cls.__name__].__init__
 
@@ -211,10 +215,13 @@ class Measurement(_Record):
     __slots__ = _fields = ("forms",)
 
     def __init__(self, forms: Iterable[tuple[object, Sequence[float]]]):
-        forms = tuple((label, tuple(b)) for label, b in forms)
-        if any(len(b) != 3 for _, b in forms):
-            raise DomainError("Measurement takes (label, equatorial Bloch form (t, x, y)) pairs")
-        _set_field(self, "forms", forms)
+        forms = tuple([(label, tuple(b)) for label, b in forms])
+        for _, b in forms:
+            if len(b) != 3:
+                raise DomainError(
+                    "Measurement takes (label, equatorial Bloch form (t, x, y)) pairs"
+                )
+        _set_forms(self, forms)
 
     @property
     def elements(self) -> tuple[tuple[object, np.ndarray], ...]:
@@ -243,6 +250,9 @@ class Measurement(_Record):
 
     def validity(self) -> PovmValidity:
         return povm_validity([b for _, b in self.forms])
+
+
+(_set_forms,) = _slot_setters(Measurement, "forms")
 
 
 def povm_validity(forms: Sequence[Sequence[float]]) -> PovmValidity:

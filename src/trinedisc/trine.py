@@ -14,7 +14,7 @@ import operator
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError, PureStateError
-from .qubit import Measurement, _Record, _set_field, equator_element
+from .qubit import Measurement, _Record, _slot_setters, equator_element
 
 if TYPE_CHECKING:
     import numpy as np
@@ -88,13 +88,13 @@ class Priors(_Record):
             indices = None
         if indices not in _PERMUTATION_MAPS:
             raise DomainError(f"invalid permutation {permutation}")
-        _set_field(self, "p0", p0)
-        _set_field(self, "p1", p1)
-        _set_field(self, "p2", p2)
-        _set_field(self, "permutation", indices)
+        _set_p0(self, p0)
+        _set_p1(self, p1)
+        _set_p2(self, p2)
+        _set_permutation(self, indices)
         original = [0.0, 0.0, 0.0]
         original[a], original[b], original[c] = p0, p1, p2
-        _set_field(self, "original", tuple(original))
+        _set_original(self, tuple(original))
 
     @property
     def p(self) -> float:
@@ -107,6 +107,11 @@ class Priors(_Record):
     @property
     def canonical(self) -> tuple[float, float, float]:
         return (self.p0, self.p1, self.p2)
+
+
+_set_p0, _set_p1, _set_p2, _set_permutation, _set_original = _slot_setters(
+    Priors, *Priors.__slots__
+)
 
 
 def _canonical_checks(p0, p1, p2) -> tuple:
@@ -134,8 +139,13 @@ def canonicalize_priors(q0: float, q1: float, q2: float) -> Priors:
     total = sum(triple)
     if not abs(total - 1.0) <= _SUM_TOL:
         raise DomainError(f"priors must sum to 1 within 1e-9, got sum {total!r}")
-    triple = (q0 / total, q1 / total, q2 / total)
-    a, b, c = order = tuple(sorted((0, 1, 2), key=triple.__getitem__, reverse=True))
+    t0, t1, t2 = triple = (q0 / total, q1 / total, q2 / total)
+    # the stable descending order, in at most three comparisons: a later
+    # prior goes first only if it is strictly larger
+    if t1 > t0:
+        a, b, c = order = ((2, 1, 0) if t2 > t1 else (1, 2, 0)) if t2 > t0 else (1, 0, 2)
+    else:
+        a, b, c = order = ((2, 0, 1) if t2 > t0 else (0, 2, 1)) if t2 > t1 else (0, 1, 2)
     return Priors(triple[a], triple[b], triple[c], order)
 
 
@@ -233,5 +243,5 @@ def transform_to_original(elements, permutation) -> Measurement:
         y = eps * y
         x, y = cos_a * x - sin_a * y, sin_a * x + cos_a * y
         out.append((permutation[label], (gap + math.hypot(x, y), x, y)))
-    out.sort(key=operator.itemgetter(0))
+    out.sort()  # by label: the labels are distinct ints
     return Measurement(out)

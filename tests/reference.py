@@ -14,8 +14,9 @@ The loop forms at the end are the per-prior functions as they were
 written before they worked on the three states' scalars: the
 maximum-confidence POVM, Gamma's Bloch form, the smallest Helstrom
 eigenvalue and the two min-error checks built on them, all through
-generators and ``zip`` over ``TRINE_BLOCH``.  The library must return
-their bits.
+generators and ``zip`` over ``TRINE_BLOCH``; the posteriors, through a
+list of joint probabilities; and the canonical order, through a keyed
+``sorted``.  The library must return their bits.
 """
 
 import math
@@ -23,17 +24,39 @@ import math
 import numpy as np
 
 from trinedisc import qubit
-from trinedisc.max_confidence import _each_state
+from trinedisc.errors import DomainError, UndefinedError, VerificationError, ZeroOutcomeError
+from trinedisc.max_confidence import (
+    _OUTCOME_TOL,
+    ConfidenceReport,
+    _each_state,
+    mc_confidence_closed_form,
+)
 from trinedisc.min_error import (
     _HELSTROM_TOL,
     _U,
     HelstromReport,
     _outcomes,
     gamma_three_element,
+    optimal_measurement,
     theta_two_element,
 )
-from trinedisc.qubit import INCONCLUSIVE, PSD_TOL, _product_norm, born, povm_validity, rank_one
-from trinedisc.trine import _TRINE_ANGLES, TRINE_BLOCH, mixed_e2, priors_from_p_delta
+from trinedisc.qubit import (
+    INCONCLUSIVE,
+    PSD_TOL,
+    _born_row,
+    _product_norm,
+    born,
+    povm_validity,
+    rank_one,
+)
+from trinedisc.trine import (
+    _SUM_TOL,
+    _TRINE_ANGLES,
+    TRINE_BLOCH,
+    Priors,
+    mixed_e2,
+    priors_from_p_delta,
+)
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -236,3 +259,64 @@ def certify_min_error_loops(probabilities, measurement, helstrom):
     )
     lower = (g - born_error) / (1.0 + x)
     return math.nextafter(lower - 4.0 * _U * abs(lower), -math.inf), upper
+
+
+def joint_list(priors, element):
+    """p_j Tr(rho_j pi) for each state j, caller's order, in a list."""
+    q0, q1, q2 = priors.original
+    b0, b1, b2 = _born_row(element, TRINE_BLOCH)
+    return [q0 * b0, q1 * b1, q2 * b2]
+
+
+def posterior_list(priors, element, outcome_label):
+    """The posterior of one element through :func:`joint_list`, with its zero-outcome test."""
+    joint = joint_list(priors, element)
+    ensemble_prob = sum(joint)
+    if ensemble_prob <= _OUTCOME_TOL * element[0]:
+        raise ZeroOutcomeError(f"outcome {outcome_label!r} has vanishing ensemble probability")
+    return min(1.0, joint[outcome_label] / ensemble_prob)
+
+
+def confidence_lists(priors, m, outcome_label):
+    """``max_confidence.confidence`` through :func:`posterior_list`."""
+    _, state, element = m._state_outcome(outcome_label)
+    return posterior_list(priors, element, state)
+
+
+def confidence_report_lists(priors):
+    """``max_confidence.confidence_report`` through :func:`mc_povm_loops` and the lists."""
+    m = mc_povm_loops(priors)
+    per_state = []
+    inconclusive = 0.0
+    closed_form = mc_confidence_closed_form(priors)
+    for label, element in m.forms:
+        if label == INCONCLUSIVE:
+            inconclusive = sum(joint_list(priors, element))
+            continue
+        bayes = posterior_list(priors, element, label)
+        closed = closed_form[label]
+        if closed is None:
+            raise UndefinedError("confidence is undefined for a pure ensemble (p_i = 1)")
+        if abs(bayes - closed) > 1e-10:
+            raise VerificationError(f"Bayes confidence {bayes} disagrees with closed form {closed}")
+        per_state.append(bayes)
+    return ConfidenceReport(tuple(per_state), inconclusive, m, closed_form)
+
+
+def min_error_confidence_lists(priors):
+    """``max_confidence.min_error_confidence`` through :func:`posterior_list`."""
+    forms = dict(optimal_measurement(priors).measurement.forms)
+    return tuple(posterior_list(priors, forms[i], i) if i in forms else None for i in range(3))
+
+
+def canonicalize_priors_sorted(q0, q1, q2):
+    """``trine.canonicalize_priors`` with its order from a keyed, stable ``sorted``."""
+    q0, q1, q2 = triple = (float(q0), float(q1), float(q2))
+    if not (q0 >= 0.0 and q1 >= 0.0 and q2 >= 0.0):
+        raise DomainError(f"priors must be nonnegative, got {triple}")
+    total = sum(triple)
+    if not abs(total - 1.0) <= _SUM_TOL:
+        raise DomainError(f"priors must sum to 1 within 1e-9, got sum {total!r}")
+    triple = (q0 / total, q1 / total, q2 / total)
+    a, b, c = order = tuple(sorted((0, 1, 2), key=triple.__getitem__, reverse=True))
+    return Priors(triple[a], triple[b], triple[c], order)

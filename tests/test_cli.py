@@ -337,6 +337,24 @@ def test_sweep_writes_its_csv_in_one_call(monkeypatch, argv):
     assert stdout.getvalue().startswith(f"# trinedisc {cli.__version__} {argv[0]} ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimal", "--p", "0.4", "--delta", "0.1", "--json"],
+        ["confidence", "--p0", "0.5", "--p1", "0.3", "--p2", "0.2"],
+        ["verify", "--samples", "2"],
+        ["simulate", "--p0", "0.5", "--p1", "0.3", "--p2", "0.2", "--shots", "1000"],
+    ],
+)
+def test_json_command_writes_its_stdout_in_one_call(monkeypatch, argv):
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    assert stdout.writes == 1
+    assert stdout.getvalue().endswith("}\n")
+    json.loads(stdout.getvalue())
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         code, out, _ = run(

@@ -2,9 +2,11 @@
 
 ``max_confidence.mc_povm`` (whose measurement ``confidence_report``
 returns), ``min_error.check_helstrom`` (through ``optimal_measurement``
-too), ``confidence_report`` and ``oracle.certify_min_error`` work on the
-three states' scalars; the loop forms in ``reference`` are the same
-arithmetic over generators and ``zip``.
+too), ``confidence_report``, ``min_error_confidence``, ``confidence`` and
+``oracle.certify_min_error`` work on the three states' scalars, and
+``trine.canonicalize_priors`` orders a triple by comparisons; the loop
+forms in ``reference`` are the same arithmetic over generators, ``zip``,
+lists of joint probabilities and a keyed ``sorted``.
 Every field is compared by ``float.hex``, and every exception by its type
 and message, on seeded priors: uniform ones and the benchmark's edge, tie,
 corner and boundary families.  The draws and the records use the standard
@@ -53,9 +55,9 @@ def family_triple(rng: random.Random, family: int) -> tuple[float, float, float]
             return (p + delta, p - delta, 1.0 - 2.0 * p)
 
 
-def seeded_priors(samples: int = SAMPLES, seed: int = 0) -> list:
-    """``samples`` canonicalized priors in caller order: four fifths uniform,
-    the rest from the four hard families in turn, after a few exact points."""
+def seeded_triples(samples: int = SAMPLES, seed: int = 0) -> list:
+    """``samples`` prior triples in caller order: four fifths uniform, the
+    rest from the four hard families in turn, after a few exact points."""
     rng = random.Random(seed)
     triples = [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0), (0.6, 0.4, 0.0)]
     while len(triples) < samples:
@@ -63,7 +65,12 @@ def seeded_priors(samples: int = SAMPLES, seed: int = 0) -> list:
         triple = list(family_triple(rng, 0 if k < 16 else k - 15))
         rng.shuffle(triple)
         triples.append(tuple(triple))
-    return [canonicalize_priors(*t) for t in triples]
+    return triples
+
+
+def seeded_priors(samples: int = SAMPLES, seed: int = 0) -> list:
+    """:func:`seeded_triples`, canonicalized."""
+    return [canonicalize_priors(*t) for t in seeded_triples(samples, seed)]
 
 
 def hexed(value):
@@ -96,11 +103,13 @@ def records(priors, certify) -> list:
     """Each compared row for one prior, the library called through its modules."""
     report_row, report = attempt(max_confidence.confidence_report, priors)
     optimal_row, result = attempt(min_error.optimal_measurement, priors)
-    rows = [report_row, optimal_row]
+    rows = [report_row, optimal_row, attempt(max_confidence.min_error_confidence, priors)[0]]
     if result is not None:
         rows.append(attempt(certify, priors.original, result.measurement, result.helstrom)[0])
     for m in (TRINE, ANTITRINE) + ((report.measurement,) if report is not None else ()):
         rows.append(attempt(min_error.check_helstrom, priors.original, m)[0])
+    for m in (TRINE, ANTITRINE) + ((result.measurement,) if result is not None else ()):
+        rows += [attempt(max_confidence.confidence, priors, m, label)[0] for label in range(3)]
     return rows
 
 
@@ -116,6 +125,11 @@ def test_the_per_prior_path_returns_the_bits_of_its_loop_forms(monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(max_confidence, "mc_povm", reference.mc_povm_loops)
             patched.setattr(min_error, "check_helstrom", reference.check_helstrom_loops)
+            patched.setattr(max_confidence, "confidence_report", reference.confidence_report_lists)
+            patched.setattr(
+                max_confidence, "min_error_confidence", reference.min_error_confidence_lists
+            )
+            patched.setattr(max_confidence, "confidence", reference.confidence_lists)
             want = [records(pr, reference.certify_min_error_loops) for pr in chunk]
         differ = [(pr, a, b) for pr, a, b in zip(chunk, got, want) if a != b]
         assert differ[:1] == []
@@ -131,4 +145,21 @@ def test_the_per_prior_path_returns_the_bits_of_its_loop_forms(monkeypatch):
     assert compared > 5 * SAMPLES
     assert strategies == {"two_element", "three_element", None}
     assert 0 < inconclusive < SAMPLES
-    assert {"PureStateError", "VerificationError"} <= failures
+    assert {"PureStateError", "VerificationError", "ZeroOutcomeError"} <= failures
+
+
+def canonical_row(canonicalize, triple) -> tuple:
+    """The compared row of ``canonicalize(*triple)``, its caller-order triple included."""
+    row, priors = attempt(canonicalize, *triple)
+    return row, priors and hexed(priors.original)
+
+
+def test_the_canonical_order_is_the_keyed_sort():
+    import reference
+
+    triples = seeded_triples()
+    got = [canonical_row(canonicalize_priors, t) for t in triples]
+    want = [canonical_row(reference.canonicalize_priors_sorted, t) for t in triples]
+    assert [(t, a, b) for t, a, b in zip(triples, got, want) if a != b] == []
+    # (True, ("Priors", (p0, p1, p2, permutation))): the draws take every order
+    assert len({row[1][1][3] for row, _ in got}) == 6

@@ -256,14 +256,21 @@ def test_single_query_hot_path_builds_no_generators():
     # work on the states' scalars (tests/test_loop_forms.py holds their bits)
     hot = (
         ("max_confidence", "mc_povm"),
+        ("max_confidence", "confidence_report"),
         ("min_error", "check_helstrom"),
         ("oracle", "certify_min_error"),
+        ("trine", "canonicalize_priors"),
         ("trine", "transform_to_original"),
+        ("qubit", "Measurement.__init__"),
     )
     found = {}
     for module, name in hot:
-        tree = ast.parse((SRC / "trinedisc" / f"{module}.py").read_text(encoding="utf-8"))
-        (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+        fn = ast.parse((SRC / "trinedisc" / f"{module}.py").read_text(encoding="utf-8"))
+        for part in name.split("."):  # a method is found through its class
+            (fn,) = [
+                n for n in fn.body
+                if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part
+            ]
         found[name] = [
             ast.unparse(node)
             for node in ast.walk(fn)
@@ -300,22 +307,49 @@ def test_no_module_imports_dataclasses():
     assert offenders == []
 
 
+def is_setter_call(stmt) -> bool:
+    """Whether ``stmt`` is a bare call of a slot setter, ``_set_<field>(self, value)``."""
+    return (
+        isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Call)
+        and ast.unparse(stmt.value.func).startswith("_set_")
+    )
+
+
+def hand_written_inits(source: str) -> tuple[list, list]:
+    """The records defined in ``source``, and those whose own ``__init__``
+    only calls slot setters, which is the ``__init__`` that _Record builds."""
+    records, offenders = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and "_Record" in map(ast.unparse, node.bases):
+            records.append(node.name)
+            offenders += [
+                node.name
+                for stmt in node.body
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
+                and all(map(is_setter_call, stmt.body))
+            ]
+    return records, offenders
+
+
 def test_no_record_writes_out_the_init_that_record_builds():
     # _Record builds the __init__ that only sets each field in turn; a record
     # writes its own only to check or normalise what it is given
     records, offenders = [], []
     for path in sorted((SRC / "trinedisc").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef) and "_Record" in map(ast.unparse, node.bases):
-                records.append(node.name)
-                offenders += [
-                    node.name
-                    for stmt in node.body
-                    if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
-                    and all(ast.unparse(line).startswith("_set_field(") for line in stmt.body)
-                ]
+        found, flagged = hand_written_inits(path.read_text(encoding="utf-8"))
+        records += found
+        offenders += flagged
     assert len(records) == 8
     assert offenders == []
+    planted = (
+        "class Pair(_Record):\n"
+        "    __slots__ = _fields = ('a', 'b')\n"
+        "    def __init__(self, a, b):\n"
+        "        _set_a(self, a)\n"
+        "        _set_b(self, b)\n"
+    )
+    assert hand_written_inits(planted) == (["Pair"], ["Pair"])
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

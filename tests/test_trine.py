@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -30,6 +32,19 @@ from reference import (
     trine_projectors,
     trine_states,
 )
+from test_loop_forms import family_triple
+
+
+#: Triples with tied priors, signed zeros among them, then draws from the
+#: edge (p2 = 0) and tie (p1 = p2) families of the loop-form comparison.
+TIE_PATTERNS = [
+    (1 / 3, 1 / 3, 1 / 3),
+    (0.5, 0.5, 0.0),
+    (1.0, 0.0, -0.0),
+    (0.5, 0.25, 0.25),
+    (0.6, 0.2, 0.2),
+    (0.2, 0.4, 0.4),
+] + [family_triple(random.Random(seed), family) for family in (1, 2) for seed in range(5)]
 
 
 def trine_perps():
@@ -107,6 +122,15 @@ class TestCanonicalization:
     def test_stable_on_ties(self):
         pr = canonicalize_priors(0.3, 0.4, 0.3)
         assert pr.permutation == (1, 0, 2)
+
+    @pytest.mark.parametrize("pattern", TIE_PATTERNS)
+    def test_order_is_the_stable_descending_sort(self, pattern):
+        # every ordering, 0.0 and -0.0 kept apart: set() would merge them
+        for q in itertools.permutations(pattern):
+            perm = canonicalize_priors(*q).permutation
+            assert perm == tuple(sorted((0, 1, 2), key=q.__getitem__, reverse=True))
+            # equal priors keep the caller's order
+            assert all(perm[c] < perm[c + 1] for c in (0, 1) if q[perm[c]] == q[perm[c + 1]])
 
     def test_equal_priors(self):
         pr = canonicalize_priors(1 / 3, 1 / 3, 1 / 3)
