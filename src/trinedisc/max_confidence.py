@@ -144,8 +144,7 @@ class ConfidenceReport(_Record):
     order; ``inconclusive_probability`` depends on the maximal-strength
     scaling convention and is labeled as such in CLI output.
     ``closed_form`` holds the :func:`mc_confidence_closed_form` values the
-    posteriors were checked against, when the report was built by
-    :func:`confidence_report`, and is None otherwise.
+    posteriors were checked against.
     """
 
     __slots__ = _fields = (
@@ -154,7 +153,6 @@ class ConfidenceReport(_Record):
         "measurement",
         "closed_form",
     )
-    _defaults = {"closed_form": None}
 
 
 def confidence_report(priors: Priors) -> ConfidenceReport:

@@ -147,7 +147,7 @@ def gamma_three_element(priors: Priors) -> GammaSolution:
     to exactly 0, and UndefinedError is raised.
     """
     q = priors.canonical
-    if min(q) <= 0.0:
+    if not _positive(q):
         raise ZeroPriorError("three-element construction needs strictly positive priors")
     r0, r1, r2 = 1.0 / q[0], 1.0 / q[1], 1.0 / q[2]
     a = (2.0 / 3.0) * (r0 + r1 + r2)
@@ -329,7 +329,6 @@ class OptimalResult(_Record):
         "theta",
         "gamma",
     )
-    _defaults = {"theta": None, "gamma": None}
 
 
 def optimal_branch(priors: Priors) -> tuple[str, float, float]:

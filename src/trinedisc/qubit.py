@@ -15,9 +15,9 @@ nothing beyond these tuples:
 
 A :class:`Measurement` is built from, and holds, (label, Bloch form) pairs,
 which every layer reads directly.  Complex numbers exist only on the way
-out, in the matrices of ``Measurement.elements``: :func:`from_bloch` builds
-them when a caller reads them, and imports numpy only when called, so the
-closed forms run without loading it.
+out, in the matrices of ``Measurement.elements``, which are built when a
+caller reads them and import numpy only then, so the closed forms run
+without loading it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "trace_product",
     "born",
     "rank_one",
-    "from_bloch",
     "povm_validity",
 ]
 
@@ -121,20 +120,13 @@ def _rows(b: Sequence[float]) -> list:
     return [[t, x - 1j * y], [x + 1j * y, t]]
 
 
-def from_bloch(b: Sequence[float]) -> np.ndarray:
-    """The 2x2 complex matrix (t I + v.sigma)/2 of a Bloch form."""
-    import numpy as np
-
-    return 0.5 * np.array(_rows(b), dtype=complex)
-
-
 def _entries(b: Sequence[float]) -> list:
-    """The entries of ``from_bloch(b)`` as complex numbers, signed zeros
-    included, without numpy: the same rows, each entry scaled by the
-    complex product (0.5 + 0j) * entry that numpy takes too.  from_bloch
-    does not build its array from these: that made the benchmark's
-    ``query`` read slower, though that workload reads matrices only after
-    its timer stops.
+    """The entries of the 2x2 complex matrix (t I + v.sigma)/2 that
+    ``Measurement.elements`` gives for ``b``, signed zeros included, without
+    numpy: the same rows, each entry scaled by the complex product
+    (0.5 + 0j) * entry that numpy takes too.  ``elements`` does not build
+    its arrays from these: that made the benchmark's ``query`` read slower,
+    though that workload reads matrices only after its timer stops.
     """
     return [[(0.5 + 0.0j) * complex(v) for v in row] for row in _rows(b)]
 
@@ -149,26 +141,24 @@ def _slot_setters(cls, *names) -> tuple:
 class _Record:
     """Base of the immutable result records: value semantics over ``_fields``.
 
-    A record lists its fields in ``_fields`` and ``__slots__``, and the
-    defaults of trailing ones in ``_defaults``; unless it writes its own
-    ``__init__``, one that sets each field once through that slot's own
-    setter (:func:`_slot_setters`) is built with the class.  Assigning or
-    deleting a field raises AttributeError.  Equality (same class, equal
-    fields), the hash, the repr and pickling read the fields.  Not
-    dataclasses: importing them and generating their methods would be most
-    of the package's import time.
+    A record lists its fields in ``_fields`` and ``__slots__``; unless it
+    writes its own ``__init__``, one that takes every field and sets each
+    once through that slot's own setter (:func:`_slot_setters`) is built
+    with the class.  Assigning or deleting a field raises AttributeError.
+    Equality (same class, equal fields), the hash, the repr and pickling
+    read the fields.  Not dataclasses: importing them and generating their
+    methods would be most of the package's import time.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls):
         # compiled in a class of the record's name: a wrong-arity TypeError names Record.__init__
         if "__init__" not in cls.__dict__:
-            params = ", ".join(f"{f}=_d[{f!r}]" if f in cls._defaults else f for f in cls._fields)
+            params = ", ".join(cls._fields)
             body = "".join(f"\n        _set_{f}(self, {f})" for f in cls._fields)
-            ns = {"__name__": cls.__module__, "_d": cls._defaults}
+            ns = {"__name__": cls.__module__}
             ns.update(zip([f"_set_{f}" for f in cls._fields], _slot_setters(cls, *cls._fields)))
             exec(f"class {cls.__name__}:\n    def __init__(self, {params}):{body}\n", ns)
             cls.__init__ = ns[cls.__name__].__init__
@@ -225,8 +215,10 @@ class Measurement(_Record):
 
     @property
     def elements(self) -> tuple[tuple[object, np.ndarray], ...]:
-        """The (label, 2x2 complex matrix) pairs, built on each read."""
-        return tuple((label, from_bloch(b)) for label, b in self.forms)
+        """The (label, 2x2 complex matrix (t I + v.sigma)/2) pairs, built on each read."""
+        import numpy as np
+
+        return tuple((label, 0.5 * np.array(_rows(b), dtype=complex)) for label, b in self.forms)
 
     @property
     def labels(self) -> tuple:
@@ -247,9 +239,6 @@ class Measurement(_Record):
             if lab == label:
                 return k, int(label), b
         raise DomainError(f"measurement has no outcome labeled {int(label)}")
-
-    def validity(self) -> PovmValidity:
-        return povm_validity([b for _, b in self.forms])
 
 
 (_set_forms,) = _slot_setters(Measurement, "forms")

@@ -50,7 +50,6 @@ class EmpiricalResult(_Record):
         "algorithm",
         "total_shots",
     )
-    _defaults = {"algorithm": _RNG_ALGORITHM, "total_shots": None}
 
 
 def _outcome_table(m: Measurement) -> np.ndarray:

@@ -111,6 +111,16 @@ def element(m, label):
     return op
 
 
+def matrix(b):
+    """The 2x2 complex matrix that ``Measurement.elements`` gives for the Bloch form ``b``."""
+    return element(qubit.Measurement([(0, b)]), 0)
+
+
+def validity(m):
+    """Positivity and completeness of a Measurement's elements, from its Bloch forms."""
+    return povm_validity([b for _, b in m.forms])
+
+
 def gamma_matrix(sol):
     """Gamma = (p_corr I + c.sigma)/2 with c = -(p_corr / a) b, from a GammaSolution."""
     c = -sol.p_corr / sol.a

@@ -34,7 +34,7 @@ from trinedisc.trine import (
 )
 
 from grid_search import brute_force_min_error
-from reference import three_element_measurement, two_element_measurement
+from reference import three_element_measurement, two_element_measurement, validity
 
 U = 2.0**-53
 _BITS = 200
@@ -152,7 +152,7 @@ def test_min_error_bounds_bracket_the_exact_optimum(family):
         for q, m in answers(pr):
             lower, upper = certify_min_error(q, m, check_helstrom(q, m))
             assert Fraction(lower) <= opt_lo and opt_hi <= Fraction(upper), (pr.original, m)
-            if m.validity().is_valid:
+            if validity(m).is_valid:
                 assert Fraction(lower) <= exact_born_lower(q, m), (pr.original, m)
             certified += 1
     assert certified >= 2 * len(priors)

@@ -21,10 +21,11 @@ from trinedisc.min_error import (
     optimal_measurement,
 )
 from trinedisc.oracle import certify_max_confidence
-from trinedisc.qubit import _entries, from_bloch
+from trinedisc.qubit import _entries
 from trinedisc.trine import canonicalize_priors, random_priors
 
 from grid_search import brute_force_max_confidence, brute_force_min_error
+from reference import matrix
 
 
 def run(capsys, *argv):
@@ -87,14 +88,14 @@ class TestSerialization:
         ]
         assert type(report["passes"]) is bool
 
-    def test_entries_keep_the_signed_zeros_of_from_bloch(self):
+    def test_entries_keep_the_signed_zeros_of_the_elements(self):
         # matrix entries are printed from the Bloch forms; the sign of every
         # zero part must be the one the 2x2 matrix carries
         inf = math.inf
         values = (0.7, -0.7, 0.0, -0.0, 1e-300, -1e-300, inf, -inf, math.nan)
         for b in itertools.product(values, repeat=3):
             with np.errstate(invalid="ignore"):  # inf times zero
-                op = from_bloch(b)
+                op = matrix(b)
             want = [
                 (repr(float(op[i, j].real)), repr(float(op[i, j].imag)))
                 for i in range(2)

@@ -19,7 +19,7 @@ from trinedisc.trine import (
     trine_measurement,
 )
 
-from reference import element, measurement, trine_projectors
+from reference import element, measurement, trine_projectors, validity
 
 
 def bayes_confidence(q, m, i):
@@ -85,7 +85,7 @@ class TestPovm:
             if pr.p0 > 1.0 - 1e-6:
                 continue
             m = mc_povm(pr)
-            v = m.validity()
+            v = validity(m)
             assert v.is_valid and v.completeness_deviation < 1e-10
 
     def test_equal_priors_no_inconclusive(self):

@@ -45,6 +45,7 @@ from reference import (
     trine_projectors,
     trine_states,
     two_element_measurement,
+    validity,
     weight2,
 )
 
@@ -150,7 +151,7 @@ class TestTwoElement:
     def test_measurement_is_projective(self):
         pr = canonicalize_priors(0.6, 0.3, 0.1)
         m = two_element_measurement(pr)
-        assert m.validity().is_valid
+        assert validity(m).is_valid
         for _, op in m.elements:
             np.testing.assert_allclose(op @ op, op, atol=1e-12)
 
@@ -351,7 +352,7 @@ class TestThreeElement:
             if pr.p2 <= 0 or boundary_determinant(pr) >= -1e-6:
                 continue
             m = three_element_measurement(pr)
-            v = m.validity()
+            v = validity(m)
             assert v.is_valid and v.completeness_deviation < 1e-10
             assert born_success(pr.canonical, m) == pytest.approx(
                 p_correct_three_element(pr), abs=1e-9
@@ -361,7 +362,7 @@ class TestThreeElement:
     def test_unchecked_povm_has_a_negative_element_outside_region(self):
         pr = priors_from_p_delta(0.48, 0.3)
         assert boundary_determinant(pr) > 0.0
-        v = three_element_measurement(pr).validity()
+        v = validity(three_element_measurement(pr))
         assert not v.is_valid and v.min_element_eigenvalue < 0.0
 
     def test_rejects_zero_prior(self):
@@ -411,7 +412,7 @@ class TestHelstrom:
         # the optimal two-outcome projectors turned by 0.3 rad: projective, but not optimal
         theta = theta_two_element(pr) + 0.3
         m = measurement(((0, projector(ket(theta))), (1, projector(ket(theta + math.pi)))))
-        assert m.validity().is_valid
+        assert validity(m).is_valid
         assert not check_helstrom(pr.original, m).passes
 
 

@@ -15,7 +15,7 @@ from grid_search import (
     brute_force_min_error,
     planar_weights,
 )
-from reference import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, trine_projectors
+from reference import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, trine_projectors, validity
 from test_certificate import exact_max_confidence, exact_optimum
 
 
@@ -73,7 +73,7 @@ class TestCoarseGrids:
             results = brute_force_min_error(priors, resolution, refinements)
             for pr, found in zip(priors, results):
                 assert found.best_value - exact_optimum(pr.original)[1] <= 1e-14, pr.original
-                assert measurement_from_parameters(found).validity().is_valid, pr.original
+                assert validity(measurement_from_parameters(found)).is_valid, pr.original
             if previous is not None:
                 for before, after in zip(previous, results):
                     assert after.best_value >= before.best_value
@@ -124,7 +124,7 @@ class TestMinErrorOracle:
         for pr in random_priors(rng, 10):
             [res] = brute_force_min_error([pr], resolution=48, refinements=16)
             m = measurement_from_parameters(res)
-            v = m.validity()
+            v = validity(m)
             assert v.is_valid and v.completeness_deviation < 1e-8
 
     def test_deterministic(self):

@@ -27,10 +27,12 @@ from reference import (
     bloch_form,
     element,
     ket,
+    matrix,
     measurement,
     projector,
     trine_projectors,
     trine_states,
+    validity,
 )
 from reference import product_norm as reference_product_norm
 from test_records import RECORDS
@@ -167,7 +169,7 @@ class TestBornProbability:
 class TestValidatePovm:
     def test_trine_measurement_valid(self):
         m = trine_measurement()
-        for v in (m.validity(), validate_povm([op for _, op in m.elements])):
+        for v in (validity(m), validate_povm([op for _, op in m.elements])):
             assert v.is_valid
             assert v.completeness_deviation < 1e-12
 
@@ -272,7 +274,7 @@ class TestInversion:
         with pytest.raises(PureStateError):
             mc_povm(canonicalize_priors(1.0 - 1e-10, 1e-10, 0.0))
         # a nearly pure but invertible ensemble is fine
-        assert mc_povm(canonicalize_priors(1.0 - 1e-8, 1e-8, 0.0)).validity().is_valid
+        assert validity(mc_povm(canonicalize_priors(1.0 - 1e-8, 1e-8, 0.0))).is_valid
 
     def test_inverse_identity_many(self):
         rng = np.random.default_rng(7)
@@ -294,7 +296,7 @@ class TestBloch:
     )
     @settings(max_examples=100, deadline=None)
     def test_roundtrip(self, t, x, y):
-        m = qubit.from_bloch((t, x, y))
+        m = matrix((t, x, y))
         np.testing.assert_allclose(bloch_form(m), [t, x, y], atol=1e-12)
 
     def test_density_matrix_bloch_length(self):
@@ -394,25 +396,28 @@ MISSING_ARGUMENTS = {
         "'max_offdiag_residual', 'min_global_eigenvalue', 'passes', and 'success_probability'"
     ),
     "OptimalResult": (
-        "OptimalResult.__init__() missing 5 required positional arguments: 'strategy', "
-        "'measurement', 'p_correct', 'boundary_determinant', and 'helstrom'"
+        "OptimalResult.__init__() missing 7 required positional arguments: 'strategy', "
+        "'measurement', 'p_correct', 'boundary_determinant', 'helstrom', 'theta', and 'gamma'"
     ),
     "ConfidenceReport": (
-        "ConfidenceReport.__init__() missing 3 required positional arguments: "
-        "'per_state_confidence', 'inconclusive_probability', and 'measurement'"
+        "ConfidenceReport.__init__() missing 4 required positional arguments: "
+        "'per_state_confidence', 'inconclusive_probability', 'measurement', and 'closed_form'"
     ),
     "EmpiricalResult": (
-        "EmpiricalResult.__init__() missing 6 required positional arguments: 'shots', "
-        "'successes', 'estimate', 'standard_error', 'per_outcome_counts', and 'seed'"
+        "EmpiricalResult.__init__() missing 8 required positional arguments: 'shots', "
+        "'successes', 'estimate', 'standard_error', 'per_outcome_counts', 'seed', 'algorithm', "
+        "and 'total_shots'"
     ),
 }
 
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_record_constructors_take_their_fields_in_order(name):
-    cls, names, _, defaults = RECORDS[name]
+    cls, names, _ = RECORDS[name]
     params = list(inspect.signature(cls).parameters.values())
-    assert tuple(p.name for p in params) == cls._fields == (*names, *defaults)
+    assert tuple(p.name for p in params) == cls._fields == names
+    # Priors alone has a default: the identity permutation
+    defaults = {"permutation": (0, 1, 2)} if name == "Priors" else {}
     assert {p.name: p.default for p in params if p.default is not p.empty} == defaults
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
     with pytest.raises(TypeError) as missing:

@@ -17,49 +17,60 @@ from trinedisc.qubit import INCONCLUSIVE, Measurement, PovmValidity
 from trinedisc.simulate import EmpiricalResult, estimate_confidence, estimate_success
 from trinedisc.trine import Priors, canonicalize_priors, trine_measurement
 
+from reference import validity
+
 FORMS = ((0, (1.0, 0.5, 0.0)), (INCONCLUSIVE, (1.0, -0.5, 0.0)))
 HELSTROM = HelstromReport(1.5e-17, -2.5e-12, True, 0.75)
 GAMMA = GammaSolution(9.5, 1.25, -0.75, 0.4375)
 
-#: record name -> (class, field names, values given for them, defaults of the
-#: fields not given)
+#: record name -> (class, field names, values given for them)
 RECORDS = {
-    "Priors": (
-        Priors, ("p0", "p1", "p2"), (0.5, 0.3, 0.2), {"permutation": (0, 1, 2)},
-    ),
+    "Priors": (Priors, ("p0", "p1", "p2", "permutation"), (0.5, 0.3, 0.2, (0, 1, 2))),
     "PovmValidity": (
         PovmValidity,
         ("is_valid", "min_element_eigenvalue", "completeness_deviation"),
         (True, -0.0, 2.5e-16),
-        {},
     ),
-    "Measurement": (Measurement, ("forms",), (FORMS,), {}),
+    "Measurement": (Measurement, ("forms",), (FORMS,)),
     "GammaSolution": (
-        GammaSolution, ("a", "b_x", "b_y", "p_corr"), (9.5, 1.25, -0.75, 0.4375), {},
+        GammaSolution, ("a", "b_x", "b_y", "p_corr"), (9.5, 1.25, -0.75, 0.4375),
     ),
     "HelstromReport": (
         HelstromReport,
         ("max_offdiag_residual", "min_global_eigenvalue", "passes", "success_probability"),
         (1.5e-17, -2.5e-12, True, 0.75),
-        {},
     ),
     "OptimalResult": (
         OptimalResult,
-        ("strategy", "measurement", "p_correct", "boundary_determinant", "helstrom"),
-        ("two_element", Measurement(FORMS), 0.75, 0.01, HELSTROM),
-        {"theta": None, "gamma": None},
+        (
+            "strategy",
+            "measurement",
+            "p_correct",
+            "boundary_determinant",
+            "helstrom",
+            "theta",
+            "gamma",
+        ),
+        ("two_element", Measurement(FORMS), 0.75, 0.01, HELSTROM, None, None),
     ),
     "ConfidenceReport": (
         ConfidenceReport,
-        ("per_state_confidence", "inconclusive_probability", "measurement"),
-        ((0.8, 0.7, 0.5), 0.25, Measurement(FORMS)),
-        {"closed_form": None},
+        ("per_state_confidence", "inconclusive_probability", "measurement", "closed_form"),
+        ((0.8, 0.7, 0.5), 0.25, Measurement(FORMS), None),
     ),
     "EmpiricalResult": (
         EmpiricalResult,
-        ("shots", "successes", "estimate", "standard_error", "per_outcome_counts", "seed"),
-        (1000, 750, 0.75, 0.0137, {0: 600, 1: 400}, 7),
-        {"algorithm": "numpy-pcg64", "total_shots": None},
+        (
+            "shots",
+            "successes",
+            "estimate",
+            "standard_error",
+            "per_outcome_counts",
+            "seed",
+            "algorithm",
+            "total_shots",
+        ),
+        (1000, 750, 0.75, 0.0137, {0: 600, 1: 400}, 7, "numpy-pcg64", None),
     ),
 }
 
@@ -68,7 +79,7 @@ UNHASHABLE = {"EmpiricalResult"}
 
 
 def build(name, by_keyword=False):
-    cls, names, values, _ = RECORDS[name]
+    cls, names, values = RECORDS[name]
     if by_keyword:
         return cls(**dict(zip(names, values)))
     return cls(*values)
@@ -84,7 +95,7 @@ def library_records():
         two,
         three,
         m,
-        m.validity(),
+        validity(m),
         optimal_measurement(two),
         optimal_measurement(three),
         confidence_report(two),
@@ -95,26 +106,19 @@ def library_records():
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_built_by_position_and_by_keyword_alike(name):
-    cls, names, values, defaults = RECORDS[name]
+    cls, names, values = RECORDS[name]
     by_position, by_keyword = build(name), build(name, by_keyword=True)
     assert type(by_position) is type(by_keyword) is cls
     assert by_position == by_keyword
     for field, value in zip(names, values):
         assert getattr(by_position, field) == value
-    for field, value in defaults.items():
-        assert getattr(by_position, field) == value
 
 
 def test_defaults_can_be_given():
+    # Priors is the one record with a default: the identity permutation
+    assert Priors(0.5, 0.3, 0.2).permutation == (0, 1, 2)
     assert Priors(0.5, 0.3, 0.2, (1, 0, 2)).permutation == (1, 0, 2)
     assert Priors(0.5, 0.3, 0.2, permutation=(2, 1, 0)).permutation == (2, 1, 0)
-    result = OptimalResult("three_element", Measurement(FORMS), 0.75, -0.01, HELSTROM, gamma=GAMMA)
-    assert (result.theta, result.gamma) == (None, GAMMA)
-    result = OptimalResult("two_element", Measurement(FORMS), 0.75, 0.01, HELSTROM, -0.5)
-    assert (result.theta, result.gamma) == (-0.5, None)
-    counts = {0: 1}
-    empirical = EmpiricalResult(1, 1, 1.0, 0.0, counts, 0, "other", total_shots=5)
-    assert (empirical.algorithm, empirical.total_shots) == ("other", 5)
 
 
 def test_measurement_keeps_its_forms_as_tuples():
@@ -165,8 +169,8 @@ def test_repr_text():
 @pytest.mark.parametrize("name", RECORDS)
 def test_fields_cannot_be_assigned_or_deleted(name):
     record = build(name)
-    _, names, values, defaults = RECORDS[name]
-    for field, value in [*zip(names, values), *defaults.items()]:
+    _, names, values = RECORDS[name]
+    for field, value in zip(names, values):
         with pytest.raises(AttributeError):
             setattr(record, field, value)
         with pytest.raises(AttributeError):

@@ -97,7 +97,7 @@ from trinedisc.simulate import estimate_confidence, estimate_success
 from trinedisc.trine import Priors, canonicalize_priors, priors_from_p_delta, random_priors
 
 from grid_search import brute_force_max_confidence
-from reference import three_element_weights_raw
+from reference import three_element_weights_raw, validity
 
 NEAR_CORNER = [
     (0.998, 0.001, 0.001),
@@ -117,7 +117,7 @@ def test_confidence_report_near_corner(q):
     for i, c in enumerate(rep.per_state_confidence):
         assert 0.0 <= c <= 1.0
         assert c == pytest.approx(mc_confidence_closed_form(pr)[i], abs=1e-10)
-    assert rep.measurement.validity().is_valid
+    assert validity(rep.measurement).is_valid
 
 
 # 1 - p0 from 1e-7 down to 1e-9, next to the purity guard (about 6.7e-10)

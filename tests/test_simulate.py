@@ -176,3 +176,23 @@ class TestEstimateConfidence:
     def test_unknown_label_rejected(self):
         with pytest.raises(DomainError):
             estimate_confidence(EQUAL, trine_measurement(), 5, shots=1000, seed=1)
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda pr, m: estimate_success(pr, m, 1000, 1),
+        lambda pr, m: estimate_confidence(pr, m, 0, 1000, 1),
+    ],
+    ids=["success", "confidence"],
+)
+def test_outcome_rows_off_one_are_refused(estimate):
+    # labels 0, 1 and 2 on a and b = c: the smallest eigenvalue is -9e-11 and
+    # the completeness deviation 9e-11, both within PSD_TOL, yet state 0's
+    # clamped Born row sums to 1 + 1.8e-10
+    e = 1.8e-10
+    a, b = (0.5, -(0.5 + e), 0.0), ((1.5 + e) / 2, (0.5 + e) / 2, 0.0)
+    assert qubit.povm_validity([a, b, b]).is_valid
+    m = qubit.Measurement([(0, a), (1, b), (2, b)])
+    with pytest.raises(DomainError, match="^outcome probabilities do not sum to 1$"):
+        estimate(canonicalize_priors(0.5, 0.3, 0.2), m)

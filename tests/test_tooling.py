@@ -73,18 +73,18 @@ def test_no_module_decodes_matrices():
 
 def test_complex_numbers_appear_only_where_matrices_go_out():
     # every layer computes in real Bloch forms; only the 2x2 matrices a
-    # caller reads (qubit.from_bloch, and qubit._entries, which the CLI
-    # prints, both from qubit._rows) hold complex numbers: no imaginary
-    # constant and no ``complex`` name anywhere else
+    # caller reads (qubit.Measurement.elements, and qubit._entries, which
+    # the CLI prints, both from qubit._rows) hold complex numbers: no
+    # imaginary constant and no ``complex`` name anywhere else
     sites = []
     for path in sorted((SRC / "trinedisc").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         allowed = {
             id(node)
-            for fn in tree.body
+            for fn in ast.walk(tree)
             if path.stem == "qubit"
             and isinstance(fn, ast.FunctionDef)
-            and fn.name in ("_rows", "from_bloch", "_entries")
+            and fn.name in ("_rows", "elements", "_entries")
             for node in ast.walk(fn)
         }
         sites += [
@@ -170,9 +170,47 @@ def test_branch_test_and_prior_draws_are_made_in_one_place():
     assert call_sites("dirichlet") == [("trine", "random_priors")]
 
 
+def test_zero_priors_are_refused_by_one_rule():
+    # the three-outcome construction, its success probability and the
+    # sweeps' columns all test for strictly positive priors with _positive
+    assert sorted(call_sites("_positive")) == [
+        ("_sweeps", "__init__"),
+        ("min_error", "gamma_three_element"),
+        ("min_error", "p_correct_three_element"),
+    ]
+
+
+def unused_methods(trees: dict) -> list[str]:
+    """``module.Class.name`` of each method or property of a module-level
+    class that no code in ``trees`` reads as an attribute outside that
+    method's own def; a local variable of the same name is no read, and
+    dunders are exempt."""
+    reads = []  # (attribute name, ids of the nodes enclosing the read)
+    for tree in trees.values():
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                enclosing, scope = set(), parent.get(node)
+                while scope is not None:
+                    enclosing.add(id(scope))
+                    scope = parent.get(scope)
+                reads.append((node.attr, enclosing))
+    return [
+        f"{module}.{cls.name}.{fn.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and not any(name == fn.name and id(fn) not in enclosing for name, enclosing in reads)
+    ]
+
+
 def test_every_src_function_has_a_src_caller():
     # a module-level function or class that no package code names, apart
-    # from its own def, and no __all__ exports is test-only code
+    # from its own def, and no __all__ exports is test-only code; so is a
+    # method or property that no package code reads
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((SRC / "trinedisc").glob("*.py"))
@@ -198,6 +236,25 @@ def test_every_src_function_has_a_src_caller():
         )
     ]
     assert unused == []
+    # Measurement.elements, the documented matrix output, is read by library
+    # callers and the benchmark only; ROADMAP's D14 removes it
+    assert unused_methods(trees) == ["qubit.Measurement.elements"]
+    planted = (
+        "class Box:\n"
+        "    def opened(self):\n"
+        "        return self.opened()\n"
+        "    def shut(self):\n"
+        "        return self\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "def use(box):\n"
+        "    opened = box.shut()\n"
+        "    return opened\n"
+    )
+    assert unused_methods({**trees, "planted": ast.parse(planted)}) == [
+        "qubit.Measurement.elements",
+        "planted.Box.opened",
+    ]
 
 
 def test_the_other_two_priors_are_taken_in_one_place():
@@ -530,6 +587,22 @@ def test_single_queries_do_not_load_numpy():
     codes, numpy_loaded = run_main_fresh(*SINGLE_QUERIES)
     assert codes == [0] * len(SINGLE_QUERIES)
     assert not numpy_loaded
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["optimal", "--p0", "0.5", "--p1", "0.3", "--p2", "0.2"], 0), (["optimal", "--p0", "0.5"], 2)],
+    ids=["answer", "usage_error"],
+)
+def test_module_entry_exits_with_what_main_returns(argv, code, capsys):
+    # ``python -m trinedisc.cli`` runs cli.entry_point, the console script's
+    # target, which prints what main prints and exits with its code
+    proc = subprocess.run(
+        [sys.executable, "-m", "trinedisc.cli", *argv], env=src_env(), capture_output=True, text=True
+    )
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
 
 
 @pytest.mark.parametrize("argv", NUMPY_PATHS.values(), ids=list(NUMPY_PATHS))

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trinedisc import qubit
 from trinedisc.errors import DomainError
 from trinedisc.trine import (
     _TRINE_ANGLES,
@@ -27,10 +26,12 @@ from reference import (
     bloch_form,
     element,
     ket,
+    matrix,
     measurement,
     projector,
     trine_projectors,
     trine_states,
+    validity,
 )
 from test_loop_forms import family_triple
 
@@ -54,7 +55,7 @@ def trine_perps():
 
 def ensemble_density(probabilities):
     """Average state sum_i q_i |psi_i><psi_i| as a matrix (state-order probabilities)."""
-    return qubit.from_bloch(np.asarray(probabilities, dtype=float) @ np.array(TRINE_BLOCH))
+    return matrix(np.asarray(probabilities, dtype=float) @ np.array(TRINE_BLOCH))
 
 
 class TestStates:
@@ -79,11 +80,11 @@ class TestStates:
 
     def test_bloch_forms_match_projectors(self):
         for n, psi in zip(TRINE_BLOCH, trine_states()):
-            np.testing.assert_allclose(qubit.from_bloch(n), projector(psi), atol=1e-15)
+            np.testing.assert_allclose(matrix(n), projector(psi), atol=1e-15)
 
     def test_symmetric_measurements_are_povms(self):
         for m in (trine_measurement(), antitrine_measurement()):
-            v = m.validity()
+            v = validity(m)
             assert v.is_valid
             assert v.completeness_deviation < 1e-12
 
